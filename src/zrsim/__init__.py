@@ -44,7 +44,6 @@ from .errors import (
 )
 from .market import (
     AllocationTable,
-    AuxIndex,
     MarketConfig,
     StrategyMatrix,
     allocate,
@@ -67,7 +66,6 @@ from .payoff import PayoffVector, payoffs
 
 __all__ = [
     "AllocationTable",
-    "AuxIndex",
     "BestResponseTrace",
     "CapacityError",
     "ChoiceSet",

@@ -15,7 +15,8 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import DomainError, InvalidArgument
 from .equilibrium import (
     DEFAULT_DELTA_GRID,
     DiscountStatus,
+    ZreResult,
     ZreStatus,
     discount_equilibrium,
     enumerate_zre,
@@ -31,6 +33,8 @@ from .market import MarketConfig, StrategyMatrix, allocate, masks_containing
 from .payoff import payoffs
 
 SIGN_TOL = 1e-12
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -111,21 +115,25 @@ def hhi_variance_identity(shares: Sequence[float]) -> tuple[float, float]:
     return sum_of_squares, variance_form
 
 
-def compare_worlds(config: MarketConfig) -> SweepRecord:
-    """One cell's record: selected equilibrium vs. the no-zero-rating world."""
-    result = enumerate_zre(config)
+def _empty_record(config: MarketConfig) -> SweepRecord:
+    """Record of a cell without an equilibrium: both worlds coincide."""
     n = config.n_cps
-    if result.status is ZreStatus.NO_ZRE:
-        return SweepRecord(
-            prices=config.p,
-            status=ZreStatus.NO_ZRE,
-            selected=None,
-            delta_utility=(0.0,) * n,
-            delta_share=(0.0,) * n,
-            delta_hhi=0.0,
-            pressure=result.pressure,
-        )
-    baseline = StrategyMatrix.zeros(n, config.n_isps)
+    return SweepRecord(
+        prices=config.p,
+        status=ZreStatus.NO_ZRE,
+        selected=None,
+        delta_utility=(0.0,) * n,
+        delta_share=(0.0,) * n,
+        delta_hhi=0.0,
+        pressure=(False,) * n,
+    )
+
+
+def _record(config: MarketConfig, result: ZreResult) -> SweepRecord:
+    """Two-world record of ``config`` from its already-solved ``result``."""
+    if result.selected is None:
+        return _empty_record(config)
+    baseline = StrategyMatrix.zeros(config.n_cps, config.n_isps)
     u_base = payoffs(config, baseline).cp_utility
     u_sel = payoffs(config, result.selected).cp_utility
     share_base = market_shares(config, baseline)
@@ -141,9 +149,37 @@ def compare_worlds(config: MarketConfig) -> SweepRecord:
     )
 
 
-def _sweep_cell(args: tuple[MarketConfig, tuple[float, ...]]) -> SweepRecord:
-    config, prices = args
-    return compare_worlds(config.with_prices(prices))
+def compare_worlds(config: MarketConfig) -> SweepRecord:
+    """One cell's record: selected equilibrium vs. the no-zero-rating world."""
+    return _record(config, enumerate_zre(config))
+
+
+def default_worker_count() -> int:
+    return os.cpu_count() or 1
+
+
+def _sweep(
+    cell_fn: Callable[[MarketConfig], T],
+    config: MarketConfig,
+    p_grid: Sequence[Sequence[float]],
+    workers: int | None,
+) -> list[T]:
+    """``cell_fn`` applied to every Cartesian price-grid point, row-major.
+
+    The pool is capped at the number of cells and of CPUs; a cap of one
+    runs the cells in this process.
+    """
+    if len(p_grid) != config.n_isps:
+        raise InvalidArgument(f"p_grid must have one value list per ISP ({config.n_isps})")
+    if any(len(axis) == 0 for axis in p_grid):
+        raise InvalidArgument("p_grid axes must be nonempty")
+    cells = [config.with_prices(prices) for prices in itertools.product(*p_grid)]
+    cpus = default_worker_count()
+    workers = min(cpus if workers is None else workers, len(cells), cpus)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(cell_fn, cells, chunksize=max(1, len(cells) // workers)))
+    return [cell_fn(cell) for cell in cells]
 
 
 def grid_sweep(
@@ -157,24 +193,7 @@ def grid_sweep(
     ``workers`` > 1 runs them in a process pool while preserving the
     deterministic output ordering.
     """
-    if len(p_grid) != config.n_isps:
-        raise InvalidArgument(f"p_grid must have one value list per ISP ({config.n_isps})")
-    if any(len(axis) == 0 for axis in p_grid):
-        raise InvalidArgument("p_grid axes must be nonempty")
-    cells = [
-        (config, tuple(float(v) for v in prices))
-        for prices in itertools.product(*p_grid)
-    ]
-    if workers is None:
-        workers = default_worker_count()
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_cell, cells, chunksize=max(1, len(cells) // workers)))
-    return [_sweep_cell(cell) for cell in cells]
-
-
-def default_worker_count() -> int:
-    return os.cpu_count() or 1
+    return _sweep(compare_worlds, config, p_grid, workers)
 
 
 @dataclass(frozen=True)
@@ -187,25 +206,11 @@ class DiscountCell:
     delta_star: tuple[float, ...] | None
 
 
-def _discount_cell(
-    args: tuple[MarketConfig, tuple[float, ...], tuple[float, ...]]
-) -> DiscountCell:
-    config, prices, delta_grid = args
-    priced = config.with_prices(prices)
-    outcome = discount_equilibrium(priced, delta_grid)
+def _discount_cell(config: MarketConfig, delta_grid: tuple[float, ...]) -> DiscountCell:
+    outcome = discount_equilibrium(config, delta_grid)
     if outcome.status is DiscountStatus.NO_DISCOUNT_EQUILIBRIUM:
-        n = config.n_cps
-        record = SweepRecord(
-            prices=prices,
-            status=ZreStatus.NO_ZRE,
-            selected=None,
-            delta_utility=(0.0,) * n,
-            delta_share=(0.0,) * n,
-            delta_hhi=0.0,
-            pressure=(False,) * n,
-        )
-        return DiscountCell(record=record, delta_star=None)
-    record = compare_worlds(priced.with_delta(outcome.delta_star))
+        return DiscountCell(record=_empty_record(config), delta_star=None)
+    record = _record(config.with_delta(outcome.delta_star), outcome.zre)
     return DiscountCell(record=record, delta_star=outcome.delta_star)
 
 
@@ -220,23 +225,8 @@ def discount_grid_sweep(
     Each cell solves the ISP discount game at its prices and records the
     two-world deltas under the selected discount profile.
     """
-    if len(p_grid) != config.n_isps:
-        raise InvalidArgument(f"p_grid must have one value list per ISP ({config.n_isps})")
-    if any(len(axis) == 0 for axis in p_grid):
-        raise InvalidArgument("p_grid axes must be nonempty")
     delta_grid = tuple(float(v) for v in delta_grid)
-    cells = [
-        (config, tuple(float(v) for v in prices), delta_grid)
-        for prices in itertools.product(*p_grid)
-    ]
-    if workers is None:
-        workers = default_worker_count()
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(_discount_cell, cells, chunksize=max(1, len(cells) // workers))
-            )
-    return [_discount_cell(cell) for cell in cells]
+    return _sweep(partial(_discount_cell, delta_grid=delta_grid), config, p_grid, workers)
 
 
 def _sign(value: float) -> int:

@@ -14,7 +14,8 @@ Verbs:
 Exit codes: 0 success, 1 failed verification, 2 invalid scenario or usage,
 3 capacity guard exceeded.  Outputs are byte-stable for identical inputs;
 grid cells run on a worker pool sized by the ZRSIM_WORKERS environment
-variable (default: available parallelism).
+variable (default: available parallelism), capped at the number of grid
+cells and of CPUs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .analysis import (
     DiscountCell,
     SweepRecord,
     aggregate_signs,
-    default_worker_count,
     discount_grid_sweep,
     grid_sweep,
 )
@@ -56,10 +56,10 @@ def fmt_num(x: float) -> str:
     return "0" if out == "-0" else out
 
 
-def _workers() -> int:
+def _workers() -> int | None:
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
-        return default_worker_count()
+        return None
     try:
         n = int(raw)
     except ValueError:

@@ -384,9 +384,13 @@ def discount_equilibrium(
             f"of {DISCOUNT_WORK_GUARD}"
         )
 
+    # A zero-price ISP's delta multiplies p = 0, so every value gives the
+    # same market; only the largest, which the selection below prefers,
+    # is solved.  Its deviations then find no revenue and are skipped.
+    axes = [grid[-1:] if config.p[j] == 0.0 else grid for j in range(m)]
     results: dict[tuple[float, ...], ZreResult] = {}
     revenues: dict[tuple[float, ...], np.ndarray] = {}
-    for delta in itertools.product(grid, repeat=m):
+    for delta in itertools.product(*axes):
         candidate = config.with_delta(delta)
         result = enumerate_zre(candidate)
         if result.status is ZreStatus.EQUILIBRIA_FOUND:

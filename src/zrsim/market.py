@@ -133,32 +133,6 @@ class MarketConfig:
         return replace(self, delta=_as_float_tuple(delta))
 
 
-@dataclass(frozen=True)
-class AuxIndex:
-    """Identifies one auxiliary CP by the bitmask of actual CPs it bundles.
-
-    Mask 0 is the dummy CP.  Bit ``i`` corresponds to actual CP ``i``
-    (0-based).
-    """
-
-    subset_mask: int
-
-    def __post_init__(self) -> None:
-        if self.subset_mask < 0:
-            raise InvalidArgument(f"subset mask must be nonnegative, got {self.subset_mask}")
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.subset_mask.bit_length()) if self.subset_mask >> i & 1)
-
-    @classmethod
-    def from_cps(cls, cps: Iterable[int]) -> "AuxIndex":
-        mask = 0
-        for i in cps:
-            mask |= 1 << i
-        return cls(mask)
-
-
 def aux_members(mask: int) -> tuple[int, ...]:
     """Actual CP indices bundled in auxiliary CP ``mask``."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
@@ -304,13 +278,13 @@ class AllocationTable:
 
 
 def _extension_matrix(theta: StrategyMatrix) -> np.ndarray:
-    n_cps, n_isps = theta.n_cps, theta.n_isps
-    ext = np.zeros((1 << n_cps, n_isps + 1), dtype=np.int8)
-    for s in range(1, 1 << n_cps):
-        members = aux_members(s)
-        for j in range(1, n_isps + 1):
-            ext[s, j] = int(all(theta.rows[i][j - 1] for i in members))
-    return ext
+    return np.array(
+        [
+            [extend_theta(theta, s, j) for j in range(theta.n_isps + 1)]
+            for s in range(1 << theta.n_cps)
+        ],
+        dtype=np.int8,
+    )
 
 
 @lru_cache(maxsize=4096)

@@ -36,7 +36,12 @@ _TOP_KEYS = {"market", "price_grid", "mode", "delta_grid", "expected_no_zre", "o
 _TOP_REQUIRED = {"market", "price_grid", "mode"}
 _MARKET_KEYS = {"n_cps", "n_isps", "alpha", "c", "q", "delta", "phi", "psi", "total_users"}
 _MARKET_REQUIRED = _MARKET_KEYS - {"total_users"}
-_OUTPUT_KEYS = {"grid", "summary", "discounts"}
+_DEFAULT_OUTPUT_NAMES = {
+    "grid": "grid.csv",
+    "summary": "summary.json",
+    "discounts": "discounts.csv",
+}
+_OUTPUT_KEYS = set(_DEFAULT_OUTPUT_NAMES)
 
 
 class ScenarioError(ZrsimError, ValueError):
@@ -52,13 +57,7 @@ class Scenario:
     mode: str
     delta_grid: tuple[float, ...] | None = None
     expected_no_zre: tuple[tuple[float, ...], ...] | None = None
-    output_names: dict[str, str] = field(
-        default_factory=lambda: {
-            "grid": "grid.csv",
-            "summary": "summary.json",
-            "discounts": "discounts.csv",
-        }
-    )
+    output_names: dict[str, str] = field(default_factory=lambda: dict(_DEFAULT_OUTPUT_NAMES))
 
 
 def _key_line(text: str, key: str) -> str:
@@ -183,7 +182,7 @@ def parse_scenario(doc, text: str = "") -> Scenario:
             )
         expected = tuple(pairs)
 
-    output_names = {"grid": "grid.csv", "summary": "summary.json", "discounts": "discounts.csv"}
+    output_names = dict(_DEFAULT_OUTPUT_NAMES)
     if "output" in doc:
         out = doc["output"]
         if not isinstance(out, dict):

@@ -11,12 +11,13 @@ skipped.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import compare_worlds, grid_sweep, hhi, hhi_variance_identity
-from .equilibrium import ZreStatus, enumerate_zre, is_zre
+from .analysis import _record, hhi, hhi_variance_identity
+from .equilibrium import ZreResult, ZreStatus, enumerate_zre, is_zre
 from .market import MarketConfig, StrategyMatrix, allocate
 from .oracle import oracle_allocate, oracle_verify_zre
 from .scenario import Scenario
@@ -24,6 +25,9 @@ from .scenario import Scenario
 ORACLE_TOL = 1e-12
 HHI_TOL = 1e-12
 VERIFY_SEED = 20240517
+
+# Every price-grid cell with its solved equilibria, in row-major order.
+GridResults = list[tuple[MarketConfig, ZreResult]]
 
 
 @dataclass(frozen=True)
@@ -33,13 +37,23 @@ class CheckResult:
     detail: str
 
 
-def _random_config(rng: np.random.Generator, n_cps: int, n_isps: int) -> MarketConfig:
+def random_config(
+    rng: np.random.Generator,
+    n_cps: int | None = None,
+    n_isps: int | None = None,
+    allow_zero_price: bool = True,
+) -> MarketConfig:
+    """A valid random market; each price is zero with probability 0.15
+    unless ``allow_zero_price`` is off."""
+    n_cps = n_cps or int(rng.integers(2, 4))
+    n_isps = n_isps or int(rng.integers(1, 4))
     phi = rng.uniform(0.05, 1.0, size=1 << n_cps)
     phi /= phi.sum()
     psi = rng.uniform(0.05, 1.0, size=n_isps + 1)
     psi /= psi.sum()
     p = rng.uniform(0.0, 1.0, size=n_isps)
-    p[rng.uniform(size=n_isps) < 0.15] = 0.0
+    if allow_zero_price:
+        p[rng.uniform(size=n_isps) < 0.15] = 0.0
     return MarketConfig(
         n_cps=n_cps,
         n_isps=n_isps,
@@ -53,7 +67,8 @@ def _random_config(rng: np.random.Generator, n_cps: int, n_isps: int) -> MarketC
     )
 
 
-def _random_theta(rng: np.random.Generator, config: MarketConfig) -> StrategyMatrix:
+def random_theta(rng: np.random.Generator, config: MarketConfig) -> StrategyMatrix:
+    """A random profile with the cells of zero-price ISPs set to 1."""
     rows = rng.integers(0, 2, size=(config.n_cps, config.n_isps))
     for j in range(config.n_isps):
         if config.p[j] == 0.0:
@@ -61,18 +76,9 @@ def _random_theta(rng: np.random.Generator, config: MarketConfig) -> StrategyMat
     return StrategyMatrix(tuple(tuple(int(v) for v in row) for row in rows))
 
 
-def _grid_results(scenario: Scenario):
-    import itertools
-
-    config = scenario.config
-    for prices in itertools.product(*scenario.price_grid):
-        cell = config.with_prices(prices)
-        yield cell, enumerate_zre(cell)
-
-
-def check_oracle_allocation(scenario: Scenario) -> CheckResult:
+def check_oracle_allocation(scenario: Scenario, results: GridResults) -> CheckResult:
     worst = 0.0
-    for cell, result in _grid_results(scenario):
+    for cell, result in results:
         thetas = [StrategyMatrix.zeros(cell.n_cps, cell.n_isps)]
         if result.selected is not None:
             thetas.append(result.selected)
@@ -83,17 +89,17 @@ def check_oracle_allocation(scenario: Scenario) -> CheckResult:
     return CheckResult("oracle-allocation", ok, f"max |rho - oracle rho| = {worst:.3e}")
 
 
-def check_oracle_equilibrium(scenario: Scenario) -> CheckResult:
+def check_oracle_equilibrium(scenario: Scenario, results: GridResults) -> CheckResult:
     rng = np.random.default_rng(VERIFY_SEED)
     disagreements = 0
     checked = 0
-    for cell, result in _grid_results(scenario):
+    for cell, result in results:
         for theta in result.all_zre:
             checked += 1
             if not oracle_verify_zre(cell, theta):
                 disagreements += 1
         for _ in range(3):
-            theta = _random_theta(rng, cell)
+            theta = random_theta(rng, cell)
             checked += 1
             if is_zre(cell, theta) != oracle_verify_zre(cell, theta):
                 disagreements += 1
@@ -103,7 +109,7 @@ def check_oracle_equilibrium(scenario: Scenario) -> CheckResult:
     )
 
 
-def check_hhi_identity(_: Scenario) -> CheckResult:
+def check_hhi_identity(scenario: Scenario, results: GridResults) -> CheckResult:
     rng = np.random.default_rng(VERIFY_SEED)
     worst = 0.0
     for _ in range(200):
@@ -114,13 +120,11 @@ def check_hhi_identity(_: Scenario) -> CheckResult:
     return CheckResult("hhi-variance-identity", ok, f"max |forms| gap = {worst:.3e}")
 
 
-def check_hhi_all_or_none(scenario: Scenario) -> CheckResult:
+def check_hhi_all_or_none(scenario: Scenario, results: GridResults) -> CheckResult:
     rng = np.random.default_rng(VERIFY_SEED)
     configs = [scenario.config]
     for _ in range(100):
-        configs.append(
-            _random_config(rng, int(rng.integers(2, 4)), int(rng.integers(1, 4)))
-        )
+        configs.append(random_config(rng, int(rng.integers(2, 4)), int(rng.integers(1, 4))))
     worst = 0.0
     for cfg in configs:
         zeros = StrategyMatrix.zeros(cfg.n_cps, cfg.n_isps)
@@ -137,25 +141,24 @@ def _ordered_for_concentration(config: MarketConfig) -> bool:
     )
 
 
-def check_hhi_nondecreasing(scenario: Scenario) -> CheckResult:
+def check_hhi_nondecreasing(scenario: Scenario, results: GridResults) -> CheckResult:
     if not _ordered_for_concentration(scenario.config):
         return CheckResult(
             "hhi-nondecreasing", None, "skipped: values/baselines not co-ordered"
         )
-    records = grid_sweep(scenario.config, scenario.price_grid, workers=1)
-    worst = min(r.delta_hhi for r in records)
+    worst = min(_record(cell, result).delta_hhi for cell, result in results)
     ok = worst >= -HHI_TOL
     return CheckResult("hhi-nondecreasing", ok, f"min delta HHI = {worst:.3e}")
 
 
-def check_low_value_utility_drop(scenario: Scenario) -> CheckResult:
+def check_low_value_utility_drop(scenario: Scenario, results: GridResults) -> CheckResult:
     config = scenario.config
     low = int(np.argmin(config.q))
     high = int(np.argmax(config.q))
     if low == high:
         return CheckResult("low-value-utility-drop", None, "skipped: single CP")
     hits = 0
-    for cell, result in _grid_results(scenario):
+    for cell, result in results:
         if result.selected is None:
             continue
         rows = result.selected.rows
@@ -164,7 +167,7 @@ def check_low_value_utility_drop(scenario: Scenario) -> CheckResult:
         if any(any(rows[i]) for i in range(config.n_cps) if i not in (low, high)):
             continue
         hits += 1
-        record = compare_worlds(cell)
+        record = _record(cell, result)
         if not (record.delta_utility[low] < 0.0 and record.delta_utility[high] >= -HHI_TOL):
             return CheckResult(
                 "low-value-utility-drop",
@@ -174,10 +177,10 @@ def check_low_value_utility_drop(scenario: Scenario) -> CheckResult:
     return CheckResult("low-value-utility-drop", True, f"{hits} qualifying cells checked")
 
 
-def check_value_ordering_pruning(scenario: Scenario) -> CheckResult:
+def check_value_ordering_pruning(scenario: Scenario, results: GridResults) -> CheckResult:
     config = scenario.config
     scanned = 0
-    for cell, result in _grid_results(scenario):
+    for cell, result in results:
         for theta in result.all_zre:
             scanned += 1
             for i in range(config.n_cps):
@@ -194,14 +197,10 @@ def check_value_ordering_pruning(scenario: Scenario) -> CheckResult:
     return CheckResult("value-ordering-pruning", True, f"{scanned} equilibria scanned")
 
 
-def check_expected_no_zre(scenario: Scenario) -> CheckResult:
+def check_expected_no_zre(scenario: Scenario, results: GridResults) -> CheckResult:
     if scenario.expected_no_zre is None:
         return CheckResult("no-zre-cells", None, "skipped: no expectation recorded")
-    observed = {
-        cell.p
-        for cell, result in _grid_results(scenario)
-        if result.status is ZreStatus.NO_ZRE
-    }
+    observed = {cell.p for cell, result in results if result.status is ZreStatus.NO_ZRE}
     expected = set(scenario.expected_no_zre)
     ok = observed == expected
     detail = f"observed {sorted(observed)}" if not ok else f"{len(expected)} cells as expected"
@@ -221,4 +220,7 @@ ALL_CHECKS = (
 
 
 def run_battery(scenario: Scenario) -> list[CheckResult]:
-    return [check(scenario) for check in ALL_CHECKS]
+    """Every check of ``ALL_CHECKS``, sharing one solve of the price grid."""
+    cells = [scenario.config.with_prices(p) for p in itertools.product(*scenario.price_grid)]
+    results = [(cell, enumerate_zre(cell)) for cell in cells]
+    return [check(scenario, results) for check in ALL_CHECKS]

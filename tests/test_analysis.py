@@ -12,6 +12,7 @@ from zrsim import (
     StrategyMatrix,
     ZreStatus,
     aggregate_signs,
+    analysis,
     compare_worlds,
     discount_grid_sweep,
     grid_sweep,
@@ -149,6 +150,33 @@ class TestGridSweep:
             grid_sweep(bench, (GRID11,), workers=1)
         with pytest.raises(InvalidArgument):
             grid_sweep(bench, (GRID11, ()), workers=1)
+
+    @pytest.mark.parametrize("cpus, expected", [(64, [4]), (3, [3]), (1, [])])
+    def test_pool_capped_at_cells_and_cpus(self, bench, monkeypatch, cpus, expected):
+        # No process is started: the fake pool records its size and maps here.
+        requested = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells, chunksize=1):
+                return map(fn, cells)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(analysis, "default_worker_count", lambda: cpus)
+        axes = ((0.2, 0.6), (0.4, 0.8))
+        assert grid_sweep(bench, axes, workers=5000) == grid_sweep(bench, axes, workers=1)
+        assert requested == expected
+        grid_sweep(bench, ((0.6,), (0.4,)), workers=5000)
+        discount_grid_sweep(bench, ((0.6,), (0.4,)), (0.5, 1.0), workers=5000)
+        assert requested == expected
 
 
 class TestAggregateSigns:

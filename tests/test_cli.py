@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -73,6 +74,59 @@ def test_sweep_output_is_byte_stable(small_scenario, tmp_path, monkeypatch):
     main(["sweep", str(small_scenario), "--out", str(out2)])
     for name in ("grid.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# sha256 of grid.csv and summary.json for every shipped fixed-delta
+# scenario, recorded before the two sweep drivers were merged into one.
+REFERENCE_SHA256 = {
+    "bandwidth_high": (
+        "5f49ea49cbf8c5836c041d39dcdc853937b8930a53655e97f422203ab75386b1",
+        "5c935bc86c76e8e69ec23342dcd077c9c8e774cbb28adf378209c7124e98ffa1",
+    ),
+    "bandwidth_low": (
+        "a2c86f5d2f9335aa70f3ed0c8d916b7917223e26e11e11ee7bad266001ee3da6",
+        "b90a9b523ca31d5071ee91f4f954c7cac3a7ff90f25fe9efb829b87d36949085",
+    ),
+    "benchmark": (
+        "fef89587a649bf5cfe3a4fc19995831cc99d1852d4fc51cd9a0207c088643d0a",
+        "12cba49e05e343c8fa127ceed482e6e40f1207b35c12e433d70bfb098fb006e5",
+    ),
+    "cp1_share_high": (
+        "cdfaf02c9b587289ebb289fe636cdcf5541161d229eaeb2ac3197b72aa94a834",
+        "6005047ed7d9f83c8ba2ea4983873dc06b1f4a0d2c9568a1da2f1faa7c541cdc",
+    ),
+    "cp1_share_low": (
+        "b0129017e26342a2d1c641a37b4286de54d13c4d4e83cee730e66958ff7d3f31",
+        "82f374c221bf3a6c6550c66391ddf8463889fe8e3ea84c91170a97c86fd512c1",
+    ),
+    "elasticity_high": (
+        "3971e493a1d5386690568d739525f50b3c669f5fd1af1e4097acf235e0bc4aba",
+        "64971891c203698edfadfe6dd5ea8b175f9fc37b3e265c3ed129fa74642369b8",
+    ),
+    "elasticity_low": (
+        "8b50054ac5769aadfc7995ac3e34d072dba8546280c19d3dd369207a388a356a",
+        "c5e44d45004ca50b2036f2a8477719d7b058466ee70ae568fcdad636d9c1a730",
+    ),
+    "isp1_share_high": (
+        "b13312d091af8724b27013e87564fc68122d43667c97380898e024e957fd4827",
+        "c0990defd6b7ec0ab470048104bf3298fdbac3487303ed77a96f130e18d340f0",
+    ),
+    "isp1_share_low": (
+        "3c4ab008ec8f32f46cff189af326315fdc7ef542092f53a06bc3f4cac0b17e73",
+        "770873864579261f9e2e27d5996f1b5f729c689a43bf29ef77bdbcbc15198c5a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SHA256))
+def test_shipped_sweeps_match_reference_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("ZRSIM_WORKERS", "1")
+    out = tmp_path / name
+    assert main(["sweep", str(SCENARIOS / f"{name}.json"), "--out", str(out)]) == EXIT_OK
+    digests = tuple(
+        hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("grid.csv", "summary.json")
+    )
+    assert digests == REFERENCE_SHA256[name]
 
 
 def test_parallel_sweep_matches_serial(small_scenario, tmp_path, monkeypatch):

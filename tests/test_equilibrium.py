@@ -283,11 +283,21 @@ class TestDiscountGame:
                     seen.add((tuple(pv.cp_utility), tuple(pv.isp_revenue)))
                 assert len(seen) == 1, f"theta {theta.bitstring()}, other delta {other}"
 
-    @pytest.mark.parametrize("prices", [(1.0, 0.0), (0.0, 1.0)])
-    def test_one_free_isp_keeps_full_discount_factor(self, bench, prices):
-        # Its delta changes nothing, so the largest Nash profile has it at 1.0.
-        outcome = discount_equilibrium(bench.with_prices(prices))
-        assert outcome.delta_star[prices.index(0.0)] == 1.0
+    @pytest.mark.parametrize(
+        "prices, delta_grid",
+        [
+            ((1.0, 0.0), GRID11),
+            ((0.0, 1.0), GRID11),
+            ((1.0, 0.0), (0.0, 0.5)),
+            ((0.0, 1.0), (0.0, 0.5)),
+        ],
+        ids=["prices0", "prices1", "prices0-top0.5", "prices1-top0.5"],
+    )
+    def test_one_free_isp_keeps_full_discount_factor(self, bench, prices, delta_grid):
+        # Its delta changes nothing, so the largest Nash profile has it at
+        # the top of the grid.
+        outcome = discount_equilibrium(bench.with_prices(prices), delta_grid)
+        assert outcome.delta_star[prices.index(0.0)] == delta_grid[-1]
 
     def test_undercutting_cycles_leave_no_equilibrium(self, bench):
         # Mid-price cells feed an undercutting spiral: each ISP profitably

@@ -108,16 +108,6 @@ class TestExtendTheta:
         assert masks_containing(0, 2) == (1, 3)
         assert masks_containing(1, 2) == (2, 3)
 
-    def test_aux_index_wrapper(self):
-        from zrsim import AuxIndex
-
-        bundle = AuxIndex.from_cps([0, 2])
-        assert bundle.subset_mask == 5
-        assert bundle.members == (0, 2)
-        assert AuxIndex(0).members == ()
-        with pytest.raises(InvalidArgument):
-            AuxIndex(-1)
-
 
 class TestChoiceProbability:
     def test_full_set_gives_baseline_product(self, bench):
