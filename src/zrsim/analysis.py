@@ -29,8 +29,10 @@ from .equilibrium import (
     discount_equilibrium,
     enumerate_zre,
 )
-from .market import MarketConfig, StrategyMatrix, allocate, masks_containing
-from .payoff import payoffs
+from .market import (
+    MarketConfig, StrategyMatrix, allocate, allocations, masks_containing, profile_cells
+)
+from .payoff import scores
 
 SIGN_TOL = 1e-12
 
@@ -63,14 +65,27 @@ class SignSummary:
     share_signs: tuple[int, ...]
 
 
-def _effective_users_per_cp(config: MarketConfig, theta: StrategyMatrix) -> np.ndarray:
+def _effective_users_per_cp(config: MarketConfig, x_pair: np.ndarray) -> np.ndarray:
     # Sums over every ISP column including the dummy: a CP's concentration
     # is measured over all of its users, wherever they connect.
-    x_pair = allocate(config, theta).x_pair
     totals = np.empty(config.n_cps)
     for i in range(config.n_cps):
         totals[i] = x_pair[list(masks_containing(i, config.n_cps)), :].sum()
     return totals
+
+
+def _hhi(totals: np.ndarray) -> float:
+    grand = totals.sum()
+    if grand <= 0.0:
+        raise DomainError("Herfindahl index needs at least one CP with users")
+    return float((totals**2).sum() / grand**2)
+
+
+def _shares(totals: np.ndarray) -> np.ndarray:
+    grand = totals.sum()
+    if grand <= 0.0:
+        raise DomainError("market shares need at least one CP with users")
+    return totals / grand
 
 
 def hhi(config: MarketConfig, theta: StrategyMatrix) -> float:
@@ -80,20 +95,12 @@ def hhi(config: MarketConfig, theta: StrategyMatrix) -> float:
     sum(X_i^2) / (sum(X_i))^2, so the result lies in (0, 1] regardless of
     the raw market size.
     """
-    totals = _effective_users_per_cp(config, theta)
-    grand = totals.sum()
-    if grand <= 0.0:
-        raise DomainError("Herfindahl index needs at least one CP with users")
-    return float((totals**2).sum() / grand**2)
+    return _hhi(_effective_users_per_cp(config, allocate(config, theta).x_pair))
 
 
 def market_shares(config: MarketConfig, theta: StrategyMatrix) -> np.ndarray:
     """Effective-user shares among actual CPs (same normalization as hhi)."""
-    totals = _effective_users_per_cp(config, theta)
-    grand = totals.sum()
-    if grand <= 0.0:
-        raise DomainError("market shares need at least one CP with users")
-    return totals / grand
+    return _shares(_effective_users_per_cp(config, allocate(config, theta).x_pair))
 
 
 def hhi_variance_identity(shares: Sequence[float]) -> tuple[float, float]:
@@ -133,18 +140,18 @@ def _record(config: MarketConfig, result: ZreResult) -> SweepRecord:
     """Two-world record of ``config`` from its already-solved ``result``."""
     if result.selected is None:
         return _empty_record(config)
-    baseline = StrategyMatrix.zeros(config.n_cps, config.n_isps)
-    u_base = payoffs(config, baseline).cp_utility
-    u_sel = payoffs(config, result.selected).cp_utility
-    share_base = market_shares(config, baseline)
-    share_sel = market_shares(config, result.selected)
+    # Both worlds in one batch: code 0 is the all-zero profile.
+    cells = profile_cells([0, result.selected.encoding()], config.n_cps, config.n_isps)
+    _, x_pair, users = allocations(config, cells)
+    u_base, u_sel = scores(config, cells, users)[0]
+    base, sel = (_effective_users_per_cp(config, x) for x in x_pair)
     return SweepRecord(
         prices=config.p,
         status=result.status,
         selected=result.selected,
         delta_utility=tuple(float(v) for v in u_sel - u_base),
-        delta_share=tuple(float(v) for v in share_sel - share_base),
-        delta_hhi=hhi(config, result.selected) - hhi(config, baseline),
+        delta_share=tuple(float(v) for v in _shares(sel) - _shares(base)),
+        delta_hhi=_hhi(sel) - _hhi(base),
         pressure=result.pressure,
     )
 

@@ -12,6 +12,11 @@ sides, so a profile is an equilibrium exactly when
 "Gain" is a strict payoff increase; indifferent parties stay put.  An ISP
 with price zero (an unlimited plan) is treated as always zero-rating with
 every CP: those cells are clamped to 1 and excluded from deviation checks.
+
+Profiles are integer codes (see :mod:`zrsim.market`) scored in batches:
+:func:`enumerate_zre` scores every code once and tests stability with array
+operations; :func:`is_zre` and the dynamics score a profile and its flips;
+the discount game reuses one effective-user table for every discount.
 """
 
 from __future__ import annotations
@@ -19,13 +24,15 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ContractViolation, InvalidArgument
-from .market import MarketConfig, StrategyMatrix
-from .payoff import payoffs
+from .market import (
+    MarketConfig, StrategyMatrix, _check_dims, cell_bit, effective_users, profile_cells
+)
+from .payoff import code_scores, scores
 
 ENUMERATION_CELL_GUARD = 20
 DEFAULT_DELTA_GRID = tuple(k / 10 for k in range(11))
@@ -34,7 +41,9 @@ DISCOUNT_WORK_GUARD = 2_000_000
 # A deviation "gains" only when it beats the current payoff by more than
 # this margin.  Grid parameterizations produce exact analytic payoff ties;
 # the margin keeps tie verdicts stable across arithmetically different but
-# equivalent evaluation routes (float noise is ~1e-16, real gaps >= ~1e-3).
+# equivalent evaluation routes.  Float noise is ~1e-16; over every
+# single-cell deviation of the ten shipped scenarios no payoff gap lies in
+# (1e-12, 1e-6), and the smallest real gap is 2.6e-5 (discount_game).
 GAIN_TOL = 1e-9
 
 
@@ -99,70 +108,72 @@ def _check_forced(theta: StrategyMatrix, forced: frozenset[tuple[int, int]]) -> 
             raise InvalidArgument(f"cell ({i}, {j}) must be 1 because the ISP price is 0")
 
 
-def _totals(config: MarketConfig, theta: StrategyMatrix) -> tuple[np.ndarray, np.ndarray]:
-    pv = payoffs(config, theta)
-    return pv.cp_utility, pv.isp_revenue
+def _matrix(code: int, config: MarketConfig) -> StrategyMatrix:
+    n, m = config.n_cps, config.n_isps
+    return StrategyMatrix.from_bitstring(format(int(code), f"0{n * m}b"), n, m)
 
 
-class _TotalsMemo:
-    """Payoff totals memoized per strategy profile for one config."""
-
-    def __init__(self, config: MarketConfig):
-        self.config = config
-        self._cache: dict[tuple[tuple[int, ...], ...], tuple[np.ndarray, np.ndarray]] = {}
-
-    def __call__(self, theta: StrategyMatrix) -> tuple[np.ndarray, np.ndarray]:
-        hit = self._cache.get(theta.rows)
-        if hit is None:
-            hit = _totals(self.config, theta)
-            self._cache[theta.rows] = hit
-        return hit
+def _free_cells(config: MarketConfig, forced: frozenset[tuple[int, int]]) -> list[tuple[int, int]]:
+    n, m = config.n_cps, config.n_isps
+    return [(i, j) for i in range(n) for j in range(m) if (i, j) not in forced]
 
 
-def _is_stable(
-    theta: StrategyMatrix,
-    forced: frozenset[tuple[int, int]],
-    totals: Callable[[StrategyMatrix], tuple[np.ndarray, np.ndarray]],
-) -> bool:
-    base_u, base_r = totals(theta)
-    for i in range(theta.n_cps):
-        for j in range(theta.n_isps):
-            if (i, j) in forced:
-                continue
-            flip_u, flip_r = totals(theta.flip(i, j))
-            cp_gains = flip_u[i] > base_u[i] + GAIN_TOL
-            isp_gains = flip_r[j] > base_r[j] + GAIN_TOL
-            if theta.rows[i][j] == 1:
-                if cp_gains or isp_gains:
-                    return False
-            elif cp_gains and isp_gains:
-                return False
-    return True
+def _stable(u: np.ndarray, r: np.ndarray, moves: Iterable, count: int) -> np.ndarray:
+    """Whether each of the first ``count`` profiles of the score table
+    ``u``, ``r`` survives every single-cell deviation.  ``moves`` holds, per
+    free cell (i, j), the rows of the deviated profiles and whether the
+    profiles hold that relation."""
+    u_bar, r_bar = u[:count] + GAIN_TOL, r[:count] + GAIN_TOL
+    unstable = np.zeros(count, dtype=bool)
+    for (i, j), flip, held in moves:
+        cp_gains = u[flip, i] > u_bar[:, i]
+        isp_gains = r[flip, j] > r_bar[:, j]
+        unstable |= np.where(held, cp_gains | isp_gains, cp_gains & isp_gains)
+    return ~unstable
 
 
 def is_zre(config: MarketConfig, theta: StrategyMatrix) -> bool:
     """Whether ``theta`` is a zero-rating equilibrium of ``config``."""
+    _check_dims(config, theta)
     forced = forced_cells(config)
     _check_forced(theta, forced)
-    return _is_stable(theta, forced, _TotalsMemo(config))
+    code, free = theta.encoding(), _free_cells(config, forced)
+    bits = [cell_bit(i, j, config.n_cps, config.n_isps) for i, j in free]
+    u, r = code_scores(config, [code] + [code ^ bit for bit in bits])
+    moves = ((cell, k, code & bit != 0) for k, (cell, bit) in enumerate(zip(free, bits), 1))
+    return bool(_stable(u, r, moves, 1)[0])
 
 
-def _enumerate_profiles(config: MarketConfig) -> Iterable[StrategyMatrix]:
-    """All profiles respecting forced cells, ascending by binary encoding."""
+def _profiles(config: MarketConfig) -> tuple[np.ndarray, Iterator]:
+    """Codes of all profiles respecting forced cells, ascending, and a
+    one-pass iterator of their single-cell moves (see :func:`_stable`) as
+    rows of that array, built one cell at a time."""
     n, m = config.n_cps, config.n_isps
-    cells = n * m
-    if cells > ENUMERATION_CELL_GUARD:
+    if n * m > ENUMERATION_CELL_GUARD:
         raise CapacityError(
-            f"{cells} cells exceed the exhaustive enumeration guard of {ENUMERATION_CELL_GUARD}"
+            f"{n * m} cells exceed the exhaustive enumeration guard of {ENUMERATION_CELL_GUARD}"
         )
     forced = forced_cells(config)
-    free = [(i, j) for i in range(n) for j in range(m) if (i, j) not in forced]
-    template = [[1 if (i, j) in forced else 0 for j in range(m)] for i in range(n)]
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        flat = [row[:] for row in template]
-        for (i, j), b in zip(free, bits):
-            flat[i][j] = b
-        yield StrategyMatrix(tuple(tuple(row) for row in flat))
+    free = _free_cells(config, forced)
+    # Row t holds the free cells' bits, first free cell most significant,
+    # so codes ascend with t and a flip is t ^ step.
+    t = np.arange(1 << len(free), dtype=np.int64)
+    codes = np.full(len(t), sum(cell_bit(i, j, n, m) for i, j in forced), dtype=np.int64)
+    steps = [((i, j), 1 << (len(free) - 1 - rank)) for rank, (i, j) in enumerate(free)]
+    for (i, j), step in steps:
+        codes[t & step != 0] |= cell_bit(i, j, n, m)
+    return codes, ((cell, t ^ step, t & step != 0) for cell, step in steps)
+
+
+def _zre_result(config: MarketConfig, found: np.ndarray) -> ZreResult:
+    """Result for the equilibrium codes ``found`` (ascending), with the
+    selected profile's pressure flags."""
+    if not len(found):
+        return ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * config.n_cps)
+    all_zre = tuple(_matrix(code, config) for code in found)
+    selected = all_zre[_select(config, found)]
+    pressure = detect_pressure(config, selected)
+    return ZreResult(ZreStatus.EQUILIBRIA_FOUND, all_zre, selected, pressure)
 
 
 def enumerate_zre(config: MarketConfig) -> ZreResult:
@@ -172,37 +183,15 @@ def enumerate_zre(config: MarketConfig) -> ZreResult:
     to behave as if zero-rating were unavailable).  Pressure flags are
     computed only for the selected profile.
     """
-    forced = forced_cells(config)
-    totals = _TotalsMemo(config)
-    found = [
-        theta for theta in _enumerate_profiles(config) if _is_stable(theta, forced, totals)
-    ]
-    if not found:
-        return ZreResult(
-            status=ZreStatus.NO_ZRE,
-            all_zre=(),
-            selected=None,
-            pressure=(False,) * config.n_cps,
-        )
-    found.sort(key=lambda t: t.encoding())
-    selected = select_zre(found, config)
-    pressure = detect_pressure(config, selected)
-    return ZreResult(
-        status=ZreStatus.EQUILIBRIA_FOUND,
-        all_zre=tuple(found),
-        selected=selected,
-        pressure=pressure,
-    )
+    codes, moves = _profiles(config)
+    u, r = code_scores(config, codes)
+    return _zre_result(config, codes[_stable(u, r, moves, len(codes))])
 
 
 def _high_value_cp(config: MarketConfig) -> int:
     # Highest q wins; ties go to the later index, mirroring the convention
     # that the second provider is the tie-breaker.
-    best = 0
-    for i in range(1, config.n_cps):
-        if config.q[i] >= config.q[best]:
-            best = i
-    return best
+    return max(range(config.n_cps), key=lambda i: (config.q[i], i))
 
 
 def select_zre(all_zre: Sequence[StrategyMatrix], config: MarketConfig) -> StrategyMatrix:
@@ -214,18 +203,15 @@ def select_zre(all_zre: Sequence[StrategyMatrix], config: MarketConfig) -> Strat
     """
     if not all_zre:
         raise ContractViolation("select_zre requires a nonempty equilibrium set")
-    hv = _high_value_cp(config)
-    last_col = config.n_isps - 1
+    return all_zre[_select(config, [theta.encoding() for theta in all_zre])]
 
-    def key(theta: StrategyMatrix) -> tuple[int, int, int, int]:
-        return (
-            theta.count_ones(),
-            sum(theta.rows[hv]),
-            sum(row[last_col] for row in theta.rows),
-            -theta.encoding(),
-        )
 
-    return max(all_zre, key=key)
+def _select(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> int:
+    """Position of the :func:`select_zre` winner among profile ``codes``."""
+    cells = profile_cells(codes, config.n_cps, config.n_isps)
+    hv, last = cells[:, _high_value_cp(config)].sum(axis=1), cells[:, :, -1].sum(axis=1)
+    order = np.lexsort((-np.asarray(codes, dtype=np.int64), last, hv, cells.sum(axis=(1, 2))))
+    return int(order[-1])
 
 
 def detect_pressure(config: MarketConfig, selected: StrategyMatrix) -> tuple[bool, ...]:
@@ -244,33 +230,26 @@ def detect_pressure(config: MarketConfig, selected: StrategyMatrix) -> tuple[boo
     forced = forced_cells(config)
     _check_forced(selected, forced)
     n, m = config.n_cps, config.n_isps
-    counterfactual = StrategyMatrix(
-        tuple(tuple(1 if (r, j) in forced else 0 for j in range(m)) for r in range(n))
-    )
+    counterfactual = sum(cell_bit(r, j, n, m) for r, j in forced)
     free_cols = [j for j in range(m) if config.p[j] != 0.0]
     free_relations = [
         [j for j in range(m) if selected.rows[i][j] == 1 and (i, j) not in forced]
         for i in range(n)
     ]
-    flags = []
-    for i in range(n):
-        own_free = free_relations[i]
-        competitor_active = any(free_relations[k] for k in range(n) if k != i)
-        if not own_free or not competitor_active:
-            flags.append(False)
-            continue
-        u_keep = -np.inf
-        u_drop = -np.inf
-        for bits in itertools.product((0, 1), repeat=len(free_cols)):
-            row = list(counterfactual.rows[i])
-            for j, b in zip(free_cols, bits):
-                row[j] = b
-            u = _totals(config, counterfactual.with_row(i, tuple(row)))[0][i]
-            if all(row[j] == 1 for j in own_free):
-                u_keep = max(u_keep, u)
-            else:
-                u_drop = max(u_drop, u)
-        flags.append(u_drop > u_keep + GAIN_TOL)
+    rows = list(itertools.product((0, 1), repeat=len(free_cols)))
+    competing = [any(free_relations[k] for k in range(n) if k != i) for i in range(n)]
+    checked = [i for i in range(n) if free_relations[i] and competing[i]]
+    # Every row each checked CP could choose alone, scored in one batch.
+    codes = [
+        counterfactual + sum(b * cell_bit(i, j, n, m) for j, b in zip(free_cols, bits))
+        for i in checked
+        for bits in rows
+    ]
+    u = code_scores(config, codes)[0].reshape(len(checked), len(rows), n)
+    flags = [False] * n
+    for c, i in enumerate(checked):
+        keep = np.array([all(row[free_cols.index(j)] for j in free_relations[i]) for row in rows])
+        flags[i] = u[c, ~keep, i].max() > u[c, keep, i].max() + GAIN_TOL
     return tuple(flags)
 
 
@@ -291,73 +270,56 @@ def best_response_dynamics(
     same round position), or inconclusively once ``max_steps`` agent turns
     are exhausted.
     """
+    _check_dims(config, start)
     forced = forced_cells(config)
     _check_forced(start, forced)
     n, m = config.n_cps, config.n_isps
-    agents: list[tuple[str, int]] = [("cp", i) for i in range(n)] + [
-        ("isp", j) for j in range(m)
-    ]
-    totals = _TotalsMemo(config)
+    agents = [("cp", i) for i in range(n)] + [("isp", j) for j in range(m)]
 
-    state = start
-    visited = [start]
+    def trace(outcome: DynamicsOutcome, cycle_start: int | None = None) -> BestResponseTrace:
+        path = tuple(_matrix(code, config) for code in visited)
+        return BestResponseTrace(outcome, path, moves, cycle_start)
+
+    state = start.encoding()
+    visited = [state]
     moves = 0
-    seen: dict[tuple[int, tuple[tuple[int, ...], ...]], int] = {}
+    seen: dict[tuple[int, int], int] = {}
     for step in range(max_steps):
         pos = step % len(agents)
-        key = (pos, state.rows)
+        key = (pos, state)
         if key in seen:
-            changed_since = any(v.rows != state.rows for v in visited[seen[key]:])
             # A repeated (turn, profile) pair makes the deterministic run
             # periodic; no intervening change means every agent passed.
-            if changed_since:
-                return BestResponseTrace(
-                    outcome=DynamicsOutcome.CYCLE,
-                    visited=tuple(visited),
-                    moves=moves,
-                    cycle_start=seen[key],
-                )
-            return BestResponseTrace(
-                outcome=DynamicsOutcome.FIXED_POINT, visited=tuple(visited), moves=moves
-            )
+            if any(v != state for v in visited[seen[key]:]):
+                return trace(DynamicsOutcome.CYCLE, seen[key])
+            return trace(DynamicsOutcome.FIXED_POINT)
         seen[key] = len(visited) - 1
 
         kind, idx = agents[pos]
-        cells = (
-            [(idx, j) for j in range(m)] if kind == "cp" else [(i, idx) for i in range(n)]
-        )
-        base_u, base_r = totals(state)
+        own = [(idx, j) for j in range(m)] if kind == "cp" else [(i, idx) for i in range(n)]
+        cells = [cell for cell in own if cell not in forced]
+        u, r = code_scores(config, [state] + [state ^ cell_bit(i, j, n, m) for i, j in cells])
         best_gain = GAIN_TOL
         best_cell = None
-        for i, j in cells:
-            if (i, j) in forced:
-                continue
-            flip_u, flip_r = totals(state.flip(i, j))
-            own_gain = (flip_u[i] - base_u[i]) if kind == "cp" else (flip_r[j] - base_r[j])
+        for k, (i, j) in enumerate(cells, start=1):
+            cp_gain, isp_gain = u[k, i] - u[0, i], r[k, j] - r[0, j]
+            own_gain, other_gain = (cp_gain, isp_gain) if kind == "cp" else (isp_gain, cp_gain)
             if own_gain <= GAIN_TOL:
                 continue
-            if state.rows[i][j] == 0:
-                other_gain = (flip_r[j] - base_r[j]) if kind == "cp" else (flip_u[i] - base_u[i])
-                if other_gain <= GAIN_TOL:
-                    continue
+            if not state & cell_bit(i, j, n, m) and other_gain <= GAIN_TOL:
+                continue
             if own_gain > best_gain:
                 best_gain = own_gain
                 best_cell = (i, j)
         if best_cell is not None:
-            state = state.flip(*best_cell)
+            state ^= cell_bit(*best_cell, n, m)
             visited.append(state)
             moves += 1
-    return BestResponseTrace(
-        outcome=DynamicsOutcome.INCONCLUSIVE, visited=tuple(visited), moves=moves
-    )
+    return trace(DynamicsOutcome.INCONCLUSIVE)
 
 
 def _expensive_isp(config: MarketConfig) -> int:
-    best = 0
-    for j in range(1, config.n_isps):
-        if config.p[j] >= config.p[best]:
-            best = j
-    return best
+    return max(range(config.n_isps), key=lambda j: (config.p[j], j))
 
 
 def discount_equilibrium(
@@ -375,7 +337,7 @@ def discount_equilibrium(
     """
     if not delta_grid:
         raise InvalidArgument("delta_grid must be nonempty")
-    grid = _as_sorted_unique(delta_grid)
+    grid = tuple(sorted({float(v) for v in delta_grid}))
     m = config.n_isps
     work = len(grid) ** m * (1 << (config.n_cps * m))
     if work > DISCOUNT_WORK_GUARD:
@@ -388,46 +350,36 @@ def discount_equilibrium(
     # same market; only the largest, which the selection below prefers,
     # is solved.  Its deviations then find no revenue and are skipped.
     axes = [grid[-1:] if config.p[j] == 0.0 else grid for j in range(m)]
-    results: dict[tuple[float, ...], ZreResult] = {}
+    # The effective users do not depend on delta: one table serves every
+    # discount profile, each scored and tested for stability in turn.
+    codes, moves = _profiles(config)
+    moves = list(moves)
+    cells = profile_cells(codes, config.n_cps, m)
+    users = effective_users(config, cells)
+    found: dict[tuple[float, ...], np.ndarray] = {}
     revenues: dict[tuple[float, ...], np.ndarray] = {}
     for delta in itertools.product(*axes):
         candidate = config.with_delta(delta)
-        result = enumerate_zre(candidate)
-        if result.status is ZreStatus.EQUILIBRIA_FOUND:
-            results[delta] = result
-            revenues[delta] = payoffs(candidate, result.selected).isp_revenue
+        u, r = scores(candidate, cells, users)
+        stable = np.flatnonzero(_stable(u, r, moves, len(codes)))
+        if len(stable):
+            found[delta] = codes[stable]
+            revenues[delta] = r[stable[_select(candidate, codes[stable])]]
 
-    nash: list[tuple[float, ...]] = []
-    for delta, rev in revenues.items():
-        stable = True
-        for j in range(m):
-            for alt in grid:
-                if alt == delta[j]:
-                    continue
-                deviation = delta[:j] + (alt,) + delta[j + 1 :]
-                dev_rev = revenues.get(deviation)
-                if dev_rev is not None and dev_rev[j] > rev[j] + GAIN_TOL:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            nash.append(delta)
-
-    if not nash:
-        return DiscountOutcome(
-            status=DiscountStatus.NO_DISCOUNT_EQUILIBRIUM, delta_star=None, zre=None
+    # Nash: no ISP gains from a unilateral grid deviation that admits an
+    # equilibrium (a deviation without one is looked up as no gain).
+    nash = [
+        delta
+        for delta, rev in revenues.items()
+        if not any(
+            revenues.get(delta[:j] + (alt,) + delta[j + 1 :], rev)[j] > rev[j] + GAIN_TOL
+            for j in range(m)
+            for alt in grid
         )
+    ]
+    if not nash:
+        return DiscountOutcome(DiscountStatus.NO_DISCOUNT_EQUILIBRIUM, None, None)
     tie_breaker = _expensive_isp(config)
-    delta_star = max(
-        nash, key=lambda d: (sum(d), d[tie_breaker], tuple(reversed(d)))
-    )
-    return DiscountOutcome(
-        status=DiscountStatus.EQUILIBRIUM_FOUND,
-        delta_star=delta_star,
-        zre=results[delta_star],
-    )
-
-
-def _as_sorted_unique(values: Sequence[float]) -> tuple[float, ...]:
-    return tuple(sorted({float(v) for v in values}))
+    delta_star = max(nash, key=lambda d: (sum(d), d[tie_breaker], tuple(reversed(d))))
+    zre = _zre_result(config.with_delta(delta_star), found[delta_star])
+    return DiscountOutcome(DiscountStatus.EQUILIBRIUM_FOUND, delta_star, zre)

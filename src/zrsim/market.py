@@ -12,26 +12,30 @@ Auxiliary CPs are indexed by bitmask: bit ``i`` set means actual CP ``i``
 (0-based) is part of the bundle.  Baseline shares ``phi`` live on the full
 2**N lattice and ``psi`` on the M+1 ISP axis; both sum to one.
 
-Zero-rating relations are stored only for actual CP x actual ISP pairs and
-extended on demand: an auxiliary CP is zero-rated with an ISP iff every
-actual CP in the bundle is, and dummies are never zero-rated.
-
-Given a strategy matrix, the elastic fraction ``alpha`` of users chooses
-among zero-rated pairs (all pairs when none exist) proportionally to
-baseline shares, while the sticky remainder stays on baseline shares.
+Zero-rating relations are stored only for actual CP x actual ISP pairs; a
+profile's integer code is :meth:`StrategyMatrix.encoding`, so flipping one
+cell is ``code ^ cell_bit(i, j, N, M)``.  Allocations are computed for
+batches of profiles: relations extend to the lattice (an auxiliary CP is
+zero-rated with an ISP iff every actual CP in the bundle is; dummies never
+are), the elastic fraction ``alpha`` of users chooses among zero-rated pairs
+(all pairs when none exist) proportionally to baseline shares, and the
+sticky remainder stays on baseline shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, DomainError, InvalidArgument
 
 SHARE_TOL = 1e-12
+# Allocation-tensor entries computed per batch of profiles.  A batch of B
+# profiles holds B x 2**N x (M + 1) pair shares, so this caps the working
+# memory of scoring at any market size; the batch size follows from it.
+BLOCK_ELEMENTS = 1 << 20
 
 
 def _as_float_tuple(values: Sequence[float]) -> tuple[float, ...]:
@@ -69,14 +73,10 @@ class MarketConfig:
     total_users: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", _as_float_tuple(self.q))
-        object.__setattr__(self, "p", _as_float_tuple(self.p))
-        object.__setattr__(self, "delta", _as_float_tuple(self.delta))
-        object.__setattr__(self, "phi", _as_float_tuple(self.phi))
-        object.__setattr__(self, "psi", _as_float_tuple(self.psi))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "total_users", float(self.total_users))
+        for name in ("q", "p", "delta", "phi", "psi"):
+            object.__setattr__(self, name, _as_float_tuple(getattr(self, name)))
+        for name in ("alpha", "c", "total_users"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         self._validate()
 
     def _validate(self) -> None:
@@ -213,11 +213,37 @@ class StrategyMatrix:
     def encoding(self) -> int:
         return int(self.bitstring(), 2)
 
-    def count_ones(self) -> int:
-        return sum(v for row in self.rows for v in row)
-
     def as_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int8)
+
+
+def profile_cells(codes: Sequence[int] | np.ndarray, n_cps: int, n_isps: int) -> np.ndarray:
+    """Zero-rating cells ``[k, i, j]`` of each profile code, as booleans."""
+    shifts = np.arange(n_cps * n_isps - 1, -1, -1)
+    bits = np.asarray(codes, dtype=np.int64)[:, None] >> shifts & 1
+    return bits.astype(bool).reshape(-1, n_cps, n_isps)
+
+
+def cell_bit(i: int, j: int, n_cps: int, n_isps: int) -> int:
+    """Bit of cell (CP ``i``, ISP ``j``) in a profile code."""
+    return 1 << (n_cps * n_isps - 1 - (i * n_isps + j))
+
+
+def _members(n_cps: int) -> np.ndarray:
+    """``[s, i]`` is 1 iff actual CP ``i`` is in auxiliary CP ``s``."""
+    return np.arange(1 << n_cps)[:, None] >> np.arange(n_cps) & 1
+
+
+def _bundles_zero_rated(cells: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Extended relations ``[k, s, j]``: auxiliary CP ``s`` x ISP ``j``.
+
+    ``j`` includes the dummy at 0.  The dummy CP (mask 0) and the dummy ISP
+    are never zero-rated; an auxiliary bundle is zero-rated iff all member
+    CPs are, i.e. none of its members lacks the relation.
+    """
+    ext = np.zeros((len(cells), len(members), cells.shape[2] + 1), dtype=bool)
+    ext[:, 1:, 1:] = (members @ ~cells)[:, 1:] == 0
+    return ext
 
 
 def extend_theta(theta: StrategyMatrix, aux_mask: int, isp: int) -> int:
@@ -231,9 +257,8 @@ def extend_theta(theta: StrategyMatrix, aux_mask: int, isp: int) -> int:
         raise InvalidArgument(f"aux mask {aux_mask} out of range for {theta.n_cps} CPs")
     if not 0 <= isp <= theta.n_isps:
         raise InvalidArgument(f"isp index {isp} out of range (0..{theta.n_isps})")
-    if aux_mask == 0 or isp == 0:
-        return 0
-    return int(all(theta.rows[i][isp - 1] for i in aux_members(aux_mask)))
+    ext = _bundles_zero_rated(theta.as_array()[None] == 1, _members(theta.n_cps))
+    return int(ext[0, aux_mask, isp])
 
 
 def choice_probability(
@@ -277,41 +302,39 @@ class AllocationTable:
     x_effective: np.ndarray
 
 
-def _extension_matrix(theta: StrategyMatrix) -> np.ndarray:
-    return np.array(
-        [
-            [extend_theta(theta, s, j) for j in range(theta.n_isps + 1)]
-            for s in range(1 << theta.n_cps)
-        ],
-        dtype=np.int8,
+def profile_blocks(config: MarketConfig, count: int) -> Iterator[slice]:
+    """Consecutive slices of ``count`` profiles, each within BLOCK_ELEMENTS."""
+    size = max(1, BLOCK_ELEMENTS // (config.lattice_size * (config.n_isps + 1)))
+    return (slice(start, start + size) for start in range(0, count, size))
+
+
+def allocations(config: MarketConfig, cells: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``rho``, ``x_pair`` and ``x_effective`` (see :class:`AllocationTable`)
+    of every profile in ``cells``, stacked along a leading profile axis."""
+    members = _members(config.n_cps)
+    baseline = np.outer(config.phi, config.psi)
+    ext = _bundles_zero_rated(cells, members)
+    zero_rated = ext.any(axis=(1, 2))[:, None, None]
+    mass = (baseline * ext).reshape(len(ext), -1).sum(axis=1)[:, None, None]
+    elastic = config.alpha * baseline * ext / np.where(zero_rated, mass, 1.0)
+    rho = np.where(zero_rated, elastic + (1.0 - config.alpha) * baseline, baseline)
+    x_pair = rho * config.total_users
+    x_effective = np.empty(cells.shape)
+    for i in range(config.n_cps):
+        x_effective[:, i] = x_pair[:, members[:, i] == 1, 1:].sum(axis=1)
+    return rho, x_pair, x_effective
+
+
+def effective_users(config: MarketConfig, cells: np.ndarray) -> np.ndarray:
+    """Effective users ``X[k, i, j]`` of actual CP ``i`` on actual ISP ``j``
+    under each profile in ``cells``, allocated one block at a time.
+
+    They depend on phi, psi, alpha and total_users only, so one table
+    serves every price and discount of a market.
+    """
+    return np.concatenate(
+        [allocations(config, cells[block])[2] for block in profile_blocks(config, len(cells))]
     )
-
-
-@lru_cache(maxsize=4096)
-def _allocate_cached(
-    phi: tuple[float, ...],
-    psi: tuple[float, ...],
-    alpha: float,
-    total_users: float,
-    rows: tuple[tuple[int, ...], ...],
-) -> AllocationTable:
-    theta = StrategyMatrix(rows)
-    n_cps = theta.n_cps
-    baseline = np.outer(np.asarray(phi), np.asarray(psi))
-    ext = _extension_matrix(theta)
-    if ext.any():
-        zero_rated_mass = float((baseline * ext).sum())
-        rho = alpha * baseline * ext / zero_rated_mass + (1.0 - alpha) * baseline
-    else:
-        rho = baseline
-    x_pair = rho * total_users
-    x_effective = np.zeros((n_cps, theta.n_isps))
-    for i in range(n_cps):
-        rows_for_cp = list(masks_containing(i, n_cps))
-        x_effective[i, :] = x_pair[rows_for_cp, 1:].sum(axis=0)
-    for arr in (rho, x_pair, x_effective):
-        arr.flags.writeable = False
-    return AllocationTable(rho=rho, x_pair=x_pair, x_effective=x_effective)
 
 
 def allocate(config: MarketConfig, theta: StrategyMatrix) -> AllocationTable:
@@ -323,7 +346,8 @@ def allocate(config: MarketConfig, theta: StrategyMatrix) -> AllocationTable:
     shares, and the sticky fraction stays on the baseline.
     """
     _check_dims(config, theta)
-    return _allocate_cached(config.phi, config.psi, config.alpha, config.total_users, theta.rows)
+    rho, x_pair, x_effective = allocations(config, theta.as_array()[None] == 1)
+    return AllocationTable(rho=rho[0], x_pair=x_pair[0], x_effective=x_effective[0])
 
 
 def _check_dims(config: MarketConfig, theta: StrategyMatrix) -> None:
@@ -373,14 +397,9 @@ def _merge_cps(
 
     keep = subset[0]
     dropped = set(subset[1:])
-    old_to_new: dict[int, int] = {}
-    new_index = 0
-    for i in range(config.n_cps):
-        if i in dropped:
-            continue
-        old_to_new[i] = new_index
-        new_index += 1
-    n_new = new_index
+    kept = [i for i in range(config.n_cps) if i not in dropped]
+    old_to_new = {i: k for k, i in enumerate(kept)}
+    n_new = len(kept)
 
     def project(mask: int) -> int:
         out = 0
@@ -398,10 +417,8 @@ def _merge_cps(
     for s, share in enumerate(config.phi):
         phi_new[project(s)] += share
 
-    q_new = tuple(config.q[i] for i in range(config.n_cps) if i not in dropped)
-    theta_new = StrategyMatrix(
-        tuple(theta.rows[i] for i in range(config.n_cps) if i not in dropped)
-    )
+    q_new = tuple(config.q[i] for i in kept)
+    theta_new = StrategyMatrix(tuple(theta.rows[i] for i in kept))
     config_new = replace(config, n_cps=n_new, q=q_new, phi=tuple(phi_new))
     return config_new, theta_new
 
@@ -430,9 +447,7 @@ def _merge_isps(
         psi_new.append(share)
     p_new = tuple(config.p[j] for j in kept_isps)
     delta_new = tuple(config.delta[j] for j in kept_isps)
-    theta_new = StrategyMatrix(
-        tuple(tuple(row[j] for j in kept_isps) for row in theta.rows)
-    )
+    theta_new = StrategyMatrix(tuple(tuple(row[j] for j in kept_isps) for row in theta.rows))
     config_new = replace(
         config, n_isps=len(kept_isps), p=p_new, delta=delta_new, psi=tuple(psi_new)
     )

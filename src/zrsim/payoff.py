@@ -12,10 +12,13 @@ excluding the dummy ISP column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .market import MarketConfig, StrategyMatrix, _check_dims, allocate
+from .market import (
+    MarketConfig, StrategyMatrix, _check_dims, effective_users, profile_blocks, profile_cells
+)
 
 
 @dataclass(frozen=True)
@@ -33,26 +36,43 @@ class PayoffVector:
     per_pair_isp: np.ndarray
 
 
+# Per-profile arrays: (CP, ISP) pair payoffs, or utilities U[k, i] and
+# revenues R[k, j].
+Scores = tuple[np.ndarray, np.ndarray]
+
+
+def _pair_payoffs(config: MarketConfig, cells: np.ndarray, users: np.ndarray) -> Scores:
+    """CP and ISP payoffs ``[k, i, j]`` of each profile's pairs."""
+    q = np.asarray(config.q)[:, None]
+    p = np.asarray(config.p)
+    dp = np.asarray(config.delta) * p
+    per_pair_cp = np.where(cells, (q - dp) * users, q * users * config.c)
+    per_pair_isp = np.where(cells, dp * users, p * users * config.c)
+    return per_pair_cp, per_pair_isp
+
+
+def scores(config: MarketConfig, cells: np.ndarray, users: np.ndarray) -> Scores:
+    """CP utilities ``U[k, i]`` and ISP revenues ``R[k, j]`` of each profile,
+    given its effective users (see :func:`~zrsim.market.effective_users`)."""
+    per_pair_cp, per_pair_isp = _pair_payoffs(config, cells, users)
+    return per_pair_cp.sum(axis=2), per_pair_isp.sum(axis=1)
+
+
+def code_scores(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> Scores:
+    """:func:`scores` of profile codes, allocated and scored block by block,
+    so memory is held by the per-code results rather than the allocation."""
+    codes = np.asarray(codes, dtype=np.int64)
+    u = np.empty((len(codes), config.n_cps))
+    r = np.empty((len(codes), config.n_isps))
+    for block in profile_blocks(config, len(codes)):
+        cells = profile_cells(codes[block], config.n_cps, config.n_isps)
+        u[block], r[block] = scores(config, cells, effective_users(config, cells))
+    return u, r
+
+
 def payoffs(config: MarketConfig, theta: StrategyMatrix) -> PayoffVector:
     """Evaluate all provider payoffs under ``theta``."""
     _check_dims(config, theta)
-    x_eff = allocate(config, theta).x_effective
-    mask = theta.as_array().astype(bool)
-    q = np.asarray(config.q)[:, None]
-    p = np.asarray(config.p)[None, :]
-    dp = (np.asarray(config.delta) * np.asarray(config.p))[None, :]
-
-    per_pair_cp = np.where(mask, (q - dp) * x_eff, q * x_eff * config.c)
-    per_pair_isp = np.where(mask, dp * x_eff, p * x_eff * config.c)
-    for arr in (per_pair_cp, per_pair_isp):
-        arr.flags.writeable = False
-    cp_utility = per_pair_cp.sum(axis=1)
-    isp_revenue = per_pair_isp.sum(axis=0)
-    cp_utility.flags.writeable = False
-    isp_revenue.flags.writeable = False
-    return PayoffVector(
-        cp_utility=cp_utility,
-        isp_revenue=isp_revenue,
-        per_pair_cp=per_pair_cp,
-        per_pair_isp=per_pair_isp,
-    )
+    cells = theta.as_array()[None] == 1
+    cp, isp = _pair_payoffs(config, cells, effective_users(config, cells))
+    return PayoffVector(cp.sum(axis=2)[0], isp.sum(axis=1)[0], cp[0], isp[0])

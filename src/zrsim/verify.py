@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _record, hhi, hhi_variance_identity
+from .analysis import SweepRecord, _record, hhi, hhi_variance_identity
 from .equilibrium import ZreResult, ZreStatus, enumerate_zre, is_zre
 from .market import MarketConfig, StrategyMatrix, allocate
 from .oracle import oracle_allocate, oracle_verify_zre
@@ -26,8 +26,9 @@ ORACLE_TOL = 1e-12
 HHI_TOL = 1e-12
 VERIFY_SEED = 20240517
 
-# Every price-grid cell with its solved equilibria, in row-major order.
-GridResults = list[tuple[MarketConfig, ZreResult]]
+# Every price-grid cell with its solved equilibria and its two-world
+# record, in row-major order.
+GridResults = list[tuple[MarketConfig, ZreResult, SweepRecord]]
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ def random_theta(rng: np.random.Generator, config: MarketConfig) -> StrategyMatr
 
 def check_oracle_allocation(scenario: Scenario, results: GridResults) -> CheckResult:
     worst = 0.0
-    for cell, result in results:
+    for cell, result, _ in results:
         thetas = [StrategyMatrix.zeros(cell.n_cps, cell.n_isps)]
         if result.selected is not None:
             thetas.append(result.selected)
@@ -93,7 +94,7 @@ def check_oracle_equilibrium(scenario: Scenario, results: GridResults) -> CheckR
     rng = np.random.default_rng(VERIFY_SEED)
     disagreements = 0
     checked = 0
-    for cell, result in results:
+    for cell, result, _ in results:
         for theta in result.all_zre:
             checked += 1
             if not oracle_verify_zre(cell, theta):
@@ -146,7 +147,7 @@ def check_hhi_nondecreasing(scenario: Scenario, results: GridResults) -> CheckRe
         return CheckResult(
             "hhi-nondecreasing", None, "skipped: values/baselines not co-ordered"
         )
-    worst = min(_record(cell, result).delta_hhi for cell, result in results)
+    worst = min(record.delta_hhi for _, _, record in results)
     ok = worst >= -HHI_TOL
     return CheckResult("hhi-nondecreasing", ok, f"min delta HHI = {worst:.3e}")
 
@@ -158,7 +159,7 @@ def check_low_value_utility_drop(scenario: Scenario, results: GridResults) -> Ch
     if low == high:
         return CheckResult("low-value-utility-drop", None, "skipped: single CP")
     hits = 0
-    for cell, result in results:
+    for cell, result, record in results:
         if result.selected is None:
             continue
         rows = result.selected.rows
@@ -167,7 +168,6 @@ def check_low_value_utility_drop(scenario: Scenario, results: GridResults) -> Ch
         if any(any(rows[i]) for i in range(config.n_cps) if i not in (low, high)):
             continue
         hits += 1
-        record = _record(cell, result)
         if not (record.delta_utility[low] < 0.0 and record.delta_utility[high] >= -HHI_TOL):
             return CheckResult(
                 "low-value-utility-drop",
@@ -180,7 +180,7 @@ def check_low_value_utility_drop(scenario: Scenario, results: GridResults) -> Ch
 def check_value_ordering_pruning(scenario: Scenario, results: GridResults) -> CheckResult:
     config = scenario.config
     scanned = 0
-    for cell, result in results:
+    for cell, result, _ in results:
         for theta in result.all_zre:
             scanned += 1
             for i in range(config.n_cps):
@@ -200,7 +200,7 @@ def check_value_ordering_pruning(scenario: Scenario, results: GridResults) -> Ch
 def check_expected_no_zre(scenario: Scenario, results: GridResults) -> CheckResult:
     if scenario.expected_no_zre is None:
         return CheckResult("no-zre-cells", None, "skipped: no expectation recorded")
-    observed = {cell.p for cell, result in results if result.status is ZreStatus.NO_ZRE}
+    observed = {cell.p for cell, result, _ in results if result.status is ZreStatus.NO_ZRE}
     expected = set(scenario.expected_no_zre)
     ok = observed == expected
     detail = f"observed {sorted(observed)}" if not ok else f"{len(expected)} cells as expected"
@@ -220,7 +220,11 @@ ALL_CHECKS = (
 
 
 def run_battery(scenario: Scenario) -> list[CheckResult]:
-    """Every check of ``ALL_CHECKS``, sharing one solve of the price grid."""
-    cells = [scenario.config.with_prices(p) for p in itertools.product(*scenario.price_grid)]
-    results = [(cell, enumerate_zre(cell)) for cell in cells]
+    """Every check of ``ALL_CHECKS``, sharing one solve of the price grid
+    and one two-world record per cell."""
+    results = []
+    for prices in itertools.product(*scenario.price_grid):
+        cell = scenario.config.with_prices(prices)
+        result = enumerate_zre(cell)
+        results.append((cell, result, _record(cell, result)))
     return [check(scenario, results) for check in ALL_CHECKS]

@@ -78,6 +78,8 @@ def test_sweep_output_is_byte_stable(small_scenario, tmp_path, monkeypatch):
 
 # sha256 of grid.csv and summary.json for every shipped fixed-delta
 # scenario, recorded before the two sweep drivers were merged into one.
+# discount_game also lists discounts.csv, recorded before the profile-score
+# table replaced per-profile evaluation.
 REFERENCE_SHA256 = {
     "bandwidth_high": (
         "5f49ea49cbf8c5836c041d39dcdc853937b8930a53655e97f422203ab75386b1",
@@ -98,6 +100,11 @@ REFERENCE_SHA256 = {
     "cp1_share_low": (
         "b0129017e26342a2d1c641a37b4286de54d13c4d4e83cee730e66958ff7d3f31",
         "82f374c221bf3a6c6550c66391ddf8463889fe8e3ea84c91170a97c86fd512c1",
+    ),
+    "discount_game": (
+        "db57b3eca442cd965c8514c4aeddd94c55a67adef869f73911c11fe10bb602a9",
+        "52be131235b1f33ce5f18bc3d6cf92a6c6e87e14d93115238470e891e6b29798",
+        "ceb1b38958e2bba5fe17e161f754c385cc6e949b615cd57600fb22cc9c35780e",
     ),
     "elasticity_high": (
         "3971e493a1d5386690568d739525f50b3c669f5fd1af1e4097acf235e0bc4aba",
@@ -123,9 +130,8 @@ def test_shipped_sweeps_match_reference_bytes(name, tmp_path, monkeypatch):
     monkeypatch.setenv("ZRSIM_WORKERS", "1")
     out = tmp_path / name
     assert main(["sweep", str(SCENARIOS / f"{name}.json"), "--out", str(out)]) == EXIT_OK
-    digests = tuple(
-        hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("grid.csv", "summary.json")
-    )
+    files = ("grid.csv", "summary.json", "discounts.csv")[: len(REFERENCE_SHA256[name])]
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files)
     assert digests == REFERENCE_SHA256[name]
 
 

@@ -1,13 +1,18 @@
 """CP utilities and ISP revenues."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zrsim import StrategyMatrix, allocate, payoffs
+from zrsim import StrategyMatrix, allocate, load_scenario, market, payoffs
+from zrsim.market import effective_users, profile_cells
+from zrsim.payoff import code_scores
 
 from conftest import random_config, random_theta
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
 
 def test_no_zero_rating_utilities(bench):
@@ -101,3 +106,41 @@ def test_dummy_isp_users_generate_no_payoff(bench):
         expected = bench.q[i] * bench.c * table.x_effective[i, :].sum()
         assert pv.cp_utility[i] == pytest.approx(expected, abs=1e-15)
     assert table.x_pair[:, 0].sum() == pytest.approx(bench.psi[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("block_elements", [None, 3, 40])
+def test_score_table_rows_equal_payoffs(block_elements, monkeypatch):
+    # The batched table must reproduce the one-profile route bit for bit,
+    # whatever the block size: 3 puts every profile in a block of its own,
+    # 40 gives ragged blocks of 1-3 profiles.
+    if block_elements is not None:
+        monkeypatch.setattr(market, "BLOCK_ELEMENTS", block_elements)
+    block_sizes = []
+    allocations = market.allocations
+
+    def recorded(config, cells):
+        block_sizes.append(len(cells) * config.lattice_size * (config.n_isps + 1))
+        return allocations(config, cells)
+
+    monkeypatch.setattr(market, "allocations", recorded)
+    shipped = {"benchmark": (0.3, 0.7), "bandwidth_high": (0.3, 0.3), "elasticity_low": (0.0, 0.6)}
+    configs = [
+        load_scenario(SCENARIOS / f"{name}.json").config.with_prices(prices)
+        for name, prices in shipped.items()
+    ]
+    rng = np.random.default_rng(23)
+    configs += [random_config(rng, n, m) for n, m in ((2, 2), (2, 3), (3, 3)) for _ in range(2)]
+    for config in configs:
+        n, m = config.n_cps, config.n_isps
+        codes = np.arange(1 << (n * m))
+        u, r = code_scores(config, codes)
+        users = effective_users(config, profile_cells(codes, n, m))
+        for k in codes:
+            theta = StrategyMatrix.from_bitstring(format(k, f"0{n * m}b"), n, m)
+            pv = payoffs(config, theta)
+            assert np.array_equal(u[k], pv.cp_utility)
+            assert np.array_equal(r[k], pv.isp_revenue)
+            assert np.array_equal(users[k], allocate(config, theta).x_effective)
+        one_profile = config.lattice_size * (m + 1)
+        assert max(block_sizes) <= max(one_profile, market.BLOCK_ELEMENTS)
+        block_sizes.clear()
