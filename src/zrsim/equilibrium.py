@@ -16,7 +16,8 @@ every CP: those cells are clamped to 1 and excluded from deviation checks.
 Profiles are integer codes (see :mod:`zrsim.market`) scored in batches:
 :func:`enumerate_zre` scores every code once and tests stability with array
 operations; :func:`is_zre` and the dynamics score a profile and its flips;
-the discount game reuses one effective-user table for every discount.
+the discount game scores one effective-user table at all discount profiles
+of a cell at once, in blocks led by a discount-profile axis.
 """
 
 from __future__ import annotations
@@ -30,13 +31,20 @@ import numpy as np
 
 from .errors import CapacityError, ContractViolation, InvalidArgument
 from .market import (
-    MarketConfig, StrategyMatrix, _check_dims, cell_bit, effective_users, profile_cells
+    MarketConfig, StrategyMatrix, _check_dims, blocks, cell_bit, check_unit_interval,
+    effective_users, profile_cells
 )
-from .payoff import code_scores, scores
+from .payoff import _scores, code_scores
 
 ENUMERATION_CELL_GUARD = 20
 DEFAULT_DELTA_GRID = tuple(k / 10 for k in range(11))
 # Work guard for the discount game: delta profiles x strategy profiles.
+# What it admits, one cell on the 11-point grid (2 cores, Python 3.11,
+# numpy 2.4; 37 MB of each peak RSS is the imports): 3x3, 681,472
+# evaluations, 0.34-0.43 s and 72 MB peak RSS; 7x2, the most evaluations
+# under the guard (1,982,464), 2.1-2.5 s and 74 MB.  The count leaves out
+# the 2**N-bundle allocation of every profile: 13x1, 90,112 evaluations,
+# takes 6.2 s and 68 MB.
 DISCOUNT_WORK_GUARD = 2_000_000
 # A deviation "gains" only when it beats the current payoff by more than
 # this margin.  Grid parameterizations produce exact analytic payoff ties;
@@ -120,14 +128,15 @@ def _free_cells(config: MarketConfig, forced: frozenset[tuple[int, int]]) -> lis
 
 def _stable(u: np.ndarray, r: np.ndarray, moves: Iterable, count: int) -> np.ndarray:
     """Whether each of the first ``count`` profiles of the score table
-    ``u``, ``r`` survives every single-cell deviation.  ``moves`` holds, per
-    free cell (i, j), the rows of the deviated profiles and whether the
-    profiles hold that relation."""
-    u_bar, r_bar = u[:count] + GAIN_TOL, r[:count] + GAIN_TOL
-    unstable = np.zeros(count, dtype=bool)
+    ``u[..., k, i]``, ``r[..., k, j]`` survives every single-cell deviation,
+    per leading (discount-profile) index.  ``moves`` holds, per free cell
+    (i, j), the rows of the deviated profiles and whether the profiles hold
+    that relation."""
+    u_bar, r_bar = u[..., :count, :] + GAIN_TOL, r[..., :count, :] + GAIN_TOL
+    unstable = np.zeros(u_bar.shape[:-1], dtype=bool)
     for (i, j), flip, held in moves:
-        cp_gains = u[flip, i] > u_bar[:, i]
-        isp_gains = r[flip, j] > r_bar[:, j]
+        cp_gains = u[..., flip, i] > u_bar[..., i]
+        isp_gains = r[..., flip, j] > r_bar[..., j]
         unstable |= np.where(held, cp_gains | isp_gains, cp_gains & isp_gains)
     return ~unstable
 
@@ -171,7 +180,7 @@ def _zre_result(config: MarketConfig, found: np.ndarray) -> ZreResult:
     if not len(found):
         return ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * config.n_cps)
     all_zre = tuple(_matrix(code, config) for code in found)
-    selected = all_zre[_select(config, found)]
+    selected = all_zre[_rank(config, found).argmax()]
     pressure = detect_pressure(config, selected)
     return ZreResult(ZreStatus.EQUILIBRIA_FOUND, all_zre, selected, pressure)
 
@@ -203,15 +212,19 @@ def select_zre(all_zre: Sequence[StrategyMatrix], config: MarketConfig) -> Strat
     """
     if not all_zre:
         raise ContractViolation("select_zre requires a nonempty equilibrium set")
-    return all_zre[_select(config, [theta.encoding() for theta in all_zre])]
+    return all_zre[_rank(config, [theta.encoding() for theta in all_zre]).argmax()]
 
 
-def _select(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> int:
-    """Position of the :func:`select_zre` winner among profile ``codes``."""
+def _rank(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Position of each of the distinct profile ``codes`` in the
+    :func:`select_zre` order.  The key reads only q and the code, so the
+    winner among any subset of ``codes`` is its highest-ranked member."""
+    codes = np.asarray(codes, dtype=np.int64)
     cells = profile_cells(codes, config.n_cps, config.n_isps)
     hv, last = cells[:, _high_value_cp(config)].sum(axis=1), cells[:, :, -1].sum(axis=1)
-    order = np.lexsort((-np.asarray(codes, dtype=np.int64), last, hv, cells.sum(axis=(1, 2))))
-    return int(order[-1])
+    rank = np.empty(len(codes), dtype=np.int64)
+    rank[np.lexsort((-codes, last, hv, cells.sum(axis=(1, 2))))] = np.arange(len(codes))
+    return rank
 
 
 def detect_pressure(config: MarketConfig, selected: StrategyMatrix) -> tuple[bool, ...]:
@@ -322,6 +335,38 @@ def _expensive_isp(config: MarketConfig) -> int:
     return max(range(config.n_isps), key=lambda j: (config.p[j], j))
 
 
+def _discount_table(
+    config: MarketConfig, profiles: Sequence[tuple[float, ...]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every strategy profile scored at every discount profile in one
+    blocked broadcast.
+
+    The effective users do not depend on delta, so one table serves all
+    discount profiles; they are scored, tested for stability and tie-broken
+    as arrays led by a discount-profile axis, in blocks of at most
+    ``market.BLOCK_ELEMENTS`` pair entries (discount profiles x codes x N x
+    M).  Returns the codes of :func:`_profiles`, the stable mask ``[d, k]``
+    and the revenue row ``[d, j]`` of each discount profile's selected
+    equilibrium, -inf where it has none.
+    """
+    n, m = config.n_cps, config.n_isps
+    codes, moves = _profiles(config)
+    moves = list(moves)
+    cells = profile_cells(codes, n, m)
+    users = effective_users(config, cells)
+    rank = _rank(config, codes)
+    deltas = np.array(profiles)
+    stable = np.empty((len(deltas), len(codes)), dtype=bool)
+    revenue = np.empty((len(deltas), m))
+    for block in blocks(len(deltas), len(codes) * n * m):
+        u, r = _scores(config, cells, users, deltas[block])
+        stable[block] = _stable(u, r, moves, len(codes))
+        selected = np.where(stable[block], rank, -1).argmax(axis=1)
+        revenue[block] = r[np.arange(len(r)), selected]
+    revenue[~stable.any(axis=1)] = -np.inf
+    return codes, stable, revenue
+
+
 def discount_equilibrium(
     config: MarketConfig, delta_grid: Sequence[float] = DEFAULT_DELTA_GRID
 ) -> DiscountOutcome:
@@ -337,7 +382,10 @@ def discount_equilibrium(
     """
     if not delta_grid:
         raise InvalidArgument("delta_grid must be nonempty")
-    grid = tuple(sorted({float(v) for v in delta_grid}))
+    values = [float(v) for v in delta_grid]
+    # Every value, not the sorted ends: NaN has no place in a sorted order.
+    check_unit_interval("delta", values)
+    grid = tuple(sorted(set(values)))
     m = config.n_isps
     work = len(grid) ** m * (1 << (config.n_cps * m))
     if work > DISCOUNT_WORK_GUARD:
@@ -348,38 +396,22 @@ def discount_equilibrium(
 
     # A zero-price ISP's delta multiplies p = 0, so every value gives the
     # same market; only the largest, which the selection below prefers,
-    # is solved.  Its deviations then find no revenue and are skipped.
+    # is solved.  Its axis then has no deviation to gain from.
     axes = [grid[-1:] if config.p[j] == 0.0 else grid for j in range(m)]
-    # The effective users do not depend on delta: one table serves every
-    # discount profile, each scored and tested for stability in turn.
-    codes, moves = _profiles(config)
-    moves = list(moves)
-    cells = profile_cells(codes, config.n_cps, m)
-    users = effective_users(config, cells)
-    found: dict[tuple[float, ...], np.ndarray] = {}
-    revenues: dict[tuple[float, ...], np.ndarray] = {}
-    for delta in itertools.product(*axes):
-        candidate = config.with_delta(delta)
-        u, r = scores(candidate, cells, users)
-        stable = np.flatnonzero(_stable(u, r, moves, len(codes)))
-        if len(stable):
-            found[delta] = codes[stable]
-            revenues[delta] = r[stable[_select(candidate, codes[stable])]]
+    profiles = list(itertools.product(*axes))
+    codes, stable, revenue = _discount_table(config, profiles)
 
     # Nash: no ISP gains from a unilateral grid deviation that admits an
-    # equilibrium (a deviation without one is looked up as no gain).
-    nash = [
-        delta
-        for delta, rev in revenues.items()
-        if not any(
-            revenues.get(delta[:j] + (alt,) + delta[j + 1 :], rev)[j] > rev[j] + GAIN_TOL
-            for j in range(m)
-            for alt in grid
-        )
-    ]
-    if not nash:
+    # equilibrium.  The revenues lie on the grid of discount profiles, so
+    # ISP j's best deviation is the maximum along axis j; a profile without
+    # equilibrium holds -inf and is never a gain.
+    table = revenue.reshape(tuple(map(len, axes)) + (m,))
+    gains = [table[..., j].max(axis=j, keepdims=True) > table[..., j] + GAIN_TOL for j in range(m)]
+    nash = np.flatnonzero(stable.any(axis=1) & ~np.logical_or.reduce(gains).ravel())
+    if not len(nash):
         return DiscountOutcome(DiscountStatus.NO_DISCOUNT_EQUILIBRIUM, None, None)
     tie_breaker = _expensive_isp(config)
-    delta_star = max(nash, key=lambda d: (sum(d), d[tie_breaker], tuple(reversed(d))))
-    zre = _zre_result(config.with_delta(delta_star), found[delta_star])
+    star = max(nash, key=lambda k: (sum(profiles[k]), profiles[k][tie_breaker], profiles[k][::-1]))
+    delta_star = profiles[star]
+    zre = _zre_result(config.with_delta(delta_star), codes[stable[star]])
     return DiscountOutcome(DiscountStatus.EQUILIBRIUM_FOUND, delta_star, zre)

@@ -32,9 +32,10 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, DomainError, InvalidArgument
 
 SHARE_TOL = 1e-12
-# Allocation-tensor entries computed per batch of profiles.  A batch of B
-# profiles holds B x 2**N x (M + 1) pair shares, so this caps the working
-# memory of scoring at any market size; the batch size follows from it.
+# Array entries computed per block.  A block of B profiles holds
+# B x 2**N x (M + 1) allocation shares, and a block of d discount profiles
+# of the discount game d x profiles x N x M pair payoffs, so this caps the
+# working memory of scoring at any market size; block sizes follow from it.
 BLOCK_ELEMENTS = 1 << 20
 
 
@@ -96,15 +97,10 @@ class MarketConfig:
             raise ConfigError(f"p must have length {self.n_isps}, got {len(self.p)}")
         if len(self.delta) != self.n_isps:
             raise ConfigError(f"delta must have length {self.n_isps}, got {len(self.delta)}")
-        for name, vec in (("q", self.q), ("p", self.p)):
-            for k, v in enumerate(vec):
-                if not 0.0 <= v <= 1.0:
-                    raise ConfigError(f"{name}[{k}] must lie in [0, 1], got {v}")
         # Zero discounts are admitted so the discount game can explore its
         # full grid; a zero simply makes zero-rated bandwidth free.
-        for k, v in enumerate(self.delta):
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"delta[{k}] must lie in [0, 1], got {v}")
+        for name in ("q", "p", "delta"):
+            check_unit_interval(name, getattr(self, name))
         if len(self.phi) != self.lattice_size:
             raise ConfigError(
                 f"phi must have length 2**n_cps = {self.lattice_size}, got {len(self.phi)}"
@@ -131,6 +127,14 @@ class MarketConfig:
 
     def with_delta(self, delta: Sequence[float]) -> "MarketConfig":
         return replace(self, delta=_as_float_tuple(delta))
+
+
+def check_unit_interval(name: str, values: Iterable[float]) -> None:
+    """Raise ConfigError naming the first of ``values`` outside [0, 1]
+    (NaN included)."""
+    for k, v in enumerate(values):
+        if not 0.0 <= v <= 1.0:
+            raise ConfigError(f"{name}[{k}] must lie in [0, 1], got {v}")
 
 
 def aux_members(mask: int) -> tuple[int, ...]:
@@ -302,10 +306,17 @@ class AllocationTable:
     x_effective: np.ndarray
 
 
-def profile_blocks(config: MarketConfig, count: int) -> Iterator[slice]:
-    """Consecutive slices of ``count`` profiles, each within BLOCK_ELEMENTS."""
-    size = max(1, BLOCK_ELEMENTS // (config.lattice_size * (config.n_isps + 1)))
+def blocks(count: int, entries: int) -> Iterator[slice]:
+    """Consecutive slices of ``count`` items of ``entries`` array entries
+    each, every slice within BLOCK_ELEMENTS entries (or one item)."""
+    size = max(1, BLOCK_ELEMENTS // entries)
     return (slice(start, start + size) for start in range(0, count, size))
+
+
+def profile_blocks(config: MarketConfig, count: int) -> Iterator[slice]:
+    """Consecutive slices of ``count`` profiles, each within BLOCK_ELEMENTS
+    allocation entries."""
+    return blocks(count, config.lattice_size * (config.n_isps + 1))
 
 
 def allocations(config: MarketConfig, cells: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -37,25 +37,36 @@ class PayoffVector:
 
 
 # Per-profile arrays: (CP, ISP) pair payoffs, or utilities U[k, i] and
-# revenues R[k, j].
+# revenues R[k, j], each led by the discount-profile axis when there is one.
 Scores = tuple[np.ndarray, np.ndarray]
 
 
-def _pair_payoffs(config: MarketConfig, cells: np.ndarray, users: np.ndarray) -> Scores:
-    """CP and ISP payoffs ``[k, i, j]`` of each profile's pairs."""
+def _pair_payoffs(
+    config: MarketConfig, cells: np.ndarray, users: np.ndarray, delta: np.ndarray
+) -> Scores:
+    """CP and ISP payoffs ``[..., k, i, j]`` of each profile's pairs under
+    the discounts ``delta`` (``[M]``, or ``[d, M]`` for d discount profiles,
+    which then lead the result)."""
     q = np.asarray(config.q)[:, None]
     p = np.asarray(config.p)
-    dp = np.asarray(config.delta) * p
+    dp = (np.asarray(delta) * p)[..., None, None, :]
     per_pair_cp = np.where(cells, (q - dp) * users, q * users * config.c)
     per_pair_isp = np.where(cells, dp * users, p * users * config.c)
     return per_pair_cp, per_pair_isp
 
 
+def _scores(
+    config: MarketConfig, cells: np.ndarray, users: np.ndarray, delta: np.ndarray
+) -> Scores:
+    """:func:`scores` under the discounts ``delta`` (see :func:`_pair_payoffs`)."""
+    per_pair_cp, per_pair_isp = _pair_payoffs(config, cells, users, delta)
+    return per_pair_cp.sum(axis=-1), per_pair_isp.sum(axis=-2)
+
+
 def scores(config: MarketConfig, cells: np.ndarray, users: np.ndarray) -> Scores:
     """CP utilities ``U[k, i]`` and ISP revenues ``R[k, j]`` of each profile,
     given its effective users (see :func:`~zrsim.market.effective_users`)."""
-    per_pair_cp, per_pair_isp = _pair_payoffs(config, cells, users)
-    return per_pair_cp.sum(axis=2), per_pair_isp.sum(axis=1)
+    return _scores(config, cells, users, config.delta)
 
 
 def code_scores(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> Scores:
@@ -74,5 +85,5 @@ def payoffs(config: MarketConfig, theta: StrategyMatrix) -> PayoffVector:
     """Evaluate all provider payoffs under ``theta``."""
     _check_dims(config, theta)
     cells = theta.as_array()[None] == 1
-    cp, isp = _pair_payoffs(config, cells, effective_users(config, cells))
+    cp, isp = _pair_payoffs(config, cells, effective_users(config, cells), config.delta)
     return PayoffVector(cp.sum(axis=2)[0], isp.sum(axis=1)[0], cp[0], isp[0])

@@ -2,11 +2,14 @@
 
 import dataclasses
 import itertools
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zrsim import (
     CapacityError,
+    ConfigError,
     ContractViolation,
     DiscountStatus,
     DynamicsOutcome,
@@ -19,12 +22,45 @@ from zrsim import (
     enumerate_zre,
     forced_cells,
     is_zre,
+    load_scenario,
+    market,
     oracle_verify_zre,
     payoffs,
     select_zre,
 )
+from zrsim import equilibrium
 
-from conftest import GRID11
+from conftest import GRID11, random_config
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
+
+
+def _reference_discount_outcome(config, grid):
+    """The discount game solved naively from per-market public calls: every
+    discount profile enumerated and scored on its own, the unilateral
+    deviation test, then the documented largest-profile selection."""
+    m = config.n_isps
+    revenue = {}
+    for delta in itertools.product(grid, repeat=m):
+        market_at = config.with_delta(delta)
+        result = enumerate_zre(market_at)
+        if result.status is ZreStatus.EQUILIBRIA_FOUND:
+            revenue[delta] = payoffs(market_at, result.selected).isp_revenue
+    nash = [
+        delta
+        for delta, rev in revenue.items()
+        if all(
+            revenue[dev][j] <= rev[j] + 1e-9
+            for j in range(m)
+            for alt in grid
+            if (dev := delta[:j] + (alt,) + delta[j + 1 :]) in revenue
+        )
+    ]
+    if not nash:
+        return DiscountStatus.NO_DISCOUNT_EQUILIBRIUM, None, None
+    expensive = max(range(m), key=lambda j: (config.p[j], j))
+    star = max(nash, key=lambda d: (sum(d), d[expensive], d[::-1]))
+    return DiscountStatus.EQUILIBRIUM_FOUND, star, enumerate_zre(config.with_delta(star)).selected
 
 
 class TestForcedCells:
@@ -341,6 +377,85 @@ class TestDiscountGame:
     def test_empty_grid_rejected(self, bench):
         with pytest.raises(InvalidArgument):
             discount_equilibrium(bench, delta_grid=())
+
+    @pytest.mark.parametrize("delta_grid", [(0.5, 1.5), (-0.1, 1.0), (float("nan"), 1.0)])
+    @pytest.mark.parametrize("prices", [(1.0, 1.0), (0.0, 0.0)])
+    def test_out_of_range_grid_rejected(self, bench, delta_grid, prices):
+        # Every grid value is checked, also one a free ISP never plays and
+        # a NaN, which has no place in the sorted grid.
+        with pytest.raises(ConfigError, match=r"delta\[\d\] must lie in \[0, 1\]"):
+            discount_equilibrium(bench.with_prices(prices), delta_grid)
+
+    @pytest.mark.parametrize("block_elements", [None, 1, 1000])
+    def test_discount_table_rows_equal_per_market_route(self, block_elements, monkeypatch):
+        # The delta-batched route must reproduce, bit for bit, one
+        # enumerate_zre and one payoffs call per discount profile, whatever
+        # the block size: 1 puts every discount profile in a block of its
+        # own, 1000 gives ragged blocks (15 profiles of a 2x2 cell, 2 of a
+        # 2x3 one).
+        if block_elements is not None:
+            monkeypatch.setattr(market, "BLOCK_ELEMENTS", block_elements)
+        block_sizes = []
+        scores = equilibrium._scores
+
+        def recorded(config, cells, users, delta):
+            block_sizes.append((len(delta), cells.size))
+            return scores(config, cells, users, delta)
+
+        monkeypatch.setattr(equilibrium, "_scores", recorded)
+        bench = load_scenario(SCENARIOS / "benchmark.json").config
+        # bandwidth_high at (0.5, 0.5) has discount profiles without any
+        # equilibrium (3 on this grid).
+        high = load_scenario(SCENARIOS / "bandwidth_high.json").config
+        rng = np.random.default_rng(31)
+        cases = [
+            (bench.with_prices((0.3, 0.7)), GRID11[::2]),
+            (bench.with_prices((1.0, 0.0)), GRID11[::3]),
+            (high.with_prices((0.5, 0.5)), GRID11[::2]),
+        ]
+        cases += [(random_config(rng, 2, 2), (0.0, 0.25, 0.5, 0.75, 1.0)) for _ in range(3)]
+        cases += [(random_config(rng, 2, 3), (0.2, 0.6, 1.0)) for _ in range(3)]
+        without_zre = 0
+        for config, grid in cases:
+            profiles = list(itertools.product(grid, repeat=config.n_isps))
+            codes, stable, revenue = equilibrium._discount_table(config, profiles)
+            for delta, mask, row in zip(profiles, stable, revenue):
+                market_at = config.with_delta(delta)
+                result = enumerate_zre(market_at)
+                assert list(codes[mask]) == [theta.encoding() for theta in result.all_zre]
+                if result.status is ZreStatus.NO_ZRE:
+                    assert np.all(row == -np.inf)
+                    without_zre += 1
+                else:
+                    assert np.array_equal(row, payoffs(market_at, result.selected).isp_revenue)
+            one_profile = block_sizes[0][1]
+            assert sum(d for d, _ in block_sizes) == len(profiles)
+            largest = max(d * size for d, size in block_sizes)
+            assert largest <= max(one_profile, market.BLOCK_ELEMENTS)
+            block_sizes.clear()
+        assert without_zre > 0
+
+    def test_outcome_matches_naive_reference(self):
+        # Random draws rarely lack a discount equilibrium on a 3-point
+        # grid, so a benchmark cell that does is added, with a free-ISP
+        # cell and a bandwidth_high cell where delta = (0.6, 0.6) has no
+        # equilibrium.
+        rng = np.random.default_rng(37)
+        grid = (0.2, 0.6, 1.0)
+        bench = load_scenario(SCENARIOS / "benchmark.json").config
+        high = load_scenario(SCENARIOS / "bandwidth_high.json").config
+        configs = [bench.with_prices(prices) for prices in ((0.6, 0.8), (1.0, 0.0))]
+        configs += [high.with_prices((0.5, 0.5))]
+        configs += [random_config(rng, n, m) for n, m in ((2, 2), (2, 3)) for _ in range(8)]
+        statuses = set()
+        for config in configs:
+            outcome = discount_equilibrium(config, grid)
+            status, delta_star, selected = _reference_discount_outcome(config, grid)
+            assert outcome.status is status
+            assert outcome.delta_star == delta_star
+            assert (outcome.zre and outcome.zre.selected) == selected
+            statuses.add(status)
+        assert statuses == set(DiscountStatus)
 
     def test_capacity_guard(self):
         config = MarketConfig(
