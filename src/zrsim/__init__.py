@@ -16,7 +16,6 @@ from .analysis import (
     grid_sweep,
     hhi,
     hhi_variance_identity,
-    market_shares,
 )
 from .scenario import Scenario, ScenarioError, load_scenario
 from .equilibrium import (
@@ -49,7 +48,6 @@ from .market import (
     allocate,
     aux_members,
     choice_probability,
-    extend_theta,
     masks_containing,
     merge_providers,
 )
@@ -99,7 +97,6 @@ __all__ = [
     "discount_grid_sweep",
     "elastic_choice_set",
     "enumerate_zre",
-    "extend_theta",
     "find_zre_violation",
     "forced_cells",
     "grid_sweep",
@@ -107,7 +104,6 @@ __all__ = [
     "hhi_variance_identity",
     "is_zre",
     "load_scenario",
-    "market_shares",
     "masks_containing",
     "merge_providers",
     "oracle_allocate",

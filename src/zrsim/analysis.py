@@ -11,32 +11,18 @@ equilibrium carry exactly zero deltas.
 
 from __future__ import annotations
 
-import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, InvalidArgument
-from .equilibrium import (
-    DEFAULT_DELTA_GRID,
-    DiscountStatus,
-    ZreResult,
-    ZreStatus,
-    discount_equilibrium,
-    enumerate_zre,
-)
+from .equilibrium import DEFAULT_DELTA_GRID, CellSolution, ZreStatus, solve_grid
 from .market import (
     MarketConfig, StrategyMatrix, allocate, allocations, masks_containing, profile_cells
 )
-from .payoff import scores
 
 SIGN_TOL = 1e-12
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -98,11 +84,6 @@ def hhi(config: MarketConfig, theta: StrategyMatrix) -> float:
     return _hhi(_effective_users_per_cp(config, allocate(config, theta).x_pair))
 
 
-def market_shares(config: MarketConfig, theta: StrategyMatrix) -> np.ndarray:
-    """Effective-user shares among actual CPs (same normalization as hhi)."""
-    return _shares(_effective_users_per_cp(config, allocate(config, theta).x_pair))
-
-
 def hhi_variance_identity(shares: Sequence[float]) -> tuple[float, float]:
     """Herfindahl index of raw shares in two algebraic forms.
 
@@ -136,71 +117,54 @@ def _empty_record(config: MarketConfig) -> SweepRecord:
     )
 
 
-def _record(config: MarketConfig, result: ZreResult) -> SweepRecord:
-    """Two-world record of ``config`` from its already-solved ``result``."""
-    if result.selected is None:
-        return _empty_record(config)
-    # Both worlds in one batch: code 0 is the all-zero profile.
-    cells = profile_cells([0, result.selected.encoding()], config.n_cps, config.n_isps)
-    _, x_pair, users = allocations(config, cells)
-    u_base, u_sel = scores(config, cells, users)[0]
-    base, sel = (_effective_users_per_cp(config, x) for x in x_pair)
-    return SweepRecord(
-        prices=config.p,
-        status=result.status,
-        selected=result.selected,
-        delta_utility=tuple(float(v) for v in u_sel - u_base),
-        delta_share=tuple(float(v) for v in _shares(sel) - _shares(base)),
-        delta_hhi=_hhi(sel) - _hhi(base),
-        pressure=result.pressure,
-    )
+def _sweep(
+    config: MarketConfig,
+    p_grid: Sequence[Sequence[float]],
+    delta_grid: Sequence[float] | None = None,
+) -> list[tuple[CellSolution, SweepRecord]]:
+    """Every price-grid cell solved by :func:`~zrsim.equilibrium.solve_grid`
+    with its two-world record, row-major.  Shares and the Herfindahl index
+    read only the profile, so each is computed once per selected profile."""
+    solutions = solve_grid(config, p_grid, delta_grid)
+    chosen = {0} | {s.zre.selected.encoding() for s in solutions if s.utility is not None}
+    codes = sorted(chosen)
+    _, x_pair, _ = allocations(config, profile_cells(codes, config.n_cps, config.n_isps))
+    totals = [_effective_users_per_cp(config, x) for x in x_pair]
+    worlds = {code: (_shares(t), _hhi(t)) for code, t in zip(codes, totals)}
+    base_share, base_hhi = worlds[0]
+    out = []
+    for solution in solutions:
+        if solution.utility is None:
+            out.append((solution, _empty_record(solution.config)))
+            continue
+        zre, (u_base, u_sel) = solution.zre, solution.utility
+        share, hhi_sel = worlds[zre.selected.encoding()]
+        record = SweepRecord(
+            prices=solution.config.p,
+            status=zre.status,
+            selected=zre.selected,
+            delta_utility=tuple(float(v) for v in u_sel - u_base),
+            delta_share=tuple(float(v) for v in share - base_share),
+            delta_hhi=hhi_sel - base_hhi,
+            pressure=zre.pressure,
+        )
+        out.append((solution, record))
+    return out
 
 
 def compare_worlds(config: MarketConfig) -> SweepRecord:
     """One cell's record: selected equilibrium vs. the no-zero-rating world."""
-    return _record(config, enumerate_zre(config))
+    return _sweep(config, [(p,) for p in config.p])[0][1]
 
 
-def default_worker_count() -> int:
-    return os.cpu_count() or 1
-
-
-def _sweep(
-    cell_fn: Callable[[MarketConfig], T],
-    config: MarketConfig,
-    p_grid: Sequence[Sequence[float]],
-    workers: int | None,
-) -> list[T]:
-    """``cell_fn`` applied to every Cartesian price-grid point, row-major.
-
-    The pool is capped at the number of cells and of CPUs; a cap of one
-    runs the cells in this process.
-    """
-    if len(p_grid) != config.n_isps:
-        raise InvalidArgument(f"p_grid must have one value list per ISP ({config.n_isps})")
-    if any(len(axis) == 0 for axis in p_grid):
-        raise InvalidArgument("p_grid axes must be nonempty")
-    cells = [config.with_prices(prices) for prices in itertools.product(*p_grid)]
-    cpus = default_worker_count()
-    workers = min(cpus if workers is None else workers, len(cells), cpus)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(cell_fn, cells, chunksize=max(1, len(cells) // workers)))
-    return [cell_fn(cell) for cell in cells]
-
-
-def grid_sweep(
-    config: MarketConfig,
-    p_grid: Sequence[Sequence[float]],
-    workers: int | None = None,
-) -> list[SweepRecord]:
+def grid_sweep(config: MarketConfig, p_grid: Sequence[Sequence[float]]) -> list[SweepRecord]:
     """One record per Cartesian price-grid point, in row-major grid order.
 
-    ``p_grid`` holds one value list per ISP.  Cells are pure and independent;
-    ``workers`` > 1 runs them in a process pool while preserving the
-    deterministic output ordering.
+    ``p_grid`` holds one value list per ISP.  All cells are solved together
+    from one table of effective users (see
+    :func:`~zrsim.equilibrium.solve_grid`).
     """
-    return _sweep(compare_worlds, config, p_grid, workers)
+    return [record for _, record in _sweep(config, p_grid)]
 
 
 @dataclass(frozen=True)
@@ -213,27 +177,20 @@ class DiscountCell:
     delta_star: tuple[float, ...] | None
 
 
-def _discount_cell(config: MarketConfig, delta_grid: tuple[float, ...]) -> DiscountCell:
-    outcome = discount_equilibrium(config, delta_grid)
-    if outcome.status is DiscountStatus.NO_DISCOUNT_EQUILIBRIUM:
-        return DiscountCell(record=_empty_record(config), delta_star=None)
-    record = _record(config.with_delta(outcome.delta_star), outcome.zre)
-    return DiscountCell(record=record, delta_star=outcome.delta_star)
-
-
 def discount_grid_sweep(
     config: MarketConfig,
     p_grid: Sequence[Sequence[float]],
     delta_grid: Sequence[float] = DEFAULT_DELTA_GRID,
-    workers: int | None = None,
 ) -> list[DiscountCell]:
     """Discount-game counterpart of :func:`grid_sweep`.
 
     Each cell solves the ISP discount game at its prices and records the
     two-world deltas under the selected discount profile.
     """
-    delta_grid = tuple(float(v) for v in delta_grid)
-    return _sweep(partial(_discount_cell, delta_grid=delta_grid), config, p_grid, workers)
+    return [
+        DiscountCell(record, solution.config.delta if solution.zre is not None else None)
+        for solution, record in _sweep(config, p_grid, delta_grid)
+    ]
 
 
 def _sign(value: float) -> int:

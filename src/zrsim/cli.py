@@ -11,11 +11,9 @@ Verbs:
 * ``zrsim zre <scenario> --p <prices>`` inspects a single price point:
   all equilibria, the selected one, and the pressure flags.
 
-Exit codes: 0 success, 1 failed verification, 2 invalid scenario or usage,
-3 capacity guard exceeded.  Outputs are byte-stable for identical inputs;
-grid cells run on a worker pool sized by the ZRSIM_WORKERS environment
-variable (default: available parallelism), capped at the number of grid
-cells and of CPUs.
+Exit codes: 0 success, 1 failed verification, 2 invalid scenario or usage
+(an out-of-range ``--p`` price included), 3 capacity guard exceeded.
+Outputs are byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -36,11 +33,9 @@ from .analysis import (
     grid_sweep,
 )
 from .equilibrium import DEFAULT_DELTA_GRID, ZreStatus, enumerate_zre
-from .errors import CapacityError
+from .errors import CapacityError, ConfigError
 from .scenario import ScenarioError, load_scenario
 from .verify import run_battery
-
-WORKERS_ENV = "ZRSIM_WORKERS"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -54,17 +49,6 @@ def fmt_num(x: float) -> str:
     """12-significant-digit decimal form with normalized zero."""
     out = f"{float(x):.12g}"
     return "0" if out == "-0" else out
-
-
-def _workers() -> int | None:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ScenarioError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def _grid_header(n_cps: int, n_isps: int) -> list[str]:
@@ -158,18 +142,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = _workers()
     if scenario.mode == "discount-game":
         delta_grid = scenario.delta_grid or DEFAULT_DELTA_GRID
-        cells = discount_grid_sweep(
-            scenario.config, scenario.price_grid, delta_grid, workers=workers
-        )
+        cells = discount_grid_sweep(scenario.config, scenario.price_grid, delta_grid)
         records = [cell.record for cell in cells]
         write_discounts_csv(
             cells, out_dir / scenario.output_names["discounts"], scenario.price_grid
         )
     else:
-        records = grid_sweep(scenario.config, scenario.price_grid, workers=workers)
+        records = grid_sweep(scenario.config, scenario.price_grid)
     write_grid_csv(
         records,
         out_dir / scenario.output_names["grid"],
@@ -209,7 +190,11 @@ def _cmd_zre(args: argparse.Namespace) -> int:
     config = scenario.config
     if len(args.p) != config.n_isps:
         raise ScenarioError(f"--p needs {config.n_isps} prices, got {len(args.p)}")
-    result = enumerate_zre(config.with_prices(args.p))
+    try:
+        config = config.with_prices(args.p)
+    except ConfigError as exc:
+        raise ScenarioError(str(exc)) from exc
+    result = enumerate_zre(config)
     print(f"prices: {' '.join(fmt_num(p) for p in args.p)}")
     if result.status is ZreStatus.NO_ZRE:
         print("status: NO_ZRE")

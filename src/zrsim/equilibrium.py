@@ -13,17 +13,21 @@ sides, so a profile is an equilibrium exactly when
 with price zero (an unlimited plan) is treated as always zero-rating with
 every CP: those cells are clamped to 1 and excluded from deviation checks.
 
-Profiles are integer codes (see :mod:`zrsim.market`) scored in batches:
-:func:`enumerate_zre` scores every code once and tests stability with array
-operations; :func:`is_zre` and the dynamics score a profile and its flips;
-the discount game scores one effective-user table at all discount profiles
-of a cell at once, in blocks led by a discount-profile axis.
+Profiles are integer codes (see :mod:`zrsim.market`) scored in batches.
+:func:`solve_grid` solves every price cell of a scenario from one table of
+effective users: cells are grouped by their zero-price ISPs, and every cell
+of a group is scored, tested for stability and tie-broken as arrays led by
+a market axis (price cell, times discount profile in the discount game),
+in blocks.  :func:`enumerate_zre` and :func:`discount_equilibrium` are its
+one-cell case; :func:`is_zre`, :func:`detect_pressure` and the dynamics
+score a profile and its flips.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -31,8 +35,8 @@ import numpy as np
 
 from .errors import CapacityError, ContractViolation, InvalidArgument
 from .market import (
-    MarketConfig, StrategyMatrix, _check_dims, blocks, cell_bit, check_unit_interval,
-    effective_users, profile_cells
+    MarketConfig, StrategyMatrix, _as_float_tuple, _check_dims, blocks, cell_bit,
+    check_unit_interval, effective_users, profile_cells
 )
 from .payoff import _scores, code_scores
 
@@ -91,6 +95,21 @@ class DiscountOutcome:
 
 
 @dataclass(frozen=True)
+class CellSolution:
+    """One price cell solved by :func:`solve_grid`.
+
+    ``config`` is the cell's market: its prices and, in the discount game,
+    the selected discount profile.  ``zre`` is None only where the discount
+    game has no equilibrium.  ``utility`` holds the CP utilities ``[2, N]``
+    of the all-zero profile and of the selected one, when one is selected.
+    """
+
+    config: MarketConfig
+    zre: ZreResult | None
+    utility: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
 class BestResponseTrace:
     """Visited profiles of a best-response run and how it ended."""
 
@@ -129,7 +148,7 @@ def _free_cells(config: MarketConfig, forced: frozenset[tuple[int, int]]) -> lis
 def _stable(u: np.ndarray, r: np.ndarray, moves: Iterable, count: int) -> np.ndarray:
     """Whether each of the first ``count`` profiles of the score table
     ``u[..., k, i]``, ``r[..., k, j]`` survives every single-cell deviation,
-    per leading (discount-profile) index.  ``moves`` holds, per free cell
+    per leading (market) index.  ``moves`` holds, per free cell
     (i, j), the rows of the deviated profiles and whether the profiles hold
     that relation."""
     u_bar, r_bar = u[..., :count, :] + GAIN_TOL, r[..., :count, :] + GAIN_TOL
@@ -153,10 +172,10 @@ def is_zre(config: MarketConfig, theta: StrategyMatrix) -> bool:
     return bool(_stable(u, r, moves, 1)[0])
 
 
-def _profiles(config: MarketConfig) -> tuple[np.ndarray, Iterator]:
-    """Codes of all profiles respecting forced cells, ascending, and a
-    one-pass iterator of their single-cell moves (see :func:`_stable`) as
-    rows of that array, built one cell at a time."""
+def _profiles(config: MarketConfig) -> tuple[np.ndarray, list[tuple[tuple[int, int], int]]]:
+    """Codes of all profiles respecting forced cells, ascending, and the
+    free cells, each with its bit in a profile's row of that array (see
+    :func:`_moves`)."""
     n, m = config.n_cps, config.n_isps
     if n * m > ENUMERATION_CELL_GUARD:
         raise CapacityError(
@@ -171,18 +190,14 @@ def _profiles(config: MarketConfig) -> tuple[np.ndarray, Iterator]:
     steps = [((i, j), 1 << (len(free) - 1 - rank)) for rank, (i, j) in enumerate(free)]
     for (i, j), step in steps:
         codes[t & step != 0] |= cell_bit(i, j, n, m)
-    return codes, ((cell, t ^ step, t & step != 0) for cell, step in steps)
+    return codes, steps
 
 
-def _zre_result(config: MarketConfig, found: np.ndarray) -> ZreResult:
-    """Result for the equilibrium codes ``found`` (ascending), with the
-    selected profile's pressure flags."""
-    if not len(found):
-        return ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * config.n_cps)
-    all_zre = tuple(_matrix(code, config) for code in found)
-    selected = all_zre[_rank(config, found).argmax()]
-    pressure = detect_pressure(config, selected)
-    return ZreResult(ZreStatus.EQUILIBRIA_FOUND, all_zre, selected, pressure)
+def _moves(steps: list[tuple[tuple[int, int], int]], count: int) -> Iterator:
+    """One-pass iterator of the single-cell moves (see :func:`_stable`) of
+    the ``count`` profiles of :func:`_profiles`, built one cell at a time."""
+    t = np.arange(count, dtype=np.int64)
+    return ((cell, t ^ step, t & step != 0) for cell, step in steps)
 
 
 def enumerate_zre(config: MarketConfig) -> ZreResult:
@@ -190,11 +205,10 @@ def enumerate_zre(config: MarketConfig) -> ZreResult:
 
     When no equilibrium exists the status is NO_ZRE (the market is assumed
     to behave as if zero-rating were unavailable).  Pressure flags are
-    computed only for the selected profile.
+    computed only for the selected profile.  This is the one-cell case of
+    :func:`solve_grid`.
     """
-    codes, moves = _profiles(config)
-    u, r = code_scores(config, codes)
-    return _zre_result(config, codes[_stable(u, r, moves, len(codes))])
+    return solve_grid(config, [(p,) for p in config.p])[0].zre
 
 
 def _high_value_cp(config: MarketConfig) -> int:
@@ -240,30 +254,44 @@ def detect_pressure(config: MarketConfig, selected: StrategyMatrix) -> tuple[boo
     relation (deviations "gain" only past GAIN_TOL, as everywhere).  Forced
     cells are not choices and never count.
     """
-    forced = forced_cells(config)
-    _check_forced(selected, forced)
+    _check_forced(selected, forced_cells(config))
+    checked, codes, keep = _pressure_rows(config, selected.encoding())
+    return tuple(bool(f) for f in _pressure(code_scores(config, codes)[0], checked, keep))
+
+
+def _pressure_rows(config: MarketConfig, code: int) -> tuple[list[int], list[int], list]:
+    """What :func:`detect_pressure` scores for the selected profile ``code``:
+    the CPs it checks, the codes of every row each checked CP could choose
+    alone in its counterfactual market (CP by CP), and per checked CP
+    whether each row keeps all of its selected relations.  These codes hold
+    the forced cells, so they are profiles of :func:`_profiles`."""
     n, m = config.n_cps, config.n_isps
-    counterfactual = sum(cell_bit(r, j, n, m) for r, j in forced)
+    counterfactual = sum(cell_bit(i, j, n, m) for i, j in forced_cells(config))
     free_cols = [j for j in range(m) if config.p[j] != 0.0]
-    free_relations = [
-        [j for j in range(m) if selected.rows[i][j] == 1 and (i, j) not in forced]
-        for i in range(n)
-    ]
+    free_relations = [[j for j in free_cols if code & cell_bit(i, j, n, m)] for i in range(n)]
     rows = list(itertools.product((0, 1), repeat=len(free_cols)))
     competing = [any(free_relations[k] for k in range(n) if k != i) for i in range(n)]
     checked = [i for i in range(n) if free_relations[i] and competing[i]]
-    # Every row each checked CP could choose alone, scored in one batch.
     codes = [
         counterfactual + sum(b * cell_bit(i, j, n, m) for j, b in zip(free_cols, bits))
         for i in checked
         for bits in rows
     ]
-    u = code_scores(config, codes)[0].reshape(len(checked), len(rows), n)
-    flags = [False] * n
-    for c, i in enumerate(checked):
-        keep = np.array([all(row[free_cols.index(j)] for j in free_relations[i]) for row in rows])
-        flags[i] = u[c, ~keep, i].max() > u[c, keep, i].max() + GAIN_TOL
-    return tuple(flags)
+    keep = [
+        np.array([all(row[free_cols.index(j)] for j in free_relations[i]) for row in rows])
+        for i in checked
+    ]
+    return checked, codes, keep
+
+
+def _pressure(u: np.ndarray, checked: list[int], keep: list) -> np.ndarray:
+    """Pressure flags ``[..., i]`` from the utilities ``u[..., row, i]`` of
+    the rows of :func:`_pressure_rows`, per leading (market) index."""
+    flags = np.zeros(u.shape[:-2] + u.shape[-1:], dtype=bool)
+    for c, (i, kept) in enumerate(zip(checked, keep)):
+        rows = u[..., c * len(kept):(c + 1) * len(kept), i]
+        flags[..., i] = rows[..., ~kept].max(axis=-1) > rows[..., kept].max(axis=-1) + GAIN_TOL
+    return flags
 
 
 def best_response_dynamics(
@@ -335,36 +363,186 @@ def _expensive_isp(config: MarketConfig) -> int:
     return max(range(config.n_isps), key=lambda j: (config.p[j], j))
 
 
-def _discount_table(
-    config: MarketConfig, profiles: Sequence[tuple[float, ...]]
+def _market_table(
+    config: MarketConfig,
+    cells: np.ndarray,
+    users: np.ndarray,
+    rank: np.ndarray,
+    steps: list,
+    prices: np.ndarray,
+    deltas: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every strategy profile scored at every discount profile in one
-    blocked broadcast.
+    """Every profile of ``cells`` (with its effective ``users`` and
+    tie-break ``rank``) scored in each market ``l`` at the prices
+    ``prices[l]`` and the discounts ``deltas[l]``, in blocks of at most
+    ``market.BLOCK_ELEMENTS`` pair entries (markets x profiles x N x M).
+    ``steps`` are the profiles' free cells (see :func:`_profiles`).
+    Returns the stable mask ``[l, k]``, the row of each market's selected
+    equilibrium ``[l]`` and its revenue row ``[l, j]``, -inf where the
+    market has none."""
+    stable = np.empty((len(prices), len(cells)), dtype=bool)
+    selected = np.empty(len(prices), dtype=np.int64)
+    revenue = np.empty((len(prices), config.n_isps))
+    for block in blocks(len(prices), cells.size):
+        u, r = _scores(config, cells, users, prices[block], deltas[block])
+        stable[block] = _stable(u, r, _moves(steps, len(cells)), len(cells))
+        selected[block] = np.where(stable[block], rank, -1).argmax(axis=1)
+        revenue[block] = r[np.arange(len(r)), selected[block]]
+    revenue[~stable.any(axis=1)] = -np.inf
+    return stable, selected, revenue
 
-    The effective users do not depend on delta, so one table serves all
-    discount profiles; they are scored, tested for stability and tie-broken
-    as arrays led by a discount-profile axis, in blocks of at most
-    ``market.BLOCK_ELEMENTS`` pair entries (discount profiles x codes x N x
-    M).  Returns the codes of :func:`_profiles`, the stable mask ``[d, k]``
-    and the revenue row ``[d, j]`` of each discount profile's selected
-    equilibrium, -inf where it has none.
+
+def _checked_delta_grid(delta_grid: Sequence[float]) -> tuple[float, ...]:
+    """The distinct values of a discount grid, ascending."""
+    if not delta_grid:
+        raise InvalidArgument("delta_grid must be nonempty")
+    values = [float(v) for v in delta_grid]
+    # Every value, not the sorted ends: NaN has no place in a sorted order.
+    check_unit_interval("delta", values)
+    return tuple(sorted(set(values)))
+
+
+def _group_equilibria(
+    config: MarketConfig,
+    cells: list[MarketConfig],
+    codes: np.ndarray,
+    group: tuple,
+    axes: list[tuple[float, ...]],
+) -> list[tuple[tuple[float, ...], np.ndarray, int] | None]:
+    """Per cell of one zero-price group, its selected discount profile, the
+    equilibrium codes there and the selected code; None where it has no
+    (discount) equilibrium.
+
+    Every cell is a market per discount profile of ``axes``; ``group`` holds
+    the group's profile cells, users, rank and free cells (see
+    :func:`_market_table`).  Blocks hold whole cells, so the Nash test of a
+    cell sees all of its discount profiles."""
+    m = config.n_isps
+    deltas = list(itertools.product(*axes))
+    d = len(deltas)
+    prices = np.array([cell.p for cell in cells])
+    out = []
+    for chunk in blocks(len(cells), d * group[0].size):
+        count = len(prices[chunk])
+        stable, selected, revenue = _market_table(
+            config, *group, np.repeat(prices[chunk], d, axis=0), np.tile(deltas, (count, 1))
+        )
+        nash = stable.any(axis=1).reshape(count, d)
+        if d > 1:
+            # Nash: no ISP gains from a unilateral grid deviation that admits
+            # an equilibrium.  ISP j's best deviation is the maximum along
+            # discount axis j; a profile without equilibrium holds -inf and
+            # is never a gain.
+            revenue = revenue.reshape((count,) + tuple(map(len, axes)) + (m,))
+            gains = [
+                revenue[..., j].max(axis=1 + j, keepdims=True) > revenue[..., j] + GAIN_TOL
+                for j in range(m)
+            ]
+            nash &= ~np.logical_or.reduce(gains).reshape(count, d)
+        for row, cell in enumerate(cells[chunk]):
+            found = np.flatnonzero(nash[row])
+            if not len(found):
+                out.append(None)
+                continue
+            # Among Nash profiles the largest is chosen: by total discount,
+            # then by the most expensive ISP's component, then by the later
+            # ISPs' components.
+            tie = _expensive_isp(cell)
+            star = max(found, key=lambda s: (sum(deltas[s]), deltas[s][tie], deltas[s][::-1]))
+            at = row * d + star
+            out.append((deltas[star], codes[stable[at]], int(codes[selected[at]])))
+    return out
+
+
+def solve_grid(
+    config: MarketConfig,
+    p_grid: Sequence[Sequence[float]],
+    delta_grid: Sequence[float] | None = None,
+) -> list[CellSolution]:
+    """Solve ``config`` at every Cartesian price-grid point, row-major.
+
+    ``p_grid`` holds one value list per ISP.  Without ``delta_grid`` each
+    cell is solved at ``config.delta``; with it each cell plays the ISP
+    discount game on that grid (see :func:`discount_equilibrium`).
+
+    Effective users and the tie-break rank read neither prices nor
+    discounts, so one table of each serves the whole grid.  Cells are
+    grouped by their zero-price ISPs, which fix the forced cells and so the
+    profiles; the markets of a group (cells, times discount profiles) are
+    scored, tested for stability and tie-broken as arrays, in blocks.
+    Pressure flags and the two-world utilities are scored once per selected
+    profile, for all cells that select it.
     """
     n, m = config.n_cps, config.n_isps
-    codes, moves = _profiles(config)
-    moves = list(moves)
-    cells = profile_cells(codes, n, m)
-    users = effective_users(config, cells)
-    rank = _rank(config, codes)
-    deltas = np.array(profiles)
-    stable = np.empty((len(deltas), len(codes)), dtype=bool)
-    revenue = np.empty((len(deltas), m))
-    for block in blocks(len(deltas), len(codes) * n * m):
-        u, r = _scores(config, cells, users, deltas[block])
-        stable[block] = _stable(u, r, moves, len(codes))
-        selected = np.where(stable[block], rank, -1).argmax(axis=1)
-        revenue[block] = r[np.arange(len(r)), selected]
-    revenue[~stable.any(axis=1)] = -np.inf
-    return codes, stable, revenue
+    if len(p_grid) != m:
+        raise InvalidArgument(f"p_grid must have one value list per ISP ({m})")
+    if any(len(axis) == 0 for axis in p_grid):
+        raise InvalidArgument("p_grid axes must be nonempty")
+    if delta_grid is not None:
+        grid = _checked_delta_grid(delta_grid)
+        work = len(grid) ** m * (1 << (n * m))
+        if work > DISCOUNT_WORK_GUARD:
+            raise CapacityError(
+                f"discount game needs {work} profile evaluations, above the guard "
+                f"of {DISCOUNT_WORK_GUARD}"
+            )
+    cells = [
+        config if prices == config.p else config.with_prices(prices)
+        for prices in itertools.product(*map(_as_float_tuple, p_grid))
+    ]
+    groups: dict[tuple[bool, ...], list[int]] = defaultdict(list)
+    for k, cell in enumerate(cells):
+        groups[tuple(p == 0.0 for p in cell.p)].append(k)
+    profiles = {zero: _profiles(cells[ks[0]]) for zero, ks in groups.items()}
+    used = np.zeros(1 << (n * m), dtype=bool)
+    used[0] = True  # the all-zero profile: the records' world without zero-rating
+    for codes, _ in profiles.values():
+        used[codes] = True
+    table = np.flatnonzero(used)
+    table_cells = profile_cells(table, n, m)
+    users = effective_users(config, table_cells)
+    rank = _rank(config, table)
+
+    solved: list[CellSolution] = [None] * len(cells)
+    for zero, ks in groups.items():
+        codes, steps = profiles[zero]
+        rows = slice(None) if len(codes) == len(table) else np.searchsorted(table, codes)
+        if delta_grid is None:
+            axes = [(v,) for v in config.delta]
+        else:
+            # A zero-price ISP's delta multiplies p = 0, so every value gives
+            # the same market; only the largest, which the selection prefers,
+            # is solved.  Its axis then has no deviation to gain from.
+            axes = [grid[-1:] if free else grid for free in zero]
+        group = (table_cells[rows], users[rows], rank[rows], steps)
+        selected_by = defaultdict(list)
+        hits = _group_equilibria(config, [cells[k] for k in ks], codes, group, axes)
+        for k, hit in zip(ks, hits):
+            if hit is None:
+                no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
+                solved[k] = CellSolution(cells[k], no_zre if delta_grid is None else None)
+            else:
+                selected_by[hit[2]].append((k,) + hit)
+
+        # Pressure rows and both worlds, once per selected profile for all
+        # the cells that select it.
+        for code, members in selected_by.items():
+            checked, counterfactual, keep = _pressure_rows(cells[members[0][0]], code)
+            scored = np.searchsorted(table, [0, code] + counterfactual)
+            u = _scores(
+                config, table_cells[scored], users[scored],
+                [cells[k].p for k, *_ in members], [delta for _, delta, *_ in members],
+            )[0]
+            for (k, delta, found, _), utility, flags in zip(
+                members, u[:, :2], _pressure(u[:, 2:], checked, keep)
+            ):
+                all_zre = tuple(_matrix(c, config) for c in found)
+                chosen = all_zre[int(np.searchsorted(found, code))]
+                pressure = tuple(bool(f) for f in flags)
+                zre = ZreResult(ZreStatus.EQUILIBRIA_FOUND, all_zre, chosen, pressure)
+                cell = cells[k] if delta_grid is None else cells[k].with_delta(delta)
+                solved[k] = CellSolution(cell, zre, utility)
+    return solved
 
 
 def discount_equilibrium(
@@ -378,40 +556,9 @@ def discount_equilibrium(
     its tie-break-selected strategy profile.  Among Nash profiles the
     largest is chosen: by total discount, then by the component of the most
     expensive ISP (later index on equal prices), then by the later ISPs'
-    components.
+    components.  This is the one-cell case of :func:`solve_grid`.
     """
-    if not delta_grid:
-        raise InvalidArgument("delta_grid must be nonempty")
-    values = [float(v) for v in delta_grid]
-    # Every value, not the sorted ends: NaN has no place in a sorted order.
-    check_unit_interval("delta", values)
-    grid = tuple(sorted(set(values)))
-    m = config.n_isps
-    work = len(grid) ** m * (1 << (config.n_cps * m))
-    if work > DISCOUNT_WORK_GUARD:
-        raise CapacityError(
-            f"discount game needs {work} profile evaluations, above the guard "
-            f"of {DISCOUNT_WORK_GUARD}"
-        )
-
-    # A zero-price ISP's delta multiplies p = 0, so every value gives the
-    # same market; only the largest, which the selection below prefers,
-    # is solved.  Its axis then has no deviation to gain from.
-    axes = [grid[-1:] if config.p[j] == 0.0 else grid for j in range(m)]
-    profiles = list(itertools.product(*axes))
-    codes, stable, revenue = _discount_table(config, profiles)
-
-    # Nash: no ISP gains from a unilateral grid deviation that admits an
-    # equilibrium.  The revenues lie on the grid of discount profiles, so
-    # ISP j's best deviation is the maximum along axis j; a profile without
-    # equilibrium holds -inf and is never a gain.
-    table = revenue.reshape(tuple(map(len, axes)) + (m,))
-    gains = [table[..., j].max(axis=j, keepdims=True) > table[..., j] + GAIN_TOL for j in range(m)]
-    nash = np.flatnonzero(stable.any(axis=1) & ~np.logical_or.reduce(gains).ravel())
-    if not len(nash):
+    [cell] = solve_grid(config, [(p,) for p in config.p], delta_grid)
+    if cell.zre is None:
         return DiscountOutcome(DiscountStatus.NO_DISCOUNT_EQUILIBRIUM, None, None)
-    tie_breaker = _expensive_isp(config)
-    star = max(nash, key=lambda k: (sum(profiles[k]), profiles[k][tie_breaker], profiles[k][::-1]))
-    delta_star = profiles[star]
-    zre = _zre_result(config.with_delta(delta_star), codes[stable[star]])
-    return DiscountOutcome(DiscountStatus.EQUILIBRIUM_FOUND, delta_star, zre)
+    return DiscountOutcome(DiscountStatus.EQUILIBRIUM_FOUND, cell.config.delta, cell.zre)

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .market import (
-    MarketConfig, StrategyMatrix, _check_dims, effective_users, profile_blocks, profile_cells
+    MarketConfig, StrategyMatrix, _check_dims, blocks, effective_users, profile_blocks,
+    profile_cells
 )
 
 
@@ -37,36 +38,42 @@ class PayoffVector:
 
 
 # Per-profile arrays: (CP, ISP) pair payoffs, or utilities U[k, i] and
-# revenues R[k, j], each led by the discount-profile axis when there is one.
+# revenues R[k, j], each led by the market axis when there is one.
 Scores = tuple[np.ndarray, np.ndarray]
 
 
 def _pair_payoffs(
-    config: MarketConfig, cells: np.ndarray, users: np.ndarray, delta: np.ndarray
+    config: MarketConfig, cells: np.ndarray, users: np.ndarray, p: np.ndarray, delta: np.ndarray
 ) -> Scores:
-    """CP and ISP payoffs ``[..., k, i, j]`` of each profile's pairs under
-    the discounts ``delta`` (``[M]``, or ``[d, M]`` for d discount profiles,
-    which then lead the result)."""
+    """CP and ISP payoffs ``[..., k, i, j]`` of each profile's pairs at the
+    prices ``p`` and discounts ``delta`` (both ``[M]``, or both ``[L, M]``
+    for L markets, which then lead the result)."""
     q = np.asarray(config.q)[:, None]
-    p = np.asarray(config.p)
-    dp = (np.asarray(delta) * p)[..., None, None, :]
+    p = p[..., None, None, :]
+    dp = delta[..., None, None, :] * p
     per_pair_cp = np.where(cells, (q - dp) * users, q * users * config.c)
     per_pair_isp = np.where(cells, dp * users, p * users * config.c)
     return per_pair_cp, per_pair_isp
 
 
-def _scores(
-    config: MarketConfig, cells: np.ndarray, users: np.ndarray, delta: np.ndarray
-) -> Scores:
-    """:func:`scores` under the discounts ``delta`` (see :func:`_pair_payoffs`)."""
-    per_pair_cp, per_pair_isp = _pair_payoffs(config, cells, users, delta)
-    return per_pair_cp.sum(axis=-1), per_pair_isp.sum(axis=-2)
+def _scores(config: MarketConfig, cells: np.ndarray, users: np.ndarray, p, delta) -> Scores:
+    """:func:`scores` at the prices ``p`` and discounts ``delta`` (see
+    :func:`_pair_payoffs`), in blocks of profiles within BLOCK_ELEMENTS
+    pair entries, so a single large market never holds its pair table."""
+    p, delta = np.asarray(p, dtype=float), np.asarray(delta, dtype=float)
+    n, m = config.n_cps, config.n_isps
+    u = np.empty(p.shape[:-1] + (len(cells), n))
+    r = np.empty(p.shape[:-1] + (len(cells), m))
+    for block in blocks(len(cells), p.size * n):
+        cp, isp = _pair_payoffs(config, cells[block], users[block], p, delta)
+        u[..., block, :], r[..., block, :] = cp.sum(axis=-1), isp.sum(axis=-2)
+    return u, r
 
 
 def scores(config: MarketConfig, cells: np.ndarray, users: np.ndarray) -> Scores:
     """CP utilities ``U[k, i]`` and ISP revenues ``R[k, j]`` of each profile,
     given its effective users (see :func:`~zrsim.market.effective_users`)."""
-    return _scores(config, cells, users, config.delta)
+    return _scores(config, cells, users, config.p, config.delta)
 
 
 def code_scores(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> Scores:
@@ -85,5 +92,7 @@ def payoffs(config: MarketConfig, theta: StrategyMatrix) -> PayoffVector:
     """Evaluate all provider payoffs under ``theta``."""
     _check_dims(config, theta)
     cells = theta.as_array()[None] == 1
-    cp, isp = _pair_payoffs(config, cells, effective_users(config, cells), config.delta)
+    users = effective_users(config, cells)
+    p, delta = np.asarray(config.p), np.asarray(config.delta)
+    cp, isp = _pair_payoffs(config, cells, users, p, delta)
     return PayoffVector(cp.sum(axis=2)[0], isp.sum(axis=1)[0], cp[0], isp[0])

@@ -11,13 +11,12 @@ skipped.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SweepRecord, _record, hhi, hhi_variance_identity
-from .equilibrium import ZreResult, ZreStatus, enumerate_zre, is_zre
+from .analysis import SweepRecord, _sweep, hhi, hhi_variance_identity
+from .equilibrium import ZreResult, ZreStatus, is_zre
 from .market import MarketConfig, StrategyMatrix, allocate
 from .oracle import oracle_allocate, oracle_verify_zre
 from .scenario import Scenario
@@ -221,10 +220,9 @@ ALL_CHECKS = (
 
 def run_battery(scenario: Scenario) -> list[CheckResult]:
     """Every check of ``ALL_CHECKS``, sharing one solve of the price grid
-    and one two-world record per cell."""
-    results = []
-    for prices in itertools.product(*scenario.price_grid):
-        cell = scenario.config.with_prices(prices)
-        result = enumerate_zre(cell)
-        results.append((cell, result, _record(cell, result)))
+    and one two-world record per cell (the sweep's own driver)."""
+    results = [
+        (solution.config, solution.zre, record)
+        for solution, record in _sweep(scenario.config, scenario.price_grid)
+    ]
     return [check(scenario, results) for check in ALL_CHECKS]

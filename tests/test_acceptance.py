@@ -246,7 +246,7 @@ def test_c2_no_equilibrium_cells_exact():
 
 def test_c3_discount_game_reference_grid(tmp_path):
     start = time.perf_counter()
-    cells = discount_grid_sweep(BENCH, (GRID11, GRID11), workers=1)
+    cells = discount_grid_sweep(BENCH, (GRID11, GRID11))
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"discount grid took {elapsed:.1f}s, target 120s"
 
@@ -349,7 +349,7 @@ def test_c4_direction_table_signs():
     expected = {name: ((1, -1), (1, 1)) for name in VARIANTS}
     expected["c=0.8"] = ((-1, -1), (1, 1))
     for name, config in VARIANTS.items():
-        signs = aggregate_signs(grid_sweep(config, (GRID11, GRID11), workers=1))
+        signs = aggregate_signs(grid_sweep(config, (GRID11, GRID11)))
         got = (
             (signs.utility_signs[0], signs.share_signs[0]),
             (signs.utility_signs[1], signs.share_signs[1]),
@@ -371,7 +371,7 @@ def test_c5_concentration_never_drops_on_ordered_grids():
     assert len(ordered) == 8
     worst = 0.0
     for config in ordered.values():
-        for record in grid_sweep(config, (GRID11, GRID11), workers=1):
+        for record in grid_sweep(config, (GRID11, GRID11)):
             worst = min(worst, record.delta_hhi)
             assert record.delta_hhi >= -1e-12
     _report(5, f"8 ordered grids, min concentration delta {worst:.3e}")
@@ -380,7 +380,7 @@ def test_c5_concentration_never_drops_on_ordered_grids():
 def test_c6_locked_out_low_value_cp_loses():
     qualifying = 0
     for config in VARIANTS.values():
-        for record in grid_sweep(config, (GRID11, GRID11), workers=1):
+        for record in grid_sweep(config, (GRID11, GRID11)):
             if record.selected is None:
                 continue
             if any(record.selected.rows[0]) or not any(record.selected.rows[1]):

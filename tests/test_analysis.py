@@ -12,13 +12,13 @@ from zrsim import (
     StrategyMatrix,
     ZreStatus,
     aggregate_signs,
+    allocate,
     analysis,
     compare_worlds,
     discount_grid_sweep,
     grid_sweep,
     hhi,
     hhi_variance_identity,
-    market_shares,
 )
 
 from conftest import GRID11, random_config
@@ -116,77 +116,45 @@ class TestCompareWorlds:
         assert record.delta_hhi == 0.0
 
     def test_shares_sum_to_one(self, bench):
-        shares = market_shares(bench, StrategyMatrix(((0, 0), (1, 0))))
+        x_pair = allocate(bench, StrategyMatrix(((0, 0), (1, 0)))).x_pair
+        shares = analysis._shares(analysis._effective_users_per_cp(bench, x_pair))
         assert shares.sum() == pytest.approx(1.0, abs=1e-12)
         assert shares[1] > shares[0]
 
 
 class TestGridSweep:
     def test_full_grid_cell_count_and_order(self, bench):
-        records = grid_sweep(bench, (GRID11, GRID11), workers=1)
+        records = grid_sweep(bench, (GRID11, GRID11))
         assert len(records) == 121
         assert records[0].prices == (0.0, 0.0)
         assert records[1].prices == (0.0, 0.1)  # row-major: p_1 varies slowest
         assert records[-1].prices == (1.0, 1.0)
 
     def test_single_cell_equals_compare_worlds(self, bench):
-        [record] = grid_sweep(bench, ((0.6,), (0.4,)), workers=1)
+        [record] = grid_sweep(bench, ((0.6,), (0.4,)))
         assert record == compare_worlds(bench.with_prices((0.6, 0.4)))
 
     def test_no_zre_cells_match_reference_set(self, bench):
         config = dataclasses.replace(bench, c=0.8)
-        records = grid_sweep(config, (GRID11, GRID11), workers=1)
+        records = grid_sweep(config, (GRID11, GRID11))
         missing = {r.prices for r in records if r.status is ZreStatus.NO_ZRE}
         assert missing == {(0.3, 0.3), (0.3, 0.4), (0.4, 0.3)}
 
-    def test_parallel_matches_serial(self, bench):
-        axes = (GRID11[::2], GRID11[::2])
-        serial = grid_sweep(bench, axes, workers=1)
-        parallel = grid_sweep(bench, axes, workers=2)
-        assert serial == parallel
-
     def test_bad_grid_rejected(self, bench):
         with pytest.raises(InvalidArgument):
-            grid_sweep(bench, (GRID11,), workers=1)
+            grid_sweep(bench, (GRID11,))
         with pytest.raises(InvalidArgument):
-            grid_sweep(bench, (GRID11, ()), workers=1)
-
-    @pytest.mark.parametrize("cpus, expected", [(64, [4]), (3, [3]), (1, [])])
-    def test_pool_capped_at_cells_and_cpus(self, bench, monkeypatch, cpus, expected):
-        # No process is started: the fake pool records its size and maps here.
-        requested = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, cells, chunksize=1):
-                return map(fn, cells)
-
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(analysis, "default_worker_count", lambda: cpus)
-        axes = ((0.2, 0.6), (0.4, 0.8))
-        assert grid_sweep(bench, axes, workers=5000) == grid_sweep(bench, axes, workers=1)
-        assert requested == expected
-        grid_sweep(bench, ((0.6,), (0.4,)), workers=5000)
-        discount_grid_sweep(bench, ((0.6,), (0.4,)), (0.5, 1.0), workers=5000)
-        assert requested == expected
+            grid_sweep(bench, (GRID11, ()))
 
 
 class TestAggregateSigns:
     def test_benchmark_direction_pattern(self, bench):
-        signs = aggregate_signs(grid_sweep(bench, (GRID11, GRID11), workers=1))
+        signs = aggregate_signs(grid_sweep(bench, (GRID11, GRID11)))
         assert signs.utility_signs == (1, 1)
         assert signs.share_signs == (-1, 1)
 
     def test_zero_deltas_classified_as_zero(self, bench):
-        records = grid_sweep(bench, ((1.0,), (1.0,)), workers=1)
+        records = grid_sweep(bench, ((1.0,), (1.0,)))
         signs = aggregate_signs(records)
         assert signs.utility_signs == (0, 0)
         assert signs.share_signs == (0, 0)
@@ -198,19 +166,19 @@ class TestAggregateSigns:
 
 class TestMonotonicity:
     def test_hhi_nondecreasing_on_ordered_benchmark(self, bench):
-        records = grid_sweep(bench, (GRID11, GRID11), workers=1)
+        records = grid_sweep(bench, (GRID11, GRID11))
         assert min(r.delta_hhi for r in records) >= -1e-12
 
     def test_hhi_can_drop_when_share_order_flips(self, bench):
         # With the high-value CP holding the smaller baseline, zero-rating
         # narrows the share gap and concentration may genuinely fall.
         config = dataclasses.replace(bench, phi=(0.1, 0.6, 0.2, 0.1))
-        records = grid_sweep(config, (GRID11, GRID11), workers=1)
+        records = grid_sweep(config, (GRID11, GRID11))
         assert min(r.delta_hhi for r in records) < -1e-6
 
     def test_low_value_loss_when_locked_out(self, bench):
         hits = 0
-        for record in grid_sweep(bench, (GRID11, GRID11), workers=1):
+        for record in grid_sweep(bench, (GRID11, GRID11)):
             if record.selected is None:
                 continue
             if not any(record.selected.rows[0]) and any(record.selected.rows[1]):
@@ -222,7 +190,7 @@ class TestMonotonicity:
 
 class TestDiscountGridSweep:
     def test_cells_align_with_prices(self, bench):
-        cells = discount_grid_sweep(bench, ((0.0, 1.0), (0.0, 1.0)), workers=1)
+        cells = discount_grid_sweep(bench, ((0.0, 1.0), (0.0, 1.0)))
         assert [c.record.prices for c in cells] == [
             (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)
         ]
@@ -230,7 +198,7 @@ class TestDiscountGridSweep:
         assert by_prices[(0.0, 0.0)].delta_star == (1.0, 1.0)
 
     def test_missing_discount_equilibrium_zeroes_record(self, bench):
-        [cell] = discount_grid_sweep(bench, ((0.5,), (0.5,)), workers=1)
+        [cell] = discount_grid_sweep(bench, ((0.5,), (0.5,)))
         assert cell.delta_star is None
         assert cell.record.status is ZreStatus.NO_ZRE
         assert cell.record.delta_utility == (0.0, 0.0)

@@ -39,8 +39,7 @@ def test_fmt_num_stability():
     assert fmt_num(1 / 3) == "0.333333333333"
 
 
-def test_sweep_writes_grid_and_summary(small_scenario, tmp_path, monkeypatch):
-    monkeypatch.setenv("ZRSIM_WORKERS", "1")
+def test_sweep_writes_grid_and_summary(small_scenario, tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", str(small_scenario), "--out", str(out)]) == EXIT_OK
     with (out / "grid.csv").open() as fh:
@@ -57,8 +56,7 @@ def test_sweep_writes_grid_and_summary(small_scenario, tmp_path, monkeypatch):
     assert {e["cp"] for e in summary["per_cp"]} == {1, 2}
 
 
-def test_sweep_full_benchmark_grid(tmp_path, monkeypatch):
-    monkeypatch.setenv("ZRSIM_WORKERS", "1")
+def test_sweep_full_benchmark_grid(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", str(SCENARIOS / "benchmark.json"), "--out", str(out)]) == EXIT_OK
     with (out / "grid.csv").open() as fh:
@@ -67,8 +65,7 @@ def test_sweep_full_benchmark_grid(tmp_path, monkeypatch):
     assert all(row[2] != "NOZRE" for row in rows[1:])
 
 
-def test_sweep_output_is_byte_stable(small_scenario, tmp_path, monkeypatch):
-    monkeypatch.setenv("ZRSIM_WORKERS", "1")
+def test_sweep_output_is_byte_stable(small_scenario, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     main(["sweep", str(small_scenario), "--out", str(out1)])
     main(["sweep", str(small_scenario), "--out", str(out2)])
@@ -126,8 +123,7 @@ REFERENCE_SHA256 = {
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_SHA256))
-def test_shipped_sweeps_match_reference_bytes(name, tmp_path, monkeypatch):
-    monkeypatch.setenv("ZRSIM_WORKERS", "1")
+def test_shipped_sweeps_match_reference_bytes(name, tmp_path):
     out = tmp_path / name
     assert main(["sweep", str(SCENARIOS / f"{name}.json"), "--out", str(out)]) == EXIT_OK
     files = ("grid.csv", "summary.json", "discounts.csv")[: len(REFERENCE_SHA256[name])]
@@ -135,17 +131,7 @@ def test_shipped_sweeps_match_reference_bytes(name, tmp_path, monkeypatch):
     assert digests == REFERENCE_SHA256[name]
 
 
-def test_parallel_sweep_matches_serial(small_scenario, tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    monkeypatch.setenv("ZRSIM_WORKERS", "1")
-    main(["sweep", str(small_scenario), "--out", str(out1)])
-    monkeypatch.setenv("ZRSIM_WORKERS", "3")
-    main(["sweep", str(small_scenario), "--out", str(out2)])
-    assert (out1 / "grid.csv").read_bytes() == (out2 / "grid.csv").read_bytes()
-
-
-def test_sweep_discount_mode_writes_discounts(tmp_path, monkeypatch):
-    monkeypatch.setenv("ZRSIM_WORKERS", "1")
+def test_sweep_discount_mode_writes_discounts(tmp_path):
     doc = {
         "market": {
             "n_cps": 2, "n_isps": 2, "alpha": 0.5, "c": 0.5,
@@ -169,8 +155,7 @@ def test_sweep_discount_mode_writes_discounts(tmp_path, monkeypatch):
     assert (out / "grid.csv").exists() and (out / "summary.json").exists()
 
 
-def test_no_zre_rows_encode_literal_zeros(tmp_path, monkeypatch):
-    monkeypatch.setenv("ZRSIM_WORKERS", "1")
+def test_no_zre_rows_encode_literal_zeros(tmp_path):
     doc = json.loads((SCENARIOS / "bandwidth_high.json").read_text())
     doc["price_grid"] = [[0.3], [0.3]]  # a known no-equilibrium cell
     del doc["expected_no_zre"]
@@ -226,6 +211,15 @@ def test_zre_verb_prints_equilibria(capsys):
 def test_zre_verb_wrong_price_count(capsys):
     code = main(["zre", str(SCENARIOS / "benchmark.json"), "--p", "0.1"])
     assert code == EXIT_INVALID
+
+
+@pytest.mark.parametrize("price, shown", [("1.5", "1.5"), ("nan", "nan")])
+def test_zre_verb_out_of_range_price_exits_2(price, shown, capsys):
+    code = main(["zre", str(SCENARIOS / "benchmark.json"), "--p", price, "0.5"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == f"error: p[0] must lie in [0, 1], got {shown}\n"
+    assert captured.out == ""
 
 
 def test_zre_verb_reports_no_zre(capsys):

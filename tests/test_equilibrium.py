@@ -398,9 +398,9 @@ class TestDiscountGame:
         block_sizes = []
         scores = equilibrium._scores
 
-        def recorded(config, cells, users, delta):
+        def recorded(config, cells, users, p, delta):
             block_sizes.append((len(delta), cells.size))
-            return scores(config, cells, users, delta)
+            return scores(config, cells, users, p, delta)
 
         monkeypatch.setattr(equilibrium, "_scores", recorded)
         bench = load_scenario(SCENARIOS / "benchmark.json").config
@@ -418,7 +418,19 @@ class TestDiscountGame:
         without_zre = 0
         for config, grid in cases:
             profiles = list(itertools.product(grid, repeat=config.n_isps))
-            codes, stable, revenue = equilibrium._discount_table(config, profiles)
+            # One cell's table as solve_grid builds it: every discount
+            # profile of the cell is a market of the leading axis.
+            codes, steps = equilibrium._profiles(config)
+            cells = market.profile_cells(codes, config.n_cps, config.n_isps)
+            users = market.effective_users(config, cells)
+            stable, _, revenue = equilibrium._market_table(
+                config, cells, users, equilibrium._rank(config, codes), steps,
+                np.tile(config.p, (len(profiles), 1)), np.array(profiles),
+            )
+            one_profile = block_sizes[0][1]
+            assert sum(d for d, _ in block_sizes) == len(profiles)
+            largest = max(d * size for d, size in block_sizes)
+            assert largest <= max(one_profile, market.BLOCK_ELEMENTS)
             for delta, mask, row in zip(profiles, stable, revenue):
                 market_at = config.with_delta(delta)
                 result = enumerate_zre(market_at)
@@ -428,10 +440,6 @@ class TestDiscountGame:
                     without_zre += 1
                 else:
                     assert np.array_equal(row, payoffs(market_at, result.selected).isp_revenue)
-            one_profile = block_sizes[0][1]
-            assert sum(d for d, _ in block_sizes) == len(profiles)
-            largest = max(d * size for d, size in block_sizes)
-            assert largest <= max(one_profile, market.BLOCK_ELEMENTS)
             block_sizes.clear()
         assert without_zre > 0
 

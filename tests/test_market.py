@@ -14,11 +14,10 @@ from zrsim import (
     StrategyMatrix,
     allocate,
     choice_probability,
-    extend_theta,
     merge_providers,
     oracle_allocate,
 )
-from zrsim.market import aux_members, masks_containing
+from zrsim.market import _bundles_zero_rated, _members, aux_members, masks_containing
 
 from conftest import random_config, random_theta
 
@@ -85,23 +84,22 @@ class TestStrategyMatrix:
 
 
 class TestExtendTheta:
+    @staticmethod
+    def _extended(theta):
+        # Relations extended to the lattice, [s, j]: auxiliary CP s x ISP j,
+        # the dummy ISP at column 0.
+        return _bundles_zero_rated(theta.as_array()[None] == 1, _members(theta.n_cps))[0]
+
     def test_bundle_requires_all_members(self):
-        theta = StrategyMatrix(((1, 0), (1, 1)))
+        ext = self._extended(StrategyMatrix(((1, 0), (1, 1))))
         # bundle {CP1, CP2} = mask 3; ISP indices include the dummy at 0
-        assert extend_theta(theta, 3, 1) == 1
-        assert extend_theta(theta, 3, 2) == 0
+        assert ext[3, 1] == 1
+        assert ext[3, 2] == 0
 
     def test_dummies_never_zero_rated(self):
-        theta = StrategyMatrix.ones(2, 2)
-        assert extend_theta(theta, 0, 1) == 0
-        assert extend_theta(theta, 3, 0) == 0
-
-    def test_index_errors(self):
-        theta = StrategyMatrix.ones(2, 2)
-        with pytest.raises(InvalidArgument):
-            extend_theta(theta, 4, 1)
-        with pytest.raises(InvalidArgument):
-            extend_theta(theta, 1, 3)
+        ext = self._extended(StrategyMatrix.ones(2, 2))
+        assert ext[0, 1] == 0
+        assert ext[3, 0] == 0
 
     def test_aux_helpers(self):
         assert aux_members(5) == (0, 2)

@@ -1,0 +1,182 @@
+"""The scenario-level driver against a per-cell reference.
+
+The reference solves each cell on its own from ``_profiles``,
+``code_scores`` and ``_stable``, selects with ``select_zre``, flags with
+``detect_pressure`` and records both worlds with ``payoffs`` and ``hhi``:
+none of it runs through :func:`zrsim.equilibrium.solve_grid`.  Price axes
+hold 0.0, so every set of zero-price ISPs (every group of the driver)
+occurs.
+"""
+
+import itertools
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from zrsim import (
+    CapacityError,
+    DiscountCell,
+    MarketConfig,
+    StrategyMatrix,
+    SweepRecord,
+    ZreResult,
+    ZreStatus,
+    analysis,
+    detect_pressure,
+    discount_equilibrium,
+    discount_grid_sweep,
+    enumerate_zre,
+    equilibrium,
+    grid_sweep,
+    hhi,
+    load_scenario,
+    market,
+    payoffs,
+    select_zre,
+)
+from zrsim.equilibrium import GAIN_TOL
+from zrsim.payoff import code_scores
+
+from conftest import random_config
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
+
+
+def _reference_zre(cell: MarketConfig) -> ZreResult:
+    n, m = cell.n_cps, cell.n_isps
+    codes, steps = equilibrium._profiles(cell)
+    u, r = code_scores(cell, codes)
+    found = codes[equilibrium._stable(u, r, equilibrium._moves(steps, len(codes)), len(codes))]
+    if not len(found):
+        return ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
+    all_zre = tuple(StrategyMatrix.from_bitstring(format(c, f"0{n * m}b"), n, m) for c in found)
+    selected = select_zre(all_zre, cell)
+    return ZreResult(ZreStatus.EQUILIBRIA_FOUND, all_zre, selected, detect_pressure(cell, selected))
+
+
+def _shares(cell: MarketConfig, theta: StrategyMatrix) -> np.ndarray:
+    x_pair = market.allocate(cell, theta).x_pair
+    return analysis._shares(analysis._effective_users_per_cp(cell, x_pair))
+
+
+def _reference_record(cell: MarketConfig, zre: ZreResult | None) -> SweepRecord:
+    n = cell.n_cps
+    if zre is None or zre.selected is None:
+        zeros = (0.0,) * n
+        return SweepRecord(cell.p, ZreStatus.NO_ZRE, None, zeros, zeros, 0.0, (False,) * n)
+    base, sel = StrategyMatrix.zeros(n, cell.n_isps), zre.selected
+    return SweepRecord(
+        prices=cell.p,
+        status=zre.status,
+        selected=sel,
+        delta_utility=tuple(
+            float(v) for v in payoffs(cell, sel).cp_utility - payoffs(cell, base).cp_utility
+        ),
+        delta_share=tuple(float(v) for v in _shares(cell, sel) - _shares(cell, base)),
+        delta_hhi=hhi(cell, sel) - hhi(cell, base),
+        pressure=zre.pressure,
+    )
+
+
+def _reference_discount(cell: MarketConfig, grid: tuple[float, ...]) -> DiscountCell:
+    m = cell.n_isps
+    axes = [grid[-1:] if p == 0.0 else grid for p in cell.p]
+    revenue = {}
+    for delta in itertools.product(*axes):
+        zre = _reference_zre(cell.with_delta(delta))
+        if zre.selected is not None:
+            revenue[delta] = payoffs(cell.with_delta(delta), zre.selected).isp_revenue
+    nash = [
+        delta
+        for delta, rev in revenue.items()
+        if not any(
+            revenue[dev][j] > rev[j] + GAIN_TOL
+            for j in range(m)
+            for alt in axes[j]
+            if (dev := delta[:j] + (alt,) + delta[j + 1:]) in revenue
+        )
+    ]
+    if not nash:
+        return DiscountCell(_reference_record(cell, None), None)
+    tie = max(range(m), key=lambda j: (cell.p[j], j))
+    star = max(nash, key=lambda d: (sum(d), d[tie], d[::-1]))
+    at = cell.with_delta(star)
+    return DiscountCell(_reference_record(at, _reference_zre(at)), star)
+
+
+def _cases():
+    rng = np.random.default_rng(41)
+    high = load_scenario(SCENARIOS / "bandwidth_high.json").config
+    bench = load_scenario(SCENARIOS / "benchmark.json").config
+    # (config, price axes, discount grid); bandwidth_high at (0.3, 0.3)
+    # has no equilibrium and the benchmark at (0.6, 0.8) no discount
+    # equilibrium on this grid.
+    cases = [
+        (high, ((0.0, 0.3), (0.0, 0.3)), (0.5, 1.0)),
+        (bench, ((0.0, 0.6), (0.0, 0.8)), (0.2, 0.6, 1.0)),
+    ]
+    for n, m, count in ((2, 2, 3), (2, 3, 2), (3, 3, 1)):
+        for _ in range(count):
+            config = random_config(rng, n, m)
+            axes = tuple((0.0, float(rng.uniform(0.05, 1.0))) for _ in range(m))
+            cases.append((config, axes, (0.5, 1.0)))
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.fixture(scope="module")
+def references():
+    out = []
+    for config, axes, grid in CASES:
+        cells = [config.with_prices(prices) for prices in itertools.product(*axes)]
+        zres = [_reference_zre(cell) for cell in cells]
+        records = [_reference_record(cell, zre) for cell, zre in zip(cells, zres)]
+        out.append((cells, zres, records, [_reference_discount(cell, grid) for cell in cells]))
+    return out
+
+
+@pytest.mark.parametrize("block_elements", [None, 1, 1000])
+def test_driver_equals_per_cell_reference(block_elements, references, monkeypatch):
+    # 1 puts every market (and, in _scores, every profile) in a block of
+    # its own; 1000 gives ragged blocks.
+    if block_elements is not None:
+        monkeypatch.setattr(market, "BLOCK_ELEMENTS", block_elements)
+    statuses = set()
+    for (config, axes, grid), (cells, zres, records, discounts) in zip(CASES, references):
+        solved = analysis._sweep(config, axes)
+        assert [solution.config for solution, _ in solved] == cells
+        assert [solution.zre for solution, _ in solved] == zres
+        assert [record for _, record in solved] == records
+        assert grid_sweep(config, axes) == records
+        assert discount_grid_sweep(config, axes, grid) == discounts
+        for cell, zre, discount in zip(cells, zres, discounts):
+            assert enumerate_zre(cell) == zre
+            outcome = discount_equilibrium(cell, grid)
+            assert outcome.delta_star == discount.delta_star
+            assert (outcome.zre and outcome.zre.selected) == discount.record.selected
+            statuses.add((zre.status, outcome.status))
+    # Cells without an equilibrium and without a discount equilibrium occur.
+    assert {status for status, _ in statuses} == set(ZreStatus)
+    assert len({status for _, status in statuses}) == 2
+
+
+def test_guard_raises_before_any_allocation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("allocation started before the capacity guard")
+
+    monkeypatch.setattr(market, "allocations", refuse)
+    monkeypatch.setattr(analysis, "allocations", refuse)
+    config = MarketConfig(
+        n_cps=3, n_isps=7, alpha=0.5, c=0.5,
+        q=(0.2, 0.5, 1.0), p=(0.5,) * 7, delta=(1.0,) * 7,
+        phi=(0.125,) * 8, psi=(0.125,) * 8,
+    )
+    with pytest.raises(CapacityError):
+        enumerate_zre(config)
+    with pytest.raises(CapacityError):
+        grid_sweep(config, ((0.0, 0.5),) * 7)
+    with pytest.raises(CapacityError):
+        discount_grid_sweep(config, ((0.5,),) * 7, (1.0,))
