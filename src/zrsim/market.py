@@ -42,9 +42,10 @@ SHARE_TOL = 1e-12
 # processes whose imports take about 35 MB): the 125-cell 3 x 3 sweep of
 # the wide-market benchmark and the 121-cell discount_game.json sweep each
 # add 1.5 MB to the peak RSS instead of 11.9 MB and 31 MB, in the same time
-# (about 45 ms and 85 ms); one 4 x 4 enumerate_zre takes about 240 ms and
-# 22 MB instead of 350 ms and 48 MB.
+# (about 45 ms and 85 ms); one 4 x 4 enumerate_zre adds 28 MB instead of
+# 55 MB and takes about three quarters of the time.
 BLOCK_ELEMENTS = 1 << 14
+
 
 def _as_float_tuple(values: Sequence[float]) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
