@@ -48,7 +48,6 @@ from .market import (
     allocate,
     aux_members,
     choice_probability,
-    masks_containing,
     merge_providers,
 )
 from .oracle import (
@@ -104,7 +103,6 @@ __all__ = [
     "hhi_variance_identity",
     "is_zre",
     "load_scenario",
-    "masks_containing",
     "merge_providers",
     "oracle_allocate",
     "oracle_verify_zre",

@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import DomainError, InvalidArgument
 from .equilibrium import DEFAULT_DELTA_GRID, CellSolution, ZreStatus, solve_grid
-from .market import (
-    MarketConfig, StrategyMatrix, allocate, allocations, masks_containing, profile_cells
-)
+from .market import MarketConfig, StrategyMatrix, _members, allocate, allocations, profile_cells
+from .payoff import _scores
 
 SIGN_TOL = 1e-12
 
@@ -54,9 +53,10 @@ class SignSummary:
 def _effective_users_per_cp(config: MarketConfig, x_pair: np.ndarray) -> np.ndarray:
     # Sums over every ISP column including the dummy: a CP's concentration
     # is measured over all of its users, wherever they connect.
+    members = _members(config.n_cps)
     totals = np.empty(config.n_cps)
     for i in range(config.n_cps):
-        totals[i] = x_pair[list(masks_containing(i, config.n_cps)), :].sum()
+        totals[i] = x_pair[members[:, i] == 1, :].sum()
     return totals
 
 
@@ -124,26 +124,31 @@ def _sweep(
 ) -> list[tuple[CellSolution, SweepRecord]]:
     """Every price-grid cell solved by :func:`~zrsim.equilibrium.solve_grid`
     with its two-world record, row-major.  Shares and the Herfindahl index
-    read only the profile, so each is computed once per selected profile."""
+    read only the profile, so each is computed once per selected profile.
+    The CP utilities of the world without zero-rating (code 0) read neither
+    p nor delta, because every pair pays q * c per user, so they are scored
+    once, from the allocation that gives its shares."""
     solutions = solve_grid(config, p_grid, delta_grid)
-    chosen = {0} | {s.zre.selected.encoding() for s in solutions if s.utility is not None}
+    chosen = {0} | {s.zre.selected.encoding() for s in solutions if s.zre.selected is not None}
     codes = sorted(chosen)
-    _, x_pair, _ = allocations(config, profile_cells(codes, config.n_cps, config.n_isps))
+    cells = profile_cells(codes, config.n_cps, config.n_isps)
+    _, x_pair, x_effective = allocations(config, cells)
+    u_base = _scores(config, cells[:1], x_effective[:1], config.p, config.delta)[0][0]
     totals = [_effective_users_per_cp(config, x) for x in x_pair]
     worlds = {code: (_shares(t), _hhi(t)) for code, t in zip(codes, totals)}
     base_share, base_hhi = worlds[0]
     out = []
     for solution in solutions:
-        if solution.utility is None:
+        zre = solution.zre
+        if zre.selected is None:
             out.append((solution, _empty_record(solution.config)))
             continue
-        zre, (u_base, u_sel) = solution.zre, solution.utility
         share, hhi_sel = worlds[zre.selected.encoding()]
         record = SweepRecord(
             prices=solution.config.p,
             status=zre.status,
             selected=zre.selected,
-            delta_utility=tuple(float(v) for v in u_sel - u_base),
+            delta_utility=tuple(float(v) for v in solution.utility - u_base),
             delta_share=tuple(float(v) for v in share - base_share),
             delta_hhi=hhi_sel - base_hhi,
             pressure=zre.pressure,
@@ -188,7 +193,7 @@ def discount_grid_sweep(
     two-world deltas under the selected discount profile.
     """
     return [
-        DiscountCell(record, solution.config.delta if solution.zre is not None else None)
+        DiscountCell(record, None if solution.zre.selected is None else solution.config.delta)
         for solution, record in _sweep(config, p_grid, delta_grid)
     ]
 

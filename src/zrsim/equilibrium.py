@@ -18,9 +18,11 @@ Profiles are integer codes (see :mod:`zrsim.market`) scored in batches.
 effective users: cells are grouped by their zero-price ISPs, and every cell
 of a group is scored, tested for stability and tie-broken as arrays led by
 a market axis (price cell, times discount profile in the discount game),
-in blocks.  :func:`enumerate_zre` and :func:`discount_equilibrium` are its
-one-cell case; :func:`is_zre`, :func:`detect_pressure` and the dynamics
-score a profile and its flips.
+in blocks.  It scores only the selected world; the world without
+zero-rating, the all-zero profile, reads neither prices nor discounts and
+is scored once per sweep by :mod:`zrsim.analysis`.  :func:`enumerate_zre`
+and :func:`discount_equilibrium` are its one-cell case; :func:`is_zre`,
+:func:`detect_pressure` and the dynamics score a profile and its flips.
 """
 
 from __future__ import annotations
@@ -99,13 +101,15 @@ class CellSolution:
     """One price cell solved by :func:`solve_grid`.
 
     ``config`` is the cell's market: its prices and, in the discount game,
-    the selected discount profile.  ``zre`` is None only where the discount
-    game has no equilibrium.  ``utility`` holds the CP utilities ``[2, N]``
-    of the all-zero profile and of the selected one, when one is selected.
+    the selected discount profile.  ``zre`` is a NO_ZRE result, with no
+    selection, where the cell has no equilibrium or the discount game has
+    none.  ``utility`` holds the CP utilities ``[N]`` of the selected
+    profile, None where there is none; the world without zero-rating is
+    :mod:`zrsim.analysis`'s to score.
     """
 
     config: MarketConfig
-    zre: ZreResult | None
+    zre: ZreResult
     utility: np.ndarray | None = None
 
 
@@ -468,17 +472,21 @@ def solve_grid(
     Effective users and the tie-break rank read neither prices nor
     discounts, so one table of each serves the whole grid.  Cells are
     grouped by their zero-price ISPs, which fix the forced cells and so the
-    profiles; the markets of a group (cells, times discount profiles) are
-    scored, tested for stability and tie-broken as arrays, in blocks.
-    Pressure flags and the two-world utilities are scored once per selected
-    profile, for all cells that select it.
+    profiles; the markets of a group (cells, times discount profiles, one
+    profile of ``config.delta`` without ``delta_grid``) are scored, tested
+    for stability and tie-broken as arrays, in blocks.  Pressure flags and
+    the selected profile's utilities are scored once per selected profile,
+    for all cells that select it.  A cell without an equilibrium, or
+    without a discount equilibrium, holds one shared NO_ZRE result.
     """
     n, m = config.n_cps, config.n_isps
     if len(p_grid) != m:
         raise InvalidArgument(f"p_grid must have one value list per ISP ({m})")
     if any(len(axis) == 0 for axis in p_grid):
         raise InvalidArgument("p_grid axes must be nonempty")
-    if delta_grid is not None:
+    if delta_grid is None:
+        delta_axes = [(v,) for v in config.delta]
+    else:
         grid = _checked_delta_grid(delta_grid)
         work = len(grid) ** m * (1 << (n * m))
         if work > DISCOUNT_WORK_GUARD:
@@ -486,6 +494,7 @@ def solve_grid(
                 f"discount game needs {work} profile evaluations, above the guard "
                 f"of {DISCOUNT_WORK_GUARD}"
             )
+        delta_axes = [grid] * m
     cells = [
         config if prices == config.p else config.with_prices(prices)
         for prices in itertools.product(*map(_as_float_tuple, p_grid))
@@ -495,7 +504,6 @@ def solve_grid(
         groups[tuple(p == 0.0 for p in cell.p)].append(k)
     profiles = {zero: _profiles(cells[ks[0]]) for zero, ks in groups.items()}
     used = np.zeros(1 << (n * m), dtype=bool)
-    used[0] = True  # the all-zero profile: the records' world without zero-rating
     for codes, _ in profiles.values():
         used[codes] = True
     table = np.flatnonzero(used)
@@ -503,44 +511,39 @@ def solve_grid(
     users = effective_users(config, table_cells)
     rank = _rank(config, table)
 
-    solved: list[CellSolution] = [None] * len(cells)
+    no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
+    solved = [CellSolution(cell, no_zre) for cell in cells]
     for zero, ks in groups.items():
         codes, steps = profiles[zero]
         rows = slice(None) if len(codes) == len(table) else np.searchsorted(table, codes)
-        if delta_grid is None:
-            axes = [(v,) for v in config.delta]
-        else:
-            # A zero-price ISP's delta multiplies p = 0, so every value gives
-            # the same market; only the largest, which the selection prefers,
-            # is solved.  Its axis then has no deviation to gain from.
-            axes = [grid[-1:] if free else grid for free in zero]
+        # A zero-price ISP's delta multiplies p = 0, so every value gives the
+        # same market; only the largest, which the selection prefers, is
+        # solved.  Its axis then has no deviation to gain from.
+        axes = [axis[-1:] if free else axis for free, axis in zip(zero, delta_axes)]
         group = (table_cells[rows], users[rows], rank[rows], steps)
         selected_by = defaultdict(list)
         hits = _group_equilibria(config, [cells[k] for k in ks], codes, group, axes)
         for k, hit in zip(ks, hits):
-            if hit is None:
-                no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
-                solved[k] = CellSolution(cells[k], no_zre if delta_grid is None else None)
-            else:
+            if hit is not None:
                 selected_by[hit[2]].append((k,) + hit)
 
-        # Pressure rows and both worlds, once per selected profile for all
-        # the cells that select it.
+        # Pressure rows and the selected world's utilities, once per
+        # selected profile for all the cells that select it.
         for code, members in selected_by.items():
             checked, counterfactual, keep = _pressure_rows(cells[members[0][0]], code)
-            scored = np.searchsorted(table, [0, code] + counterfactual)
+            scored = np.searchsorted(table, [code] + counterfactual)
             u = _scores(
                 config, table_cells[scored], users[scored],
                 [cells[k].p for k, *_ in members], [delta for _, delta, *_ in members],
             )[0]
             for (k, delta, found, _), utility, flags in zip(
-                members, u[:, :2], _pressure(u[:, 2:], checked, keep)
+                members, u[:, 0], _pressure(u[:, 1:], checked, keep)
             ):
                 all_zre = tuple(_matrix(c, config) for c in found)
                 chosen = all_zre[int(np.searchsorted(found, code))]
                 pressure = tuple(bool(f) for f in flags)
                 zre = ZreResult(ZreStatus.EQUILIBRIA_FOUND, all_zre, chosen, pressure)
-                cell = cells[k] if delta_grid is None else cells[k].with_delta(delta)
+                cell = cells[k] if delta == cells[k].delta else cells[k].with_delta(delta)
                 solved[k] = CellSolution(cell, zre, utility)
     return solved
 
@@ -559,6 +562,6 @@ def discount_equilibrium(
     components.  This is the one-cell case of :func:`solve_grid`.
     """
     [cell] = solve_grid(config, [(p,) for p in config.p], delta_grid)
-    if cell.zre is None:
+    if cell.zre.selected is None:
         return DiscountOutcome(DiscountStatus.NO_DISCOUNT_EQUILIBRIUM, None, None)
     return DiscountOutcome(DiscountStatus.EQUILIBRIUM_FOUND, cell.config.delta, cell.zre)

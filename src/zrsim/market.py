@@ -26,6 +26,7 @@ cell and discount profile of a scenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -67,7 +68,8 @@ class MarketConfig:
             (mask 0 = dummy CP); length 2**n_cps, entries in (0, 1], sums to 1.
         psi: baseline share of every ISP including the dummy at index 0;
             length n_isps + 1, entries in (0, 1], sums to 1.
-        total_users: market size; defaults to 1 so allocations read as shares.
+        total_users: market size, positive and finite; defaults to 1 so
+            allocations read as shares.
     """
 
     n_cps: int
@@ -97,8 +99,8 @@ class MarketConfig:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 < self.c <= 1.0:
             raise ConfigError(f"c must lie in (0, 1], got {self.c}")
-        if self.total_users <= 0.0:
-            raise ConfigError(f"total_users must be positive, got {self.total_users}")
+        if not 0.0 < self.total_users < math.inf:
+            raise ConfigError(f"total_users must be positive and finite, got {self.total_users}")
         if len(self.q) != self.n_cps:
             raise ConfigError(f"q must have length {self.n_cps}, got {len(self.q)}")
         if len(self.p) != self.n_isps:
@@ -148,11 +150,6 @@ def check_unit_interval(name: str, values: Iterable[float]) -> None:
 def aux_members(mask: int) -> tuple[int, ...]:
     """Actual CP indices bundled in auxiliary CP ``mask``."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def masks_containing(cp: int, n_cps: int) -> tuple[int, ...]:
-    """All auxiliary masks whose bundle includes actual CP ``cp``."""
-    return tuple(s for s in range(1 << n_cps) if s >> cp & 1)
 
 
 @dataclass(frozen=True)
@@ -303,12 +300,6 @@ def blocks(count: int, entries: int) -> Iterator[slice]:
     return (slice(start, start + size) for start in range(0, count, size))
 
 
-def profile_blocks(config: MarketConfig, count: int) -> Iterator[slice]:
-    """Consecutive slices of ``count`` profiles, each within BLOCK_ELEMENTS
-    allocation entries."""
-    return blocks(count, config.lattice_size * (config.n_isps + 1))
-
-
 def allocations(config: MarketConfig, cells: np.ndarray) -> tuple[np.ndarray, ...]:
     """``rho``, ``x_pair`` and ``x_effective`` (see :class:`AllocationTable`)
     of every profile in ``cells``, stacked along a leading profile axis."""
@@ -334,7 +325,7 @@ def effective_users(config: MarketConfig, cells: np.ndarray) -> np.ndarray:
     serves every price and discount of a market.
     """
     users = np.empty(cells.shape)
-    for block in profile_blocks(config, len(cells)):
+    for block in blocks(len(cells), config.lattice_size * (config.n_isps + 1)):
         users[block] = allocations(config, cells[block])[2]
     return users
 

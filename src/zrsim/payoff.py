@@ -17,8 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .market import (
-    MarketConfig, StrategyMatrix, _check_dims, blocks, effective_users, profile_blocks,
-    profile_cells
+    MarketConfig, StrategyMatrix, _check_dims, blocks, effective_users, profile_cells
 )
 
 
@@ -57,9 +56,12 @@ def _pair_payoffs(
 
 
 def _scores(config: MarketConfig, cells: np.ndarray, users: np.ndarray, p, delta) -> Scores:
-    """:func:`scores` at the prices ``p`` and discounts ``delta`` (see
-    :func:`_pair_payoffs`), in blocks of profiles within BLOCK_ELEMENTS
-    pair entries, so a single large market never holds its pair table."""
+    """CP utilities ``U[..., k, i]`` and ISP revenues ``R[..., k, j]`` of each
+    profile, given its effective users (see
+    :func:`~zrsim.market.effective_users`), at the prices ``p`` and discounts
+    ``delta`` (see :func:`_pair_payoffs`), in blocks of profiles within
+    BLOCK_ELEMENTS pair entries, so a single large market never holds its
+    pair table."""
     p, delta = np.asarray(p, dtype=float), np.asarray(delta, dtype=float)
     n, m = config.n_cps, config.n_isps
     u = np.empty(p.shape[:-1] + (len(cells), n))
@@ -70,22 +72,11 @@ def _scores(config: MarketConfig, cells: np.ndarray, users: np.ndarray, p, delta
     return u, r
 
 
-def scores(config: MarketConfig, cells: np.ndarray, users: np.ndarray) -> Scores:
-    """CP utilities ``U[k, i]`` and ISP revenues ``R[k, j]`` of each profile,
-    given its effective users (see :func:`~zrsim.market.effective_users`)."""
-    return _scores(config, cells, users, config.p, config.delta)
-
-
 def code_scores(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> Scores:
-    """:func:`scores` of profile codes, allocated and scored block by block,
-    so memory is held by the per-code results rather than the allocation."""
-    codes = np.asarray(codes, dtype=np.int64)
-    u = np.empty((len(codes), config.n_cps))
-    r = np.empty((len(codes), config.n_isps))
-    for block in profile_blocks(config, len(codes)):
-        cells = profile_cells(codes[block], config.n_cps, config.n_isps)
-        u[block], r[block] = scores(config, cells, effective_users(config, cells))
-    return u, r
+    """:func:`_scores` of profile codes at the prices and discounts of
+    ``config``; the allocation and the scoring each work in blocks."""
+    cells = profile_cells(codes, config.n_cps, config.n_isps)
+    return _scores(config, cells, effective_users(config, cells), config.p, config.delta)
 
 
 def payoffs(config: MarketConfig, theta: StrategyMatrix) -> PayoffVector:

@@ -24,6 +24,7 @@ anywhere are rejected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -148,13 +149,15 @@ def parse_scenario(doc, text: str = "") -> Scenario:
             n_cps=market["n_cps"],
             n_isps=n_isps,
             alpha=_require_number(text, "market.alpha", market["alpha"], 0.0, 1.0),
-            c=market["c"],
+            c=_require_number(text, "market.c", market["c"], 0.0, 1.0),
             q=_require_number_list(text, "market.q", market["q"], 0.0, 1.0),
             p=tuple(axis[0] for axis in price_grid),
             delta=_require_number_list(text, "market.delta", market["delta"], 0.0, 1.0),
             phi=_require_number_list(text, "market.phi", market["phi"], 0.0, 1.0),
             psi=_require_number_list(text, "market.psi", market["psi"], 0.0, 1.0),
-            total_users=market.get("total_users", 1.0),
+            total_users=_require_number(
+                text, "market.total_users", market.get("total_users", 1.0), 0.0, math.inf
+            ),
         )
     except ConfigError as exc:
         raise ScenarioError(f"market: {exc}{_key_line(text, 'market')}") from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import SweepRecord, _sweep, hhi, hhi_variance_identity
-from .equilibrium import ZreResult, ZreStatus, is_zre
+from .equilibrium import ZreResult, ZreStatus, _high_value_cp, is_zre
 from .market import MarketConfig, StrategyMatrix, allocate
 from .oracle import oracle_allocate, oracle_verify_zre
 from .scenario import Scenario
@@ -153,10 +153,12 @@ def check_hhi_nondecreasing(scenario: Scenario, results: GridResults) -> CheckRe
 
 def check_low_value_utility_drop(scenario: Scenario, results: GridResults) -> CheckResult:
     config = scenario.config
-    low = int(np.argmin(config.q))
-    high = int(np.argmax(config.q))
-    if low == high:
+    if config.n_cps == 1:
         return CheckResult("low-value-utility-drop", None, "skipped: single CP")
+    if min(config.q) == max(config.q):
+        return CheckResult("low-value-utility-drop", None, "skipped: all CP values equal")
+    # The engine's high-value CP: on tied top values, the later one.
+    low, high = int(np.argmin(config.q)), _high_value_cp(config)
     hits = 0
     for cell, result, record in results:
         if result.selected is None:

@@ -3,11 +3,12 @@
 import csv
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from zrsim.cli import EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, fmt_num, main
+from zrsim.cli import EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, fmt_num, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
@@ -155,6 +156,71 @@ def test_sweep_discount_mode_writes_discounts(tmp_path):
     assert (out / "grid.csv").exists() and (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "price_grid, delta_grid, expected",
+    [
+        (
+            [[0.0, 0.5, 1.0]],
+            [0.0, 0.5, 1.0],
+            [["0", "1"], ["0.5", "1"], ["1", "0.5"]],
+        ),
+        (
+            [[0.0, 0.4], [0.5], [0.5, 1.0]],
+            [0.0, 0.25, 0.5, 0.75, 1.0],
+            [
+                ["0", "0.5", "0.5", "NODEQ", "NODEQ", "NODEQ"],
+                ["0", "0.5", "1", "1", "1", "0.25"],
+                ["0.4", "0.5", "0.5", "NODEQ", "NODEQ", "NODEQ"],
+                ["0.4", "0.5", "1", "1", "1", "0.25"],
+            ],
+        ),
+    ],
+    ids=["1-isp", "3-isp"],
+)
+def test_sweep_discount_mode_lists_cells_unless_duopoly(price_grid, delta_grid, expected, tmp_path):
+    # Without two ISPs there is no price matrix: one row per cell, in grid
+    # order, with its prices and its discount profile (or NODEQ per ISP).
+    m = len(price_grid)
+    doc = {
+        "market": {
+            "n_cps": 2, "n_isps": m, "alpha": 0.5, "c": 0.5,
+            "q": [0.4, 1.0], "delta": [1.0] * m,
+            "phi": [0.1, 0.4, 0.4, 0.1], "psi": [0.2] + [0.8 / m] * m,
+        },
+        "price_grid": price_grid,
+        "mode": "discount-game",
+        "delta_grid": delta_grid,
+    }
+    scenario = tmp_path / "disc.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", str(scenario), "--out", str(out)]) == EXIT_OK
+    with (out / "discounts.csv").open() as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == [f"p_{j}" for j in range(1, m + 1)] + [f"delta_{j}" for j in range(1, m + 1)]
+    assert rows[1:] == expected
+
+
+def test_capacity_guard_exits_3_fast(tmp_path, capsys):
+    doc = {
+        "market": {
+            "n_cps": 3, "n_isps": 7, "alpha": 0.5, "c": 0.5,
+            "q": [0.2, 0.5, 1.0], "delta": [1.0] * 7,
+            "phi": [0.125] * 8, "psi": [0.125] * 8,
+        },
+        "price_grid": [[0.5]] * 7,
+        "mode": "fixed-delta",
+    }
+    scenario = tmp_path / "wide.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["sweep", str(scenario), "--out", str(tmp_path / "out")])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_CAPACITY
+    assert capsys.readouterr().err.startswith("error:")
+    assert elapsed < 1.0
+
+
 def test_no_zre_rows_encode_literal_zeros(tmp_path):
     doc = json.loads((SCENARIOS / "bandwidth_high.json").read_text())
     doc["price_grid"] = [[0.3], [0.3]]  # a known no-equilibrium cell
@@ -198,6 +264,18 @@ def test_verify_fails_on_wrong_expectation(tmp_path, capsys):
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["verify", str(scenario)]) == EXIT_CHECK_FAILED
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_skips_utility_drop_on_tied_values(tmp_path, capsys):
+    # Two CPs of equal value have no low-value CP to lose utility.
+    doc = json.loads((SCENARIOS / "benchmark.json").read_text())
+    doc["market"]["q"] = [0.7, 0.7]
+    scenario = tmp_path / "tied.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(scenario)]) == EXIT_OK
+    [line] = [r for r in capsys.readouterr().out.splitlines() if "low-value-utility-drop" in r]
+    assert line.startswith("SKIP")
+    assert line.endswith("skipped: all CP values equal")
 
 
 def test_zre_verb_prints_equilibria(capsys):

@@ -17,7 +17,7 @@ from zrsim import (
     merge_providers,
     oracle_allocate,
 )
-from zrsim.market import _bundles_zero_rated, _members, aux_members, masks_containing
+from zrsim.market import _bundles_zero_rated, _members, aux_members
 
 from conftest import random_config, random_theta
 
@@ -103,8 +103,9 @@ class TestExtendTheta:
 
     def test_aux_helpers(self):
         assert aux_members(5) == (0, 2)
-        assert masks_containing(0, 2) == (1, 3)
-        assert masks_containing(1, 2) == (2, 3)
+        # The auxiliary masks whose bundle includes CP 0, and CP 1.
+        assert tuple(np.flatnonzero(_members(2)[:, 0])) == (1, 3)
+        assert tuple(np.flatnonzero(_members(2)[:, 1])) == (2, 3)
 
 
 class TestChoiceProbability:

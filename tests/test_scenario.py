@@ -5,6 +5,7 @@ import json
 import pytest
 
 from zrsim import ScenarioError
+from zrsim.cli import EXIT_INVALID, main
 from zrsim.scenario import load_scenario, parse_scenario
 
 GRID = [round(k / 10, 1) for k in range(11)]
@@ -129,3 +130,73 @@ def test_bundled_scenarios_all_valid():
             names.append(entry.name)
             parse_scenario(json.loads(entry.read_text(encoding="utf-8")))
     assert len(names) == 10
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("c", "abc"),
+        ("c", None),
+        ("c", "0.5"),
+        ("c", True),
+        ("total_users", "x"),
+        ("total_users", None),
+        ("total_users", True),
+        ("total_users", float("nan")),
+        ("total_users", float("inf")),
+    ],
+)
+def test_market_number_checked(key, value, tmp_path, capsys):
+    # Strings, null and booleans are not numbers, and a market size must be
+    # finite: each is an invalid scenario, never a traceback or NaN output.
+    doc = base_doc()
+    doc["market"][key] = value
+    with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
+        parse_scenario(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def _edit(path: str, value=None, delete: bool = False):
+    """An edit of base_doc() setting (or deleting) the dotted key ``path``."""
+
+    def apply(doc: dict) -> dict:
+        *parents, key = path.split(".")
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        if delete:
+            del target[key]
+        else:
+            target[key] = value
+        return doc
+
+    return apply
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_edit("market.alpha", "x"), r"^market\.alpha: expected a number"),
+        (lambda doc: [doc], r"^scenario must be a JSON object"),
+        (_edit("market", [1, 2]), r"^market: expected an object"),
+        (_edit("market.psi", delete=True), r"^market\.psi: missing required key"),
+        (_edit("market.n_cps", 0), r"^market\.n_cps: expected an integer >= 1"),
+        (_edit("mode", "scan"), r"^mode: must be one of"),
+        (_edit("price_grid", [GRID]), r"^price_grid: expected one value list per ISP"),
+        (_edit("expected_no_zre", {"p": [0.3, 0.3]}), r"^expected_no_zre: expected a list"),
+        (_edit("output", ["grid.csv"]), r"^output: expected an object"),
+        (_edit("output", {"grid": ""}), r"^output\.grid: expected a nonempty file name"),
+    ],
+    ids=[
+        "non-number", "document", "market", "missing-key", "n_cps", "mode",
+        "price_grid", "expected_no_zre", "output", "output-name",
+    ],
+)
+def test_schema_errors_name_the_key(edit, message):
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(edit(base_doc()))
