@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidArgument
-from .equilibrium import DEFAULT_DELTA_GRID, CellSolution, ZreStatus, solve_grid
+from .equilibrium import DEFAULT_DELTA_GRID, ZreResult, ZreStatus, solve_grid
 from .market import MarketConfig, StrategyMatrix, _members, allocate, allocations, profile_cells
-from .payoff import _scores
+from .payoff import _pair_payoffs
 
 SIGN_TOL = 1e-12
 
@@ -103,63 +103,55 @@ def hhi_variance_identity(shares: Sequence[float]) -> tuple[float, float]:
     return sum_of_squares, variance_form
 
 
-def _empty_record(config: MarketConfig) -> SweepRecord:
-    """Record of a cell without an equilibrium: both worlds coincide."""
-    n = config.n_cps
-    return SweepRecord(
-        prices=config.p,
-        status=ZreStatus.NO_ZRE,
-        selected=None,
-        delta_utility=(0.0,) * n,
-        delta_share=(0.0,) * n,
-        delta_hhi=0.0,
-        pressure=(False,) * n,
-    )
-
-
 def _sweep(
     config: MarketConfig,
     p_grid: Sequence[Sequence[float]],
     delta_grid: Sequence[float] | None = None,
-) -> list[tuple[CellSolution, SweepRecord]]:
+) -> list[tuple[MarketConfig, ZreResult, SweepRecord]]:
     """Every price-grid cell solved by :func:`~zrsim.equilibrium.solve_grid`
-    with its two-world record, row-major.  Shares and the Herfindahl index
-    read only the profile, so each is computed once per selected profile.
-    The CP utilities of the world without zero-rating (code 0) read neither
-    p nor delta, because every pair pays q * c per user, so they are scored
-    once, from the allocation that gives its shares."""
-    solutions = solve_grid(config, p_grid, delta_grid)
-    chosen = {0} | {s.zre.selected.encoding() for s in solutions if s.zre.selected is not None}
-    codes = sorted(chosen)
+    (its market, with the selected discount profile in the discount game,
+    and its equilibria) with its two-world record, row-major.
+
+    A cell without a selection counts as the all-zero profile (code 0), so
+    both of its worlds coincide and its deltas are exactly zero.  Shares
+    and the Herfindahl index read only the profile, so each is computed
+    once per distinct profile from one allocation, whose rows also give
+    the CP utilities of both worlds in one payoff evaluation: row 0 is the
+    world without zero-rating (which reads neither p nor delta, because
+    every pair pays q * c per user), the rest each cell's selected world at
+    its prices and discounts."""
+    solved = solve_grid(config, p_grid, delta_grid)
+    selected = [0 if zre.selected is None else zre.selected.encoding() for _, zre in solved]
+    codes = sorted({0, *selected})
     cells = profile_cells(codes, config.n_cps, config.n_isps)
     _, x_pair, x_effective = allocations(config, cells)
-    u_base = _scores(config, cells[:1], x_effective[:1], config.p, config.delta)[0][0]
     totals = [_effective_users_per_cp(config, x) for x in x_pair]
-    worlds = {code: (_shares(t), _hhi(t)) for code, t in zip(codes, totals)}
+    worlds = [(_shares(t), _hhi(t)) for t in totals]
+    rows = np.searchsorted(codes, [0] + selected)
+    prices = np.array([config.p] + [cell.p for cell, _ in solved])
+    deltas = np.array([config.delta] + [cell.delta for cell, _ in solved])
+    cp = _pair_payoffs(config, cells[rows, None], x_effective[rows, None], prices, deltas)[0]
+    u = cp.sum(axis=-1)[:, 0]
     base_share, base_hhi = worlds[0]
     out = []
-    for solution in solutions:
-        zre = solution.zre
-        if zre.selected is None:
-            out.append((solution, _empty_record(solution.config)))
-            continue
-        share, hhi_sel = worlds[zre.selected.encoding()]
+    for (cell, zre), row, utility in zip(solved, rows[1:], u[1:]):
+        share, hhi_sel = worlds[row]
         record = SweepRecord(
-            prices=solution.config.p,
+            prices=cell.p,
             status=zre.status,
             selected=zre.selected,
-            delta_utility=tuple(float(v) for v in solution.utility - u_base),
+            delta_utility=tuple(float(v) for v in utility - u[0]),
             delta_share=tuple(float(v) for v in share - base_share),
             delta_hhi=hhi_sel - base_hhi,
             pressure=zre.pressure,
         )
-        out.append((solution, record))
+        out.append((cell, zre, record))
     return out
 
 
 def compare_worlds(config: MarketConfig) -> SweepRecord:
     """One cell's record: selected equilibrium vs. the no-zero-rating world."""
-    return _sweep(config, [(p,) for p in config.p])[0][1]
+    return _sweep(config, [(p,) for p in config.p])[0][2]
 
 
 def grid_sweep(config: MarketConfig, p_grid: Sequence[Sequence[float]]) -> list[SweepRecord]:
@@ -169,7 +161,7 @@ def grid_sweep(config: MarketConfig, p_grid: Sequence[Sequence[float]]) -> list[
     from one table of effective users (see
     :func:`~zrsim.equilibrium.solve_grid`).
     """
-    return [record for _, record in _sweep(config, p_grid)]
+    return [record for _, _, record in _sweep(config, p_grid)]
 
 
 @dataclass(frozen=True)
@@ -193,8 +185,8 @@ def discount_grid_sweep(
     two-world deltas under the selected discount profile.
     """
     return [
-        DiscountCell(record, None if solution.zre.selected is None else solution.config.delta)
-        for solution, record in _sweep(config, p_grid, delta_grid)
+        DiscountCell(record, None if zre.selected is None else cell.delta)
+        for cell, zre, record in _sweep(config, p_grid, delta_grid)
     ]
 
 

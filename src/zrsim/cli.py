@@ -6,8 +6,9 @@ Verbs:
   writes ``grid.csv`` (one row per cell), ``summary.json`` (per-CP
   aggregates), and, in discount-game mode, ``discounts.csv`` (the selected
   discount profile per cell).
-* ``zrsim verify <scenario>`` runs the invariant battery and prints one
-  pass/fail line per check.
+* ``zrsim verify <scenario>`` runs the invariant battery on the records
+  ``sweep`` writes (in discount-game mode, the discount game's) and prints
+  one pass/fail line per check.
 * ``zrsim zre <scenario> --p <prices>`` inspects a single price point:
   all equilibria, the selected one, and the pressure flags.
 
@@ -32,7 +33,7 @@ from .analysis import (
     discount_grid_sweep,
     grid_sweep,
 )
-from .equilibrium import DEFAULT_DELTA_GRID, ZreStatus, enumerate_zre
+from .equilibrium import ZreStatus, enumerate_zre
 from .errors import CapacityError, ConfigError
 from .scenario import ScenarioError, load_scenario
 from .verify import run_battery
@@ -141,10 +142,12 @@ def write_discounts_csv(
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot create output directory {out_dir}: {exc}") from exc
     if scenario.mode == "discount-game":
-        delta_grid = scenario.delta_grid or DEFAULT_DELTA_GRID
-        cells = discount_grid_sweep(scenario.config, scenario.price_grid, delta_grid)
+        cells = discount_grid_sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
         records = [cell.record for cell in cells]
         write_discounts_csv(
             cells, out_dir / scenario.output_names["discounts"], scenario.price_grid

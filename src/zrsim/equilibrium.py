@@ -18,11 +18,11 @@ Profiles are integer codes (see :mod:`zrsim.market`) scored in batches.
 effective users: cells are grouped by their zero-price ISPs, and every cell
 of a group is scored, tested for stability and tie-broken as arrays led by
 a market axis (price cell, times discount profile in the discount game),
-in blocks.  It scores only the selected world; the world without
-zero-rating, the all-zero profile, reads neither prices nor discounts and
-is scored once per sweep by :mod:`zrsim.analysis`.  :func:`enumerate_zre`
-and :func:`discount_equilibrium` are its one-cell case; :func:`is_zre`,
-:func:`detect_pressure` and the dynamics score a profile and its flips.
+in blocks.  It returns equilibria only: the payoffs of both worlds, the
+selected profile and the all-zero one, are :mod:`zrsim.analysis`'s to
+score.  :func:`enumerate_zre` and :func:`discount_equilibrium` are its
+one-cell case; :func:`is_zre`, :func:`detect_pressure` and the dynamics
+score a profile and its flips.
 """
 
 from __future__ import annotations
@@ -94,23 +94,6 @@ class DiscountOutcome:
     status: DiscountStatus
     delta_star: tuple[float, ...] | None
     zre: ZreResult | None
-
-
-@dataclass(frozen=True)
-class CellSolution:
-    """One price cell solved by :func:`solve_grid`.
-
-    ``config`` is the cell's market: its prices and, in the discount game,
-    the selected discount profile.  ``zre`` is a NO_ZRE result, with no
-    selection, where the cell has no equilibrium or the discount game has
-    none.  ``utility`` holds the CP utilities ``[N]`` of the selected
-    profile, None where there is none; the world without zero-rating is
-    :mod:`zrsim.analysis`'s to score.
-    """
-
-    config: MarketConfig
-    zre: ZreResult
-    utility: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -212,7 +195,7 @@ def enumerate_zre(config: MarketConfig) -> ZreResult:
     computed only for the selected profile.  This is the one-cell case of
     :func:`solve_grid`.
     """
-    return solve_grid(config, [(p,) for p in config.p])[0].zre
+    return solve_grid(config, [(p,) for p in config.p])[0][1]
 
 
 def _high_value_cp(config: MarketConfig) -> int:
@@ -230,6 +213,8 @@ def select_zre(all_zre: Sequence[StrategyMatrix], config: MarketConfig) -> Strat
     """
     if not all_zre:
         raise ContractViolation("select_zre requires a nonempty equilibrium set")
+    for theta in all_zre:
+        _check_dims(config, theta)
     return all_zre[_rank(config, [theta.encoding() for theta in all_zre]).argmax()]
 
 
@@ -258,6 +243,7 @@ def detect_pressure(config: MarketConfig, selected: StrategyMatrix) -> tuple[boo
     relation (deviations "gain" only past GAIN_TOL, as everywhere).  Forced
     cells are not choices and never count.
     """
+    _check_dims(config, selected)
     _check_forced(selected, forced_cells(config))
     checked, codes, keep = _pressure_rows(config, selected.encoding())
     return tuple(bool(f) for f in _pressure(code_scores(config, codes)[0], checked, keep))
@@ -462,22 +448,24 @@ def solve_grid(
     config: MarketConfig,
     p_grid: Sequence[Sequence[float]],
     delta_grid: Sequence[float] | None = None,
-) -> list[CellSolution]:
-    """Solve ``config`` at every Cartesian price-grid point, row-major.
+) -> list[tuple[MarketConfig, ZreResult]]:
+    """Solve ``config`` at every Cartesian price-grid point, row-major:
+    one (cell market, :class:`ZreResult`) pair per cell.
 
     ``p_grid`` holds one value list per ISP.  Without ``delta_grid`` each
     cell is solved at ``config.delta``; with it each cell plays the ISP
-    discount game on that grid (see :func:`discount_equilibrium`).
+    discount game on that grid (see :func:`discount_equilibrium`), and its
+    market carries the selected discount profile.
 
     Effective users and the tie-break rank read neither prices nor
     discounts, so one table of each serves the whole grid.  Cells are
     grouped by their zero-price ISPs, which fix the forced cells and so the
     profiles; the markets of a group (cells, times discount profiles, one
     profile of ``config.delta`` without ``delta_grid``) are scored, tested
-    for stability and tie-broken as arrays, in blocks.  Pressure flags and
-    the selected profile's utilities are scored once per selected profile,
-    for all cells that select it.  A cell without an equilibrium, or
-    without a discount equilibrium, holds one shared NO_ZRE result.
+    for stability and tie-broken as arrays, in blocks.  Pressure flags are
+    scored once per selected profile, for all cells that select it.  A cell
+    without an equilibrium, or without a discount equilibrium, holds one
+    shared NO_ZRE result.  No payoff of either world is returned.
     """
     n, m = config.n_cps, config.n_isps
     if len(p_grid) != m:
@@ -512,7 +500,7 @@ def solve_grid(
     rank = _rank(config, table)
 
     no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
-    solved = [CellSolution(cell, no_zre) for cell in cells]
+    solved = [(cell, no_zre) for cell in cells]
     for zero, ks in groups.items():
         codes, steps = profiles[zero]
         rows = slice(None) if len(codes) == len(table) else np.searchsorted(table, codes)
@@ -527,24 +515,22 @@ def solve_grid(
             if hit is not None:
                 selected_by[hit[2]].append((k,) + hit)
 
-        # Pressure rows and the selected world's utilities, once per
-        # selected profile for all the cells that select it.
+        # Pressure rows, once per selected profile for all the cells that
+        # select it.
         for code, members in selected_by.items():
             checked, counterfactual, keep = _pressure_rows(cells[members[0][0]], code)
-            scored = np.searchsorted(table, [code] + counterfactual)
+            scored = np.searchsorted(table, counterfactual)
             u = _scores(
                 config, table_cells[scored], users[scored],
                 [cells[k].p for k, *_ in members], [delta for _, delta, *_ in members],
             )[0]
-            for (k, delta, found, _), utility, flags in zip(
-                members, u[:, 0], _pressure(u[:, 1:], checked, keep)
-            ):
+            for (k, delta, found, _), flags in zip(members, _pressure(u, checked, keep)):
                 all_zre = tuple(_matrix(c, config) for c in found)
                 chosen = all_zre[int(np.searchsorted(found, code))]
                 pressure = tuple(bool(f) for f in flags)
                 zre = ZreResult(ZreStatus.EQUILIBRIA_FOUND, all_zre, chosen, pressure)
                 cell = cells[k] if delta == cells[k].delta else cells[k].with_delta(delta)
-                solved[k] = CellSolution(cell, zre, utility)
+                solved[k] = (cell, zre)
     return solved
 
 
@@ -561,7 +547,7 @@ def discount_equilibrium(
     expensive ISP (later index on equal prices), then by the later ISPs'
     components.  This is the one-cell case of :func:`solve_grid`.
     """
-    [cell] = solve_grid(config, [(p,) for p in config.p], delta_grid)
-    if cell.zre.selected is None:
+    [(cell, zre)] = solve_grid(config, [(p,) for p in config.p], delta_grid)
+    if zre.selected is None:
         return DiscountOutcome(DiscountStatus.NO_DISCOUNT_EQUILIBRIUM, None, None)
-    return DiscountOutcome(DiscountStatus.EQUILIBRIUM_FOUND, cell.config.delta, cell.zre)
+    return DiscountOutcome(DiscountStatus.EQUILIBRIUM_FOUND, cell.delta, zre)

@@ -46,7 +46,9 @@ def _pair_payoffs(
 ) -> Scores:
     """CP and ISP payoffs ``[..., k, i, j]`` of each profile's pairs at the
     prices ``p`` and discounts ``delta`` (both ``[M]``, or both ``[L, M]``
-    for L markets, which then lead the result)."""
+    for L markets, which then lead the result).  ``cells`` and ``users``
+    are ``[k, i, j]``, or ``[L, k, i, j]`` when each market has profiles of
+    its own."""
     q = np.asarray(config.q)[:, None]
     p = p[..., None, None, :]
     dp = delta[..., None, None, :] * p

@@ -15,10 +15,12 @@ grid to sweep:
 
 ISP prices are swept, so ``market`` carries no ``p``; the template config is
 built at the first grid point.  Optional keys: ``market.total_users``,
-``delta_grid`` (discount-game mode only), ``expected_no_zre`` (price pairs
-the verification battery asserts have no equilibrium), and ``output``
-(file-name overrides: ``grid``, ``summary``, ``discounts``).  Unknown keys
-anywhere are rejected.
+``delta_grid`` (discount-game mode only; the default is 0, 0.1, ..., 1),
+``expected_no_zre`` (price pairs the verification battery asserts have no
+equilibrium; in discount-game mode the battery checks the discount game's
+records, so these are the cells with no discount equilibrium), and
+``output`` (file-name overrides: ``grid``, ``summary``, ``discounts``).
+Unknown keys anywhere are rejected.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .equilibrium import DEFAULT_DELTA_GRID
 from .errors import ConfigError, ZrsimError
 from .market import MarketConfig
 
@@ -51,7 +54,12 @@ class ScenarioError(ZrsimError, ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario: market template, price grid, and run mode."""
+    """A validated scenario: market template, price grid, and run mode.
+
+    ``delta_grid`` is None exactly in fixed-delta mode; in discount-game
+    mode it is the file's grid, or ``DEFAULT_DELTA_GRID`` when the file
+    gives none.
+    """
 
     config: MarketConfig
     price_grid: tuple[tuple[float, ...], ...]
@@ -93,7 +101,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -162,7 +170,7 @@ def parse_scenario(doc, text: str = "") -> Scenario:
     except ConfigError as exc:
         raise ScenarioError(f"market: {exc}{_key_line(text, 'market')}") from exc
 
-    delta_grid = None
+    delta_grid = DEFAULT_DELTA_GRID if mode == "discount-game" else None
     if "delta_grid" in doc:
         if mode != "discount-game":
             _fail(text, "delta_grid", "only allowed in discount-game mode")

@@ -25,8 +25,9 @@ ORACLE_TOL = 1e-12
 HHI_TOL = 1e-12
 VERIFY_SEED = 20240517
 
-# Every price-grid cell with its solved equilibria and its two-world
-# record, in row-major order.
+# Every price-grid cell (its market, at the selected discount profile in
+# the discount game) with its solved equilibria and its two-world record,
+# in row-major order, as ``analysis._sweep`` returns them.
 GridResults = list[tuple[MarketConfig, ZreResult, SweepRecord]]
 
 
@@ -221,10 +222,9 @@ ALL_CHECKS = (
 
 
 def run_battery(scenario: Scenario) -> list[CheckResult]:
-    """Every check of ``ALL_CHECKS``, sharing one solve of the price grid
-    and one two-world record per cell (the sweep's own driver)."""
-    results = [
-        (solution.config, solution.zre, record)
-        for solution, record in _sweep(scenario.config, scenario.price_grid)
-    ]
+    """Every check of ``ALL_CHECKS`` on the records ``zrsim sweep`` writes:
+    one solve of the price grid by the sweep's own driver, in the
+    scenario's mode (the discount game on ``scenario.delta_grid`` when it
+    has one), shared by every check."""
+    results = _sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
     return [check(scenario, results) for check in ALL_CHECKS]

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from zrsim import analysis, load_scenario
 from zrsim.cli import EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, fmt_num, main
+from zrsim.equilibrium import DEFAULT_DELTA_GRID
+from zrsim.verify import run_battery
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
@@ -242,6 +245,21 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under_file", [False, True])
+def test_sweep_out_not_a_directory_exits_2(
+    under_file, small_scenario, tmp_path, capsys, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("solving started before the output directory was made")
+
+    monkeypatch.setattr(analysis, "solve_grid", refuse)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "out" if under_file else blocker
+    assert main(["sweep", str(small_scenario), "--out", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(f"error: cannot create output directory {out}")
+
+
 def test_empty_grid_exits_2(tmp_path):
     doc = json.loads((SCENARIOS / "benchmark.json").read_text())
     doc["price_grid"] = [[], []]
@@ -264,6 +282,18 @@ def test_verify_fails_on_wrong_expectation(tmp_path, capsys):
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["verify", str(scenario)]) == EXIT_CHECK_FAILED
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_checks_the_discount_game_records():
+    # The battery scans the equilibria of the discount game's records, the
+    # ones `zrsim sweep` writes, not those of the fixed-delta market.  A
+    # discount-game file without a grid plays the default one.
+    assert load_scenario(SCENARIOS / "benchmark.json").delta_grid is None
+    scenario = load_scenario(SCENARIOS / "discount_game.json")
+    assert scenario.delta_grid == DEFAULT_DELTA_GRID
+    [check] = [r for r in run_battery(scenario) if r.name == "value-ordering-pruning"]
+    solved = analysis._sweep(scenario.config, scenario.price_grid, DEFAULT_DELTA_GRID)
+    assert check.detail == f"{sum(len(zre.all_zre) for _, zre, _ in solved)} equilibria scanned"
 
 
 def test_verify_skips_utility_drop_on_tied_values(tmp_path, capsys):

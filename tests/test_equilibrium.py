@@ -18,6 +18,7 @@ from zrsim import (
     StrategyMatrix,
     ZreStatus,
     best_response_dynamics,
+    detect_pressure,
     discount_equilibrium,
     enumerate_zre,
     forced_cells,
@@ -213,6 +214,11 @@ class TestSelectZre:
         with pytest.raises(ContractViolation):
             select_zre([], bench)
 
+    def test_wrong_size_rejected(self, bench):
+        config = bench.with_prices((0.3, 0.7))
+        with pytest.raises(InvalidArgument, match="2x3"):
+            select_zre([StrategyMatrix.zeros(2, 3), StrategyMatrix.ones(2, 3)], config)
+
     def test_final_tie_break_is_lowest_encoding(self, bench):
         # Equal-value CPs make the value key a tie; "1001" and "0110" also
         # tie on the last column, leaving the encoding to decide.
@@ -249,6 +255,15 @@ class TestDetectPressure:
         result = enumerate_zre(bench.with_prices((0.1, 0.5)))
         assert result.selected.bitstring() == "1011"
         assert result.pressure == (False, True)
+
+    @pytest.mark.parametrize(
+        "prices, n, m",
+        [((0.3, 0.7), 1, 1), ((0.3, 0.7), 2, 3), ((0.3, 0.7), 3, 2), ((0.0, 0.7), 1, 1)],
+    )
+    def test_wrong_size_rejected(self, bench, prices, n, m):
+        # Checked before the forced cells, which a 1x1 matrix cannot index.
+        with pytest.raises(InvalidArgument, match=f"{n}x{m}"):
+            detect_pressure(bench.with_prices(prices), StrategyMatrix.ones(n, m))
 
     def test_voluntary_relations_are_not_pressure(self, bench):
         # CP 2 alone in the market chooses the same relation: no pressure.

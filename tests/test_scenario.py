@@ -121,6 +121,15 @@ def test_missing_file():
         load_scenario("/nonexistent/path.json")
 
 
+def test_non_utf8_file_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ScenarioError, match="cannot read"):
+        load_scenario(path)
+    assert main(["verify", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: cannot read scenario file")
+
+
 def test_bundled_scenarios_all_valid():
     from importlib import resources
 

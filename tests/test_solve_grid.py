@@ -147,9 +147,9 @@ def test_driver_equals_per_cell_reference(block_elements, references, monkeypatc
     statuses = set()
     for (config, axes, grid), (cells, zres, records, discounts) in zip(CASES, references):
         solved = analysis._sweep(config, axes)
-        assert [solution.config for solution, _ in solved] == cells
-        assert [solution.zre for solution, _ in solved] == zres
-        assert [record for _, record in solved] == records
+        assert [cell for cell, _, _ in solved] == cells
+        assert [zre for _, zre, _ in solved] == zres
+        assert [record for _, _, record in solved] == records
         assert grid_sweep(config, axes) == records
         assert discount_grid_sweep(config, axes, grid) == discounts
         for cell, zre, discount in zip(cells, zres, discounts):
