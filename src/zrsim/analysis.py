@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, InvalidArgument
 from .equilibrium import DEFAULT_DELTA_GRID, ZreResult, ZreStatus, solve_grid
 from .market import MarketConfig, StrategyMatrix, _members, allocate, allocations, profile_cells
-from .payoff import _pair_payoffs
+from .payoff import _pair_utilities
 
 SIGN_TOL = 1e-12
 
@@ -130,7 +130,7 @@ def _sweep(
     rows = np.searchsorted(codes, [0] + selected)
     prices = np.array([config.p] + [cell.p for cell, _ in solved])
     deltas = np.array([config.delta] + [cell.delta for cell, _ in solved])
-    cp = _pair_payoffs(config, cells[rows, None], x_effective[rows, None], prices, deltas)[0]
+    cp = _pair_utilities(config, cells[rows, None], x_effective[rows, None], prices, deltas)
     u = cp.sum(axis=-1)[:, 0]
     base_share, base_hhi = worlds[0]
     out = []

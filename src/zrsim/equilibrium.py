@@ -31,33 +31,37 @@ import enum
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ContractViolation, InvalidArgument
 from .market import (
     MarketConfig, StrategyMatrix, _as_float_tuple, _check_dims, blocks, cell_bit,
-    check_unit_interval, effective_users, profile_cells
+    check_unit_interval, profile_cells
 )
-from .payoff import _scores, code_scores
+from .payoff import ProfileTable, _scores, code_scores, profile_table
 
 ENUMERATION_CELL_GUARD = 20
 DEFAULT_DELTA_GRID = tuple(k / 10 for k in range(11))
 # Work guard for the discount game: delta profiles x strategy profiles.
-# What it admits, one cell on the 11-point grid (2 cores, Python 3.11,
-# numpy 2.4; 37 MB of each peak RSS is the imports): 3x3, 681,472
-# evaluations, 0.34-0.43 s and 72 MB peak RSS; 7x2, the most evaluations
-# under the guard (1,982,464), 2.1-2.5 s and 74 MB.  The count leaves out
-# the 2**N-bundle allocation of every profile: 13x1, 90,112 evaluations,
-# takes 6.2 s and 68 MB.
+# What it admits, one cell of a seeded random market on the 11-point grid
+# (2 cores, Python 3.11, numpy 2.4, fresh processes; 35 MB of each peak RSS
+# is the imports): 3x3, 681,472 evaluations, 0.20-0.30 s and 37 MB peak
+# RSS; 7x2, the most evaluations under the guard (1,982,464), 1.1-1.3 s and
+# 44 MB.  The count leaves out the 2**N-bundle allocation of every profile:
+# 13x1, 90,112 evaluations, takes 14-16 s and 40 MB, nearly all of it
+# allocating.
 DISCOUNT_WORK_GUARD = 2_000_000
 # A deviation "gains" only when it beats the current payoff by more than
 # this margin.  Grid parameterizations produce exact analytic payoff ties;
 # the margin keeps tie verdicts stable across arithmetically different but
 # equivalent evaluation routes.  Float noise is ~1e-16; over every
-# single-cell deviation of the ten shipped scenarios no payoff gap lies in
-# (1e-12, 1e-6), and the smallest real gap is 2.6e-5 (discount_game).
+# single-cell deviation (in every market a sweep solves: price cell times
+# discount profile) and every discount deviation of the ten shipped
+# scenarios, scored with linear revenues, no payoff gap lies in
+# (1e-12, 1e-6); the ties reach 1.1e-16, and the smallest real gap is
+# 2.6e-5 (discount_game).
 GAIN_TOL = 1e-9
 
 
@@ -132,37 +136,58 @@ def _free_cells(config: MarketConfig, forced: frozenset[tuple[int, int]]) -> lis
     return [(i, j) for i in range(n) for j in range(m) if (i, j) not in forced]
 
 
-def _stable(u: np.ndarray, r: np.ndarray, moves: Iterable, count: int) -> np.ndarray:
-    """Whether each of the first ``count`` profiles of the score table
-    ``u[..., k, i]``, ``r[..., k, j]`` survives every single-cell deviation,
-    per leading (market) index.  ``moves`` holds, per free cell
-    (i, j), the rows of the deviated profiles and whether the profiles hold
-    that relation."""
-    u_bar, r_bar = u[..., :count, :] + GAIN_TOL, r[..., :count, :] + GAIN_TOL
-    unstable = np.zeros(u_bar.shape[:-1], dtype=bool)
-    for (i, j), flip, held in moves:
-        cp_gains = u[..., flip, i] > u_bar[..., i]
-        isp_gains = r[..., flip, j] > r_bar[..., j]
-        unstable |= np.where(held, cp_gains | isp_gains, cp_gains & isp_gains)
+def _breaks(cp_gains, isp_gains, held):
+    """Whether a single-cell flip that CP i gains from (``cp_gains``) and
+    ISP j gains from (``isp_gains``) breaks a profile: a relation it holds
+    breaks when either side gains by canceling it, a missing one when both
+    gain by establishing it."""
+    return cp_gains | isp_gains if held else cp_gains & isp_gains
+
+
+def _stable(u: np.ndarray, r: np.ndarray, steps: list[tuple[tuple[int, int], int]]) -> np.ndarray:
+    """Whether each profile of :func:`_profiles` survives every single-cell
+    deviation, per leading (market) index, from its utilities
+    ``u[..., k, i]`` and revenues ``r[..., k, j]``.
+
+    In that order the flip of the free cell with step s maps row t to
+    t ^ s, so a column reshaped to ``(..., K / 2s, 2, s)`` holds the rows
+    lacking the relation in half 0 and those holding it in half 1, and
+    reversing the half axis puts each row's flip in its place.  A flip
+    gains when it beats a copy of the table with GAIN_TOL added."""
+    u_bar, r_bar = u + GAIN_TOL, r + GAIN_TOL
+    unstable = np.zeros(u.shape[:-1], dtype=bool)
+    for (i, j), step in steps:
+        cu, cr, cu_bar, cr_bar, out = (
+            a.reshape(a.shape[:-1] + (-1, 2, step))
+            for a in (u[..., i], r[..., j], u_bar[..., i], r_bar[..., j], unstable)
+        )
+        cp_gains, isp_gains = cu[..., ::-1, :] > cu_bar, cr[..., ::-1, :] > cr_bar
+        for half in (0, 1):
+            out[..., half, :] |= _breaks(cp_gains[..., half, :], isp_gains[..., half, :], half)
     return ~unstable
 
 
 def is_zre(config: MarketConfig, theta: StrategyMatrix) -> bool:
-    """Whether ``theta`` is a zero-rating equilibrium of ``config``."""
+    """Whether ``theta`` is a zero-rating equilibrium of ``config``: no flip
+    of a free cell breaks it (:func:`_breaks`, the rule :func:`_stable`
+    applies to every profile at once)."""
     _check_dims(config, theta)
     forced = forced_cells(config)
     _check_forced(theta, forced)
     code, free = theta.encoding(), _free_cells(config, forced)
     bits = [cell_bit(i, j, config.n_cps, config.n_isps) for i, j in free]
     u, r = code_scores(config, [code] + [code ^ bit for bit in bits])
-    moves = ((cell, k, code & bit != 0) for k, (cell, bit) in enumerate(zip(free, bits), 1))
-    return bool(_stable(u, r, moves, 1)[0])
+    u_bar, r_bar = u[0] + GAIN_TOL, r[0] + GAIN_TOL
+    return not any(
+        _breaks(u[k, i] > u_bar[i], r[k, j] > r_bar[j], code & bit)
+        for k, ((i, j), bit) in enumerate(zip(free, bits), 1)
+    )
 
 
 def _profiles(config: MarketConfig) -> tuple[np.ndarray, list[tuple[tuple[int, int], int]]]:
     """Codes of all profiles respecting forced cells, ascending, and the
     free cells, each with its bit in a profile's row of that array (see
-    :func:`_moves`)."""
+    :func:`_stable`)."""
     n, m = config.n_cps, config.n_isps
     if n * m > ENUMERATION_CELL_GUARD:
         raise CapacityError(
@@ -178,13 +203,6 @@ def _profiles(config: MarketConfig) -> tuple[np.ndarray, list[tuple[tuple[int, i
     for (i, j), step in steps:
         codes[t & step != 0] |= cell_bit(i, j, n, m)
     return codes, steps
-
-
-def _moves(steps: list[tuple[tuple[int, int], int]], count: int) -> Iterator:
-    """One-pass iterator of the single-cell moves (see :func:`_stable`) of
-    the ``count`` profiles of :func:`_profiles`, built one cell at a time."""
-    t = np.arange(count, dtype=np.int64)
-    return ((cell, t ^ step, t & step != 0) for cell, step in steps)
 
 
 def enumerate_zre(config: MarketConfig) -> ZreResult:
@@ -355,27 +373,26 @@ def _expensive_isp(config: MarketConfig) -> int:
 
 def _market_table(
     config: MarketConfig,
-    cells: np.ndarray,
-    users: np.ndarray,
+    table: ProfileTable,
     rank: np.ndarray,
     steps: list,
     prices: np.ndarray,
     deltas: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every profile of ``cells`` (with its effective ``users`` and
-    tie-break ``rank``) scored in each market ``l`` at the prices
-    ``prices[l]`` and the discounts ``deltas[l]``, in blocks of at most
-    ``market.BLOCK_ELEMENTS`` pair entries (markets x profiles x N x M).
-    ``steps`` are the profiles' free cells (see :func:`_profiles`).
+    """Every profile of ``table`` (with its tie-break ``rank``) scored in
+    each market ``l`` at the prices ``prices[l]`` and the discounts
+    ``deltas[l]``, in blocks of at most ``market.BLOCK_ELEMENTS`` pair
+    entries (markets x profiles x N x M).  ``steps`` are the profiles' free
+    cells (see :func:`_profiles`).
     Returns the stable mask ``[l, k]``, the row of each market's selected
     equilibrium ``[l]`` and its revenue row ``[l, j]``, -inf where the
     market has none."""
-    stable = np.empty((len(prices), len(cells)), dtype=bool)
+    stable = np.empty((len(prices), len(table.cells)), dtype=bool)
     selected = np.empty(len(prices), dtype=np.int64)
     revenue = np.empty((len(prices), config.n_isps))
-    for block in blocks(len(prices), cells.size):
-        u, r = _scores(config, cells, users, prices[block], deltas[block])
-        stable[block] = _stable(u, r, _moves(steps, len(cells)), len(cells))
+    for block in blocks(len(prices), table.cells.size):
+        u, r = _scores(config, table, prices[block], deltas[block])
+        stable[block] = _stable(u, r, steps)
         selected[block] = np.where(stable[block], rank, -1).argmax(axis=1)
         revenue[block] = r[np.arange(len(r)), selected[block]]
     revenue[~stable.any(axis=1)] = -np.inf
@@ -404,7 +421,7 @@ def _group_equilibria(
     (discount) equilibrium.
 
     Every cell is a market per discount profile of ``axes``; ``group`` holds
-    the group's profile cells, users, rank and free cells (see
+    the group's profile table, rank and free cells (see
     :func:`_market_table`).  Blocks hold whole cells, so the Nash test of a
     cell sees all of its discount profiles."""
     m = config.n_isps
@@ -412,7 +429,7 @@ def _group_equilibria(
     d = len(deltas)
     prices = np.array([cell.p for cell in cells])
     out = []
-    for chunk in blocks(len(cells), d * group[0].size):
+    for chunk in blocks(len(cells), d * group[0].cells.size):
         count = len(prices[chunk])
         stable, selected, revenue = _market_table(
             config, *group, np.repeat(prices[chunk], d, axis=0), np.tile(deltas, (count, 1))
@@ -457,12 +474,13 @@ def solve_grid(
     discount game on that grid (see :func:`discount_equilibrium`), and its
     market carries the selected discount profile.
 
-    Effective users and the tie-break rank read neither prices nor
-    discounts, so one table of each serves the whole grid.  Cells are
-    grouped by their zero-price ISPs, which fix the forced cells and so the
-    profiles; the markets of a group (cells, times discount profiles, one
-    profile of ``config.delta`` without ``delta_grid``) are scored, tested
-    for stability and tie-broken as arrays, in blocks.  Pressure flags are
+    The profile table (see :class:`~zrsim.payoff.ProfileTable`) and the
+    tie-break rank read neither prices nor discounts, so one of each serves
+    the whole grid.  Cells are grouped by their zero-price ISPs, which fix
+    the forced cells and so the profiles; the markets of a group (cells,
+    times discount profiles, one profile of ``config.delta`` without
+    ``delta_grid``) are scored, tested for stability and tie-broken as
+    arrays, in blocks.  Pressure flags are
     scored once per selected profile, for all cells that select it.  A cell
     without an equilibrium, or without a discount equilibrium, holds one
     shared NO_ZRE result.  No payoff of either world is returned.
@@ -494,21 +512,21 @@ def solve_grid(
     used = np.zeros(1 << (n * m), dtype=bool)
     for codes, _ in profiles.values():
         used[codes] = True
-    table = np.flatnonzero(used)
-    table_cells = profile_cells(table, n, m)
-    users = effective_users(config, table_cells)
-    rank = _rank(config, table)
+    table_codes = np.flatnonzero(used)
+    rank = _rank(config, table_codes)
+    table = profile_table(config, profile_cells(table_codes, n, m))
 
     no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
     solved = [(cell, no_zre) for cell in cells]
     for zero, ks in groups.items():
         codes, steps = profiles[zero]
-        rows = slice(None) if len(codes) == len(table) else np.searchsorted(table, codes)
+        every = len(codes) == len(table_codes)
+        rows = slice(None) if every else np.searchsorted(table_codes, codes)
         # A zero-price ISP's delta multiplies p = 0, so every value gives the
         # same market; only the largest, which the selection prefers, is
         # solved.  Its axis then has no deviation to gain from.
         axes = [axis[-1:] if free else axis for free, axis in zip(zero, delta_axes)]
-        group = (table_cells[rows], users[rows], rank[rows], steps)
+        group = (table.rows(rows), rank[rows], steps)
         selected_by = defaultdict(list)
         hits = _group_equilibria(config, [cells[k] for k in ks], codes, group, axes)
         for k, hit in zip(ks, hits):
@@ -519,9 +537,8 @@ def solve_grid(
         # select it.
         for code, members in selected_by.items():
             checked, counterfactual, keep = _pressure_rows(cells[members[0][0]], code)
-            scored = np.searchsorted(table, counterfactual)
             u = _scores(
-                config, table_cells[scored], users[scored],
+                config, table.rows(np.searchsorted(table_codes, counterfactual)),
                 [cells[k].p for k, *_ in members], [delta for _, delta, *_ in members],
             )[0]
             for (k, delta, found, _), flags in zip(members, _pressure(u, checked, keep)):

@@ -40,11 +40,12 @@ SHARE_TOL = 1e-12
 # cells times discount profiles) L x profiles x N x M pair payoffs, so this
 # caps the working memory of scoring at any market size; block sizes follow
 # from it.  Measured against 2**20 (2 cores, Python 3.11, numpy 2.4, fresh
-# processes whose imports take about 35 MB): the 125-cell 3 x 3 sweep of
-# the wide-market benchmark and the 121-cell discount_game.json sweep each
-# add 1.5 MB to the peak RSS instead of 11.9 MB and 31 MB, in the same time
-# (about 45 ms and 85 ms); one 4 x 4 enumerate_zre adds 28 MB instead of
-# 55 MB and takes about three quarters of the time.
+# processes whose imports take 29-35 MB): the 125-cell 3 x 3 sweep of the
+# wide-market benchmark adds 1.5 MB to the peak RSS instead of 7.2 MB and
+# takes about 38 ms instead of 30 ms; the 121-cell discount_game.json
+# sweep adds 1.3 MB instead of 17 MB in the same 60 ms; one 4 x 4
+# enumerate_zre adds 24 MB instead of 48 MB and takes 0.25 s instead of
+# 0.29 s.
 BLOCK_ELEMENTS = 1 << 14
 
 

@@ -19,7 +19,9 @@ built at the first grid point.  Optional keys: ``market.total_users``,
 ``expected_no_zre`` (price pairs the verification battery asserts have no
 equilibrium; in discount-game mode the battery checks the discount game's
 records, so these are the cells with no discount equilibrium), and
-``output`` (file-name overrides: ``grid``, ``summary``, ``discounts``).
+``output`` (file-name overrides: ``grid``, ``summary``, ``discounts``;
+plain file names inside the output directory, distinct from each other and
+from the defaults they do not override).
 Unknown keys anywhere are rejected.
 """
 
@@ -204,7 +206,16 @@ def parse_scenario(doc, text: str = "") -> Scenario:
         for k, v in out.items():
             if not isinstance(v, str) or not v:
                 _fail(text, f"output.{k}", f"expected a nonempty file name, got {v!r}")
+            # Names are joined to the output directory: a path would leave it
+            # or need directories that do not exist, and no file name holds
+            # a NUL.
+            if v in (".", "..") or any(ch in v for ch in "/\\\0"):
+                _fail(text, f"output.{k}", f"expected a plain file name, got {v!r}")
             output_names[k] = v
+        for k, v in out.items():
+            others = sorted(key for key, name in output_names.items() if name == v and key != k)
+            if others:
+                _fail(text, f"output.{k}", f"file name {v!r} is also used by output.{others[0]}")
 
     return Scenario(
         config=config,

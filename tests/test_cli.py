@@ -260,6 +260,23 @@ def test_sweep_out_not_a_directory_exits_2(
     assert capsys.readouterr().err.startswith(f"error: cannot create output directory {out}")
 
 
+@pytest.mark.parametrize("name", ["../escape.csv", "sub/grid.csv"])
+def test_output_name_outside_out_exits_2(name, small_scenario, tmp_path, capsys, monkeypatch):
+    # A path as an output name is refused before anything is solved or
+    # written: --out is not even created, and nothing lands beside it.
+    def refuse(*args):
+        raise AssertionError("solving started before the output names were checked")
+
+    monkeypatch.setattr(analysis, "solve_grid", refuse)
+    doc = json.loads(small_scenario.read_text(encoding="utf-8"))
+    doc["output"] = {"grid": name}
+    small_scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "run" / "out"
+    assert main(["sweep", str(small_scenario), "--out", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: output.grid: expected a plain file name")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["small.json"]
+
+
 def test_empty_grid_exits_2(tmp_path):
     doc = json.loads((SCENARIOS / "benchmark.json").read_text())
     doc["price_grid"] = [[], []]

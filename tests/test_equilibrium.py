@@ -30,6 +30,7 @@ from zrsim import (
     select_zre,
 )
 from zrsim import equilibrium
+from zrsim.payoff import profile_table
 
 from conftest import GRID11, random_config
 
@@ -413,9 +414,9 @@ class TestDiscountGame:
         block_sizes = []
         scores = equilibrium._scores
 
-        def recorded(config, cells, users, p, delta):
-            block_sizes.append((len(delta), cells.size))
-            return scores(config, cells, users, p, delta)
+        def recorded(config, table, p, delta):
+            block_sizes.append((len(delta), table.cells.size))
+            return scores(config, table, p, delta)
 
         monkeypatch.setattr(equilibrium, "_scores", recorded)
         bench = load_scenario(SCENARIOS / "benchmark.json").config
@@ -437,9 +438,8 @@ class TestDiscountGame:
             # profile of the cell is a market of the leading axis.
             codes, steps = equilibrium._profiles(config)
             cells = market.profile_cells(codes, config.n_cps, config.n_isps)
-            users = market.effective_users(config, cells)
             stable, _, revenue = equilibrium._market_table(
-                config, cells, users, equilibrium._rank(config, codes), steps,
+                config, profile_table(config, cells), equilibrium._rank(config, codes), steps,
                 np.tile(config.p, (len(profiles), 1)), np.array(profiles),
             )
             one_profile = block_sizes[0][1]

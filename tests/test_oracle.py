@@ -8,6 +8,7 @@ from zrsim import (
     StrategyMatrix,
     allocate,
     elastic_choice_set,
+    enumerate_zre,
     find_zre_violation,
     is_zre,
     oracle_allocate,
@@ -73,6 +74,30 @@ def test_verdicts_agree_fuzz():
         config = random_config(rng, n_cps=2, n_isps=2)
         theta = random_theta(rng, config)
         assert is_zre(config, theta) == oracle_verify_zre(config, theta)
+    # Every profile of every shape up to 6 cells, at random discounts: the
+    # oracle accepts exactly the profiles that is_zre accepts and that the
+    # hypercube halves of enumerate_zre keep.  The first draw of each shape
+    # has a zero price, so forced cells shape the hypercube; 6-cell shapes,
+    # whose oracle runs are the slow ones, get fewer draws.
+    shapes = [(n, m) for n in range(1, 7) for m in range(1, 7) if n * m <= 6]
+    for n, m in shapes:
+        for draw in range(2 if n * m == 6 else 4):
+            config = random_config(rng, n_cps=n, n_isps=m)
+            if draw == 0:
+                p = list(config.p)
+                p[rng.integers(m)] = 0.0
+                config = config.with_prices(p)
+            forced = [j for j in range(m) if config.p[j] == 0.0]
+            accepted = []
+            for code in range(1 << (n * m)):
+                theta = StrategyMatrix.from_bitstring(format(code, f"0{n * m}b"), n, m)
+                if any(theta.rows[i][j] == 0 for i in range(n) for j in forced):
+                    continue
+                verdict = oracle_verify_zre(config, theta)
+                assert is_zre(config, theta) == verdict, (n, m, draw, code)
+                if verdict:
+                    accepted.append(theta)
+            assert enumerate_zre(config).all_zre == tuple(accepted), (n, m, draw)
 
 
 def test_violation_names_the_deviation(bench):

@@ -38,10 +38,24 @@ def test_single_relation_pair_payoff(bench):
 
 
 def test_totals_are_row_and_column_sums(bench):
-    theta = StrategyMatrix(((0, 1), (1, 1)))
-    pv = payoffs(bench, theta)
-    np.testing.assert_allclose(pv.cp_utility, pv.per_pair_cp.sum(axis=1), atol=1e-15)
-    np.testing.assert_allclose(pv.isp_revenue, pv.per_pair_isp.sum(axis=0), atol=1e-15)
+    # Revenues come from the price-free column sums, not from the per-pair
+    # table, so they agree with its column sums up to rounding; every
+    # fourth random draw has a zero price.
+    cases = [(bench, StrategyMatrix(((0, 1), (1, 1))))]
+    rng = np.random.default_rng(17)
+    for n in range(1, 4):
+        for m in range(1, 4):
+            for draw in range(40):
+                config = random_config(rng, n, m)
+                if draw % 4 == 0:
+                    p = list(config.p)
+                    p[rng.integers(m)] = 0.0
+                    config = config.with_prices(p)
+                cases.append((config, random_theta(rng, config)))
+    for config, theta in cases:
+        pv = payoffs(config, theta)
+        np.testing.assert_allclose(pv.cp_utility, pv.per_pair_cp.sum(axis=1), atol=1e-15)
+        np.testing.assert_allclose(pv.isp_revenue, pv.per_pair_isp.sum(axis=0), atol=1e-15)
 
 
 def test_payoffs_scale_linearly_in_prices():

@@ -200,10 +200,23 @@ def _edit(path: str, value=None, delete: bool = False):
         (_edit("expected_no_zre", {"p": [0.3, 0.3]}), r"^expected_no_zre: expected a list"),
         (_edit("output", ["grid.csv"]), r"^output: expected an object"),
         (_edit("output", {"grid": ""}), r"^output\.grid: expected a nonempty file name"),
+        (_edit("output", {"grid": "sub/grid.csv"}), r"^output\.grid: expected a plain file name"),
+        (_edit("output", {"grid": "sub\\grid.csv"}), r"^output\.grid: expected a plain file name"),
+        (_edit("output", {"summary": "."}), r"^output\.summary: expected a plain file name"),
+        (_edit("output", {"summary": ".."}), r"^output\.summary: expected a plain file name"),
+        (
+            _edit("output", {"grid": "same.txt", "summary": "same.txt"}),
+            r"^output\.grid: file name 'same\.txt' is also used by output\.summary",
+        ),
+        (
+            _edit("output", {"discounts": "grid.csv"}),
+            r"^output\.discounts: file name 'grid\.csv' is also used by output\.grid",
+        ),
     ],
     ids=[
         "non-number", "document", "market", "missing-key", "n_cps", "mode",
-        "price_grid", "expected_no_zre", "output", "output-name",
+        "price_grid", "expected_no_zre", "output", "output-name", "output-subdir",
+        "output-backslash", "output-dot", "output-dotdot", "output-shared", "output-default",
     ],
 )
 def test_schema_errors_name_the_key(edit, message):

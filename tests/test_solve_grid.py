@@ -47,7 +47,7 @@ def _reference_zre(cell: MarketConfig) -> ZreResult:
     n, m = cell.n_cps, cell.n_isps
     codes, steps = equilibrium._profiles(cell)
     u, r = code_scores(cell, codes)
-    found = codes[equilibrium._stable(u, r, equilibrium._moves(steps, len(codes)), len(codes))]
+    found = codes[equilibrium._stable(u, r, steps)]
     if not len(found):
         return ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
     all_zre = tuple(StrategyMatrix.from_bitstring(format(c, f"0{n * m}b"), n, m) for c in found)
