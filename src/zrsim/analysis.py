@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, InvalidArgument
 from .equilibrium import DEFAULT_DELTA_GRID, ZreResult, ZreStatus, solve_grid
 from .market import MarketConfig, StrategyMatrix, _members, allocate, allocations, profile_cells
-from .payoff import _pair_utilities
+from .payoff import ProfileTable, _isp_sums, _scores
 
 SIGN_TOL = 1e-12
 
@@ -115,11 +115,12 @@ def _sweep(
     A cell without a selection counts as the all-zero profile (code 0), so
     both of its worlds coincide and its deltas are exactly zero.  Shares
     and the Herfindahl index read only the profile, so each is computed
-    once per distinct profile from one allocation, whose rows also give
-    the CP utilities of both worlds in one payoff evaluation: row 0 is the
-    world without zero-rating (which reads neither p nor delta, because
-    every pair pays q * c per user), the rest each cell's selected world at
-    its prices and discounts."""
+    once per distinct profile from one allocation.  Its table is scored by
+    the engine's :func:`~zrsim.payoff._scores` at L markets, and market l
+    reads the row of its world: market 0 is the world without zero-rating
+    (which reads neither p nor delta, because every pair pays q * c per
+    user), the rest each cell's selected world at its prices and
+    discounts."""
     solved = solve_grid(config, p_grid, delta_grid)
     selected = [0 if zre.selected is None else zre.selected.encoding() for _, zre in solved]
     codes = sorted({0, *selected})
@@ -130,8 +131,8 @@ def _sweep(
     rows = np.searchsorted(codes, [0] + selected)
     prices = np.array([config.p] + [cell.p for cell, _ in solved])
     deltas = np.array([config.delta] + [cell.delta for cell, _ in solved])
-    cp = _pair_utilities(config, cells[rows, None], x_effective[rows, None], prices, deltas)
-    u = cp.sum(axis=-1)[:, 0]
+    table = ProfileTable(cells, x_effective, *_isp_sums(config, cells, x_effective))
+    u = _scores(config, table, prices, deltas)[0][np.arange(len(rows)), rows]
     base_share, base_hhi = worlds[0]
     out = []
     for (cell, zre), row, utility in zip(solved, rows[1:], u[1:]):

@@ -13,7 +13,8 @@ Verbs:
   all equilibria, the selected one, and the pressure flags.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid scenario or usage
-(an out-of-range ``--p`` price included), 3 capacity guard exceeded.
+(an out-of-range ``--p`` price, and an output directory or file that cannot
+be written, included), 3 capacity guard exceeded.
 Outputs are byte-stable for identical inputs.
 """
 
@@ -146,21 +147,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ScenarioError(f"cannot create output directory {out_dir}: {exc}") from exc
+    names = {key: out_dir / name for key, name in scenario.output_names.items()}
+    cells = None
     if scenario.mode == "discount-game":
         cells = discount_grid_sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
         records = [cell.record for cell in cells]
-        write_discounts_csv(
-            cells, out_dir / scenario.output_names["discounts"], scenario.price_grid
-        )
     else:
         records = grid_sweep(scenario.config, scenario.price_grid)
-    write_grid_csv(
-        records,
-        out_dir / scenario.output_names["grid"],
-        scenario.config.n_cps,
-        scenario.config.n_isps,
-    )
-    write_summary_json(records, out_dir / scenario.output_names["summary"])
+    try:
+        if cells is not None:
+            write_discounts_csv(cells, names["discounts"], scenario.price_grid)
+        write_grid_csv(records, names["grid"], scenario.config.n_cps, scenario.config.n_isps)
+        write_summary_json(records, names["summary"])
+    except OSError as exc:
+        raise ScenarioError(f"cannot write output: {exc}") from exc
     return EXIT_OK
 
 

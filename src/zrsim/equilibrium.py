@@ -47,10 +47,10 @@ DEFAULT_DELTA_GRID = tuple(k / 10 for k in range(11))
 # Work guard for the discount game: delta profiles x strategy profiles.
 # What it admits, one cell of a seeded random market on the 11-point grid
 # (2 cores, Python 3.11, numpy 2.4, fresh processes; 35 MB of each peak RSS
-# is the imports): 3x3, 681,472 evaluations, 0.20-0.30 s and 37 MB peak
-# RSS; 7x2, the most evaluations under the guard (1,982,464), 1.1-1.3 s and
-# 44 MB.  The count leaves out the 2**N-bundle allocation of every profile:
-# 13x1, 90,112 evaluations, takes 14-16 s and 40 MB, nearly all of it
+# is the imports): 3x3, 681,472 evaluations, 0.08-0.10 s and 38 MB peak
+# RSS; 7x2, the most evaluations under the guard (1,982,464), 0.6-0.7 s and
+# 46 MB.  The count leaves out the 2**N-bundle allocation of every profile:
+# 13x1, 90,112 evaluations, takes 8.3-8.4 s and 42 MB, nearly all of it
 # allocating.
 DISCOUNT_WORK_GUARD = 2_000_000
 # A deviation "gains" only when it beats the current payoff by more than
@@ -153,9 +153,11 @@ def _stable(u: np.ndarray, r: np.ndarray, steps: list[tuple[tuple[int, int], int
     t ^ s, so a column reshaped to ``(..., K / 2s, 2, s)`` holds the rows
     lacking the relation in half 0 and those holding it in half 1, and
     reversing the half axis puts each row's flip in its place.  A flip
-    gains when it beats a copy of the table with GAIN_TOL added."""
+    gains when it beats a copy of the table with GAIN_TOL added.  Every
+    temporary, the mask included, keeps the memory layout of ``u`` (see
+    :func:`~zrsim.payoff._scores`)."""
     u_bar, r_bar = u + GAIN_TOL, r + GAIN_TOL
-    unstable = np.zeros(u.shape[:-1], dtype=bool)
+    unstable = np.zeros_like(u[..., 0], dtype=bool)
     for (i, j), step in steps:
         cu, cr, cu_bar, cr_bar, out = (
             a.reshape(a.shape[:-1] + (-1, 2, step))
@@ -381,8 +383,10 @@ def _market_table(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every profile of ``table`` (with its tie-break ``rank``) scored in
     each market ``l`` at the prices ``prices[l]`` and the discounts
-    ``deltas[l]``, in blocks of at most ``market.BLOCK_ELEMENTS`` pair
-    entries (markets x profiles x N x M).  ``steps`` are the profiles' free
+    ``deltas[l]``, in blocks of markets holding at most
+    ``market.BLOCK_ELEMENTS`` score entries: K x (N + M) per market, its
+    utilities and revenues (see :func:`~zrsim.payoff._scores`), which
+    :func:`_stable`'s temporaries follow.  ``steps`` are the profiles' free
     cells (see :func:`_profiles`).
     Returns the stable mask ``[l, k]``, the row of each market's selected
     equilibrium ``[l]`` and its revenue row ``[l, j]``, -inf where the
@@ -390,7 +394,7 @@ def _market_table(
     stable = np.empty((len(prices), len(table.cells)), dtype=bool)
     selected = np.empty(len(prices), dtype=np.int64)
     revenue = np.empty((len(prices), config.n_isps))
-    for block in blocks(len(prices), table.cells.size):
+    for block in blocks(len(prices), len(table.cells) * (config.n_cps + config.n_isps)):
         u, r = _scores(config, table, prices[block], deltas[block])
         stable[block] = _stable(u, r, steps)
         selected[block] = np.where(stable[block], rank, -1).argmax(axis=1)
@@ -423,13 +427,14 @@ def _group_equilibria(
     Every cell is a market per discount profile of ``axes``; ``group`` holds
     the group's profile table, rank and free cells (see
     :func:`_market_table`).  Blocks hold whole cells, so the Nash test of a
-    cell sees all of its discount profiles."""
+    cell sees all of its discount profiles, and count score entries as
+    :func:`_market_table` does."""
     m = config.n_isps
     deltas = list(itertools.product(*axes))
     d = len(deltas)
     prices = np.array([cell.p for cell in cells])
     out = []
-    for chunk in blocks(len(cells), d * group[0].cells.size):
+    for chunk in blocks(len(cells), d * len(group[0].cells) * (config.n_cps + m)):
         count = len(prices[chunk])
         stable, selected, revenue = _market_table(
             config, *group, np.repeat(prices[chunk], d, axis=0), np.tile(deltas, (count, 1))

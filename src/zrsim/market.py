@@ -37,16 +37,18 @@ from .errors import ConfigError, ContractViolation, DomainError, InvalidArgument
 SHARE_TOL = 1e-12
 # Array entries computed per block.  A block of B profiles holds
 # B x 2**N x (M + 1) allocation shares, and a block of L markets (price
-# cells times discount profiles) L x profiles x N x M pair payoffs, so this
-# caps the working memory of scoring at any market size; block sizes follow
-# from it.  Measured against 2**20 (2 cores, Python 3.11, numpy 2.4, fresh
-# processes whose imports take 29-35 MB): the 125-cell 3 x 3 sweep of the
-# wide-market benchmark adds 1.5 MB to the peak RSS instead of 7.2 MB and
-# takes about 38 ms instead of 30 ms; the 121-cell discount_game.json
-# sweep adds 1.3 MB instead of 17 MB in the same 60 ms; one 4 x 4
-# enumerate_zre adds 24 MB instead of 48 MB and takes 0.25 s instead of
-# 0.29 s.
-BLOCK_ELEMENTS = 1 << 14
+# cells times discount profiles) L x K x (N + M) scores, the utilities and
+# revenues of its K profiles, so this caps the working memory of scoring at
+# any market size; block sizes follow from it.  Measured against 2**14
+# (2 cores, Python 3.11, numpy 2.4; medians of 7 warm sweeps taken
+# alternately, peak RSS of fresh processes whose imports take 35 MB): the
+# 125-cell 3 x 3 sweep of the wide-market benchmark takes 27 ms instead of
+# 32 ms (blocks of 21 markets instead of 5) and adds 1.8 MB to the peak RSS
+# instead of 1.1 MB; the discount-duopoly sweep takes 6.0 ms instead of
+# 7.6 ms; one 3 x 3 discount cell takes 0.13 s instead of 0.20-0.26 s and
+# adds 2.8 MB instead of 1.8 MB; one 4 x 4 enumerate_zre adds 25.7 MB at
+# either size.  At 2**18 the wide-market sweep is no faster.
+BLOCK_ELEMENTS = 1 << 16
 
 
 def _as_float_tuple(values: Sequence[float]) -> tuple[float, ...]:
@@ -301,11 +303,20 @@ def blocks(count: int, entries: int) -> Iterator[slice]:
     return (slice(start, start + size) for start in range(0, count, size))
 
 
-def allocations(config: MarketConfig, cells: np.ndarray) -> tuple[np.ndarray, ...]:
+def _lattice(config: MarketConfig) -> tuple[np.ndarray, np.ndarray]:
+    """What every allocation of ``config`` reads besides its profile: bundle
+    membership (:func:`_members`) and the baseline shares phi x psi."""
+    return _members(config.n_cps), np.outer(config.phi, config.psi)
+
+
+def allocations(
+    config: MarketConfig, cells: np.ndarray, lattice: tuple | None = None
+) -> tuple[np.ndarray, ...]:
     """``rho``, ``x_pair`` and ``x_effective`` (see :class:`AllocationTable`)
-    of every profile in ``cells``, stacked along a leading profile axis."""
-    members = _members(config.n_cps)
-    baseline = np.outer(config.phi, config.psi)
+    of every profile in ``cells``, stacked along a leading profile axis.
+    ``lattice`` is :func:`_lattice` of ``config``, built here when not
+    given."""
+    members, baseline = _lattice(config) if lattice is None else lattice
     ext = _bundles_zero_rated(cells, members)
     zero_rated = ext.any(axis=(1, 2))[:, None, None]
     mass = (baseline * ext).reshape(len(ext), -1).sum(axis=1)[:, None, None]
@@ -323,11 +334,13 @@ def effective_users(config: MarketConfig, cells: np.ndarray) -> np.ndarray:
     under each profile in ``cells``, allocated one block at a time.
 
     They depend on phi, psi, alpha and total_users only, so one table
-    serves every price and discount of a market.
+    serves every price and discount of a market.  The price-free
+    :func:`_lattice` is built once for all blocks.
     """
     users = np.empty(cells.shape)
+    lattice = _lattice(config)
     for block in blocks(len(cells), config.lattice_size * (config.n_isps + 1)):
-        users[block] = allocations(config, cells[block])[2]
+        users[block] = allocations(config, cells[block], lattice)[2]
     return users
 
 

@@ -13,7 +13,13 @@ coefficients that read neither: the effective users of its zero-rated
 pairs, and c times those of its other pairs.  A :class:`ProfileTable`
 holds both column sums beside the users, so one table serves every price
 cell and discount profile, and a revenue costs two products instead of a
-sum over pairs.  CP utilities keep the per-pair sum (see :func:`_scores`).
+sum over pairs.  A CP utility is summed over the ISPs, one ISP at a time;
+no table of pair payoffs is built (see :func:`_scores`).
+
+Scores are laid out with the market axis innermost in memory, so every
+elementwise operation runs over long rows of markets instead of the 2-3
+providers of a trailing axis; callers see them through transposed views
+with the logical shapes ``U[..., k, i]`` and ``R[..., k, j]``.
 """
 
 from __future__ import annotations
@@ -66,55 +72,54 @@ class ProfileTable(NamedTuple):
         return ProfileTable(*(column[index] for column in self))
 
 
+def _isp_sums(config: MarketConfig, cells: np.ndarray, users: np.ndarray) -> tuple:
+    """The ``zs`` and ``w`` columns of :class:`ProfileTable` for profiles
+    ``cells`` with effective ``users``."""
+    zs = np.where(cells, users, 0.0).sum(axis=1)
+    return zs, config.c * np.where(cells, 0.0, users).sum(axis=1)
+
+
 def profile_table(config: MarketConfig, cells: np.ndarray) -> ProfileTable:
     """The :class:`ProfileTable` of the profiles ``cells``, allocated and
     summed one block at a time, so no temporary spans the whole table."""
-    users = np.empty(cells.shape)
+    users = effective_users(config, cells)
     zs, w = np.empty((2, len(cells), config.n_isps))
-    for block in blocks(len(cells), config.lattice_size * (config.n_isps + 1)):
-        users[block] = x = effective_users(config, cells[block])
-        zs[block] = np.where(cells[block], x, 0.0).sum(axis=1)
-        w[block] = config.c * np.where(cells[block], 0.0, x).sum(axis=1)
+    for block in blocks(len(cells), config.n_cps * config.n_isps):
+        zs[block], w[block] = _isp_sums(config, cells[block], users[block])
     return ProfileTable(cells, users, zs, w)
-
-
-def _pair_utilities(
-    config: MarketConfig, cells: np.ndarray, users: np.ndarray, p: np.ndarray, delta: np.ndarray
-) -> np.ndarray:
-    """CP payoffs ``[..., k, i, j]`` of each profile's pairs at the prices
-    ``p`` and discounts ``delta`` (both ``[M]``, or both ``[L, M]`` for L
-    markets, which then lead the result).  ``cells`` and ``users`` are
-    ``[k, i, j]``, or ``[L, k, i, j]`` when each market has profiles of its
-    own."""
-    q = np.asarray(config.q)[:, None]
-    dp = delta[..., None, None, :] * p[..., None, None, :]
-    return np.where(cells, (q - dp) * users, q * users * config.c)
 
 
 def _scores(config: MarketConfig, table: ProfileTable, p, delta) -> Scores:
     """CP utilities ``U[..., k, i]`` and ISP revenues ``R[..., k, j]`` of each
-    profile of ``table`` at the prices ``p`` and discounts ``delta`` (see
-    :func:`_pair_utilities`).
+    profile of ``table`` at the prices ``p`` and discounts ``delta``: both
+    ``[M]``, or both ``[L, M]`` for L markets, which then lead the result.
 
-    R is linear: ``delta * p * zs + p * w``.  U sums each profile's pair
-    utilities, in blocks of profiles within BLOCK_ELEMENTS pair entries, so
-    a single large market never holds its pair table.  U stays the per-pair
-    sum the sweep's ``delta_u`` digits come from, so :func:`payoffs` and the
-    sweep agree bit for bit: a linear U rounds differently, and turns exact
-    zero deltas into float noise (5.6e-17 in bandwidth_high's cell
-    (0.5, 0.6))."""
+    Both are computed as arrays ``(N, K, L)`` and ``(M, K, L)``, markets
+    innermost, and returned as transposed views.  R is linear:
+    ``delta * p * zs + p * w``.  U adds, ISP by ISP, each pair's payoff
+    (``(q_i - delta_j p_j) X`` when zero-rated, ``q_i X c`` otherwise) to a
+    zeroed accumulator, ``0.0 + t_0 + t_1 + ...``.  Below 8 ISPs that is
+    the order in which numpy's ``sum`` adds a short axis, so U is the
+    per-pair sum of :attr:`PayoffVector.per_pair_cp` bit for bit (from 8
+    terms numpy sums pairwise).  The same U serves the engine,
+    :func:`payoffs` and the sweep's ``delta_u`` digits: a linear U rounds
+    differently, and turns exact zero deltas into float noise (5.6e-17 in
+    bandwidth_high's cell (0.5, 0.6))."""
     p, delta = np.asarray(p, dtype=float), np.asarray(delta, dtype=float)
-    r = (delta * p)[..., None, :] * table.zs + p[..., None, :] * table.w
-    u = np.empty(p.shape[:-1] + (len(table.cells), config.n_cps))
-    for block in blocks(len(table.cells), p.size * config.n_cps):
-        pairs = _pair_utilities(config, table.cells[block], table.users[block], p, delta)
-        u[..., block, :] = pairs.sum(axis=-1)
-    return u, r
+    single = p.ndim == 1
+    # Markets last: [M, L], one column for a single market.
+    p, dp = np.atleast_2d(p).T, np.atleast_2d(delta * p).T
+    r = dp[:, None] * table.zs.T[..., None] + p[:, None] * table.w.T[..., None]
+    q = np.asarray(config.q)[:, None, None]
+    u = np.zeros((config.n_cps, len(table.cells), p.shape[1]))
+    for dp_j, cells, x in zip(dp, table.cells.T[..., None], table.users.T[..., None]):
+        u += np.where(cells, (q - dp_j) * x, q * x * config.c)
+    return (u.T[0], r.T[0]) if single else (u.T, r.T)
 
 
 def code_scores(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> Scores:
     """:func:`_scores` of profile codes at the prices and discounts of
-    ``config``; the allocation and the scoring each work in blocks."""
+    ``config``; the allocation works in blocks."""
     table = profile_table(config, profile_cells(codes, config.n_cps, config.n_isps))
     return _scores(config, table, config.p, config.delta)
 
@@ -125,7 +130,8 @@ def payoffs(config: MarketConfig, theta: StrategyMatrix) -> PayoffVector:
     table = profile_table(config, theta.as_array()[None] == 1)
     p, delta = np.asarray(config.p), np.asarray(config.delta)
     u, r = _scores(config, table, p, delta)
-    cp = _pair_utilities(config, table.cells, table.users, p, delta)[0]
     cells, users = table.cells[0], table.users[0]
+    q = np.asarray(config.q)[:, None]
+    cp = np.where(cells, (q - delta * p) * users, q * users * config.c)
     isp = np.where(cells, delta * p * users, p * users * config.c)
     return PayoffVector(u[0], r[0], cp, isp)

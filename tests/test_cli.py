@@ -260,6 +260,22 @@ def test_sweep_out_not_a_directory_exits_2(
     assert capsys.readouterr().err.startswith(f"error: cannot create output directory {out}")
 
 
+@pytest.mark.parametrize("artifact", ["grid", "summary", "discounts"])
+def test_sweep_write_error_exits_2(artifact, tmp_path, capsys):
+    # A directory in the place of an artifact makes its write fail after
+    # the grid is solved: a message and exit 2, not a traceback.
+    doc = json.loads((SCENARIOS / "discount_game.json").read_text(encoding="utf-8"))
+    doc["price_grid"] = [[0.5], [0.5]]
+    scenario = tmp_path / "disc.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    blocker = out / load_scenario(scenario).output_names[artifact]
+    blocker.mkdir(parents=True)
+    assert main(["sweep", str(scenario), "--out", str(out)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and str(blocker) in err
+
+
 @pytest.mark.parametrize("name", ["../escape.csv", "sub/grid.csv"])
 def test_output_name_outside_out_exits_2(name, small_scenario, tmp_path, capsys, monkeypatch):
     # A path as an output name is refused before anything is solved or

@@ -407,15 +407,15 @@ class TestDiscountGame:
         # The delta-batched route must reproduce, bit for bit, one
         # enumerate_zre and one payoffs call per discount profile, whatever
         # the block size: 1 puts every discount profile in a block of its
-        # own, 1000 gives ragged blocks (15 profiles of a 2x2 cell, 2 of a
-        # 2x3 one).
+        # own, 1000 gives ragged blocks (15 profiles of a 2x2 cell, 3 of a
+        # 2x3 one).  A market holds K x (N + M) score entries.
         if block_elements is not None:
             monkeypatch.setattr(market, "BLOCK_ELEMENTS", block_elements)
         block_sizes = []
         scores = equilibrium._scores
 
         def recorded(config, table, p, delta):
-            block_sizes.append((len(delta), table.cells.size))
+            block_sizes.append((len(delta), len(table.cells) * (config.n_cps + config.n_isps)))
             return scores(config, table, p, delta)
 
         monkeypatch.setattr(equilibrium, "_scores", recorded)

@@ -1,14 +1,16 @@
 """CP utilities and ISP revenues."""
 
 import dataclasses
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zrsim import StrategyMatrix, allocate, load_scenario, market, payoffs
+from zrsim import StrategyMatrix, allocate, compare_worlds, load_scenario, market, payoffs
+from zrsim.equilibrium import DEFAULT_DELTA_GRID
 from zrsim.market import effective_users, profile_cells
-from zrsim.payoff import code_scores
+from zrsim.payoff import _scores, code_scores, profile_table
 
 from conftest import random_config, random_theta
 
@@ -132,9 +134,9 @@ def test_score_table_rows_equal_payoffs(block_elements, monkeypatch):
     block_sizes = []
     allocations = market.allocations
 
-    def recorded(config, cells):
+    def recorded(config, cells, lattice=None):
         block_sizes.append(len(cells) * config.lattice_size * (config.n_isps + 1))
-        return allocations(config, cells)
+        return allocations(config, cells, lattice)
 
     monkeypatch.setattr(market, "allocations", recorded)
     shipped = {"benchmark": (0.3, 0.7), "bandwidth_high": (0.3, 0.3), "elasticity_low": (0.0, 0.6)}
@@ -158,3 +160,50 @@ def test_score_table_rows_equal_payoffs(block_elements, monkeypatch):
         one_profile = config.lattice_size * (m + 1)
         assert max(block_sizes) <= max(one_profile, market.BLOCK_ELEMENTS)
         block_sizes.clear()
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_cps, seed", [(1, 1), (2, 1)])
+def test_one_utility_summation_at_eight_isps(n_cps, seed):
+    # From 8 terms numpy's sum adds pairwise, no longer in ISP order, so a
+    # route that summed pair payoffs on its own would round differently:
+    # the engine's table, payoffs() and the sweep's delta_u must all come
+    # from the one ISP-ordered summation.
+    config = random_config(np.random.default_rng(seed), n_cps, 8, allow_zero_price=False)
+    record = compare_worlds(config)
+    assert record.selected is not None
+    without = payoffs(config, StrategyMatrix.zeros(n_cps, 8)).cp_utility
+    selected = payoffs(config, record.selected).cp_utility
+    u, _ = code_scores(config, [0, record.selected.encoding()])
+    assert _same_bits(u[0], without) and _same_bits(u[1], selected)
+    assert _same_bits(record.delta_utility, selected - without)
+
+
+def test_market_batch_keeps_the_arithmetic():
+    # Scoring L markets in one call must give, bit for bit, what L
+    # one-market calls give: the market axis changes the layout only.
+    rng = np.random.default_rng(43)
+    cases = []
+    for n, m in [(1, 1), (1, 3), (2, 2), (3, 1), (2, 3), (3, 3)]:
+        config = random_config(rng, n, m)
+        prices = rng.uniform(0.0, 1.0, size=(7, m))
+        prices[rng.uniform(size=prices.shape) < 0.3] = 0.0
+        prices[0] = 0.0
+        cases.append((config, prices, rng.uniform(0.0, 1.0, size=(7, m))))
+    for name in ("benchmark", "bandwidth_high"):
+        scenario = load_scenario(SCENARIOS / f"{name}.json")
+        prices = np.array(list(itertools.product(*scenario.price_grid)))
+        deltas = np.array(DEFAULT_DELTA_GRID)[rng.integers(0, 11, size=prices.shape)]
+        cases.append((scenario.config, prices, deltas))
+    for config, prices, deltas in cases:
+        n, m = config.n_cps, config.n_isps
+        table = profile_table(config, profile_cells(np.arange(1 << (n * m)), n, m))
+        u, r = _scores(config, table, prices, deltas)
+        assert u.shape == (len(prices), 1 << (n * m), n)
+        for l, (p, delta) in enumerate(zip(prices, deltas)):
+            one_u, one_r = _scores(config, table, p, delta)
+            assert _same_bits(u[l], one_u) and _same_bits(r[l], one_r)

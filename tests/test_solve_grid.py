@@ -140,8 +140,8 @@ def references():
 
 @pytest.mark.parametrize("block_elements", [None, 1, 1000])
 def test_driver_equals_per_cell_reference(block_elements, references, monkeypatch):
-    # 1 puts every market (and, in _scores, every profile) in a block of
-    # its own; 1000 gives ragged blocks.
+    # 1 puts every market (and every allocated profile) in a block of its
+    # own; 1000 gives ragged blocks.
     if block_elements is not None:
         monkeypatch.setattr(market, "BLOCK_ELEMENTS", block_elements)
     statuses = set()
