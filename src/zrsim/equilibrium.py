@@ -16,18 +16,19 @@ every CP: those cells are clamped to 1 and excluded from deviation checks.
 Profiles are integer codes (see :mod:`zrsim.market`) scored in batches.
 :func:`solve_grid` solves every price cell of a scenario from one table of
 effective users: cells are grouped by their zero-price ISPs, and every cell
-of a group is scored, tested for stability and tie-broken as arrays led by
-a market axis (price cell, times discount profile in the discount game),
-in blocks.  It returns equilibria only: the payoffs of both worlds, the
+of a group is scored, tested for stability, tie-broken and flagged for
+pressure as arrays led by a market axis (price cell, times discount profile
+in the discount game), in blocks.  It returns equilibria only: the payoffs of both worlds, the
 selected profile and the all-zero one, are :mod:`zrsim.analysis`'s to
 score.  :func:`enumerate_zre` and :func:`discount_equilibrium` are its
-one-cell case; :func:`is_zre`, :func:`detect_pressure` and the dynamics
-score a profile and its flips.
+one-cell case; :func:`is_zre` and the dynamics score a profile and its
+flips, and :func:`detect_pressure` its counterfactual markets.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
@@ -261,47 +262,46 @@ def detect_pressure(config: MarketConfig, selected: StrategyMatrix) -> tuple[boo
     selected relations over every row that keeps them all: the relation
     survives only in response to the competition.  Indifference keeps the
     relation (deviations "gain" only past GAIN_TOL, as everywhere).  Forced
-    cells are not choices and never count.
+    cells are not choices and never count.  Each distinct counterfactual
+    row is scored once, and :func:`_pressure` reads it as in a sweep.
     """
     _check_dims(config, selected)
     _check_forced(selected, forced_cells(config))
-    checked, codes, keep = _pressure_rows(config, selected.encoding())
-    return tuple(bool(f) for f in _pressure(code_scores(config, codes)[0], checked, keep))
+    counterfactual = _counterfactuals(config)
+    codes = np.array(sorted(set(counterfactual.ravel().tolist())))
+    u = code_scores(config, codes)[0][None]
+    return tuple(_pressure(u, codes, np.array([selected.encoding()]), counterfactual)[0].tolist())
 
 
-def _pressure_rows(config: MarketConfig, code: int) -> tuple[list[int], list[int], list]:
-    """What :func:`detect_pressure` scores for the selected profile ``code``:
-    the CPs it checks, the codes of every row each checked CP could choose
-    alone in its counterfactual market (CP by CP), and per checked CP
-    whether each row keeps all of its selected relations.  These codes hold
-    the forced cells, so they are profiles of :func:`_profiles`."""
+def _counterfactuals(config: MarketConfig) -> np.ndarray:
+    """Codes ``[b, i]`` of every row ``b`` CP ``i`` can choose alone in its
+    counterfactual market (see :func:`detect_pressure`): the forced cells
+    plus a row of CP ``i`` over the ISPs with nonzero prices.  Row 0 holds
+    only the forced cells and the last row every free cell of CP ``i``.
+    These are profiles of :func:`_profiles`."""
     n, m = config.n_cps, config.n_isps
-    counterfactual = sum(cell_bit(i, j, n, m) for i, j in forced_cells(config))
-    free_cols = [j for j in range(m) if config.p[j] != 0.0]
-    free_relations = [[j for j in free_cols if code & cell_bit(i, j, n, m)] for i in range(n)]
-    rows = list(itertools.product((0, 1), repeat=len(free_cols)))
-    competing = [any(free_relations[k] for k in range(n) if k != i) for i in range(n)]
-    checked = [i for i in range(n) if free_relations[i] and competing[i]]
-    codes = [
-        counterfactual + sum(b * cell_bit(i, j, n, m) for j, b in zip(free_cols, bits))
-        for i in checked
-        for bits in rows
-    ]
-    keep = [
-        np.array([all(row[free_cols.index(j)] for j in free_relations[i]) for row in rows])
-        for i in checked
-    ]
-    return checked, codes, keep
+    # A CP's cells are m consecutive bits of a code (see cell_bit).
+    zero = sum(1 << (m - 1 - j) for j in range(m) if config.p[j] == 0.0)
+    rows = np.flatnonzero(np.arange(1 << m) & zero == 0)
+    return zero * sum(1 << (m * i) for i in range(n)) + (rows[:, None] << (m * np.arange(n)[::-1]))
 
 
-def _pressure(u: np.ndarray, checked: list[int], keep: list) -> np.ndarray:
-    """Pressure flags ``[..., i]`` from the utilities ``u[..., row, i]`` of
-    the rows of :func:`_pressure_rows`, per leading (market) index."""
-    flags = np.zeros(u.shape[:-2] + u.shape[-1:], dtype=bool)
-    for c, (i, kept) in enumerate(zip(checked, keep)):
-        rows = u[..., c * len(kept):(c + 1) * len(kept), i]
-        flags[..., i] = rows[..., ~kept].max(axis=-1) > rows[..., kept].max(axis=-1) + GAIN_TOL
-    return flags
+def _pressure(u, codes, chosen, counterfactual) -> np.ndarray:
+    """Pressure flags ``[l, i]`` of the selected profiles ``chosen[l]`` (see
+    :func:`detect_pressure`), from the utilities ``u[l, k, i]`` of the
+    profiles ``codes``, ascending, which include every row of
+    ``counterfactual`` (see :func:`_counterfactuals`).  A CP holding no
+    free relation keeps them all in every row and is never flagged; CPs'
+    free cells are distinct bits, so a CP has a competitor exactly when
+    the sum of all CPs' held bits exceeds its own."""
+    free = counterfactual[-1] ^ counterfactual[0]
+    held = free[:, None] & chosen
+    keep = (counterfactual[..., None] & held) == held
+    # [b, i, l], markets innermost as in the scores (see _scores).
+    rows = u.T[np.arange(len(free)), np.searchsorted(codes, counterfactual)]
+    dropping = np.where(keep, -np.inf, rows).max(axis=0)
+    keeping = np.where(keep, rows, -np.inf).max(axis=0)
+    return ((held.sum(axis=0) != held) & (dropping > keeping + GAIN_TOL)).T
 
 
 def best_response_dynamics(
@@ -378,29 +378,35 @@ def _market_table(
     table: ProfileTable,
     rank: np.ndarray,
     steps: list,
+    codes: np.ndarray,
+    counterfactual: np.ndarray,
     prices: np.ndarray,
     deltas: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every profile of ``table`` (with its tie-break ``rank``) scored in
-    each market ``l`` at the prices ``prices[l]`` and the discounts
-    ``deltas[l]``, in blocks of markets holding at most
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every profile ``codes[k]`` of ``table`` (with its tie-break ``rank``)
+    scored in each market ``l`` at the prices ``prices[l]`` and the
+    discounts ``deltas[l]``, in blocks of markets holding at most
     ``market.BLOCK_ELEMENTS`` score entries: K x (N + M) per market, its
     utilities and revenues (see :func:`~zrsim.payoff._scores`), which
     :func:`_stable`'s temporaries follow.  ``steps`` are the profiles' free
-    cells (see :func:`_profiles`).
+    cells (see :func:`_profiles`) and ``counterfactual`` the rows of every
+    CP's counterfactual market (see :func:`_counterfactuals`), which are
+    among the profiles, so a block's utilities also flag pressure.
     Returns the stable mask ``[l, k]``, the row of each market's selected
-    equilibrium ``[l]`` and its revenue row ``[l, j]``, -inf where the
-    market has none."""
+    equilibrium ``[l]``, its revenue row ``[l, j]``, -inf where the market
+    has none, and its pressure flags ``[l, i]``."""
     stable = np.empty((len(prices), len(table.cells)), dtype=bool)
     selected = np.empty(len(prices), dtype=np.int64)
     revenue = np.empty((len(prices), config.n_isps))
+    pressure = np.empty((len(prices), config.n_cps), dtype=bool)
     for block in blocks(len(prices), len(table.cells) * (config.n_cps + config.n_isps)):
         u, r = _scores(config, table, prices[block], deltas[block])
         stable[block] = _stable(u, r, steps)
         selected[block] = np.where(stable[block], rank, -1).argmax(axis=1)
         revenue[block] = r[np.arange(len(r)), selected[block]]
+        pressure[block] = _pressure(u, codes, codes[selected[block]], counterfactual)
     revenue[~stable.any(axis=1)] = -np.inf
-    return stable, selected, revenue
+    return stable, selected, revenue, pressure
 
 
 def _checked_delta_grid(delta_grid: Sequence[float]) -> tuple[float, ...]:
@@ -416,27 +422,26 @@ def _checked_delta_grid(delta_grid: Sequence[float]) -> tuple[float, ...]:
 def _group_equilibria(
     config: MarketConfig,
     cells: list[MarketConfig],
-    codes: np.ndarray,
     group: tuple,
     axes: list[tuple[float, ...]],
-) -> list[tuple[tuple[float, ...], np.ndarray, int] | None]:
+) -> list[tuple[tuple[float, ...], list[int], int, tuple[bool, ...]] | None]:
     """Per cell of one zero-price group, its selected discount profile, the
-    equilibrium codes there and the selected code; None where it has no
-    (discount) equilibrium.
+    equilibrium codes there, the selected code and its pressure flags; None
+    where it has no (discount) equilibrium.
 
     Every cell is a market per discount profile of ``axes``; ``group`` holds
-    the group's profile table, rank and free cells (see
-    :func:`_market_table`).  Blocks hold whole cells, so the Nash test of a
-    cell sees all of its discount profiles, and count score entries as
-    :func:`_market_table` does."""
-    m = config.n_isps
+    the group's profile table, rank, free cells, codes and counterfactual
+    rows (see :func:`_market_table`).  Blocks hold whole cells, so the Nash
+    test of a cell sees all of its discount profiles, and count score
+    entries as :func:`_market_table` does."""
+    m, codes = config.n_isps, group[3]
     deltas = list(itertools.product(*axes))
     d = len(deltas)
     prices = np.array([cell.p for cell in cells])
     out = []
     for chunk in blocks(len(cells), d * len(group[0].cells) * (config.n_cps + m)):
         count = len(prices[chunk])
-        stable, selected, revenue = _market_table(
+        stable, selected, revenue, pressure = _market_table(
             config, *group, np.repeat(prices[chunk], d, axis=0), np.tile(deltas, (count, 1))
         )
         nash = stable.any(axis=1).reshape(count, d)
@@ -462,7 +467,8 @@ def _group_equilibria(
             tie = _expensive_isp(cell)
             star = max(found, key=lambda s: (sum(deltas[s]), deltas[s][tie], deltas[s][::-1]))
             at = row * d + star
-            out.append((deltas[star], codes[stable[at]], int(codes[selected[at]])))
+            flags = tuple(pressure[at].tolist())
+            out.append((deltas[star], codes[stable[at]].tolist(), int(codes[selected[at]]), flags))
     return out
 
 
@@ -485,8 +491,9 @@ def solve_grid(
     the forced cells and so the profiles; the markets of a group (cells,
     times discount profiles, one profile of ``config.delta`` without
     ``delta_grid``) are scored, tested for stability and tie-broken as
-    arrays, in blocks.  Pressure flags are
-    scored once per selected profile, for all cells that select it.  A cell
+    arrays, in blocks, and their pressure flags are read from the same
+    scores.  Each distinct equilibrium is built once as a
+    :class:`StrategyMatrix`, shared by every result holding it.  A cell
     without an equilibrium, or without a discount equilibrium, holds one
     shared NO_ZRE result.  No payoff of either world is returned.
     """
@@ -523,6 +530,7 @@ def solve_grid(
 
     no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
     solved = [(cell, no_zre) for cell in cells]
+    matrix = functools.cache(lambda code: _matrix(code, config))
     for zero, ks in groups.items():
         codes, steps = profiles[zero]
         every = len(codes) == len(table_codes)
@@ -531,25 +539,12 @@ def solve_grid(
         # same market; only the largest, which the selection prefers, is
         # solved.  Its axis then has no deviation to gain from.
         axes = [axis[-1:] if free else axis for free, axis in zip(zero, delta_axes)]
-        group = (table.rows(rows), rank[rows], steps)
-        selected_by = defaultdict(list)
-        hits = _group_equilibria(config, [cells[k] for k in ks], codes, group, axes)
+        group = (table.rows(rows), rank[rows], steps, codes, _counterfactuals(cells[ks[0]]))
+        hits = _group_equilibria(config, [cells[k] for k in ks], group, axes)
         for k, hit in zip(ks, hits):
             if hit is not None:
-                selected_by[hit[2]].append((k,) + hit)
-
-        # Pressure rows, once per selected profile for all the cells that
-        # select it.
-        for code, members in selected_by.items():
-            checked, counterfactual, keep = _pressure_rows(cells[members[0][0]], code)
-            u = _scores(
-                config, table.rows(np.searchsorted(table_codes, counterfactual)),
-                [cells[k].p for k, *_ in members], [delta for _, delta, *_ in members],
-            )[0]
-            for (k, delta, found, _), flags in zip(members, _pressure(u, checked, keep)):
-                all_zre = tuple(_matrix(c, config) for c in found)
-                chosen = all_zre[int(np.searchsorted(found, code))]
-                pressure = tuple(bool(f) for f in flags)
+                delta, found, code, pressure = hit
+                all_zre, chosen = tuple(map(matrix, found)), matrix(code)
                 zre = ZreResult(ZreStatus.EQUILIBRIA_FOUND, all_zre, chosen, pressure)
                 cell = cells[k] if delta == cells[k].delta else cells[k].with_delta(delta)
                 solved[k] = (cell, zre)

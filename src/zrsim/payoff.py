@@ -19,7 +19,9 @@ no table of pair payoffs is built (see :func:`_scores`).
 Scores are laid out with the market axis innermost in memory, so every
 elementwise operation runs over long rows of markets instead of the 2-3
 providers of a trailing axis; callers see them through transposed views
-with the logical shapes ``U[..., k, i]`` and ``R[..., k, j]``.
+with the logical shapes ``U[..., k, i]`` and ``R[..., k, j]``.  numpy lays
+a product out after its operands, so R's prices enter as contiguous
+``[M, L]`` arrays: their transposed views would put the ISP axis innermost.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ def _scores(config: MarketConfig, table: ProfileTable, p, delta) -> Scores:
     ``[M]``, or both ``[L, M]`` for L markets, which then lead the result.
 
     Both are computed as arrays ``(N, K, L)`` and ``(M, K, L)``, markets
-    innermost, and returned as transposed views.  R is linear:
+    innermost in memory (see the module notes), and returned as transposed
+    views.  R is linear:
     ``delta * p * zs + p * w``.  U adds, ISP by ISP, each pair's payoff
     (``(q_i - delta_j p_j) X`` when zero-rated, ``q_i X c`` otherwise) to a
     zeroed accumulator, ``0.0 + t_0 + t_1 + ...``.  Below 8 ISPs that is
@@ -108,7 +111,7 @@ def _scores(config: MarketConfig, table: ProfileTable, p, delta) -> Scores:
     p, delta = np.asarray(p, dtype=float), np.asarray(delta, dtype=float)
     single = p.ndim == 1
     # Markets last: [M, L], one column for a single market.
-    p, dp = np.atleast_2d(p).T, np.atleast_2d(delta * p).T
+    p, dp = (np.ascontiguousarray(np.atleast_2d(a).T) for a in (p, delta * p))
     r = dp[:, None] * table.zs.T[..., None] + p[:, None] * table.w.T[..., None]
     q = np.asarray(config.q)[:, None, None]
     u = np.zeros((config.n_cps, len(table.cells), p.shape[1]))

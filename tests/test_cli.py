@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -202,6 +205,31 @@ def test_sweep_discount_mode_lists_cells_unless_duopoly(price_grid, delta_grid, 
         rows = list(csv.reader(fh))
     assert rows[0] == [f"p_{j}" for j in range(1, m + 1)] + [f"delta_{j}" for j in range(1, m + 1)]
     assert rows[1:] == expected
+
+
+def test_sweep_imports_no_lazy_numpy_submodule(tmp_path):
+    # numpy.ma and numpy.random load on first use (np.unique, for one,
+    # imports numpy.ma), and a cold process without cached bytecode pays
+    # about 12 ms for numpy.ma: as much as the solve of a 2x2 sweep.
+    # numpy.matrixlib shares the prefix but loads with numpy itself.
+    script = (
+        "import sys\n"
+        "from zrsim.cli import main\n"
+        "for path, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    assert main(['sweep', path, '--out', out]) == 0\n"
+        "print(sorted(name for name in sys.modules\n"
+        "             if name.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])))\n"
+    )
+    argv = []
+    for name in ("benchmark", "discount_game"):
+        argv += [str(SCENARIOS / f"{name}.json"), str(tmp_path / name)]
+    paths = [str(Path(analysis.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_capacity_guard_exits_3_fast(tmp_path, capsys):

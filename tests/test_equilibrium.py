@@ -438,8 +438,9 @@ class TestDiscountGame:
             # profile of the cell is a market of the leading axis.
             codes, steps = equilibrium._profiles(config)
             cells = market.profile_cells(codes, config.n_cps, config.n_isps)
-            stable, _, revenue = equilibrium._market_table(
+            stable, _, revenue, _ = equilibrium._market_table(
                 config, profile_table(config, cells), equilibrium._rank(config, codes), steps,
+                codes, equilibrium._counterfactuals(config),
                 np.tile(config.p, (len(profiles), 1)), np.array(profiles),
             )
             one_profile = block_sizes[0][1]

@@ -185,7 +185,8 @@ def test_one_utility_summation_at_eight_isps(n_cps, seed):
 
 def test_market_batch_keeps_the_arithmetic():
     # Scoring L markets in one call must give, bit for bit, what L
-    # one-market calls give: the market axis changes the layout only.
+    # one-market calls give: the market axis changes the layout only, and
+    # it is innermost in memory for U and R alike.
     rng = np.random.default_rng(43)
     cases = []
     for n, m in [(1, 1), (1, 3), (2, 2), (3, 1), (2, 3), (3, 3)]:
@@ -204,6 +205,7 @@ def test_market_batch_keeps_the_arithmetic():
         table = profile_table(config, profile_cells(np.arange(1 << (n * m)), n, m))
         u, r = _scores(config, table, prices, deltas)
         assert u.shape == (len(prices), 1 << (n * m), n)
+        assert u.strides[0] == r.strides[0] == u.itemsize
         for l, (p, delta) in enumerate(zip(prices, deltas)):
             one_u, one_r = _scores(config, table, p, delta)
             assert _same_bits(u[l], one_u) and _same_bits(r[l], one_r)

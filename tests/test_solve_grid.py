@@ -5,7 +5,8 @@ The reference solves each cell on its own from ``_profiles``,
 ``detect_pressure`` and records both worlds with ``payoffs`` and ``hhi``:
 none of it runs through :func:`zrsim.equilibrium.solve_grid`.  Price axes
 hold 0.0, so every set of zero-price ISPs (every group of the driver)
-occurs.
+occurs.  ``detect_pressure`` reads its scores as the driver does, so the
+driver's flags are also checked against scores of each counterfactual row.
 """
 
 import itertools
@@ -161,6 +162,51 @@ def test_driver_equals_per_cell_reference(block_elements, references, monkeypatc
     # Cells without an equilibrium and without a discount equilibrium occur.
     assert {status for status, _ in statuses} == set(ZreStatus)
     assert len({status for _, status in statuses}) == 2
+
+
+def _reference_pressure(cell: MarketConfig, selected: StrategyMatrix) -> tuple[bool, ...]:
+    # The definition of detect_pressure, every row of every checked CP's
+    # counterfactual market scored on its own by payoffs().
+    n, m = cell.n_cps, cell.n_isps
+    free = [j for j in range(m) if cell.p[j] != 0.0]
+    flags = []
+    for i in range(n):
+        held = [j for j in free if selected.rows[i][j]]
+        competing = any(selected.rows[k][j] for k in range(n) if k != i for j in free)
+        if not (held and competing):
+            flags.append(False)
+            continue
+        keeping, dropping = [], []
+        for bits in itertools.product((0, 1), repeat=len(free)):
+            row = dict(zip(free, bits))
+            theta = StrategyMatrix(tuple(
+                tuple(1 if j not in row else row[j] if k == i else 0 for j in range(m))
+                for k in range(n)
+            ))
+            utility = payoffs(cell, theta).cp_utility[i]
+            (keeping if all(row[j] for j in held) else dropping).append(utility)
+        flags.append(max(dropping) > max(keeping) + GAIN_TOL)
+    return tuple(flags)
+
+
+@pytest.mark.parametrize("block_elements", [None, 1, 1000])
+def test_engine_pressure_equals_definition(block_elements, monkeypatch):
+    # The engine reads pressure from its blocks' scores; the reference
+    # scores each counterfactual row alone, in fixed-delta and discount
+    # mode, with 0.0 on every price axis.
+    if block_elements is not None:
+        monkeypatch.setattr(market, "BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(53)
+    flagged = 0
+    for n, m in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        config = random_config(rng, n, m)
+        axes = tuple((0.0, *rng.uniform(0.05, 1.0, size=2)) for _ in range(m))
+        for grid in (None, (0.5, 1.0)):
+            for cell, zre in equilibrium.solve_grid(config, axes, grid):
+                if zre.selected is not None:
+                    assert zre.pressure == _reference_pressure(cell, zre.selected)
+                    flagged += sum(zre.pressure)
+    assert flagged > 0
 
 
 def test_guard_raises_before_any_allocation(monkeypatch):
