@@ -47,12 +47,12 @@ from .market import (
     StrategyMatrix,
     allocate,
     aux_members,
-    choice_probability,
     merge_providers,
 )
 from .oracle import (
     ChoiceSet,
     Violation,
+    choice_probability,
     elastic_choice_set,
     find_zre_violation,
     oracle_allocate,

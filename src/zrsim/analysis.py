@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidArgument
 from .equilibrium import DEFAULT_DELTA_GRID, ZreResult, ZreStatus, solve_grid
-from .market import MarketConfig, StrategyMatrix, _members, allocate, allocations, profile_cells
+from .market import MarketConfig, StrategyMatrix, allocate, allocations, cp_totals, profile_cells
 from .payoff import ProfileTable, _isp_sums, _scores
 
 SIGN_TOL = 1e-12
@@ -50,16 +50,6 @@ class SignSummary:
     share_signs: tuple[int, ...]
 
 
-def _effective_users_per_cp(config: MarketConfig, x_pair: np.ndarray) -> np.ndarray:
-    # Sums over every ISP column including the dummy: a CP's concentration
-    # is measured over all of its users, wherever they connect.
-    members = _members(config.n_cps)
-    totals = np.empty(config.n_cps)
-    for i in range(config.n_cps):
-        totals[i] = x_pair[members[:, i] == 1, :].sum()
-    return totals
-
-
 def _hhi(totals: np.ndarray) -> float:
     grand = totals.sum()
     if grand <= 0.0:
@@ -77,11 +67,10 @@ def _shares(totals: np.ndarray) -> np.ndarray:
 def hhi(config: MarketConfig, theta: StrategyMatrix) -> float:
     """Herfindahl index of the actual-CP market under ``theta``.
 
-    Computed as the normalized sum of squared effective-user counts,
-    sum(X_i^2) / (sum(X_i))^2, so the result lies in (0, 1] regardless of
-    the raw market size.
+    Computed as sum(X_i^2) / (sum(X_i))^2 over the per-CP sums X of the
+    shares rho, so the result lies in (0, 1] whatever the market size.
     """
-    return _hhi(_effective_users_per_cp(config, allocate(config, theta).x_pair))
+    return _hhi(cp_totals(config, allocate(config, theta).rho[None])[0])
 
 
 def hhi_variance_identity(shares: Sequence[float]) -> tuple[float, float]:
@@ -114,20 +103,19 @@ def _sweep(
 
     A cell without a selection counts as the all-zero profile (code 0), so
     both of its worlds coincide and its deltas are exactly zero.  Shares
-    and the Herfindahl index read only the profile, so each is computed
-    once per distinct profile from one allocation.  Its table is scored by
-    the engine's :func:`~zrsim.payoff._scores` at L markets, and market l
-    reads the row of its world: market 0 is the world without zero-rating
-    (which reads neither p nor delta, because every pair pays q * c per
-    user), the rest each cell's selected world at its prices and
+    and the Herfindahl index read only the profile's shares rho, so each
+    is computed once per distinct profile from one allocation.  Its table
+    is scored by the engine's :func:`~zrsim.payoff._scores` at L markets,
+    and market l reads the row of its world: market 0 is the world without
+    zero-rating (which reads neither p nor delta, because every pair pays
+    q * c per user), the rest each cell's selected world at its prices and
     discounts."""
     solved = solve_grid(config, p_grid, delta_grid)
     selected = [0 if zre.selected is None else zre.selected.encoding() for _, zre in solved]
     codes = sorted({0, *selected})
     cells = profile_cells(codes, config.n_cps, config.n_isps)
-    _, x_pair, x_effective = allocations(config, cells)
-    totals = [_effective_users_per_cp(config, x) for x in x_pair]
-    worlds = [(_shares(t), _hhi(t)) for t in totals]
+    rho, _, x_effective = allocations(config, cells)
+    worlds = [(_shares(t), _hhi(t)) for t in cp_totals(config, rho)]
     rows = np.searchsorted(codes, [0] + selected)
     prices = np.array([config.p] + [cell.p for cell, _ in solved])
     deltas = np.array([config.delta] + [cell.delta for cell, _ in solved])

@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
@@ -43,26 +44,30 @@ from .market import (
 )
 from .payoff import ProfileTable, _scores, code_scores, profile_table
 
-ENUMERATION_CELL_GUARD = 20
 DEFAULT_DELTA_GRID = tuple(k / 10 for k in range(11))
-# Work guard for the discount game: delta profiles x strategy profiles.
-# What it admits, one cell of a seeded random market on the 11-point grid
-# (2 cores, Python 3.11, numpy 2.4, fresh processes; 35 MB of each peak RSS
-# is the imports): 3x3, 681,472 evaluations, 0.08-0.10 s and 38 MB peak
-# RSS; 7x2, the most evaluations under the guard (1,982,464), 0.6-0.7 s and
-# 46 MB.  The count leaves out the 2**N-bundle allocation of every profile:
-# 13x1, 90,112 evaluations, takes 8.3-8.4 s and 42 MB, nearly all of it
-# allocating.
-DISCOUNT_WORK_GUARD = 2_000_000
+# Capacity guard: the profile evaluations of one price cell, d**M discount
+# profiles (d = 1 at fixed delta) times 2**(N*M) strategy profiles, checked
+# before anything is built.  At fixed delta it admits exactly the markets
+# of at most 20 cells (2**20 <= 2,000,000 < 2**21): 4x5 and 2x10, not 3x7.
+# On the 11-point grid, one cell of a seeded random market (2 cores, Python
+# 3.11, numpy 2.4, fresh processes; 35 MB of each peak RSS is the imports):
+# 3x3, 681,472 evaluations, 0.08-0.10 s and 38 MB peak RSS; 7x2, the most
+# evaluations under the guard (1,982,464), 0.6-0.7 s and 46 MB; not 2x4.
+# The count leaves out the 2**N-bundle allocation of every profile: a 13x1
+# cell, 90,112 evaluations, takes 8.3-8.4 s and 42 MB, nearly all of it
+# allocating, and a 5x4 enumeration takes 6.4 s and adds 478 MB.
+EVALUATION_GUARD = 2_000_000
 # A deviation "gains" only when it beats the current payoff by more than
-# this margin.  Grid parameterizations produce exact analytic payoff ties;
+# this margin times total_users: payoffs scale with the market size, so
+# the margin does too, and no verdict depends on the unit users are
+# counted in.  Grid parameterizations produce exact analytic payoff ties;
 # the margin keeps tie verdicts stable across arithmetically different but
 # equivalent evaluation routes.  Float noise is ~1e-16; over every
 # single-cell deviation (in every market a sweep solves: price cell times
 # discount profile) and every discount deviation of the ten shipped
-# scenarios, scored with linear revenues, no payoff gap lies in
-# (1e-12, 1e-6); the ties reach 1.1e-16, and the smallest real gap is
-# 2.6e-5 (discount_game).
+# scenarios (all at total_users 1), scored with linear revenues, no payoff
+# gap lies in (1e-12, 1e-6); the ties reach 1.1e-16, and the smallest real
+# gap is 2.6e-5 (discount_game).
 GAIN_TOL = 1e-9
 
 
@@ -145,7 +150,7 @@ def _breaks(cp_gains, isp_gains, held):
     return cp_gains | isp_gains if held else cp_gains & isp_gains
 
 
-def _stable(u: np.ndarray, r: np.ndarray, steps: list[tuple[tuple[int, int], int]]) -> np.ndarray:
+def _stable(u: np.ndarray, r: np.ndarray, steps: list, tol: float) -> np.ndarray:
     """Whether each profile of :func:`_profiles` survives every single-cell
     deviation, per leading (market) index, from its utilities
     ``u[..., k, i]`` and revenues ``r[..., k, j]``.
@@ -154,10 +159,10 @@ def _stable(u: np.ndarray, r: np.ndarray, steps: list[tuple[tuple[int, int], int
     t ^ s, so a column reshaped to ``(..., K / 2s, 2, s)`` holds the rows
     lacking the relation in half 0 and those holding it in half 1, and
     reversing the half axis puts each row's flip in its place.  A flip
-    gains when it beats a copy of the table with GAIN_TOL added.  Every
-    temporary, the mask included, keeps the memory layout of ``u`` (see
-    :func:`~zrsim.payoff._scores`)."""
-    u_bar, r_bar = u + GAIN_TOL, r + GAIN_TOL
+    gains when it beats a copy of the table with ``tol``, GAIN_TOL times
+    total_users, added.  Every temporary, the mask included, keeps the
+    memory layout of ``u`` (see :func:`~zrsim.payoff._scores`)."""
+    u_bar, r_bar = u + tol, r + tol
     unstable = np.zeros_like(u[..., 0], dtype=bool)
     for (i, j), step in steps:
         cu, cr, cu_bar, cr_bar, out = (
@@ -180,7 +185,8 @@ def is_zre(config: MarketConfig, theta: StrategyMatrix) -> bool:
     code, free = theta.encoding(), _free_cells(config, forced)
     bits = [cell_bit(i, j, config.n_cps, config.n_isps) for i, j in free]
     u, r = code_scores(config, [code] + [code ^ bit for bit in bits])
-    u_bar, r_bar = u[0] + GAIN_TOL, r[0] + GAIN_TOL
+    tol = GAIN_TOL * config.total_users
+    u_bar, r_bar = u[0] + tol, r[0] + tol
     return not any(
         _breaks(u[k, i] > u_bar[i], r[k, j] > r_bar[j], code & bit)
         for k, ((i, j), bit) in enumerate(zip(free, bits), 1)
@@ -192,10 +198,6 @@ def _profiles(config: MarketConfig) -> tuple[np.ndarray, list[tuple[tuple[int, i
     free cells, each with its bit in a profile's row of that array (see
     :func:`_stable`)."""
     n, m = config.n_cps, config.n_isps
-    if n * m > ENUMERATION_CELL_GUARD:
-        raise CapacityError(
-            f"{n * m} cells exceed the exhaustive enumeration guard of {ENUMERATION_CELL_GUARD}"
-        )
     forced = forced_cells(config)
     free = _free_cells(config, forced)
     # Row t holds the free cells' bits, first free cell most significant,
@@ -261,16 +263,18 @@ def detect_pressure(config: MarketConfig, selected: StrategyMatrix) -> tuple[boo
     market, it strictly prefers some row that drops at least one of its
     selected relations over every row that keeps them all: the relation
     survives only in response to the competition.  Indifference keeps the
-    relation (deviations "gain" only past GAIN_TOL, as everywhere).  Forced
-    cells are not choices and never count.  Each distinct counterfactual
-    row is scored once, and :func:`_pressure` reads it as in a sweep.
+    relation (deviations "gain" only past GAIN_TOL times total_users, as
+    everywhere).  Forced cells are not choices and never count.  Each
+    distinct counterfactual row is scored once, and :func:`_pressure` reads
+    it as in a sweep.
     """
     _check_dims(config, selected)
     _check_forced(selected, forced_cells(config))
     counterfactual = _counterfactuals(config)
     codes = np.array(sorted(set(counterfactual.ravel().tolist())))
     u = code_scores(config, codes)[0][None]
-    return tuple(_pressure(u, codes, np.array([selected.encoding()]), counterfactual)[0].tolist())
+    chosen, tol = np.array([selected.encoding()]), GAIN_TOL * config.total_users
+    return tuple(_pressure(u, codes, chosen, counterfactual, tol)[0].tolist())
 
 
 def _counterfactuals(config: MarketConfig) -> np.ndarray:
@@ -286,14 +290,15 @@ def _counterfactuals(config: MarketConfig) -> np.ndarray:
     return zero * sum(1 << (m * i) for i in range(n)) + (rows[:, None] << (m * np.arange(n)[::-1]))
 
 
-def _pressure(u, codes, chosen, counterfactual) -> np.ndarray:
+def _pressure(u, codes, chosen, counterfactual, tol: float) -> np.ndarray:
     """Pressure flags ``[l, i]`` of the selected profiles ``chosen[l]`` (see
     :func:`detect_pressure`), from the utilities ``u[l, k, i]`` of the
     profiles ``codes``, ascending, which include every row of
-    ``counterfactual`` (see :func:`_counterfactuals`).  A CP holding no
-    free relation keeps them all in every row and is never flagged; CPs'
-    free cells are distinct bits, so a CP has a competitor exactly when
-    the sum of all CPs' held bits exceeds its own."""
+    ``counterfactual`` (see :func:`_counterfactuals`), with the gain margin
+    ``tol``, GAIN_TOL times total_users.  A CP holding no free relation
+    keeps them all in every row and is never flagged; CPs' free cells are
+    distinct bits, so a CP has a competitor exactly when the sum of all
+    CPs' held bits exceeds its own."""
     free = counterfactual[-1] ^ counterfactual[0]
     held = free[:, None] & chosen
     keep = (counterfactual[..., None] & held) == held
@@ -301,7 +306,7 @@ def _pressure(u, codes, chosen, counterfactual) -> np.ndarray:
     rows = u.T[np.arange(len(free)), np.searchsorted(codes, counterfactual)]
     dropping = np.where(keep, -np.inf, rows).max(axis=0)
     keeping = np.where(keep, rows, -np.inf).max(axis=0)
-    return ((held.sum(axis=0) != held) & (dropping > keeping + GAIN_TOL)).T
+    return ((held.sum(axis=0) != held) & (dropping > keeping + tol)).T
 
 
 def best_response_dynamics(
@@ -326,6 +331,7 @@ def best_response_dynamics(
     _check_forced(start, forced)
     n, m = config.n_cps, config.n_isps
     agents = [("cp", i) for i in range(n)] + [("isp", j) for j in range(m)]
+    tol = GAIN_TOL * config.total_users
 
     def trace(outcome: DynamicsOutcome, cycle_start: int | None = None) -> BestResponseTrace:
         path = tuple(_matrix(code, config) for code in visited)
@@ -350,14 +356,14 @@ def best_response_dynamics(
         own = [(idx, j) for j in range(m)] if kind == "cp" else [(i, idx) for i in range(n)]
         cells = [cell for cell in own if cell not in forced]
         u, r = code_scores(config, [state] + [state ^ cell_bit(i, j, n, m) for i, j in cells])
-        best_gain = GAIN_TOL
+        best_gain = tol
         best_cell = None
         for k, (i, j) in enumerate(cells, start=1):
             cp_gain, isp_gain = u[k, i] - u[0, i], r[k, j] - r[0, j]
             own_gain, other_gain = (cp_gain, isp_gain) if kind == "cp" else (isp_gain, cp_gain)
-            if own_gain <= GAIN_TOL:
+            if own_gain <= tol:
                 continue
-            if not state & cell_bit(i, j, n, m) and other_gain <= GAIN_TOL:
+            if not state & cell_bit(i, j, n, m) and other_gain <= tol:
                 continue
             if own_gain > best_gain:
                 best_gain = own_gain
@@ -399,12 +405,13 @@ def _market_table(
     selected = np.empty(len(prices), dtype=np.int64)
     revenue = np.empty((len(prices), config.n_isps))
     pressure = np.empty((len(prices), config.n_cps), dtype=bool)
+    tol = GAIN_TOL * config.total_users
     for block in blocks(len(prices), len(table.cells) * (config.n_cps + config.n_isps)):
         u, r = _scores(config, table, prices[block], deltas[block])
-        stable[block] = _stable(u, r, steps)
+        stable[block] = _stable(u, r, steps, tol)
         selected[block] = np.where(stable[block], rank, -1).argmax(axis=1)
         revenue[block] = r[np.arange(len(r)), selected[block]]
-        pressure[block] = _pressure(u, codes, codes[selected[block]], counterfactual)
+        pressure[block] = _pressure(u, codes, codes[selected[block]], counterfactual, tol)
     revenue[~stable.any(axis=1)] = -np.inf
     return stable, selected, revenue, pressure
 
@@ -436,7 +443,7 @@ def _group_equilibria(
     entries as :func:`_market_table` does."""
     m, codes = config.n_isps, group[3]
     deltas = list(itertools.product(*axes))
-    d = len(deltas)
+    d, tol = len(deltas), GAIN_TOL * config.total_users
     prices = np.array([cell.p for cell in cells])
     out = []
     for chunk in blocks(len(cells), d * len(group[0].cells) * (config.n_cps + m)):
@@ -444,18 +451,16 @@ def _group_equilibria(
         stable, selected, revenue, pressure = _market_table(
             config, *group, np.repeat(prices[chunk], d, axis=0), np.tile(deltas, (count, 1))
         )
-        nash = stable.any(axis=1).reshape(count, d)
-        if d > 1:
-            # Nash: no ISP gains from a unilateral grid deviation that admits
-            # an equilibrium.  ISP j's best deviation is the maximum along
-            # discount axis j; a profile without equilibrium holds -inf and
-            # is never a gain.
-            revenue = revenue.reshape((count,) + tuple(map(len, axes)) + (m,))
-            gains = [
-                revenue[..., j].max(axis=1 + j, keepdims=True) > revenue[..., j] + GAIN_TOL
-                for j in range(m)
-            ]
-            nash &= ~np.logical_or.reduce(gains).reshape(count, d)
+        # Nash: no ISP gains from a unilateral grid deviation that admits an
+        # equilibrium.  ISP j's best deviation is the maximum along discount
+        # axis j; a profile without equilibrium holds -inf and is never a
+        # gain, and a one-point axis (fixed delta) offers no deviation.
+        revenue = revenue.reshape((count,) + tuple(map(len, axes)) + (m,))
+        gains = [
+            revenue[..., j].max(axis=1 + j, keepdims=True) > revenue[..., j] + tol
+            for j in range(m)
+        ]
+        nash = (stable.any(axis=1) & ~np.logical_or.reduce(gains).ravel()).reshape(count, d)
         for row, cell in enumerate(cells[chunk]):
             found = np.flatnonzero(nash[row])
             if not len(found):
@@ -496,23 +501,24 @@ def solve_grid(
     :class:`StrategyMatrix`, shared by every result holding it.  A cell
     without an equilibrium, or without a discount equilibrium, holds one
     shared NO_ZRE result.  No payoff of either world is returned.
+
+    Raises CapacityError, before any cell market or allocation is built,
+    when a cell needs more than ``EVALUATION_GUARD`` profile evaluations.
     """
     n, m = config.n_cps, config.n_isps
     if len(p_grid) != m:
         raise InvalidArgument(f"p_grid must have one value list per ISP ({m})")
     if any(len(axis) == 0 for axis in p_grid):
         raise InvalidArgument("p_grid axes must be nonempty")
-    if delta_grid is None:
-        delta_axes = [(v,) for v in config.delta]
-    else:
-        grid = _checked_delta_grid(delta_grid)
-        work = len(grid) ** m * (1 << (n * m))
-        if work > DISCOUNT_WORK_GUARD:
-            raise CapacityError(
-                f"discount game needs {work} profile evaluations, above the guard "
-                f"of {DISCOUNT_WORK_GUARD}"
-            )
-        delta_axes = [grid] * m
+    delta_axes = [(v,) for v in config.delta]
+    if delta_grid is not None:
+        delta_axes = [_checked_delta_grid(delta_grid)] * m
+    work = math.prod(map(len, delta_axes)) << (n * m)
+    if work > EVALUATION_GUARD:
+        raise CapacityError(
+            f"a {n}x{m} cell needs {work} profile evaluations, above the guard of "
+            f"{EVALUATION_GUARD}"
+        )
     cells = [
         config if prices == config.p else config.with_prices(prices)
         for prices in itertools.product(*map(_as_float_tuple, p_grid))

@@ -21,7 +21,8 @@ are), the elastic fraction ``alpha`` of users chooses among zero-rated pairs
 (all pairs when none exist) proportionally to baseline shares, and the
 sticky remainder stays on baseline shares.  The allocation reads neither
 prices nor discounts, so one table of effective users serves every price
-cell and discount profile of a scenario.
+cell and discount profile of a scenario.  Every sum over the bundle
+lattice (``x_effective``, :func:`cp_totals`) is taken here.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, DomainError, InvalidArgument
+from .errors import ConfigError, ContractViolation, InvalidArgument
 
 SHARE_TOL = 1e-12
 # Array entries computed per block.  A block of B profiles holds
@@ -255,31 +256,6 @@ def _bundles_zero_rated(cells: np.ndarray, members: np.ndarray) -> np.ndarray:
     return ext
 
 
-def choice_probability(
-    choice_set: Iterable[tuple[int, int]],
-    aux_mask: int,
-    isp: int,
-    config: MarketConfig,
-) -> float:
-    """Probability that a user restricted to ``choice_set`` picks a pair.
-
-    ``choice_set`` holds (aux mask, isp index) pairs over the extended
-    provider sets; probabilities are proportional to phi * psi and sum to
-    one over the set.  Pairs outside the set have probability zero.
-    """
-    pairs = set(choice_set)
-    if not pairs:
-        raise DomainError("choice set must be nonempty")
-    if not 0 <= aux_mask < config.lattice_size:
-        raise InvalidArgument(f"aux mask {aux_mask} out of range")
-    if not 0 <= isp <= config.n_isps:
-        raise InvalidArgument(f"isp index {isp} out of range")
-    if (aux_mask, isp) not in pairs:
-        return 0.0
-    norm = sum(config.phi[s] * config.psi[j] for s, j in pairs)
-    return config.phi[aux_mask] * config.psi[isp] / norm
-
-
 @dataclass(frozen=True)
 class AllocationTable:
     """Per-pair market shares and user counts under one strategy profile.
@@ -329,19 +305,17 @@ def allocations(
     return rho, x_pair, x_effective
 
 
-def effective_users(config: MarketConfig, cells: np.ndarray) -> np.ndarray:
-    """Effective users ``X[k, i, j]`` of actual CP ``i`` on actual ISP ``j``
-    under each profile in ``cells``, allocated one block at a time.
-
-    They depend on phi, psi, alpha and total_users only, so one table
-    serves every price and discount of a market.  The price-free
-    :func:`_lattice` is built once for all blocks.
-    """
-    users = np.empty(cells.shape)
-    lattice = _lattice(config)
-    for block in blocks(len(cells), config.lattice_size * (config.n_isps + 1)):
-        users[block] = allocations(config, cells[block], lattice)[2]
-    return users
+def cp_totals(config: MarketConfig, pairs: np.ndarray) -> np.ndarray:
+    """Per-CP sums ``[k, i]`` of pair arrays ``pairs[k, s, j]``: every
+    bundle ``s`` containing actual CP ``i``, over every ISP column ``j``
+    including the dummy, so a CP counts all of its users wherever they
+    connect.  Each row sums as one flat array, as ``pairs[k][mask].sum()``
+    would."""
+    members = _members(config.n_cps)
+    totals = np.empty((len(pairs), config.n_cps))
+    for i in range(config.n_cps):
+        totals[:, i] = pairs[:, members[:, i] == 1].reshape(len(pairs), -1).sum(axis=1)
+    return totals
 
 
 def allocate(config: MarketConfig, theta: StrategyMatrix) -> AllocationTable:

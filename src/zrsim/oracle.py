@@ -10,13 +10,13 @@ a non-goal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .equilibrium import GAIN_TOL
 from .errors import DomainError, InvalidArgument
-from .market import AllocationTable, MarketConfig, StrategyMatrix, choice_probability
+from .market import AllocationTable, MarketConfig, StrategyMatrix
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,31 @@ class ChoiceSet:
     def __post_init__(self) -> None:
         if not self.pairs:
             raise DomainError("choice set must be nonempty")
+
+
+def choice_probability(
+    choice_set: Iterable[tuple[int, int]],
+    aux_mask: int,
+    isp: int,
+    config: MarketConfig,
+) -> float:
+    """Probability that a user restricted to ``choice_set`` picks a pair.
+
+    ``choice_set`` holds (aux mask, isp index) pairs over the extended
+    provider sets; probabilities are proportional to phi * psi and sum to
+    one over the set.  Pairs outside the set have probability zero.
+    """
+    pairs = set(choice_set)
+    if not pairs:
+        raise DomainError("choice set must be nonempty")
+    if not 0 <= aux_mask < config.lattice_size:
+        raise InvalidArgument(f"aux mask {aux_mask} out of range")
+    if not 0 <= isp <= config.n_isps:
+        raise InvalidArgument(f"isp index {isp} out of range")
+    if (aux_mask, isp) not in pairs:
+        return 0.0
+    norm = sum(config.phi[s] * config.psi[j] for s, j in pairs)
+    return config.phi[aux_mask] * config.psi[isp] / norm
 
 
 def _bundle_zero_rated(theta: StrategyMatrix, mask: int, isp: int) -> bool:
@@ -133,9 +158,9 @@ def find_zre_violation(config: MarketConfig, theta: StrategyMatrix) -> Violation
     an existing relation on its own, but establishing one takes both.  So a
     1-cell breaks the profile when the CP or the ISP strictly gains from
     canceling it, and a 0-cell breaks it when both strictly gain from
-    establishing it ("gain" exceeds the shared GAIN_TOL margin, so tie
-    verdicts agree across the two arithmetic routes).  Cells forced by a
-    zero ISP price are never deviated.
+    establishing it ("gain" exceeds the shared GAIN_TOL margin times
+    total_users, so tie verdicts agree across the two arithmetic routes).
+    Cells forced by a zero ISP price are never deviated.
     """
     forced_cols = {j for j in range(config.n_isps) if config.p[j] == 0.0}
     for j in forced_cols:
@@ -143,13 +168,14 @@ def find_zre_violation(config: MarketConfig, theta: StrategyMatrix) -> Violation
             if theta.rows[i][j] != 1:
                 raise InvalidArgument(f"cell ({i}, {j}) must be 1 because p[{j}] = 0")
     base_u, base_r = _oracle_totals(config, theta)
+    tol = GAIN_TOL * config.total_users
     for i in range(config.n_cps):
         for j in range(config.n_isps):
             if j in forced_cols:
                 continue
             flip_u, flip_r = _oracle_totals(config, theta.flip(i, j))
-            cp_gains = flip_u[i] > base_u[i] + GAIN_TOL
-            isp_gains = flip_r[j] > base_r[j] + GAIN_TOL
+            cp_gains = flip_u[i] > base_u[i] + tol
+            isp_gains = flip_r[j] > base_r[j] + tol
             if theta.rows[i][j] == 1:
                 if cp_gains or isp_gains:
                     gainers = tuple(

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .market import (
-    MarketConfig, StrategyMatrix, _check_dims, blocks, effective_users, profile_cells
+    MarketConfig, StrategyMatrix, _check_dims, _lattice, allocations, blocks, profile_cells
 )
 
 
@@ -59,10 +59,10 @@ Scores = tuple[np.ndarray, np.ndarray]
 
 class ProfileTable(NamedTuple):
     """What scoring reads of each profile ``k``, none of it priced: its
-    zero-rating ``cells[k, i, j]``, its effective ``users[k, i, j]`` (see
-    :func:`~zrsim.market.effective_users`) and, per ISP, the users of its
-    zero-rated pairs ``zs[k, j]`` and c times those of its other pairs
-    ``w[k, j]``."""
+    zero-rating ``cells[k, i, j]``, its effective ``users[k, i, j]`` (the
+    ``x_effective`` of :func:`~zrsim.market.allocations`) and, per ISP, the
+    users of its zero-rated pairs ``zs[k, j]`` and c times those of its
+    other pairs ``w[k, j]``."""
 
     cells: np.ndarray
     users: np.ndarray
@@ -82,11 +82,15 @@ def _isp_sums(config: MarketConfig, cells: np.ndarray, users: np.ndarray) -> tup
 
 
 def profile_table(config: MarketConfig, cells: np.ndarray) -> ProfileTable:
-    """The :class:`ProfileTable` of the profiles ``cells``, allocated and
-    summed one block at a time, so no temporary spans the whole table."""
-    users = effective_users(config, cells)
+    """The :class:`ProfileTable` of the profiles ``cells``, in one pass over
+    blocks within ``BLOCK_ELEMENTS`` allocation shares that allocates each
+    block and sums its ISP columns, so no temporary spans the whole table;
+    the price-free lattice is built once for all blocks."""
+    users = np.empty(cells.shape)
     zs, w = np.empty((2, len(cells), config.n_isps))
-    for block in blocks(len(cells), config.n_cps * config.n_isps):
+    lattice = _lattice(config)
+    for block in blocks(len(cells), config.lattice_size * (config.n_isps + 1)):
+        users[block] = allocations(config, cells[block], lattice)[2]
         zs[block], w[block] = _isp_sums(config, cells[block], users[block])
     return ProfileTable(cells, users, zs, w)
 

@@ -19,6 +19,7 @@ from zrsim import (
     grid_sweep,
     hhi,
     hhi_variance_identity,
+    market,
 )
 
 from conftest import GRID11, random_config
@@ -117,7 +118,7 @@ class TestCompareWorlds:
 
     def test_shares_sum_to_one(self, bench):
         x_pair = allocate(bench, StrategyMatrix(((0, 0), (1, 0)))).x_pair
-        shares = analysis._shares(analysis._effective_users_per_cp(bench, x_pair))
+        shares = analysis._shares(market.cp_totals(bench, x_pair[None])[0])
         assert shares.sum() == pytest.approx(1.0, abs=1e-12)
         assert shares[1] > shares[0]
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,34 @@ def test_capacity_guard_exits_3_fast(tmp_path, capsys):
     assert code == EXIT_CAPACITY
     assert capsys.readouterr().err.startswith("error:")
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("total_users", [1e-9, 1e9, 1e200])
+def test_results_do_not_depend_on_total_users(total_users, tmp_path, capsys):
+    # Payoffs scale with total_users, so a gain must beat a margin that
+    # scales too, and shares and the Herfindahl index come from rho: the
+    # selected profiles, share and HHI deltas and pressure flags are those
+    # of the one-user market, no overflow warning is raised, and verify
+    # passes as it does there.  Only the utility deltas scale.
+    doc = json.loads((SCENARIOS / "benchmark.json").read_text())
+    columns = {}
+    for scale in (1.0, total_users):
+        doc["market"]["total_users"] = scale
+        scenario = tmp_path / f"scale_{scale}.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / f"out_{scale}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["sweep", str(scenario), "--out", str(out)]) == EXIT_OK
+            capsys.readouterr()
+            assert main(["verify", str(scenario)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("\n7/7 checks passed, 1 skipped\n")
+        with (out / "grid.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        columns[scale] = [
+            {name: v for name, v in row.items() if not name.startswith("delta_u_")} for row in rows
+        ]
+    assert columns[total_users] == columns[1.0]
 
 
 def test_no_zre_rows_encode_literal_zeros(tmp_path):

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zrsim import StrategyMatrix, allocate, compare_worlds, load_scenario, market, payoffs
+from zrsim import StrategyMatrix, allocate, compare_worlds, load_scenario, market, payoff, payoffs
 from zrsim.equilibrium import DEFAULT_DELTA_GRID
-from zrsim.market import effective_users, profile_cells
+from zrsim.market import profile_cells
 from zrsim.payoff import _scores, code_scores, profile_table
 
 from conftest import random_config, random_theta
@@ -132,13 +132,13 @@ def test_score_table_rows_equal_payoffs(block_elements, monkeypatch):
     if block_elements is not None:
         monkeypatch.setattr(market, "BLOCK_ELEMENTS", block_elements)
     block_sizes = []
-    allocations = market.allocations
+    allocations = payoff.allocations
 
     def recorded(config, cells, lattice=None):
         block_sizes.append(len(cells) * config.lattice_size * (config.n_isps + 1))
         return allocations(config, cells, lattice)
 
-    monkeypatch.setattr(market, "allocations", recorded)
+    monkeypatch.setattr(payoff, "allocations", recorded)
     shipped = {"benchmark": (0.3, 0.7), "bandwidth_high": (0.3, 0.3), "elasticity_low": (0.0, 0.6)}
     configs = [
         load_scenario(SCENARIOS / f"{name}.json").config.with_prices(prices)
@@ -150,7 +150,7 @@ def test_score_table_rows_equal_payoffs(block_elements, monkeypatch):
         n, m = config.n_cps, config.n_isps
         codes = np.arange(1 << (n * m))
         u, r = code_scores(config, codes)
-        users = effective_users(config, profile_cells(codes, n, m))
+        users = profile_table(config, profile_cells(codes, n, m)).users
         for k in codes:
             theta = StrategyMatrix.from_bitstring(format(k, f"0{n * m}b"), n, m)
             pv = payoffs(config, theta)

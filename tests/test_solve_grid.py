@@ -33,6 +33,7 @@ from zrsim import (
     hhi,
     load_scenario,
     market,
+    payoff,
     payoffs,
     select_zre,
 )
@@ -48,7 +49,7 @@ def _reference_zre(cell: MarketConfig) -> ZreResult:
     n, m = cell.n_cps, cell.n_isps
     codes, steps = equilibrium._profiles(cell)
     u, r = code_scores(cell, codes)
-    found = codes[equilibrium._stable(u, r, steps)]
+    found = codes[equilibrium._stable(u, r, steps, GAIN_TOL * cell.total_users)]
     if not len(found):
         return ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
     all_zre = tuple(StrategyMatrix.from_bitstring(format(c, f"0{n * m}b"), n, m) for c in found)
@@ -58,7 +59,7 @@ def _reference_zre(cell: MarketConfig) -> ZreResult:
 
 def _shares(cell: MarketConfig, theta: StrategyMatrix) -> np.ndarray:
     x_pair = market.allocate(cell, theta).x_pair
-    return analysis._shares(analysis._effective_users_per_cp(cell, x_pair))
+    return analysis._shares(market.cp_totals(cell, x_pair[None])[0])
 
 
 def _reference_record(cell: MarketConfig, zre: ZreResult | None) -> SweepRecord:
@@ -226,3 +227,37 @@ def test_guard_raises_before_any_allocation(monkeypatch):
         grid_sweep(config, ((0.0, 0.5),) * 7)
     with pytest.raises(CapacityError):
         discount_grid_sweep(config, ((0.5,),) * 7, (1.0,))
+
+
+class Admitted(Exception):
+    """Raised by the first step after the capacity guard."""
+
+
+@pytest.mark.parametrize(
+    "n, m, solve, admitted",
+    [
+        # At fixed delta the guard admits exactly the markets of at most
+        # 20 cells: 2**20 <= 2,000,000 < 2**21.
+        (4, 5, enumerate_zre, True),
+        (2, 10, enumerate_zre, True),
+        (3, 7, enumerate_zre, False),
+        # On the 11-point grid: 7 x 2 needs 11**2 * 2**14 = 1,982,464
+        # evaluations and 3 x 3 681,472; 2 x 4 needs 3,748,096.
+        (7, 2, discount_equilibrium, True),
+        (3, 3, discount_equilibrium, True),
+        (2, 4, discount_equilibrium, False),
+    ],
+)
+def test_guard_boundary(n, m, solve, admitted, monkeypatch):
+    # The profile enumeration that follows the guard, and every allocation,
+    # raise Admitted, so nothing is solved: an admitted market passed the
+    # guard, and a rejected one was refused before anything was allocated.
+    def admit(*args):
+        raise Admitted
+
+    monkeypatch.setattr(equilibrium, "_profiles", admit)
+    for module in (market, payoff, analysis):
+        monkeypatch.setattr(module, "allocations", admit)
+    config = random_config(np.random.default_rng(n * m), n, m, allow_zero_price=False)
+    with pytest.raises(Admitted if admitted else CapacityError):
+        solve(config)
