@@ -11,6 +11,7 @@ equilibrium carry exactly zero deltas.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,7 +42,7 @@ class SweepRecord:
 class SignSummary:
     """Per-CP averages of the sweep deltas with their sign classification.
 
-    Signs are +1 / -1 / 0 with a tolerance of ``SIGN_TOL`` around zero.
+    Signs are +1 / -1 / 0 within a tolerance of zero (see :func:`aggregate_signs`).
     """
 
     avg_delta_utility: tuple[float, ...]
@@ -96,10 +97,11 @@ def _sweep(
     config: MarketConfig,
     p_grid: Sequence[Sequence[float]],
     delta_grid: Sequence[float] | None = None,
-) -> list[tuple[MarketConfig, ZreResult, SweepRecord]]:
-    """Every price-grid cell solved by :func:`~zrsim.equilibrium.solve_grid`
-    (its market, with the selected discount profile in the discount game,
-    and its equilibria) with its two-world record, row-major.
+) -> list[tuple[tuple[float, ...], ZreResult, SweepRecord]]:
+    """Every point of the price grid (one value list per ISP), row-major,
+    as a row of prices solved by :func:`~zrsim.equilibrium.solve_grid`: its
+    discount profile (the selected one in the discount game), its
+    equilibria and its two-world record.
 
     A cell without a selection counts as the all-zero profile (code 0), so
     both of its worlds coincide and its deltas are exactly zero.  Shares
@@ -108,25 +110,30 @@ def _sweep(
     is scored by the engine's :func:`~zrsim.payoff._scores` at L markets,
     and market l reads the row of its world: market 0 is the world without
     zero-rating (which reads neither p nor delta, because every pair pays
-    q * c per user), the rest each cell's selected world at its prices and
-    discounts."""
-    solved = solve_grid(config, p_grid, delta_grid)
-    selected = [0 if zre.selected is None else zre.selected.encoding() for _, zre in solved]
+    q * c per user), the rest each cell's selected world."""
+    m = config.n_isps
+    if len(p_grid) != m:
+        raise InvalidArgument(f"p_grid must have one value list per ISP ({m})")
+    if any(len(axis) == 0 for axis in p_grid):
+        raise InvalidArgument("p_grid axes must be nonempty")
+    p_rows = [tuple(map(float, row)) for row in itertools.product(*p_grid)]
+    solved = solve_grid(config, p_rows, delta_grid)
+    selected = [0 if zre.selected is None else zre.selected.encoding() for _, _, zre in solved]
     codes = sorted({0, *selected})
-    cells = profile_cells(codes, config.n_cps, config.n_isps)
+    cells = profile_cells(codes, config.n_cps, m)
     rho, _, x_effective = allocations(config, cells)
     worlds = [(_shares(t), _hhi(t)) for t in cp_totals(config, rho)]
     rows = np.searchsorted(codes, [0] + selected)
-    prices = np.array([config.p] + [cell.p for cell, _ in solved])
-    deltas = np.array([config.delta] + [cell.delta for cell, _ in solved])
+    prices = np.array([config.p] + p_rows)
+    deltas = np.array([config.delta] + [delta for _, delta, _ in solved])
     table = ProfileTable(cells, x_effective, *_isp_sums(config, cells, x_effective))
     u = _scores(config, table, prices, deltas)[0][np.arange(len(rows)), rows]
     base_share, base_hhi = worlds[0]
     out = []
-    for (cell, zre), row, utility in zip(solved, rows[1:], u[1:]):
+    for (cell_prices, delta, zre), row, utility in zip(solved, rows[1:], u[1:]):
         share, hhi_sel = worlds[row]
         record = SweepRecord(
-            prices=cell.p,
+            prices=cell_prices,
             status=zre.status,
             selected=zre.selected,
             delta_utility=tuple(float(v) for v in utility - u[0]),
@@ -134,7 +141,7 @@ def _sweep(
             delta_hhi=hhi_sel - base_hhi,
             pressure=zre.pressure,
         )
-        out.append((cell, zre, record))
+        out.append((delta, zre, record))
     return out
 
 
@@ -174,21 +181,18 @@ def discount_grid_sweep(
     two-world deltas under the selected discount profile.
     """
     return [
-        DiscountCell(record, None if zre.selected is None else cell.delta)
-        for cell, zre, record in _sweep(config, p_grid, delta_grid)
+        DiscountCell(record, None if zre.selected is None else delta)
+        for delta, zre, record in _sweep(config, p_grid, delta_grid)
     ]
 
 
-def _sign(value: float) -> int:
-    if value > SIGN_TOL:
-        return 1
-    if value < -SIGN_TOL:
-        return -1
-    return 0
+def _sign(value: float, tol: float) -> int:
+    return int(value > tol) - int(value < -tol)
 
 
-def aggregate_signs(records: Sequence[SweepRecord]) -> SignSummary:
-    """Arithmetic means of the per-CP deltas over a sweep, with signs."""
+def aggregate_signs(records: Sequence[SweepRecord], total_users: float = 1.0) -> SignSummary:
+    """Arithmetic means of the per-CP deltas over a sweep, with signs.
+    Utilities scale with ``total_users``, so their tolerance does too."""
     if not records:
         raise InvalidArgument("aggregate_signs requires at least one record")
     du = np.mean([r.delta_utility for r in records], axis=0)
@@ -196,6 +200,6 @@ def aggregate_signs(records: Sequence[SweepRecord]) -> SignSummary:
     return SignSummary(
         avg_delta_utility=tuple(float(v) for v in du),
         avg_delta_share=tuple(float(v) for v in ds),
-        utility_signs=tuple(_sign(v) for v in du),
-        share_signs=tuple(_sign(v) for v in ds),
+        utility_signs=tuple(_sign(v, SIGN_TOL * total_users) for v in du),
+        share_signs=tuple(_sign(v, SIGN_TOL) for v in ds),
     )

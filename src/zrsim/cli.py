@@ -84,8 +84,10 @@ def write_grid_csv(records: Sequence[SweepRecord], path: Path, n_cps: int, n_isp
             writer.writerow(_grid_row(record))
 
 
-def write_summary_json(records: Sequence[SweepRecord], path: Path) -> None:
-    signs = aggregate_signs(records)
+def write_summary_json(
+    records: Sequence[SweepRecord], path: Path, total_users: float = 1.0
+) -> None:
+    signs = aggregate_signs(records, total_users)
     summary = {
         "cells": len(records),
         "no_zre_prices": [
@@ -158,7 +160,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if cells is not None:
             write_discounts_csv(cells, names["discounts"], scenario.price_grid)
         write_grid_csv(records, names["grid"], scenario.config.n_cps, scenario.config.n_isps)
-        write_summary_json(records, names["summary"])
+        write_summary_json(records, names["summary"], scenario.config.total_users)
     except OSError as exc:
         raise ScenarioError(f"cannot write output: {exc}") from exc
     return EXIT_OK

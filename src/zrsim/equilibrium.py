@@ -14,15 +14,16 @@ with price zero (an unlimited plan) is treated as always zero-rating with
 every CP: those cells are clamped to 1 and excluded from deviation checks.
 
 Profiles are integer codes (see :mod:`zrsim.market`) scored in batches.
-:func:`solve_grid` solves every price cell of a scenario from one table of
-effective users: cells are grouped by their zero-price ISPs, and every cell
-of a group is scored, tested for stability, tie-broken and flagged for
-pressure as arrays led by a market axis (price cell, times discount profile
-in the discount game), in blocks.  It returns equilibria only: the payoffs of both worlds, the
-selected profile and the all-zero one, are :mod:`zrsim.analysis`'s to
-score.  :func:`enumerate_zre` and :func:`discount_equilibrium` are its
-one-cell case; :func:`is_zre` and the dynamics score a profile and its
-flips, and :func:`detect_pressure` its counterfactual markets.
+:func:`solve_grid` solves every price cell of a scenario, a row of prices
+and not a market, from one table of effective users: rows are grouped by
+their zero prices, and every row of a group is scored, tested for
+stability, tie-broken and flagged for pressure as arrays led by a market
+axis (price cell, times discount profile in the discount game), in blocks.
+It returns equilibria only: the payoffs of both worlds, the selected
+profile and the all-zero one, are :mod:`zrsim.analysis`'s to score.
+:func:`enumerate_zre` and :func:`discount_equilibrium` are its one-cell
+case; :func:`is_zre` and the dynamics score a profile and its flips, and
+:func:`detect_pressure` its counterfactual markets.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import numpy as np
 
 from .errors import CapacityError, ContractViolation, InvalidArgument
 from .market import (
-    MarketConfig, StrategyMatrix, _as_float_tuple, _check_dims, blocks, cell_bit,
-    check_unit_interval, profile_cells
+    MarketConfig, StrategyMatrix, _check_dims, blocks, cell_bit, check_unit_interval,
+    profile_cells
 )
 from .payoff import ProfileTable, _scores, code_scores, profile_table
 
@@ -218,13 +219,14 @@ def enumerate_zre(config: MarketConfig) -> ZreResult:
     computed only for the selected profile.  This is the one-cell case of
     :func:`solve_grid`.
     """
-    return solve_grid(config, [(p,) for p in config.p])[0][1]
+    return solve_grid(config, [config.p])[0][2]
 
 
-def _high_value_cp(config: MarketConfig) -> int:
-    # Highest q wins; ties go to the later index, mirroring the convention
-    # that the second provider is the tie-breaker.
-    return max(range(config.n_cps), key=lambda i: (config.q[i], i))
+def _last_argmax(values: Sequence[float]) -> int:
+    # The largest value wins (the highest-value CP, the most expensive
+    # ISP); ties go to the later index, mirroring the convention that the
+    # second provider is the tie-breaker.
+    return max(range(len(values)), key=lambda k: (values[k], k))
 
 
 def select_zre(all_zre: Sequence[StrategyMatrix], config: MarketConfig) -> StrategyMatrix:
@@ -247,7 +249,7 @@ def _rank(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> np.ndarray
     winner among any subset of ``codes`` is its highest-ranked member."""
     codes = np.asarray(codes, dtype=np.int64)
     cells = profile_cells(codes, config.n_cps, config.n_isps)
-    hv, last = cells[:, _high_value_cp(config)].sum(axis=1), cells[:, :, -1].sum(axis=1)
+    hv, last = cells[:, _last_argmax(config.q)].sum(axis=1), cells[:, :, -1].sum(axis=1)
     rank = np.empty(len(codes), dtype=np.int64)
     rank[np.lexsort((-codes, last, hv, cells.sum(axis=(1, 2))))] = np.arange(len(codes))
     return rank
@@ -375,10 +377,6 @@ def best_response_dynamics(
     return trace(DynamicsOutcome.INCONCLUSIVE)
 
 
-def _expensive_isp(config: MarketConfig) -> int:
-    return max(range(config.n_isps), key=lambda j: (config.p[j], j))
-
-
 def _market_table(
     config: MarketConfig,
     table: ProfileTable,
@@ -416,27 +414,17 @@ def _market_table(
     return stable, selected, revenue, pressure
 
 
-def _checked_delta_grid(delta_grid: Sequence[float]) -> tuple[float, ...]:
-    """The distinct values of a discount grid, ascending."""
-    if not delta_grid:
-        raise InvalidArgument("delta_grid must be nonempty")
-    values = [float(v) for v in delta_grid]
-    # Every value, not the sorted ends: NaN has no place in a sorted order.
-    check_unit_interval("delta", values)
-    return tuple(sorted(set(values)))
-
-
 def _group_equilibria(
     config: MarketConfig,
-    cells: list[MarketConfig],
+    prices: np.ndarray,
     group: tuple,
     axes: list[tuple[float, ...]],
 ) -> list[tuple[tuple[float, ...], list[int], int, tuple[bool, ...]] | None]:
-    """Per cell of one zero-price group, its selected discount profile, the
-    equilibrium codes there, the selected code and its pressure flags; None
-    where it has no (discount) equilibrium.
+    """Per price row ``prices[l]`` of one zero-price group, its selected
+    discount profile, the equilibrium codes there, the selected code and
+    its pressure flags; None where it has no (discount) equilibrium.
 
-    Every cell is a market per discount profile of ``axes``; ``group`` holds
+    Every row is a market per discount profile of ``axes``; ``group`` holds
     the group's profile table, rank, free cells, codes and counterfactual
     rows (see :func:`_market_table`).  Blocks hold whole cells, so the Nash
     test of a cell sees all of its discount profiles, and count score
@@ -444,9 +432,8 @@ def _group_equilibria(
     m, codes = config.n_isps, group[3]
     deltas = list(itertools.product(*axes))
     d, tol = len(deltas), GAIN_TOL * config.total_users
-    prices = np.array([cell.p for cell in cells])
     out = []
-    for chunk in blocks(len(cells), d * len(group[0].cells) * (config.n_cps + m)):
+    for chunk in blocks(len(prices), d * len(group[0].cells) * (config.n_cps + m)):
         count = len(prices[chunk])
         stable, selected, revenue, pressure = _market_table(
             config, *group, np.repeat(prices[chunk], d, axis=0), np.tile(deltas, (count, 1))
@@ -461,7 +448,7 @@ def _group_equilibria(
             for j in range(m)
         ]
         nash = (stable.any(axis=1) & ~np.logical_or.reduce(gains).ravel()).reshape(count, d)
-        for row, cell in enumerate(cells[chunk]):
+        for row, p in enumerate(prices[chunk]):
             found = np.flatnonzero(nash[row])
             if not len(found):
                 out.append(None)
@@ -469,7 +456,7 @@ def _group_equilibria(
             # Among Nash profiles the largest is chosen: by total discount,
             # then by the most expensive ISP's component, then by the later
             # ISPs' components.
-            tie = _expensive_isp(cell)
+            tie = _last_argmax(p)
             star = max(found, key=lambda s: (sum(deltas[s]), deltas[s][tie], deltas[s][::-1]))
             at = row * d + star
             flags = tuple(pressure[at].tolist())
@@ -479,22 +466,23 @@ def _group_equilibria(
 
 def solve_grid(
     config: MarketConfig,
-    p_grid: Sequence[Sequence[float]],
+    p_rows: Sequence[tuple[float, ...]],
     delta_grid: Sequence[float] | None = None,
-) -> list[tuple[MarketConfig, ZreResult]]:
-    """Solve ``config`` at every Cartesian price-grid point, row-major:
-    one (cell market, :class:`ZreResult`) pair per cell.
+) -> list[tuple[tuple[float, ...], tuple[float, ...], ZreResult]]:
+    """Solve ``config`` at every price row of ``p_rows`` (one float per
+    ISP), in order: one (prices, discount profile, :class:`ZreResult`) row
+    per cell, and no cell built as a market.
 
-    ``p_grid`` holds one value list per ISP.  Without ``delta_grid`` each
-    cell is solved at ``config.delta``; with it each cell plays the ISP
-    discount game on that grid (see :func:`discount_equilibrium`), and its
-    market carries the selected discount profile.
+    Without ``delta_grid`` each cell is solved at ``config.delta``; with it
+    each cell plays the ISP discount game on that grid (see
+    :func:`discount_equilibrium`), and its row carries the selected
+    discount profile (``config.delta`` where there is none).
 
     The profile table (see :class:`~zrsim.payoff.ProfileTable`) and the
     tie-break rank read neither prices nor discounts, so one of each serves
-    the whole grid.  Cells are grouped by their zero-price ISPs, which fix
-    the forced cells and so the profiles; the markets of a group (cells,
-    times discount profiles, one profile of ``config.delta`` without
+    the whole grid.  Rows are grouped by their zero prices, which fix the
+    forced cells and so the profiles; the markets of a group (rows, times
+    discount profiles, one profile of ``config.delta`` without
     ``delta_grid``) are scored, tested for stability and tie-broken as
     arrays, in blocks, and their pressure flags are read from the same
     scores.  Each distinct equilibrium is built once as a
@@ -502,31 +490,33 @@ def solve_grid(
     without an equilibrium, or without a discount equilibrium, holds one
     shared NO_ZRE result.  No payoff of either world is returned.
 
-    Raises CapacityError, before any cell market or allocation is built,
-    when a cell needs more than ``EVALUATION_GUARD`` profile evaluations.
+    Raises CapacityError when a cell needs more than ``EVALUATION_GUARD``
+    profile evaluations, then ConfigError when a price lies outside
+    [0, 1], both before any allocation.
     """
     n, m = config.n_cps, config.n_isps
-    if len(p_grid) != m:
-        raise InvalidArgument(f"p_grid must have one value list per ISP ({m})")
-    if any(len(axis) == 0 for axis in p_grid):
-        raise InvalidArgument("p_grid axes must be nonempty")
     delta_axes = [(v,) for v in config.delta]
     if delta_grid is not None:
-        delta_axes = [_checked_delta_grid(delta_grid)] * m
+        if not delta_grid:
+            raise InvalidArgument("delta_grid must be nonempty")
+        values = [float(v) for v in delta_grid]
+        # Every value, not the sorted ends: NaN has no place in a sorted order.
+        check_unit_interval("delta", values)
+        delta_axes = [tuple(sorted(set(values)))] * m
     work = math.prod(map(len, delta_axes)) << (n * m)
     if work > EVALUATION_GUARD:
         raise CapacityError(
             f"a {n}x{m} cell needs {work} profile evaluations, above the guard of "
             f"{EVALUATION_GUARD}"
         )
-    cells = [
-        config if prices == config.p else config.with_prices(prices)
-        for prices in itertools.product(*map(_as_float_tuple, p_grid))
-    ]
     groups: dict[tuple[bool, ...], list[int]] = defaultdict(list)
-    for k, cell in enumerate(cells):
-        groups[tuple(p == 0.0 for p in cell.p)].append(k)
-    profiles = {zero: _profiles(cells[ks[0]]) for zero, ks in groups.items()}
+    for k, prices in enumerate(p_rows):
+        check_unit_interval("p", prices)
+        groups[tuple(p == 0.0 for p in prices)].append(k)
+    # The profiles and counterfactual rows read only which prices are zero,
+    # so one market per group serves them.
+    markets = {zero: config.with_prices(p_rows[ks[0]]) for zero, ks in groups.items()}
+    profiles = {zero: _profiles(market) for zero, market in markets.items()}
     used = np.zeros(1 << (n * m), dtype=bool)
     for codes, _ in profiles.values():
         used[codes] = True
@@ -535,7 +525,8 @@ def solve_grid(
     table = profile_table(config, profile_cells(table_codes, n, m))
 
     no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
-    solved = [(cell, no_zre) for cell in cells]
+    solved = [(prices, config.delta, no_zre) for prices in p_rows]
+    grid = np.array(p_rows)
     matrix = functools.cache(lambda code: _matrix(code, config))
     for zero, ks in groups.items():
         codes, steps = profiles[zero]
@@ -545,15 +536,14 @@ def solve_grid(
         # same market; only the largest, which the selection prefers, is
         # solved.  Its axis then has no deviation to gain from.
         axes = [axis[-1:] if free else axis for free, axis in zip(zero, delta_axes)]
-        group = (table.rows(rows), rank[rows], steps, codes, _counterfactuals(cells[ks[0]]))
-        hits = _group_equilibria(config, [cells[k] for k in ks], group, axes)
+        group = (table.rows(rows), rank[rows], steps, codes, _counterfactuals(markets[zero]))
+        hits = _group_equilibria(config, grid[ks], group, axes)
         for k, hit in zip(ks, hits):
             if hit is not None:
                 delta, found, code, pressure = hit
                 all_zre, chosen = tuple(map(matrix, found)), matrix(code)
                 zre = ZreResult(ZreStatus.EQUILIBRIA_FOUND, all_zre, chosen, pressure)
-                cell = cells[k] if delta == cells[k].delta else cells[k].with_delta(delta)
-                solved[k] = (cell, zre)
+                solved[k] = (p_rows[k], delta, zre)
     return solved
 
 
@@ -570,7 +560,7 @@ def discount_equilibrium(
     expensive ISP (later index on equal prices), then by the later ISPs'
     components.  This is the one-cell case of :func:`solve_grid`.
     """
-    [(cell, zre)] = solve_grid(config, [(p,) for p in config.p], delta_grid)
+    [(_, delta, zre)] = solve_grid(config, [config.p], delta_grid)
     if zre.selected is None:
         return DiscountOutcome(DiscountStatus.NO_DISCOUNT_EQUILIBRIUM, None, None)
-    return DiscountOutcome(DiscountStatus.EQUILIBRIUM_FOUND, cell.delta, zre)
+    return DiscountOutcome(DiscountStatus.EQUILIBRIUM_FOUND, delta, zre)

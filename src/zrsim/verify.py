@@ -11,12 +11,12 @@ skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import SweepRecord, _sweep, hhi, hhi_variance_identity
-from .equilibrium import ZreResult, ZreStatus, _high_value_cp, is_zre
+from .equilibrium import ZreResult, ZreStatus, _last_argmax, is_zre
 from .market import MarketConfig, StrategyMatrix, allocate
 from .oracle import oracle_allocate, oracle_verify_zre
 from .scenario import Scenario
@@ -27,7 +27,7 @@ VERIFY_SEED = 20240517
 
 # Every price-grid cell (its market, at the selected discount profile in
 # the discount game) with its solved equilibria and its two-world record,
-# in row-major order, as ``analysis._sweep`` returns them.
+# in row-major order, as :func:`run_battery` builds them.
 GridResults = list[tuple[MarketConfig, ZreResult, SweepRecord]]
 
 
@@ -159,7 +159,7 @@ def check_low_value_utility_drop(scenario: Scenario, results: GridResults) -> Ch
     if min(config.q) == max(config.q):
         return CheckResult("low-value-utility-drop", None, "skipped: all CP values equal")
     # The engine's high-value CP: on tied top values, the later one.
-    low, high = int(np.argmin(config.q)), _high_value_cp(config)
+    low, high = int(np.argmin(config.q)), _last_argmax(config.q)
     hits = 0
     for cell, result, record in results:
         if result.selected is None:
@@ -225,6 +225,7 @@ def run_battery(scenario: Scenario) -> list[CheckResult]:
     """Every check of ``ALL_CHECKS`` on the records ``zrsim sweep`` writes:
     one solve of the price grid by the sweep's own driver, in the
     scenario's mode (the discount game on ``scenario.delta_grid`` when it
-    has one), shared by every check."""
-    results = _sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
+    has one), shared by every check.  Each cell's market is built once."""
+    rows = _sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
+    results = [(replace(scenario.config, p=r.prices, delta=d), zre, r) for d, zre, r in rows]
     return [check(scenario, results) for check in ALL_CHECKS]

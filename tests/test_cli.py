@@ -253,15 +253,16 @@ def test_capacity_guard_exits_3_fast(tmp_path, capsys):
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("total_users", [1e-9, 1e9, 1e200])
+@pytest.mark.parametrize("total_users", [1e-12, 1e-9, 1e9, 1e200])
 def test_results_do_not_depend_on_total_users(total_users, tmp_path, capsys):
     # Payoffs scale with total_users, so a gain must beat a margin that
     # scales too, and shares and the Herfindahl index come from rho: the
     # selected profiles, share and HHI deltas and pressure flags are those
     # of the one-user market, no overflow warning is raised, and verify
-    # passes as it does there.  Only the utility deltas scale.
+    # passes as it does there.  Only the utility deltas scale, and the
+    # summary reads their signs against a margin that scales with them.
     doc = json.loads((SCENARIOS / "benchmark.json").read_text())
-    columns = {}
+    columns, signs = {}, {}
     for scale in (1.0, total_users):
         doc["market"]["total_users"] = scale
         scenario = tmp_path / f"scale_{scale}.json"
@@ -278,7 +279,10 @@ def test_results_do_not_depend_on_total_users(total_users, tmp_path, capsys):
         columns[scale] = [
             {name: v for name, v in row.items() if not name.startswith("delta_u_")} for row in rows
         ]
+        summary = json.loads((out / "summary.json").read_text())
+        signs[scale] = [(cp["utility_sign"], cp["share_sign"]) for cp in summary["per_cp"]]
     assert columns[total_users] == columns[1.0]
+    assert signs[total_users] == signs[1.0]
 
 
 def test_no_zre_rows_encode_literal_zeros(tmp_path):
@@ -377,11 +381,17 @@ def test_verify_fails_on_wrong_expectation(tmp_path, capsys):
 def test_verify_checks_the_discount_game_records():
     # The battery scans the equilibria of the discount game's records, the
     # ones `zrsim sweep` writes, not those of the fixed-delta market.  A
-    # discount-game file without a grid plays the default one.
+    # discount-game file without a grid plays the default one.  The oracle
+    # re-checks each cell in its market at delta*: at the scenario's delta
+    # it would disagree.
     assert load_scenario(SCENARIOS / "benchmark.json").delta_grid is None
     scenario = load_scenario(SCENARIOS / "discount_game.json")
     assert scenario.delta_grid == DEFAULT_DELTA_GRID
-    [check] = [r for r in run_battery(scenario) if r.name == "value-ordering-pruning"]
+    results = run_battery(scenario)
+    assert [r.name for r in results if r.passed is False] == []
+    [oracle] = [r for r in results if r.name == "oracle-equilibrium"]
+    assert oracle.detail == "432 verdicts compared, 0 disagreements"
+    [check] = [r for r in results if r.name == "value-ordering-pruning"]
     solved = analysis._sweep(scenario.config, scenario.price_grid, DEFAULT_DELTA_GRID)
     assert check.detail == f"{sum(len(zre.all_zre) for _, zre, _ in solved)} equilibria scanned"
 

@@ -10,6 +10,7 @@ driver's flags are also checked against scores of each counterfactual row.
 """
 
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 
 from zrsim import (
     CapacityError,
+    ConfigError,
     DiscountCell,
     MarketConfig,
     StrategyMatrix,
@@ -149,7 +151,9 @@ def test_driver_equals_per_cell_reference(block_elements, references, monkeypatc
     statuses = set()
     for (config, axes, grid), (cells, zres, records, discounts) in zip(CASES, references):
         solved = analysis._sweep(config, axes)
-        assert [cell for cell, _, _ in solved] == cells
+        # The sweep returns price rows; each cell's market is built from its
+        # row and discount profile.
+        assert [replace(config, p=r.prices, delta=delta) for delta, _, r in solved] == cells
         assert [zre for _, zre, _ in solved] == zres
         assert [record for _, _, record in solved] == records
         assert grid_sweep(config, axes) == records
@@ -203,8 +207,11 @@ def test_engine_pressure_equals_definition(block_elements, monkeypatch):
         config = random_config(rng, n, m)
         axes = tuple((0.0, *rng.uniform(0.05, 1.0, size=2)) for _ in range(m))
         for grid in (None, (0.5, 1.0)):
-            for cell, zre in equilibrium.solve_grid(config, axes, grid):
+            for prices, delta, zre in equilibrium.solve_grid(
+                config, list(itertools.product(*axes)), grid
+            ):
                 if zre.selected is not None:
+                    cell = replace(config, p=prices, delta=delta)
                     assert zre.pressure == _reference_pressure(cell, zre.selected)
                     flagged += sum(zre.pressure)
     assert flagged > 0
@@ -227,6 +234,27 @@ def test_guard_raises_before_any_allocation(monkeypatch):
         grid_sweep(config, ((0.0, 0.5),) * 7)
     with pytest.raises(CapacityError):
         discount_grid_sweep(config, ((0.5,),) * 7, (1.0,))
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+@pytest.mark.parametrize("j", [0, 1])
+def test_grid_prices_rejected_before_any_allocation(bad, j, monkeypatch):
+    # Every price row is checked as a market checks its prices, before
+    # anything is allocated; the bad value sits in the second row, behind
+    # a valid one of the same zero-price group.
+    def refuse(*args):
+        raise AssertionError("allocation started before the price check")
+
+    for module in (market, analysis, payoff):
+        monkeypatch.setattr(module, "allocations", refuse)
+    config = load_scenario(SCENARIOS / "benchmark.json").config
+    axes = [(0.5,), (0.5,)]
+    axes[j] = (0.5, bad)
+    message = rf"p\[{j}\] must lie in \[0, 1\]"
+    with pytest.raises(ConfigError, match=message):
+        grid_sweep(config, axes)
+    with pytest.raises(ConfigError, match=message):
+        discount_grid_sweep(config, axes, (0.5, 1.0))
 
 
 class Admitted(Exception):
