@@ -23,7 +23,10 @@ It returns equilibria only: the payoffs of both worlds, the selected
 profile and the all-zero one, are :mod:`zrsim.analysis`'s to score.
 :func:`enumerate_zre` and :func:`discount_equilibrium` are its one-cell
 case; :func:`is_zre` and the dynamics score a profile and its flips, and
-:func:`detect_pressure` its counterfactual markets.
+:func:`detect_pressure` its counterfactual markets.  :func:`is_zre` is the
+one-profile case of ``_verdicts``, which scores a batch of profiles of one
+market, each with its flips, in one call (the verify battery's random
+profiles of a price cell).
 """
 
 from __future__ import annotations
@@ -180,18 +183,31 @@ def is_zre(config: MarketConfig, theta: StrategyMatrix) -> bool:
     """Whether ``theta`` is a zero-rating equilibrium of ``config``: no flip
     of a free cell breaks it (:func:`_breaks`, the rule :func:`_stable`
     applies to every profile at once)."""
-    _check_dims(config, theta)
+    return _verdicts(config, [theta])[0]
+
+
+def _verdicts(config: MarketConfig, thetas: Sequence[StrategyMatrix]) -> list[bool]:
+    """:func:`is_zre` of each profile of ``thetas``, all of them checked
+    before any is scored, and every profile and its free flips scored in
+    one :func:`code_scores` call."""
     forced = forced_cells(config)
-    _check_forced(theta, forced)
-    code, free = theta.encoding(), _free_cells(config, forced)
+    for theta in thetas:
+        _check_dims(config, theta)
+        _check_forced(theta, forced)
+    free = _free_cells(config, forced)
     bits = [cell_bit(i, j, config.n_cps, config.n_isps) for i, j in free]
-    u, r = code_scores(config, [code] + [code ^ bit for bit in bits])
+    codes = [theta.encoding() for theta in thetas]
+    u, r = code_scores(config, [code ^ bit for code in codes for bit in [0] + bits])
+    shape = (len(codes), len(bits) + 1)
+    u, r = u.reshape(shape + (config.n_cps,)), r.reshape(shape + (config.n_isps,))
     tol = GAIN_TOL * config.total_users
-    u_bar, r_bar = u[0] + tol, r[0] + tol
-    return not any(
-        _breaks(u[k, i] > u_bar[i], r[k, j] > r_bar[j], code & bit)
-        for k, ((i, j), bit) in enumerate(zip(free, bits), 1)
-    )
+    return [
+        not any(
+            _breaks(u_t[k, i] > u_t[0, i] + tol, r_t[k, j] > r_t[0, j] + tol, code & bit)
+            for k, ((i, j), bit) in enumerate(zip(free, bits), 1)
+        )
+        for code, u_t, r_t in zip(codes, u, r)
+    ]
 
 
 def _profiles(config: MarketConfig) -> tuple[np.ndarray, list[tuple[tuple[int, int], int]]]:

@@ -139,9 +139,6 @@ class MarketConfig:
     def with_prices(self, p: Sequence[float]) -> "MarketConfig":
         return replace(self, p=_as_float_tuple(p))
 
-    def with_delta(self, delta: Sequence[float]) -> "MarketConfig":
-        return replace(self, delta=_as_float_tuple(delta))
-
 
 def check_unit_interval(name: str, values: Iterable[float]) -> None:
     """Raise ConfigError naming the first of ``values`` outside [0, 1]

@@ -3,8 +3,10 @@
 Everything here is deliberately recomputed from first principles -- explicit
 choice sets per user class and pair-by-pair probability sums -- rather than
 through the closed-form allocation path, so agreement between the two routes
-is evidence that the closed form was transcribed correctly.  Performance is
-a non-goal.
+is evidence that the closed form was transcribed correctly.  The contract is
+naive arithmetic, pair by pair, with one normaliser per choice set: each
+class's distribution sums phi * psi over its set once.  Nothing here reads
+:mod:`zrsim.market`'s lattice or allocation code; only its data types.
 """
 
 from __future__ import annotations
@@ -49,10 +51,16 @@ def choice_probability(
         raise InvalidArgument(f"aux mask {aux_mask} out of range")
     if not 0 <= isp <= config.n_isps:
         raise InvalidArgument(f"isp index {isp} out of range")
-    if (aux_mask, isp) not in pairs:
-        return 0.0
+    return _distribution(pairs, config).get((aux_mask, isp), 0.0)
+
+
+def _distribution(
+    pairs: set[tuple[int, int]], config: MarketConfig
+) -> dict[tuple[int, int], float]:
+    """The probability of every pair of ``pairs`` for a user restricted to
+    them: phi * psi over one normaliser, summed once in the set's order."""
     norm = sum(config.phi[s] * config.psi[j] for s, j in pairs)
-    return config.phi[aux_mask] * config.psi[isp] / norm
+    return {(s, j): config.phi[s] * config.psi[j] / norm for s, j in pairs}
 
 
 def _bundle_zero_rated(theta: StrategyMatrix, mask: int, isp: int) -> bool:
@@ -92,19 +100,19 @@ def oracle_allocate(config: MarketConfig, theta: StrategyMatrix) -> AllocationTa
     """Allocation recomputed directly from the two user classes.
 
     Sticky users draw from the full choice set and elastic users from the
-    zero-rated one; each class is distributed pair by pair via
-    :func:`choice_probability` and the classes are mixed with weights
-    (1 - alpha, alpha).
+    zero-rated one; each class is distributed pair by pair, with the
+    probabilities of :func:`choice_probability`, and the classes are mixed
+    with weights (1 - alpha, alpha).
     """
     if theta.n_cps != config.n_cps or theta.n_isps != config.n_isps:
         raise InvalidArgument("strategy matrix does not match the config dimensions")
-    sticky = sticky_choice_set(config)
-    elastic = elastic_choice_set(config, theta)
+    sticky = _distribution(set(sticky_choice_set(config).pairs), config)
+    elastic = _distribution(set(elastic_choice_set(config, theta).pairs), config)
     rho = np.zeros((config.lattice_size, config.n_isps + 1))
     for s in range(config.lattice_size):
         for j in range(config.n_isps + 1):
-            p_sticky = choice_probability(sticky.pairs, s, j, config)
-            p_elastic = choice_probability(elastic.pairs, s, j, config)
+            p_sticky = sticky.get((s, j), 0.0)
+            p_elastic = elastic.get((s, j), 0.0)
             rho[s, j] = (1.0 - config.alpha) * p_sticky + config.alpha * p_elastic
     x_pair = rho * config.total_users
     x_effective = np.zeros((config.n_cps, config.n_isps))

@@ -152,7 +152,7 @@ def _best_deviation(revenue_of, delta):
 
 def _closed_form_revenues(config):
     def revenue_of(delta):
-        market = config.with_delta(delta)
+        market = dataclasses.replace(config, delta=delta)
         result = enumerate_zre(market)
         if result.status is ZreStatus.NO_ZRE:
             return None
@@ -176,7 +176,7 @@ def _oracle_revenues(config):
             thetas.append(StrategyMatrix(rows))
     revenues = {}
     for delta in itertools.product(GRID11, repeat=m):
-        market = config.with_delta(delta)
+        market = dataclasses.replace(config, delta=delta)
         zre = [theta for theta in thetas if oracle_verify_zre(market, theta)]
         if not zre:
             revenues[delta] = None

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from zrsim import analysis, load_scenario
+from zrsim import MarketConfig, Scenario, StrategyMatrix, analysis, load_scenario
+from zrsim.analysis import SweepRecord
 from zrsim.cli import EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, fmt_num, main
-from zrsim.equilibrium import DEFAULT_DELTA_GRID
-from zrsim.verify import run_battery
+from zrsim.equilibrium import DEFAULT_DELTA_GRID, ZreResult, ZreStatus
+from zrsim.verify import CheckResult, check_low_value_utility_drop, run_battery
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
@@ -367,6 +368,61 @@ def test_verify_passes_on_benchmark(capsys):
     captured = capsys.readouterr().out
     assert "no-zre-cells" in captured
     assert "FAIL" not in captured
+
+
+VERIFY_STDOUT = {
+    "bandwidth_high": (
+        "PASS  oracle-allocation       max |rho - oracle rho| = 1.110e-16\n"
+        "PASS  oracle-equilibrium      495 verdicts compared, 0 disagreements\n"
+        "PASS  hhi-variance-identity   max |forms| gap = 2.220e-16\n"
+        "PASS  hhi-all-or-none         max |HHI(0) - HHI(1)| gap = 3.331e-16\n"
+        "PASS  hhi-nondecreasing       min delta HHI = 0.000e+00\n"
+        "PASS  low-value-utility-drop  33 qualifying cells checked\n"
+        "PASS  value-ordering-pruning  132 equilibria scanned\n"
+        "PASS  no-zre-cells            3 cells as expected\n"
+        "8/8 checks passed\n"
+    ),
+    "discount_game": (
+        "PASS  oracle-allocation       max |rho - oracle rho| = 2.776e-17\n"
+        "PASS  oracle-equilibrium      432 verdicts compared, 0 disagreements\n"
+        "PASS  hhi-variance-identity   max |forms| gap = 2.220e-16\n"
+        "PASS  hhi-all-or-none         max |HHI(0) - HHI(1)| gap = 3.331e-16\n"
+        "PASS  hhi-nondecreasing       min delta HHI = 0.000e+00\n"
+        "PASS  low-value-utility-drop  6 qualifying cells checked\n"
+        "PASS  value-ordering-pruning  69 equilibria scanned\n"
+        "SKIP  no-zre-cells            skipped: no expectation recorded\n"
+        "7/7 checks passed, 1 skipped\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_STDOUT))
+def test_verify_stdout_is_pinned(name, capsys):
+    # Every detail line, counts and worst gaps included: how the battery
+    # shares or batches its work must not change what it reports.
+    assert main(["verify", str(SCENARIOS / f"{name}.json")]) == EXIT_OK
+    assert capsys.readouterr().out == VERIFY_STDOUT[name]
+
+
+def test_low_value_utility_drop_margin_scales_with_users():
+    # At a million users a high-value CP delta of -1e-9 is rounding noise,
+    # -1e-3 a real loss.
+    config = MarketConfig(
+        n_cps=2, n_isps=2, alpha=0.5, c=0.5, q=(0.4, 1.0), p=(0.5, 0.5), delta=(1.0, 1.0),
+        phi=(0.1, 0.4, 0.4, 0.1), psi=(0.2, 0.4, 0.4), total_users=1e6,
+    )
+    scenario = Scenario(config, ((0.5, 0.5),), "fixed-delta")
+    theta = StrategyMatrix(((0, 0), (1, 0)))
+    zre = ZreResult(ZreStatus.EQUILIBRIA_FOUND, (theta,), theta, (False, False))
+
+    def check(high_delta):
+        record = SweepRecord(
+            config.p, zre.status, theta, (-1.0, high_delta), (-0.1, 0.1), 0.01, zre.pressure
+        )
+        return check_low_value_utility_drop(scenario, [(config, zre, record)])
+
+    assert check(-1e-9) == CheckResult("low-value-utility-drop", True, "1 qualifying cells checked")
+    assert check(-1e-3).passed is False
 
 
 def test_verify_fails_on_wrong_expectation(tmp_path, capsys):

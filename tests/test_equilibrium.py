@@ -32,7 +32,7 @@ from zrsim import (
 from zrsim import equilibrium
 from zrsim.payoff import profile_table
 
-from conftest import GRID11, random_config
+from conftest import GRID11, random_config, random_theta
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
@@ -44,7 +44,7 @@ def _reference_discount_outcome(config, grid):
     m = config.n_isps
     revenue = {}
     for delta in itertools.product(grid, repeat=m):
-        market_at = config.with_delta(delta)
+        market_at = dataclasses.replace(config, delta=delta)
         result = enumerate_zre(market_at)
         if result.status is ZreStatus.EQUILIBRIA_FOUND:
             revenue[delta] = payoffs(market_at, result.selected).isp_revenue
@@ -62,7 +62,8 @@ def _reference_discount_outcome(config, grid):
         return DiscountStatus.NO_DISCOUNT_EQUILIBRIUM, None, None
     expensive = max(range(m), key=lambda j: (config.p[j], j))
     star = max(nash, key=lambda d: (sum(d), d[expensive], d[::-1]))
-    return DiscountStatus.EQUILIBRIUM_FOUND, star, enumerate_zre(config.with_delta(star)).selected
+    selected = enumerate_zre(dataclasses.replace(config, delta=star)).selected
+    return DiscountStatus.EQUILIBRIUM_FOUND, star, selected
 
 
 class TestForcedCells:
@@ -110,6 +111,28 @@ class TestIsZre:
                     if not theta.rows[i][j] and cp_gain and isp_gain:
                         expected = False
             assert is_zre(config, theta) == expected
+
+    def test_batched_verdicts_equal_one_at_a_time(self):
+        # Every fourth market has a zero price, so forced cells shape the
+        # batch; shapes run from 1x1 to 3x3 and batches from 1 to 5.
+        rng = np.random.default_rng(311)
+        for draw in range(60):
+            config = random_config(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            if draw % 4 == 0:
+                p = list(config.p)
+                p[rng.integers(config.n_isps)] = 0.0
+                config = config.with_prices(p)
+            thetas = [random_theta(rng, config) for _ in range(int(rng.integers(1, 6)))]
+            assert equilibrium._verdicts(config, thetas) == [is_zre(config, t) for t in thetas]
+
+    def test_batched_verdicts_check_every_profile_first(self, bench):
+        config = bench.with_prices((0.0, 1.0))
+        valid = StrategyMatrix(((1, 0), (1, 1)))
+        assert equilibrium._verdicts(config, [valid]) == [is_zre(config, valid)]
+        with pytest.raises(InvalidArgument):
+            equilibrium._verdicts(config, [valid, StrategyMatrix.zeros(2, 2)])
+        with pytest.raises(InvalidArgument):
+            equilibrium._verdicts(config, [valid, StrategyMatrix.ones(2, 3)])
 
     def test_low_value_cp_cannot_afford_expensive_relation(self, bench):
         # q_1 < delta * p everywhere on this cell, so any profile giving
@@ -331,7 +354,7 @@ class TestDiscountGame:
                 for d in GRID11:
                     delta = [other, other]
                     delta[free] = d
-                    pv = payoffs(config.with_delta(delta), theta)
+                    pv = payoffs(dataclasses.replace(config, delta=delta), theta)
                     seen.add((tuple(pv.cp_utility), tuple(pv.isp_revenue)))
                 assert len(seen) == 1, f"theta {theta.bitstring()}, other delta {other}"
 
@@ -376,7 +399,7 @@ class TestDiscountGame:
         config = bench.with_prices((0.2, 0.8))
         outcome = discount_equilibrium(config)
         base = payoffs(
-            config.with_delta(outcome.delta_star), outcome.zre.selected
+            dataclasses.replace(config, delta=outcome.delta_star), outcome.zre.selected
         ).isp_revenue
         for j in range(2):
             for alt in GRID11:
@@ -384,10 +407,10 @@ class TestDiscountGame:
                     continue
                 delta = list(outcome.delta_star)
                 delta[j] = alt
-                result = enumerate_zre(config.with_delta(delta))
+                result = enumerate_zre(dataclasses.replace(config, delta=delta))
                 if result.status is ZreStatus.NO_ZRE:
                     continue
-                rev = payoffs(config.with_delta(delta), result.selected).isp_revenue
+                rev = payoffs(dataclasses.replace(config, delta=delta), result.selected).isp_revenue
                 assert rev[j] <= base[j] + 1e-9
 
     def test_empty_grid_rejected(self, bench):
@@ -448,7 +471,7 @@ class TestDiscountGame:
             largest = max(d * size for d, size in block_sizes)
             assert largest <= max(one_profile, market.BLOCK_ELEMENTS)
             for delta, mask, row in zip(profiles, stable, revenue):
-                market_at = config.with_delta(delta)
+                market_at = dataclasses.replace(config, delta=delta)
                 result = enumerate_zre(market_at)
                 assert list(codes[mask]) == [theta.encoding() for theta in result.all_zre]
                 if result.status is ZreStatus.NO_ZRE:

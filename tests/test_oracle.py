@@ -1,5 +1,9 @@
 """Brute-force oracle: choice sets, allocation equivalence, verdicts."""
 
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from zrsim import (
     DomainError,
     StrategyMatrix,
     allocate,
+    choice_probability,
     elastic_choice_set,
     enumerate_zre,
     find_zre_violation,
@@ -15,6 +20,7 @@ from zrsim import (
     oracle_verify_zre,
     sticky_choice_set,
 )
+from zrsim import oracle
 from zrsim.oracle import ChoiceSet
 
 from conftest import random_config, random_theta
@@ -53,6 +59,51 @@ def test_oracle_single_relation_value(bench):
     table = oracle_allocate(bench, theta)
     assert table.rho[2, 1] == pytest.approx(0.58, abs=1e-12)
     assert table.x_effective[1, 0] == pytest.approx(0.60, abs=1e-12)
+
+
+def test_allocation_mixes_the_two_choice_probabilities():
+    # One normaliser per choice set gives, digit for digit, the mixture of
+    # the per-pair choice probabilities that define the two classes.
+    rng = np.random.default_rng(107)
+    for n_cps in range(1, 5):
+        for _ in range(5):
+            config = random_config(rng, n_cps, int(rng.integers(1, 4)))
+            theta = random_theta(rng, config)
+            sticky = sticky_choice_set(config).pairs
+            elastic = elastic_choice_set(config, theta).pairs
+            rho = oracle_allocate(config, theta).rho
+            for s in range(config.lattice_size):
+                for j in range(config.n_isps + 1):
+                    expected = (1.0 - config.alpha) * choice_probability(
+                        sticky, s, j, config
+                    ) + config.alpha * choice_probability(elastic, s, j, config)
+                    assert rho[s, j] == expected, (n_cps, s, j)
+
+
+def test_oracle_imports_no_closed_form():
+    # The oracle is evidence only while it shares no arithmetic with the
+    # closed-form route: from zrsim it may take the gain margin, the
+    # errors and the market's data types, nothing else.
+    allowed = {
+        "equilibrium": {"GAIN_TOL"},
+        "market": {"AllocationTable", "MarketConfig", "StrategyMatrix"},
+    }
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                assert top == "numpy" or top in sys.stdlib_module_names, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.level == 0:
+                top = node.module.split(".")[0]
+                assert top == "numpy" or top in sys.stdlib_module_names, node.module
+            else:
+                assert node.level == 1 and node.module is not None, node.module
+                if node.module != "errors":
+                    assert node.module in allowed, node.module
+                    assert names <= allowed[node.module], names - allowed[node.module]
 
 
 def test_dual_route_allocation_fuzz():

@@ -88,9 +88,9 @@ def _reference_discount(cell: MarketConfig, grid: tuple[float, ...]) -> Discount
     axes = [grid[-1:] if p == 0.0 else grid for p in cell.p]
     revenue = {}
     for delta in itertools.product(*axes):
-        zre = _reference_zre(cell.with_delta(delta))
+        zre = _reference_zre(replace(cell, delta=delta))
         if zre.selected is not None:
-            revenue[delta] = payoffs(cell.with_delta(delta), zre.selected).isp_revenue
+            revenue[delta] = payoffs(replace(cell, delta=delta), zre.selected).isp_revenue
     nash = [
         delta
         for delta, rev in revenue.items()
@@ -105,7 +105,7 @@ def _reference_discount(cell: MarketConfig, grid: tuple[float, ...]) -> Discount
         return DiscountCell(_reference_record(cell, None), None)
     tie = max(range(m), key=lambda j: (cell.p[j], j))
     star = max(nash, key=lambda d: (sum(d), d[tie], d[::-1]))
-    at = cell.with_delta(star)
+    at = replace(cell, delta=star)
     return DiscountCell(_reference_record(at, _reference_zre(at)), star)
 
 
