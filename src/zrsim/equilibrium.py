@@ -16,7 +16,7 @@ every CP: those cells are clamped to 1 and excluded from deviation checks.
 Profiles are integer codes (see :mod:`zrsim.market`) scored in batches.
 :func:`solve_grid` solves every price cell of a scenario, a row of prices
 and not a market, from one table of effective users: rows are grouped by
-their zero prices, and every row of a group is scored, tested for
+their zero pattern, and every row of a group is scored, tested for
 stability, tie-broken and flagged for pressure as arrays led by a market
 axis (price cell, times discount profile in the discount game), in blocks.
 It returns equilibria only: the payoffs of both worlds, the selected
@@ -122,12 +122,16 @@ class BestResponseTrace:
 
 def forced_cells(config: MarketConfig) -> frozenset[tuple[int, int]]:
     """Cells clamped to 1 because the ISP's price is zero."""
-    return frozenset(
-        (i, j)
-        for j in range(config.n_isps)
-        if config.p[j] == 0.0
-        for i in range(config.n_cps)
-    )
+    return frozenset(_forced(config.n_cps, config.n_isps, _zero_isps(config.p)))
+
+
+def _zero_isps(p: Sequence[float]) -> tuple[bool, ...]:
+    """Which ISPs have price zero, all that the forced cells read of ``p``."""
+    return tuple(v == 0.0 for v in p)
+
+
+def _forced(n: int, m: int, zero: tuple[bool, ...]) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(m) if zero[j]]
 
 
 def _check_forced(theta: StrategyMatrix, forced: frozenset[tuple[int, int]]) -> None:
@@ -141,8 +145,7 @@ def _matrix(code: int, config: MarketConfig) -> StrategyMatrix:
     return StrategyMatrix.from_bitstring(format(int(code), f"0{n * m}b"), n, m)
 
 
-def _free_cells(config: MarketConfig, forced: frozenset[tuple[int, int]]) -> list[tuple[int, int]]:
-    n, m = config.n_cps, config.n_isps
+def _free_cells(n: int, m: int, forced) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(m) if (i, j) not in forced]
 
 
@@ -194,7 +197,7 @@ def _verdicts(config: MarketConfig, thetas: Sequence[StrategyMatrix]) -> list[bo
     for theta in thetas:
         _check_dims(config, theta)
         _check_forced(theta, forced)
-    free = _free_cells(config, forced)
+    free = _free_cells(config.n_cps, config.n_isps, forced)
     bits = [cell_bit(i, j, config.n_cps, config.n_isps) for i, j in free]
     codes = [theta.encoding() for theta in thetas]
     u, r = code_scores(config, [code ^ bit for code in codes for bit in [0] + bits])
@@ -210,13 +213,12 @@ def _verdicts(config: MarketConfig, thetas: Sequence[StrategyMatrix]) -> list[bo
     ]
 
 
-def _profiles(config: MarketConfig) -> tuple[np.ndarray, list[tuple[tuple[int, int], int]]]:
-    """Codes of all profiles respecting forced cells, ascending, and the
-    free cells, each with its bit in a profile's row of that array (see
-    :func:`_stable`)."""
-    n, m = config.n_cps, config.n_isps
-    forced = forced_cells(config)
-    free = _free_cells(config, forced)
+def _profiles(n: int, m: int, zero: tuple[bool, ...]) -> tuple[np.ndarray, list]:
+    """Codes of all N x M profiles respecting the forced cells of the
+    zero-price ISPs ``zero``, ascending, and the free cells, each with its
+    bit in a profile's row of that array (see :func:`_stable`)."""
+    forced = _forced(n, m, zero)
+    free = _free_cells(n, m, forced)
     # Row t holds the free cells' bits, first free cell most significant,
     # so codes ascend with t and a flip is t ^ step.
     t = np.arange(1 << len(free), dtype=np.int64)
@@ -256,15 +258,16 @@ def select_zre(all_zre: Sequence[StrategyMatrix], config: MarketConfig) -> Strat
         raise ContractViolation("select_zre requires a nonempty equilibrium set")
     for theta in all_zre:
         _check_dims(config, theta)
-    return all_zre[_rank(config, [theta.encoding() for theta in all_zre]).argmax()]
-
-
-def _rank(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Position of each of the distinct profile ``codes`` in the
-    :func:`select_zre` order.  The key reads only q and the code, so the
-    winner among any subset of ``codes`` is its highest-ranked member."""
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = [theta.encoding() for theta in all_zre]
     cells = profile_cells(codes, config.n_cps, config.n_isps)
+    return all_zre[_rank(config, codes, cells).argmax()]
+
+
+def _rank(config: MarketConfig, codes, cells: np.ndarray) -> np.ndarray:
+    """Position of each of the distinct profile ``codes`` (with their
+    ``cells``) in the :func:`select_zre` order.  The key reads only q and
+    the code, so the winner among any subset is its highest-ranked member."""
+    codes = np.asarray(codes, dtype=np.int64)
     hv, last = cells[:, _last_argmax(config.q)].sum(axis=1), cells[:, :, -1].sum(axis=1)
     rank = np.empty(len(codes), dtype=np.int64)
     rank[np.lexsort((-codes, last, hv, cells.sum(axis=(1, 2))))] = np.arange(len(codes))
@@ -288,24 +291,23 @@ def detect_pressure(config: MarketConfig, selected: StrategyMatrix) -> tuple[boo
     """
     _check_dims(config, selected)
     _check_forced(selected, forced_cells(config))
-    counterfactual = _counterfactuals(config)
+    counterfactual = _counterfactuals(config.n_cps, config.n_isps, _zero_isps(config.p))
     codes = np.array(sorted(set(counterfactual.ravel().tolist())))
     u = code_scores(config, codes)[0][None]
     chosen, tol = np.array([selected.encoding()]), GAIN_TOL * config.total_users
     return tuple(_pressure(u, codes, chosen, counterfactual, tol)[0].tolist())
 
 
-def _counterfactuals(config: MarketConfig) -> np.ndarray:
+def _counterfactuals(n: int, m: int, zero: tuple[bool, ...]) -> np.ndarray:
     """Codes ``[b, i]`` of every row ``b`` CP ``i`` can choose alone in its
-    counterfactual market (see :func:`detect_pressure`): the forced cells
-    plus a row of CP ``i`` over the ISPs with nonzero prices.  Row 0 holds
-    only the forced cells and the last row every free cell of CP ``i``.
-    These are profiles of :func:`_profiles`."""
-    n, m = config.n_cps, config.n_isps
+    counterfactual market (see :func:`detect_pressure`): the forced cells of
+    ``zero`` plus a row of CP ``i`` over the other ISPs.  Row 0 holds only
+    the forced cells and the last row every free cell of CP ``i``.  These
+    are profiles of :func:`_profiles`."""
     # A CP's cells are m consecutive bits of a code (see cell_bit).
-    zero = sum(1 << (m - 1 - j) for j in range(m) if config.p[j] == 0.0)
-    rows = np.flatnonzero(np.arange(1 << m) & zero == 0)
-    return zero * sum(1 << (m * i) for i in range(n)) + (rows[:, None] << (m * np.arange(n)[::-1]))
+    forced = sum(1 << (m - 1 - j) for j in range(m) if zero[j])
+    rows = np.flatnonzero(np.arange(1 << m) & forced == 0)[:, None]
+    return forced * sum(1 << (m * i) for i in range(n)) + (rows << (m * np.arange(n)[::-1]))
 
 
 def _pressure(u, codes, chosen, counterfactual, tol: float) -> np.ndarray:
@@ -353,11 +355,10 @@ def best_response_dynamics(
 
     def trace(outcome: DynamicsOutcome, cycle_start: int | None = None) -> BestResponseTrace:
         path = tuple(_matrix(code, config) for code in visited)
-        return BestResponseTrace(outcome, path, moves, cycle_start)
+        return BestResponseTrace(outcome, path, len(visited) - 1, cycle_start)
 
     state = start.encoding()
     visited = [state]
-    moves = 0
     seen: dict[tuple[int, int], int] = {}
     for step in range(max_steps):
         pos = step % len(agents)
@@ -374,22 +375,15 @@ def best_response_dynamics(
         own = [(idx, j) for j in range(m)] if kind == "cp" else [(i, idx) for i in range(n)]
         cells = [cell for cell in own if cell not in forced]
         u, r = code_scores(config, [state] + [state ^ cell_bit(i, j, n, m) for i, j in cells])
-        best_gain = tol
-        best_cell = None
+        best_gain, best_cell = tol, None
         for k, (i, j) in enumerate(cells, start=1):
             cp_gain, isp_gain = u[k, i] - u[0, i], r[k, j] - r[0, j]
             own_gain, other_gain = (cp_gain, isp_gain) if kind == "cp" else (isp_gain, cp_gain)
-            if own_gain <= tol:
-                continue
-            if not state & cell_bit(i, j, n, m) and other_gain <= tol:
-                continue
-            if own_gain > best_gain:
-                best_gain = own_gain
-                best_cell = (i, j)
+            if own_gain > best_gain and (state & cell_bit(i, j, n, m) or other_gain > tol):
+                best_gain, best_cell = own_gain, (i, j)
         if best_cell is not None:
             state ^= cell_bit(*best_cell, n, m)
             visited.append(state)
-            moves += 1
     return trace(DynamicsOutcome.INCONCLUSIVE)
 
 
@@ -430,56 +424,6 @@ def _market_table(
     return stable, selected, revenue, pressure
 
 
-def _group_equilibria(
-    config: MarketConfig,
-    prices: np.ndarray,
-    group: tuple,
-    axes: list[tuple[float, ...]],
-) -> list[tuple[tuple[float, ...], list[int], int, tuple[bool, ...]] | None]:
-    """Per price row ``prices[l]`` of one zero-price group, its selected
-    discount profile, the equilibrium codes there, the selected code and
-    its pressure flags; None where it has no (discount) equilibrium.
-
-    Every row is a market per discount profile of ``axes``; ``group`` holds
-    the group's profile table, rank, free cells, codes and counterfactual
-    rows (see :func:`_market_table`).  Blocks hold whole cells, so the Nash
-    test of a cell sees all of its discount profiles, and count score
-    entries as :func:`_market_table` does."""
-    m, codes = config.n_isps, group[3]
-    deltas = list(itertools.product(*axes))
-    d, tol = len(deltas), GAIN_TOL * config.total_users
-    out = []
-    for chunk in blocks(len(prices), d * len(group[0].cells) * (config.n_cps + m)):
-        count = len(prices[chunk])
-        stable, selected, revenue, pressure = _market_table(
-            config, *group, np.repeat(prices[chunk], d, axis=0), np.tile(deltas, (count, 1))
-        )
-        # Nash: no ISP gains from a unilateral grid deviation that admits an
-        # equilibrium.  ISP j's best deviation is the maximum along discount
-        # axis j; a profile without equilibrium holds -inf and is never a
-        # gain, and a one-point axis (fixed delta) offers no deviation.
-        revenue = revenue.reshape((count,) + tuple(map(len, axes)) + (m,))
-        gains = [
-            revenue[..., j].max(axis=1 + j, keepdims=True) > revenue[..., j] + tol
-            for j in range(m)
-        ]
-        nash = (stable.any(axis=1) & ~np.logical_or.reduce(gains).ravel()).reshape(count, d)
-        for row, p in enumerate(prices[chunk]):
-            found = np.flatnonzero(nash[row])
-            if not len(found):
-                out.append(None)
-                continue
-            # Among Nash profiles the largest is chosen: by total discount,
-            # then by the most expensive ISP's component, then by the later
-            # ISPs' components.
-            tie = _last_argmax(p)
-            star = max(found, key=lambda s: (sum(deltas[s]), deltas[s][tie], deltas[s][::-1]))
-            at = row * d + star
-            flags = tuple(pressure[at].tolist())
-            out.append((deltas[star], codes[stable[at]].tolist(), int(codes[selected[at]]), flags))
-    return out
-
-
 def solve_grid(
     config: MarketConfig,
     p_rows: Sequence[tuple[float, ...]],
@@ -496,15 +440,16 @@ def solve_grid(
 
     The profile table (see :class:`~zrsim.payoff.ProfileTable`) and the
     tie-break rank read neither prices nor discounts, so one of each serves
-    the whole grid.  Rows are grouped by their zero prices, which fix the
-    forced cells and so the profiles; the markets of a group (rows, times
-    discount profiles, one profile of ``config.delta`` without
-    ``delta_grid``) are scored, tested for stability and tie-broken as
-    arrays, in blocks, and their pressure flags are read from the same
-    scores.  Each distinct equilibrium is built once as a
-    :class:`StrategyMatrix`, shared by every result holding it.  A cell
-    without an equilibrium, or without a discount equilibrium, holds one
-    shared NO_ZRE result.  No payoff of either world is returned.
+    the whole grid.  Rows are grouped by their zero pattern (which ISPs
+    have price zero), the one thing the forced cells, and so the profiles
+    and counterfactual rows, read of the prices; no :class:`MarketConfig`
+    is built.  The markets of a group (rows, times discount profiles, one
+    profile of ``config.delta`` without ``delta_grid``) are scored, tested
+    for stability and tie-broken as arrays, in blocks, and their pressure
+    flags are read from the same scores.  Each distinct equilibrium is
+    built once as a :class:`StrategyMatrix`, shared by every result holding
+    it.  A cell without an equilibrium, or without a discount equilibrium,
+    holds one shared NO_ZRE result.  No payoff of either world is returned.
 
     Raises CapacityError when a cell needs more than ``EVALUATION_GUARD``
     profile evaluations, then ConfigError when a price lies outside
@@ -528,38 +473,65 @@ def solve_grid(
     groups: dict[tuple[bool, ...], list[int]] = defaultdict(list)
     for k, prices in enumerate(p_rows):
         check_unit_interval("p", prices)
-        groups[tuple(p == 0.0 for p in prices)].append(k)
-    # The profiles and counterfactual rows read only which prices are zero,
-    # so one market per group serves them.
-    markets = {zero: config.with_prices(p_rows[ks[0]]) for zero, ks in groups.items()}
-    profiles = {zero: _profiles(market) for zero, market in markets.items()}
+        groups[_zero_isps(prices)].append(k)
+    profiles = {zero: _profiles(n, m, zero) for zero in groups}
     used = np.zeros(1 << (n * m), dtype=bool)
     for codes, _ in profiles.values():
         used[codes] = True
-    table_codes = np.flatnonzero(used)
-    rank = _rank(config, table_codes)
-    table = profile_table(config, profile_cells(table_codes, n, m))
+    all_codes = np.flatnonzero(used)
+    cells = profile_cells(all_codes, n, m)
+    rank, table = _rank(config, all_codes, cells), profile_table(config, cells)
 
     no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
     solved = [(prices, config.delta, no_zre) for prices in p_rows]
     grid = np.array(p_rows)
     matrix = functools.cache(lambda code: _matrix(code, config))
+    tol = GAIN_TOL * config.total_users
     for zero, ks in groups.items():
         codes, steps = profiles[zero]
-        every = len(codes) == len(table_codes)
-        rows = slice(None) if every else np.searchsorted(table_codes, codes)
+        rows = np.searchsorted(all_codes, codes) if len(codes) < len(all_codes) else slice(None)
+        group_table, group_rank = ProfileTable(*(column[rows] for column in table)), rank[rows]
+        counterfactual = _counterfactuals(n, m, zero)
         # A zero-price ISP's delta multiplies p = 0, so every value gives the
         # same market; only the largest, which the selection prefers, is
         # solved.  Its axis then has no deviation to gain from.
         axes = [axis[-1:] if free else axis for free, axis in zip(zero, delta_axes)]
-        group = (table.rows(rows), rank[rows], steps, codes, _counterfactuals(markets[zero]))
-        hits = _group_equilibria(config, grid[ks], group, axes)
-        for k, hit in zip(ks, hits):
-            if hit is not None:
-                delta, found, code, pressure = hit
-                all_zre, chosen = tuple(map(matrix, found)), matrix(code)
-                zre = ZreResult(ZreStatus.EQUILIBRIA_FOUND, all_zre, chosen, pressure)
-                solved[k] = (p_rows[k], delta, zre)
+        deltas = list(itertools.product(*axes))
+        # Totals are rounded so that equal decimal totals tie whatever the
+        # order of their terms (0.2 + 0.1 + 0.5 == 0.8, 0.2 + 0.5 + 0.1 < 0.8).
+        d, total = len(deltas), [round(sum(delta), 9) for delta in deltas]
+        # Blocks hold whole cells, so the Nash test of a cell sees all of its
+        # discount profiles, and count score entries as _market_table does.
+        for chunk in blocks(len(ks), d * len(codes) * (n + m)):
+            cell_ks, count = ks[chunk], len(ks[chunk])
+            stable, selected, revenue, pressure = _market_table(
+                config, table=group_table, rank=group_rank, steps=steps, codes=codes,
+                counterfactual=counterfactual, prices=np.repeat(grid[cell_ks], d, axis=0),
+                deltas=np.tile(deltas, (count, 1)),
+            )
+            # Nash: no ISP gains from a unilateral grid deviation that admits
+            # an equilibrium.  ISP j's best deviation is the maximum along
+            # discount axis j; a profile without equilibrium holds -inf and is
+            # never a gain, and a one-point axis offers no deviation.
+            r = revenue.reshape((count,) + tuple(map(len, axes)) + (m,))
+            gains = np.logical_or.reduce([
+                r[..., j].max(axis=1 + j, keepdims=True) > r[..., j] + tol for j in range(m)
+            ])
+            nash = (stable.any(axis=1) & ~gains.ravel()).reshape(count, d)
+            for row, k in enumerate(cell_ks):
+                found = np.flatnonzero(nash[row])
+                if not len(found):
+                    continue
+                # Among Nash profiles the largest is chosen: by total
+                # discount, then by the most expensive ISP's component, then
+                # by the later ISPs' components.
+                tie = _last_argmax(p_rows[k])
+                star = max(found, key=lambda s: (total[s], deltas[s][tie], deltas[s][::-1]))
+                at = row * d + star
+                all_zre = tuple(map(matrix, codes[stable[at]].tolist()))
+                chosen, flags = matrix(int(codes[selected[at]])), tuple(pressure[at].tolist())
+                zre = ZreResult(ZreStatus.EQUILIBRIA_FOUND, all_zre, chosen, flags)
+                solved[k] = (p_rows[k], deltas[star], zre)
     return solved
 
 
@@ -572,9 +544,10 @@ def discount_equilibrium(
     strategy profile and no ISP can raise its revenue by a unilateral grid
     deviation that also admits one; each profile's revenues are evaluated at
     its tie-break-selected strategy profile.  Among Nash profiles the
-    largest is chosen: by total discount, then by the component of the most
-    expensive ISP (later index on equal prices), then by the later ISPs'
-    components.  This is the one-cell case of :func:`solve_grid`.
+    largest is chosen: by total discount (rounded to 9 decimals, so equal
+    decimal totals tie), then by the component of the most expensive ISP
+    (later index on equal prices), then by the later ISPs' components.
+    This is the one-cell case of :func:`solve_grid`.
     """
     [(_, delta, zre)] = solve_grid(config, [config.p], delta_grid)
     if zre.selected is None:

@@ -225,7 +225,15 @@ class StrategyMatrix:
 
 
 def profile_cells(codes: Sequence[int] | np.ndarray, n_cps: int, n_isps: int) -> np.ndarray:
-    """Zero-rating cells ``[k, i, j]`` of each profile code, as booleans."""
+    """Zero-rating cells ``[k, i, j]`` of each profile code, as booleans.
+
+    Codes are read as int64, so a market has at most 63 cells; a larger one
+    raises InvalidArgument before any code is converted."""
+    if n_cps * n_isps > 63:
+        raise InvalidArgument(
+            f"the {n_cps}x{n_isps} market has {n_cps * n_isps} cells; profile codes are "
+            "int64 and hold at most 63"
+        )
     shifts = np.arange(n_cps * n_isps - 1, -1, -1)
     bits = np.asarray(codes, dtype=np.int64)[:, None] >> shifts & 1
     return bits.astype(bool).reshape(-1, n_cps, n_isps)

@@ -69,10 +69,6 @@ class ProfileTable(NamedTuple):
     zs: np.ndarray
     w: np.ndarray
 
-    def rows(self, index) -> "ProfileTable":
-        """The table of the profiles ``index`` selects."""
-        return ProfileTable(*(column[index] for column in self))
-
 
 def _isp_sums(config: MarketConfig, cells: np.ndarray, users: np.ndarray) -> tuple:
     """The ``zs`` and ``w`` columns of :class:`ProfileTable` for profiles
@@ -96,9 +92,9 @@ def profile_table(config: MarketConfig, cells: np.ndarray) -> ProfileTable:
 
 
 def _scores(config: MarketConfig, table: ProfileTable, p, delta) -> Scores:
-    """CP utilities ``U[..., k, i]`` and ISP revenues ``R[..., k, j]`` of each
-    profile of ``table`` at the prices ``p`` and discounts ``delta``: both
-    ``[M]``, or both ``[L, M]`` for L markets, which then lead the result.
+    """CP utilities ``U[l, k, i]`` and ISP revenues ``R[l, k, j]`` of each
+    profile of ``table`` in each of L markets, at the prices ``p[l]`` and
+    discounts ``delta[l]`` (both ``[L, M]``).
 
     Both are computed as arrays ``(N, K, L)`` and ``(M, K, L)``, markets
     innermost in memory (see the module notes), and returned as transposed
@@ -113,22 +109,22 @@ def _scores(config: MarketConfig, table: ProfileTable, p, delta) -> Scores:
     differently, and turns exact zero deltas into float noise (5.6e-17 in
     bandwidth_high's cell (0.5, 0.6))."""
     p, delta = np.asarray(p, dtype=float), np.asarray(delta, dtype=float)
-    single = p.ndim == 1
-    # Markets last: [M, L], one column for a single market.
-    p, dp = (np.ascontiguousarray(np.atleast_2d(a).T) for a in (p, delta * p))
+    # Markets last: [M, L].
+    p, dp = (np.ascontiguousarray(a.T) for a in (p, delta * p))
     r = dp[:, None] * table.zs.T[..., None] + p[:, None] * table.w.T[..., None]
     q = np.asarray(config.q)[:, None, None]
     u = np.zeros((config.n_cps, len(table.cells), p.shape[1]))
     for dp_j, cells, x in zip(dp, table.cells.T[..., None], table.users.T[..., None]):
         u += np.where(cells, (q - dp_j) * x, q * x * config.c)
-    return (u.T[0], r.T[0]) if single else (u.T, r.T)
+    return u.T, r.T
 
 
 def code_scores(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> Scores:
-    """:func:`_scores` of profile codes at the prices and discounts of
-    ``config``; the allocation works in blocks."""
+    """:func:`_scores` of profile codes in the one market ``config``; the
+    allocation works in blocks."""
     table = profile_table(config, profile_cells(codes, config.n_cps, config.n_isps))
-    return _scores(config, table, config.p, config.delta)
+    u, r = _scores(config, table, [config.p], [config.delta])
+    return u[0], r[0]
 
 
 def payoffs(config: MarketConfig, theta: StrategyMatrix) -> PayoffVector:
@@ -136,9 +132,9 @@ def payoffs(config: MarketConfig, theta: StrategyMatrix) -> PayoffVector:
     _check_dims(config, theta)
     table = profile_table(config, theta.as_array()[None] == 1)
     p, delta = np.asarray(config.p), np.asarray(config.delta)
-    u, r = _scores(config, table, p, delta)
+    u, r = _scores(config, table, [p], [delta])
     cells, users = table.cells[0], table.users[0]
     q = np.asarray(config.q)[:, None]
     cp = np.where(cells, (q - delta * p) * users, q * users * config.c)
     isp = np.where(cells, delta * p * users, p * users * config.c)
-    return PayoffVector(u[0], r[0], cp, isp)
+    return PayoffVector(u[0, 0], r[0, 0], cp, isp)

@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import itertools
 import time
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -194,7 +195,9 @@ def _documented_selection(config, nash):
     if not nash:
         return None
     pricier = max(range(config.n_isps), key=lambda j: (config.p[j], j))
-    return max(nash, key=lambda d: (sum(d), d[pricier], tuple(reversed(d))))
+    # Totals are compared as exact decimals, as the grid writes them.
+    total = {d: sum(Fraction(str(v)) for v in d) for d in nash}
+    return max(nash, key=lambda d: (total[d], d[pricier], tuple(reversed(d))))
 
 
 def _fmt_delta(delta):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,8 @@ def _reference_discount_outcome(config, grid):
     if not nash:
         return DiscountStatus.NO_DISCOUNT_EQUILIBRIUM, None, None
     expensive = max(range(m), key=lambda j: (config.p[j], j))
-    star = max(nash, key=lambda d: (sum(d), d[expensive], d[::-1]))
+    # Totals are compared as exact decimals, as the grid writes them.
+    star = max(nash, key=lambda d: (sum(Fraction(str(v)) for v in d), d[expensive], d[::-1]))
     selected = enumerate_zre(dataclasses.replace(config, delta=star)).selected
     return DiscountStatus.EQUILIBRIUM_FOUND, star, selected
 
@@ -459,11 +461,13 @@ class TestDiscountGame:
             profiles = list(itertools.product(grid, repeat=config.n_isps))
             # One cell's table as solve_grid builds it: every discount
             # profile of the cell is a market of the leading axis.
-            codes, steps = equilibrium._profiles(config)
-            cells = market.profile_cells(codes, config.n_cps, config.n_isps)
+            n, m = config.n_cps, config.n_isps
+            zero = equilibrium._zero_isps(config.p)
+            codes, steps = equilibrium._profiles(n, m, zero)
+            cells = market.profile_cells(codes, n, m)
             stable, _, revenue, _ = equilibrium._market_table(
-                config, profile_table(config, cells), equilibrium._rank(config, codes), steps,
-                codes, equilibrium._counterfactuals(config),
+                config, profile_table(config, cells), equilibrium._rank(config, codes, cells),
+                steps, codes, equilibrium._counterfactuals(n, m, zero),
                 np.tile(config.p, (len(profiles), 1)), np.array(profiles),
             )
             one_profile = block_sizes[0][1]
@@ -512,6 +516,45 @@ class TestDiscountGame:
         )
         with pytest.raises(CapacityError):
             discount_equilibrium(config)
+
+    def test_equal_decimal_totals_tie(self):
+        # Two Nash profiles total 0.8, but 0.2 + 0.1 + 0.5 == 0.8 and
+        # 0.2 + 0.5 + 0.1 == 0.7999999999999999: the totals must tie, so the
+        # most expensive ISP (index 1) picks its larger component.
+        config = MarketConfig(
+            n_cps=1, n_isps=3, alpha=0.5887879732735714, c=0.7959504467588875,
+            q=(0.4232156789204893,),
+            p=(0.35541206774724, 0.8773500003120316, 0.7368299872701154),
+            delta=(0.5297433165158719, 0.5416646092275893, 0.9397088139990539),
+            phi=(0.7190050088866528, 0.28099499111334725),
+            psi=(0.3983912110201472, 0.09843917548246478, 0.11431558973124799,
+                 0.38885402376614003),
+        )
+        grid = (0.1, 0.2, 0.3, 0.4, 0.5)
+        outcome = discount_equilibrium(config, grid)
+        assert outcome.delta_star == (0.2, 0.5, 0.1)
+        assert _reference_discount_outcome(config, grid)[1] == outcome.delta_star
+
+
+class TestProfileCodeLimit:
+    # Profile codes are int64: a market of 64 cells is refused with
+    # InvalidArgument, and one of 63 cells still works.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda config, theta: is_zre(config, theta),
+            lambda config, theta: best_response_dynamics(config, theta, max_steps=20),
+            lambda config, theta: select_zre([theta], config),
+            lambda config, theta: detect_pressure(config, theta),
+        ],
+        ids=["is_zre", "best_response_dynamics", "select_zre", "detect_pressure"],
+    )
+    def test_limit_is_63_cells(self, call):
+        big = random_config(np.random.default_rng(1), 8, 8, allow_zero_price=False)
+        with pytest.raises(InvalidArgument, match="63"):
+            call(big, StrategyMatrix.ones(8, 8))
+        wide = random_config(np.random.default_rng(1), 7, 9, allow_zero_price=False)
+        call(wide, StrategyMatrix.ones(7, 9))
 
 
 class TestGridInvariants:

@@ -207,5 +207,5 @@ def test_market_batch_keeps_the_arithmetic():
         assert u.shape == (len(prices), 1 << (n * m), n)
         assert u.strides[0] == r.strides[0] == u.itemsize
         for l, (p, delta) in enumerate(zip(prices, deltas)):
-            one_u, one_r = _scores(config, table, p, delta)
-            assert _same_bits(u[l], one_u) and _same_bits(r[l], one_r)
+            one_u, one_r = _scores(config, table, [p], [delta])
+            assert _same_bits(u[l], one_u[0]) and _same_bits(r[l], one_r[0])

@@ -11,6 +11,7 @@ driver's flags are also checked against scores of each counterfactual row.
 
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenario
 
 def _reference_zre(cell: MarketConfig) -> ZreResult:
     n, m = cell.n_cps, cell.n_isps
-    codes, steps = equilibrium._profiles(cell)
+    codes, steps = equilibrium._profiles(n, m, equilibrium._zero_isps(cell.p))
     u, r = code_scores(cell, codes)
     found = codes[equilibrium._stable(u, r, steps, GAIN_TOL * cell.total_users)]
     if not len(found):
@@ -104,7 +105,8 @@ def _reference_discount(cell: MarketConfig, grid: tuple[float, ...]) -> Discount
     if not nash:
         return DiscountCell(_reference_record(cell, None), None)
     tie = max(range(m), key=lambda j: (cell.p[j], j))
-    star = max(nash, key=lambda d: (sum(d), d[tie], d[::-1]))
+    # Totals are compared as exact decimals, as the grid writes them.
+    star = max(nash, key=lambda d: (sum(Fraction(str(v)) for v in d), d[tie], d[::-1]))
     at = replace(cell, delta=star)
     return DiscountCell(_reference_record(at, _reference_zre(at)), star)
 
@@ -255,6 +257,26 @@ def test_grid_prices_rejected_before_any_allocation(bad, j, monkeypatch):
         grid_sweep(config, axes)
     with pytest.raises(ConfigError, match=message):
         discount_grid_sweep(config, axes, (0.5, 1.0))
+
+
+def test_sweep_builds_no_market(monkeypatch):
+    # The driver groups price rows by their zero pattern and reads nothing
+    # else of them, so no MarketConfig is built; benchmark.json's grid holds
+    # all four zero-price patterns.
+    scenario = load_scenario(SCENARIOS / "benchmark.json")
+    built = []
+    post_init = MarketConfig.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MarketConfig, "__post_init__", counted)
+    records = grid_sweep(scenario.config, scenario.price_grid)
+    assert {tuple(p == 0.0 for p in record.prices) for record in records} == set(
+        itertools.product((False, True), repeat=2)
+    )
+    assert built == []
 
 
 class Admitted(Exception):
