@@ -23,10 +23,8 @@ It returns equilibria only: the payoffs of both worlds, the selected
 profile and the all-zero one, are :mod:`zrsim.analysis`'s to score.
 :func:`enumerate_zre` and :func:`discount_equilibrium` are its one-cell
 case; :func:`is_zre` and the dynamics score a profile and its flips, and
-:func:`detect_pressure` its counterfactual markets.  :func:`is_zre` is the
-one-profile case of ``_verdicts``, which scores a batch of profiles of one
-market, each with its flips, in one call (the verify battery's random
-profiles of a price cell).
+:func:`detect_pressure` its counterfactual markets.  The verify battery
+reads the engine's verdicts from :func:`solve_grid`'s equilibria.
 """
 
 from __future__ import annotations
@@ -185,32 +183,20 @@ def _stable(u: np.ndarray, r: np.ndarray, steps: list, tol: float) -> np.ndarray
 def is_zre(config: MarketConfig, theta: StrategyMatrix) -> bool:
     """Whether ``theta`` is a zero-rating equilibrium of ``config``: no flip
     of a free cell breaks it (:func:`_breaks`, the rule :func:`_stable`
-    applies to every profile at once)."""
-    return _verdicts(config, [theta])[0]
-
-
-def _verdicts(config: MarketConfig, thetas: Sequence[StrategyMatrix]) -> list[bool]:
-    """:func:`is_zre` of each profile of ``thetas``, all of them checked
-    before any is scored, and every profile and its free flips scored in
-    one :func:`code_scores` call."""
+    applies to every profile at once).  The profile and its flips are
+    scored in one :func:`code_scores` call."""
+    _check_dims(config, theta)
     forced = forced_cells(config)
-    for theta in thetas:
-        _check_dims(config, theta)
-        _check_forced(theta, forced)
+    _check_forced(theta, forced)
     free = _free_cells(config.n_cps, config.n_isps, forced)
     bits = [cell_bit(i, j, config.n_cps, config.n_isps) for i, j in free]
-    codes = [theta.encoding() for theta in thetas]
-    u, r = code_scores(config, [code ^ bit for code in codes for bit in [0] + bits])
-    shape = (len(codes), len(bits) + 1)
-    u, r = u.reshape(shape + (config.n_cps,)), r.reshape(shape + (config.n_isps,))
+    code = theta.encoding()
+    u, r = code_scores(config, [code ^ bit for bit in [0] + bits])
     tol = GAIN_TOL * config.total_users
-    return [
-        not any(
-            _breaks(u_t[k, i] > u_t[0, i] + tol, r_t[k, j] > r_t[0, j] + tol, code & bit)
-            for k, ((i, j), bit) in enumerate(zip(free, bits), 1)
-        )
-        for code, u_t, r_t in zip(codes, u, r)
-    ]
+    return not any(
+        _breaks(u[k, i] > u[0, i] + tol, r[k, j] > r[0, j] + tol, code & bit)
+        for k, ((i, j), bit) in enumerate(zip(free, bits), 1)
+    )
 
 
 def _profiles(n: int, m: int, zero: tuple[bool, ...]) -> tuple[np.ndarray, list]:

@@ -5,14 +5,19 @@ choice sets per user class and pair-by-pair probability sums -- rather than
 through the closed-form allocation path, so agreement between the two routes
 is evidence that the closed form was transcribed correctly.  The contract is
 naive arithmetic, pair by pair, with one normaliser per choice set: each
-class's distribution sums phi * psi over its set once.  Nothing here reads
-:mod:`zrsim.market`'s lattice or allocation code; only its data types.
+class's distribution sums phi * psi over its set once.  The allocation reads
+neither prices nor discounts, so :func:`oracle_verdicts` computes each
+distinct one once per call and shares it across the price cells of its
+batch; utilities, revenues and every deviation are still computed pair by
+pair.  Nothing here reads :mod:`zrsim.market`'s lattice or allocation code;
+only its data types.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -128,7 +133,14 @@ def oracle_allocate(config: MarketConfig, theta: StrategyMatrix) -> AllocationTa
 
 def _oracle_totals(config: MarketConfig, theta: StrategyMatrix) -> tuple[list[float], list[float]]:
     """(CP utilities, ISP revenues), recomputed from the oracle allocation."""
-    x_eff = oracle_allocate(config, theta).x_effective
+    return _payoff_totals(config, theta, oracle_allocate(config, theta).x_effective)
+
+
+def _payoff_totals(
+    config: MarketConfig, theta: StrategyMatrix, x_eff: np.ndarray
+) -> tuple[list[float], list[float]]:
+    """(CP utilities, ISP revenues) of ``theta`` in ``config``, pair by pair,
+    from its oracle effective users ``x_eff``."""
     utilities = []
     for i in range(config.n_cps):
         u = 0.0
@@ -170,18 +182,28 @@ def find_zre_violation(config: MarketConfig, theta: StrategyMatrix) -> Violation
     total_users, so tie verdicts agree across the two arithmetic routes).
     Cells forced by a zero ISP price are never deviated.
     """
+    return _first_violation(config, theta, lambda t: _oracle_totals(config, t))
+
+
+def _first_violation(
+    config: MarketConfig,
+    theta: StrategyMatrix,
+    totals: Callable[[StrategyMatrix], tuple[list[float], list[float]]],
+) -> Violation | None:
+    """:func:`find_zre_violation`'s rule, reading the (utilities, revenues)
+    of ``theta`` and of each flip from ``totals``."""
     forced_cols = {j for j in range(config.n_isps) if config.p[j] == 0.0}
     for j in forced_cols:
         for i in range(config.n_cps):
             if theta.rows[i][j] != 1:
                 raise InvalidArgument(f"cell ({i}, {j}) must be 1 because p[{j}] = 0")
-    base_u, base_r = _oracle_totals(config, theta)
+    base_u, base_r = totals(theta)
     tol = GAIN_TOL * config.total_users
     for i in range(config.n_cps):
         for j in range(config.n_isps):
             if j in forced_cols:
                 continue
-            flip_u, flip_r = _oracle_totals(config, theta.flip(i, j))
+            flip_u, flip_r = totals(theta.flip(i, j))
             cp_gains = flip_u[i] > base_u[i] + tol
             isp_gains = flip_r[j] > base_r[j] + tol
             if theta.rows[i][j] == 1:
@@ -199,3 +221,24 @@ def find_zre_violation(config: MarketConfig, theta: StrategyMatrix) -> Violation
 def oracle_verify_zre(config: MarketConfig, theta: StrategyMatrix) -> bool:
     """Re-verify an equilibrium by exhaustive deviation checking."""
     return find_zre_violation(config, theta) is None
+
+
+def oracle_verdicts(pairs: Iterable[tuple[MarketConfig, StrategyMatrix]]) -> list[bool]:
+    """:func:`oracle_verify_zre` of each (market, profile) pair, in order.
+
+    The allocation reads only alpha, phi, psi, total_users and the profile,
+    so each distinct one (a profile or a flip, in any market of the batch)
+    is computed once per call; the payoffs and the deviation rule of
+    :func:`find_zre_violation` then run pair by pair as there."""
+    allocations: dict[tuple, np.ndarray] = {}
+
+    def totals(config: MarketConfig, theta: StrategyMatrix):
+        key = (config.alpha, config.phi, config.psi, config.total_users, theta.rows)
+        if key not in allocations:
+            allocations[key] = oracle_allocate(config, theta).x_effective
+        return _payoff_totals(config, theta, allocations[key])
+
+    return [
+        _first_violation(config, theta, functools.partial(totals, config)) is None
+        for config, theta in pairs
+    ]

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,13 +11,21 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from zrsim import MarketConfig, Scenario, StrategyMatrix, analysis, load_scenario
+from zrsim import MarketConfig, Scenario, StrategyMatrix, analysis, load_scenario, oracle
 from zrsim.analysis import SweepRecord
 from zrsim.cli import EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, fmt_num, main
 from zrsim.equilibrium import DEFAULT_DELTA_GRID, ZreResult, ZreStatus
-from zrsim.verify import CheckResult, check_low_value_utility_drop, run_battery
+from zrsim.verify import (
+    VERIFY_SEED,
+    CheckResult,
+    check_low_value_utility_drop,
+    check_oracle_equilibrium,
+    random_theta,
+    run_battery,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
@@ -384,7 +393,7 @@ VERIFY_STDOUT = {
     ),
     "discount_game": (
         "PASS  oracle-allocation       max |rho - oracle rho| = 2.776e-17\n"
-        "PASS  oracle-equilibrium      432 verdicts compared, 0 disagreements\n"
+        "PASS  oracle-equilibrium      270 verdicts compared, 0 disagreements, 54 NODEQ cells skipped\n"
         "PASS  hhi-variance-identity   max |forms| gap = 2.220e-16\n"
         "PASS  hhi-all-or-none         max |HHI(0) - HHI(1)| gap = 3.331e-16\n"
         "PASS  hhi-nondecreasing       min delta HHI = 0.000e+00\n"
@@ -446,10 +455,73 @@ def test_verify_checks_the_discount_game_records():
     results = run_battery(scenario)
     assert [r.name for r in results if r.passed is False] == []
     [oracle] = [r for r in results if r.name == "oracle-equilibrium"]
-    assert oracle.detail == "432 verdicts compared, 0 disagreements"
+    assert oracle.detail == "270 verdicts compared, 0 disagreements, 54 NODEQ cells skipped"
     [check] = [r for r in results if r.name == "value-ordering-pruning"]
     solved = analysis._sweep(scenario.config, scenario.price_grid, DEFAULT_DELTA_GRID)
     assert check.detail == f"{sum(len(zre.all_zre) for _, zre, _ in solved)} equilibria scanned"
+
+
+def _battery_results(scenario):
+    # The grid results run_battery hands to every check.
+    rows = analysis._sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
+    return [(dataclasses.replace(scenario.config, p=r.prices, delta=d), zre, r) for d, zre, r in rows]
+
+
+def test_verify_allocates_each_profile_once(monkeypatch):
+    # The oracle allocation reads neither prices nor discounts, so the
+    # battery allocates each of the 16 profiles of the 2x2 market at most
+    # once across all 121 cells.
+    scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
+    results = _battery_results(scenario)
+    allocated = []
+    real = oracle.oracle_allocate
+
+    def counting(config, theta):
+        allocated.append(theta.rows)
+        return real(config, theta)
+
+    monkeypatch.setattr(oracle, "oracle_allocate", counting)
+    result = check_oracle_equilibrium(scenario, results)
+    assert result == CheckResult(
+        "oracle-equilibrium", True, "495 verdicts compared, 0 disagreements"
+    )
+    assert 0 < len(allocated) <= 16
+    assert len(set(allocated)) == len(allocated)
+
+
+def test_verify_catches_a_planted_disagreement():
+    # The engine's side is read from the records, so a record that drops a
+    # real equilibrium or gains a non-equilibrium must fail the check.
+    scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
+    results = _battery_results(scenario)
+    assert check_oracle_equilibrium(scenario, results).passed is True
+    rng = np.random.default_rng(VERIFY_SEED)
+    samples = [[random_theta(rng, cell) for _ in range(3)] for cell, _, _ in results]
+
+    def planted(k, all_zre):
+        cell, zre, record = results[k]
+        out = list(results)
+        out[k] = (cell, dataclasses.replace(zre, all_zre=all_zre), record)
+        return check_oracle_equilibrium(scenario, out)
+
+    # Dropped: an equilibrium that is also in its cell's seeded sample.
+    k, theta = next(
+        (k, theta)
+        for k, sample in enumerate(samples)
+        for theta in sample
+        if theta in results[k][1].all_zre
+    )
+    dropped = planted(k, tuple(t for t in results[k][1].all_zre if t != theta))
+    assert dropped.passed is False and "0 disagreements" not in dropped.detail
+    # Gained: a profile of a cell without zero prices that is no equilibrium.
+    k = next(k for k, (cell, _, _) in enumerate(results) if 0.0 not in cell.p)
+    cell, zre, _ = results[k]
+    extra = next(
+        t for code in range(16)
+        if (t := StrategyMatrix.from_bitstring(format(code, "04b"), 2, 2)) not in zre.all_zre
+    )
+    gained = planted(k, zre.all_zre + (extra,))
+    assert gained.passed is False and "0 disagreements" not in gained.detail
 
 
 def test_verify_skips_utility_drop_on_tied_values(tmp_path, capsys):

@@ -151,6 +151,24 @@ def test_verdicts_agree_fuzz():
             assert enumerate_zre(config).all_zre == tuple(accepted), (n, m, draw)
 
 
+def test_oracle_verdicts_equal_one_at_a_time():
+    # One batch over markets of every shape from 1x1 to 3x3; every fourth
+    # draw also zero-prices an ISP and checks its profiles in both markets,
+    # which share their allocations.
+    rng = np.random.default_rng(311)
+    pairs = []
+    for draw in range(60):
+        config = random_config(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        markets = [config]
+        if draw % 4 == 0:
+            p = list(config.p)
+            p[rng.integers(config.n_isps)] = 0.0
+            markets.insert(0, config.with_prices(p))
+        thetas = [random_theta(rng, markets[0]) for _ in range(int(rng.integers(1, 6)))]
+        pairs += [(market, theta) for market in markets for theta in thetas]
+    assert oracle.oracle_verdicts(pairs) == [oracle_verify_zre(c, t) for c, t in pairs]
+
+
 def test_violation_names_the_deviation(bench):
     # At top prices the only equilibrium is all-zero; a lone relation is
     # broken by its CP canceling.
