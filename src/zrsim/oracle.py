@@ -7,15 +7,16 @@ is evidence that the closed form was transcribed correctly.  The contract is
 naive arithmetic, pair by pair, with one normaliser per choice set: each
 class's distribution sums phi * psi over its set once.  The allocation reads
 neither prices nor discounts, so :func:`oracle_verdicts` computes each
-distinct one once per call and shares it across the price cells of its
-batch; utilities, revenues and every deviation are still computed pair by
-pair.  Nothing here reads :mod:`zrsim.market`'s lattice or allocation code;
-only its data types.
+distinct one once per call and shares it across the markets of its batch.
+Each run of consecutive pairs in one market gets one table of (utilities,
+revenues), so a profile is scored once per market however many of its
+pairs deviate to it; every deviation is still tested pair by pair.  Nothing
+here reads :mod:`zrsim.market`'s lattice or allocation code; only its data
+types.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -133,33 +134,64 @@ def oracle_allocate(config: MarketConfig, theta: StrategyMatrix) -> AllocationTa
 
 def _oracle_totals(config: MarketConfig, theta: StrategyMatrix) -> tuple[list[float], list[float]]:
     """(CP utilities, ISP revenues), recomputed from the oracle allocation."""
-    return _payoff_totals(config, theta, oracle_allocate(config, theta).x_effective)
+    return _market_totals(config, {})(theta.rows)
 
 
 def _payoff_totals(
-    config: MarketConfig, theta: StrategyMatrix, x_eff: np.ndarray
+    config: MarketConfig, rows: tuple[tuple[int, ...], ...], x_eff: list[list[float]]
 ) -> tuple[list[float], list[float]]:
-    """(CP utilities, ISP revenues) of ``theta`` in ``config``, pair by pair,
-    from its oracle effective users ``x_eff``."""
+    """(CP utilities, ISP revenues) of the profile ``rows`` in ``config``,
+    pair by pair, from its oracle effective users ``x_eff``."""
+    q, p, delta, c = config.q, config.p, config.delta, config.c
     utilities = []
     for i in range(config.n_cps):
         u = 0.0
         for j in range(config.n_isps):
-            if theta.rows[i][j]:
-                u += (config.q[i] - config.delta[j] * config.p[j]) * x_eff[i, j]
+            if rows[i][j]:
+                u += (q[i] - delta[j] * p[j]) * x_eff[i][j]
             else:
-                u += config.q[i] * x_eff[i, j] * config.c
+                u += q[i] * x_eff[i][j] * c
         utilities.append(u)
     revenues = []
     for j in range(config.n_isps):
         r = 0.0
         for i in range(config.n_cps):
-            if theta.rows[i][j]:
-                r += config.delta[j] * config.p[j] * x_eff[i, j]
+            if rows[i][j]:
+                r += delta[j] * p[j] * x_eff[i][j]
             else:
-                r += config.p[j] * x_eff[i, j] * config.c
+                r += p[j] * x_eff[i][j] * c
         revenues.append(r)
     return utilities, revenues
+
+
+Totals = Callable[[tuple[tuple[int, ...], ...]], tuple[list[float], list[float]]]
+
+
+def _market_totals(config: MarketConfig, allocations: dict[tuple, list[list[float]]]) -> Totals:
+    """The (utilities, revenues) lookup of one market, keyed on a profile's
+    rows: each entry is computed once, from the allocation of that profile,
+    which is itself computed once per ``allocations`` dict under the key
+    (alpha, phi, psi, total_users, rows) and shared by every market that
+    has those."""
+    table: dict[tuple[tuple[int, ...], ...], tuple[list[float], list[float]]] = {}
+
+    def totals(rows: tuple[tuple[int, ...], ...]) -> tuple[list[float], list[float]]:
+        entry = table.get(rows)
+        if entry is None:
+            key = (config.alpha, config.phi, config.psi, config.total_users, rows)
+            x_eff = allocations.get(key)
+            if x_eff is None:
+                theta = StrategyMatrix(rows)
+                x_eff = allocations[key] = oracle_allocate(config, theta).x_effective.tolist()
+            entry = table[rows] = _payoff_totals(config, rows, x_eff)
+        return entry
+
+    return totals
+
+
+def _forced_columns(config: MarketConfig) -> tuple[int, ...]:
+    """The ISPs at a zero price, whose cells are forced to 1."""
+    return tuple(j for j in range(config.n_isps) if config.p[j] == 0.0)
 
 
 class Violation(NamedTuple):
@@ -182,31 +214,36 @@ def find_zre_violation(config: MarketConfig, theta: StrategyMatrix) -> Violation
     total_users, so tie verdicts agree across the two arithmetic routes).
     Cells forced by a zero ISP price are never deviated.
     """
-    return _first_violation(config, theta, lambda t: _oracle_totals(config, t))
+    return _first_violation(
+        config, theta.rows, _forced_columns(config), _market_totals(config, {})
+    )
 
 
 def _first_violation(
     config: MarketConfig,
-    theta: StrategyMatrix,
-    totals: Callable[[StrategyMatrix], tuple[list[float], list[float]]],
+    rows: tuple[tuple[int, ...], ...],
+    forced: tuple[int, ...],
+    totals: Totals,
 ) -> Violation | None:
-    """:func:`find_zre_violation`'s rule, reading the (utilities, revenues)
-    of ``theta`` and of each flip from ``totals``."""
-    forced_cols = {j for j in range(config.n_isps) if config.p[j] == 0.0}
-    for j in forced_cols:
+    """:func:`find_zre_violation`'s rule on the profile ``rows``, with the
+    forced columns ``forced`` of ``config``, reading the (utilities,
+    revenues) of the profile and of each flip from ``totals``."""
+    for j in forced:
         for i in range(config.n_cps):
-            if theta.rows[i][j] != 1:
+            if rows[i][j] != 1:
                 raise InvalidArgument(f"cell ({i}, {j}) must be 1 because p[{j}] = 0")
-    base_u, base_r = totals(theta)
+    base_u, base_r = totals(rows)
     tol = GAIN_TOL * config.total_users
     for i in range(config.n_cps):
+        row = rows[i]
         for j in range(config.n_isps):
-            if j in forced_cols:
+            if j in forced:
                 continue
-            flip_u, flip_r = totals(theta.flip(i, j))
+            flipped = rows[:i] + (row[:j] + (1 - row[j],) + row[j + 1 :],) + rows[i + 1 :]
+            flip_u, flip_r = totals(flipped)
             cp_gains = flip_u[i] > base_u[i] + tol
             isp_gains = flip_r[j] > base_r[j] + tol
-            if theta.rows[i][j] == 1:
+            if row[j] == 1:
                 if cp_gains or isp_gains:
                     gainers = tuple(
                         side for side, g in (("cp", cp_gains), ("isp", isp_gains)) if g
@@ -226,19 +263,17 @@ def oracle_verify_zre(config: MarketConfig, theta: StrategyMatrix) -> bool:
 def oracle_verdicts(pairs: Iterable[tuple[MarketConfig, StrategyMatrix]]) -> list[bool]:
     """:func:`oracle_verify_zre` of each (market, profile) pair, in order.
 
-    The allocation reads only alpha, phi, psi, total_users and the profile,
-    so each distinct one (a profile or a flip, in any market of the batch)
-    is computed once per call; the payoffs and the deviation rule of
-    :func:`find_zre_violation` then run pair by pair as there."""
-    allocations: dict[tuple, np.ndarray] = {}
-
-    def totals(config: MarketConfig, theta: StrategyMatrix):
-        key = (config.alpha, config.phi, config.psi, config.total_users, theta.rows)
-        if key not in allocations:
-            allocations[key] = oracle_allocate(config, theta).x_effective
-        return _payoff_totals(config, theta, allocations[key])
-
-    return [
-        _first_violation(config, theta, functools.partial(totals, config)) is None
-        for config, theta in pairs
-    ]
+    Consecutive pairs with an equal market share one table of oracle
+    totals, so each profile or flip is scored once per market; the
+    allocation reads only alpha, phi, psi, total_users and the profile, so
+    each distinct one is computed once per call, across all markets.  The
+    deviation rule of :func:`find_zre_violation` then runs pair by pair."""
+    allocations: dict[tuple, list[list[float]]] = {}
+    verdicts = []
+    market = None
+    for config, theta in pairs:
+        if config is not market and config != market:
+            market, forced = config, _forced_columns(config)
+            totals = _market_totals(config, allocations)
+        verdicts.append(_first_violation(config, theta.rows, forced, totals) is None)
+    return verdicts

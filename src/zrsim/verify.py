@@ -11,6 +11,7 @@ skipped.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +25,13 @@ from .scenario import Scenario
 ORACLE_TOL = 1e-12
 HHI_TOL = 1e-12
 VERIFY_SEED = 20240517
+# The most oracle work ``oracle-equilibrium`` spends on comparing every
+# profile of every cell, counted in deviation tests: each compared profile
+# makes one per cell (N x M), and allocating a profile costs about 3 per
+# (bundle, ISP) pair of its 2^N x (M + 1) lattice.  A test takes about
+# 1.5 us on a 2-core x86 host, so the budget is about 0.75 s; above it the
+# check compares a seeded sample.
+ORACLE_PROFILE_BUDGET = 500_000
 
 # Every price-grid cell (its market, at the selected discount profile in
 # the discount game) with its solved equilibria and its two-world record,
@@ -91,25 +99,50 @@ def check_oracle_allocation(scenario: Scenario, results: GridResults) -> CheckRe
     return CheckResult("oracle-allocation", ok, f"max |rho - oracle rho| = {worst:.3e}")
 
 
+def _every_profile(zeros: tuple[bool, ...], n_cps: int) -> list[StrategyMatrix]:
+    """Every profile of ``n_cps`` rows whose zero-price columns (``zeros``)
+    are all 1, in row-major bit order."""
+    row_choices = list(itertools.product(*[(1,) if zero else (0, 1) for zero in zeros]))
+    return [StrategyMatrix(rows) for rows in itertools.product(row_choices, repeat=n_cps)]
+
+
 def check_oracle_equilibrium(scenario: Scenario, results: GridResults) -> CheckResult:
     # The engine's verdict on a profile is whether its cell's record holds
-    # it.  Each cell's equilibria and a seeded sample of 3 profiles go to the
-    # oracle in one batch.  A discount-game cell without a discount
-    # equilibrium records none because no discount profile is Nash, not
-    # because no profile is stable, so its sample is drawn but not compared.
-    rng = np.random.default_rng(VERIFY_SEED)
-    pairs, engine, skipped = [], [], 0
-    for cell, result, _ in results:
-        pairs += [(cell, theta) for theta in result.all_zre]
-        engine += [True] * len(result.all_zre)
-        thetas = [random_theta(rng, cell) for _ in range(3)]
-        if scenario.delta_grid is not None and result.selected is None:
-            skipped += 1
-            continue
+    # it.  A discount-game cell without a discount equilibrium records none
+    # because no discount profile is Nash, not because no profile is stable,
+    # so it is skipped and counted.  Every profile of every other cell goes
+    # to the oracle in one batch when that fits ORACLE_PROFILE_BUDGET;
+    # otherwise each cell's equilibria and a seeded sample of 3 profiles
+    # (drawn for skipped cells too, so the draws do not depend on the
+    # skips).  A recorded profile that is never compared disagrees.
+    n, m = scenario.config.n_cps, scenario.config.n_isps
+    keep = [scenario.delta_grid is None or result.selected is not None for _, result, _ in results]
+    cells = [(cell, result) for (cell, result, _), k in zip(results, keep) if k]
+    zeros = [tuple(price == 0.0 for price in cell.p) for cell, _ in cells]
+    work = n * m * sum(2 ** (n * z.count(False)) for z in zeros)
+    work += 3 * 2**n * (m + 1) * 2 ** (n * m)
+    if work <= ORACLE_PROFILE_BUDGET:
+        path = "every profile"
+        every = {z: _every_profile(z, n) for z in set(zeros)}
+        profiles = [every[z] for z in zeros]
+    else:
+        path = f"seeded sample (oracle work {work} over {ORACLE_PROFILE_BUDGET})"
+        rng = np.random.default_rng(VERIFY_SEED)
+        draws = [[random_theta(rng, cell) for _ in range(3)] for cell, _, _ in results]
+        profiles = [
+            list(result.all_zre) + sample
+            for (_, result), sample in zip(cells, itertools.compress(draws, keep))
+        ]
+    pairs, engine, unmatched = [], [], 0
+    for (cell, result), thetas in zip(cells, profiles):
+        zre = set(result.all_zre)
+        recorded = [theta in zre for theta in thetas]
         pairs += [(cell, theta) for theta in thetas]
-        engine += [theta in result.all_zre for theta in thetas]
-    disagreements = sum(e != o for e, o in zip(engine, oracle_verdicts(pairs)))
-    detail = f"{len(pairs)} verdicts compared, {disagreements} disagreements"
+        engine += recorded
+        unmatched += len(zre) - len(set(itertools.compress(thetas, recorded)))
+    disagreements = unmatched + sum(e != o for e, o in zip(engine, oracle_verdicts(pairs)))
+    detail = f"{path}: {len(pairs)} verdicts compared, {disagreements} disagreements"
+    skipped = len(results) - len(cells)
     if skipped:
         detail += f", {skipped} NODEQ cells skipped"
     return CheckResult("oracle-equilibrium", disagreements == 0, detail)

@@ -47,7 +47,7 @@ from zrsim import (
     select_zre,
 )
 from zrsim.equilibrium import GAIN_TOL
-from zrsim.oracle import _oracle_totals
+from zrsim.oracle import _oracle_totals, oracle_verdicts
 
 from conftest import GRID11, random_config, random_theta
 
@@ -165,8 +165,9 @@ def _closed_form_revenues(config):
 def _oracle_revenues(config):
     """Selected-equilibrium ISP revenues of every grid discount profile.
 
-    Brute-force route: equilibria by ``oracle_verify_zre`` over all profiles
-    that keep zero-price columns at 1, selection by ``select_zre``, and
+    Brute-force route: equilibria by the oracle's deviation checks over all
+    profiles that keep zero-price columns at 1 (one ``oracle_verdicts``
+    batch over the grid's markets), selection by ``select_zre``, and
     revenues summed pair by pair from the oracle allocation.
     """
     n, m = config.n_cps, config.n_isps
@@ -175,14 +176,15 @@ def _oracle_revenues(config):
         rows = tuple(bits[i * m : (i + 1) * m] for i in range(n))
         if all(rows[i][j] for i in range(n) for j in range(m) if config.p[j] == 0.0):
             thetas.append(StrategyMatrix(rows))
+    markets = [dataclasses.replace(config, delta=d) for d in itertools.product(GRID11, repeat=m)]
+    verdicts = iter(oracle_verdicts([(market, theta) for market in markets for theta in thetas]))
     revenues = {}
-    for delta in itertools.product(GRID11, repeat=m):
-        market = dataclasses.replace(config, delta=delta)
-        zre = [theta for theta in thetas if oracle_verify_zre(market, theta)]
+    for market in markets:
+        zre = [theta for theta in thetas if next(verdicts)]
         if not zre:
-            revenues[delta] = None
+            revenues[market.delta] = None
             continue
-        revenues[delta] = tuple(_oracle_totals(market, select_zre(zre, market))[1])
+        revenues[market.delta] = tuple(_oracle_totals(market, select_zre(zre, market))[1])
     return revenues
 
 

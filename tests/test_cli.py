@@ -14,16 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zrsim import MarketConfig, Scenario, StrategyMatrix, analysis, load_scenario, oracle
+from zrsim import MarketConfig, Scenario, StrategyMatrix, analysis, load_scenario, oracle, verify
 from zrsim.analysis import SweepRecord
 from zrsim.cli import EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, fmt_num, main
 from zrsim.equilibrium import DEFAULT_DELTA_GRID, ZreResult, ZreStatus
 from zrsim.verify import (
-    VERIFY_SEED,
     CheckResult,
     check_low_value_utility_drop,
     check_oracle_equilibrium,
-    random_theta,
     run_battery,
 )
 
@@ -382,7 +380,7 @@ def test_verify_passes_on_benchmark(capsys):
 VERIFY_STDOUT = {
     "bandwidth_high": (
         "PASS  oracle-allocation       max |rho - oracle rho| = 1.110e-16\n"
-        "PASS  oracle-equilibrium      495 verdicts compared, 0 disagreements\n"
+        "PASS  oracle-equilibrium      every profile: 1681 verdicts compared, 0 disagreements\n"
         "PASS  hhi-variance-identity   max |forms| gap = 2.220e-16\n"
         "PASS  hhi-all-or-none         max |HHI(0) - HHI(1)| gap = 3.331e-16\n"
         "PASS  hhi-nondecreasing       min delta HHI = 0.000e+00\n"
@@ -393,7 +391,8 @@ VERIFY_STDOUT = {
     ),
     "discount_game": (
         "PASS  oracle-allocation       max |rho - oracle rho| = 2.776e-17\n"
-        "PASS  oracle-equilibrium      270 verdicts compared, 0 disagreements, 54 NODEQ cells skipped\n"
+        "PASS  oracle-equilibrium      every profile: 817 verdicts compared, 0 disagreements, "
+        "54 NODEQ cells skipped\n"
         "PASS  hhi-variance-identity   max |forms| gap = 2.220e-16\n"
         "PASS  hhi-all-or-none         max |HHI(0) - HHI(1)| gap = 3.331e-16\n"
         "PASS  hhi-nondecreasing       min delta HHI = 0.000e+00\n"
@@ -455,7 +454,9 @@ def test_verify_checks_the_discount_game_records():
     results = run_battery(scenario)
     assert [r.name for r in results if r.passed is False] == []
     [oracle] = [r for r in results if r.name == "oracle-equilibrium"]
-    assert oracle.detail == "270 verdicts compared, 0 disagreements, 54 NODEQ cells skipped"
+    assert oracle.detail == (
+        "every profile: 817 verdicts compared, 0 disagreements, 54 NODEQ cells skipped"
+    )
     [check] = [r for r in results if r.name == "value-ordering-pruning"]
     solved = analysis._sweep(scenario.config, scenario.price_grid, DEFAULT_DELTA_GRID)
     assert check.detail == f"{sum(len(zre.all_zre) for _, zre, _ in solved)} equilibria scanned"
@@ -470,7 +471,7 @@ def _battery_results(scenario):
 def test_verify_allocates_each_profile_once(monkeypatch):
     # The oracle allocation reads neither prices nor discounts, so the
     # battery allocates each of the 16 profiles of the 2x2 market at most
-    # once across all 121 cells.
+    # once across all 121 cells, though it compares all 1681 valid profiles.
     scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
     results = _battery_results(scenario)
     allocated = []
@@ -483,45 +484,69 @@ def test_verify_allocates_each_profile_once(monkeypatch):
     monkeypatch.setattr(oracle, "oracle_allocate", counting)
     result = check_oracle_equilibrium(scenario, results)
     assert result == CheckResult(
-        "oracle-equilibrium", True, "495 verdicts compared, 0 disagreements"
+        "oracle-equilibrium", True, "every profile: 1681 verdicts compared, 0 disagreements"
     )
     assert 0 < len(allocated) <= 16
     assert len(set(allocated)) == len(allocated)
 
 
 def test_verify_catches_a_planted_disagreement():
-    # The engine's side is read from the records, so a record that drops a
-    # real equilibrium or gains a non-equilibrium must fail the check.
+    # The engine's side is read from the records and every profile of
+    # every cell is compared, so a record that drops a real equilibrium or
+    # gains a non-equilibrium must fail the check.
     scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
     results = _battery_results(scenario)
     assert check_oracle_equilibrium(scenario, results).passed is True
-    rng = np.random.default_rng(VERIFY_SEED)
-    samples = [[random_theta(rng, cell) for _ in range(3)] for cell, _, _ in results]
 
-    def planted(k, all_zre):
+    def planted(prices, change):
+        [k] = [k for k, (cell, _, _) in enumerate(results) if cell.p == prices]
         cell, zre, record = results[k]
         out = list(results)
-        out[k] = (cell, dataclasses.replace(zre, all_zre=all_zre), record)
+        out[k] = (cell, dataclasses.replace(zre, all_zre=change(zre.all_zre)), record)
         return check_oracle_equilibrium(scenario, out)
 
-    # Dropped: an equilibrium that is also in its cell's seeded sample.
-    k, theta = next(
-        (k, theta)
-        for k, sample in enumerate(samples)
-        for theta in sample
-        if theta in results[k][1].all_zre
-    )
-    dropped = planted(k, tuple(t for t in results[k][1].all_zre if t != theta))
-    assert dropped.passed is False and "0 disagreements" not in dropped.detail
+    def drop(theta):
+        return lambda all_zre: tuple(t for t in all_zre if t != theta)
+
+    # Dropped: 1111, the lone equilibrium at (0.0, 0.1), and 1010 at
+    # (0.1, 0.4).  The seeded sample of 3 profiles per cell (VERIFY_SEED)
+    # draws neither, so a check of equilibria plus that sample passes both.
+    for prices, theta in [
+        ((0.0, 0.1), StrategyMatrix.ones(2, 2)),
+        ((0.1, 0.4), StrategyMatrix(((1, 0), (1, 0)))),
+    ]:
+        dropped = planted(prices, drop(theta))
+        assert dropped.passed is False
+        assert dropped.detail == "every profile: 1681 verdicts compared, 1 disagreements"
     # Gained: a profile of a cell without zero prices that is no equilibrium.
-    k = next(k for k, (cell, _, _) in enumerate(results) if 0.0 not in cell.p)
-    cell, zre, _ = results[k]
+    [zre] = [zre for cell, zre, _ in results if cell.p == (0.5, 0.5)]
     extra = next(
         t for code in range(16)
         if (t := StrategyMatrix.from_bitstring(format(code, "04b"), 2, 2)) not in zre.all_zre
     )
-    gained = planted(k, zre.all_zre + (extra,))
+    gained = planted((0.5, 0.5), lambda all_zre: all_zre + (extra,))
     assert gained.passed is False and "0 disagreements" not in gained.detail
+    # Gained: a profile that breaks a forced cell, which no valid profile
+    # matches, counts as a disagreement rather than escaping the check.
+    gained = planted((0.0, 0.1), lambda all_zre: all_zre + (StrategyMatrix.zeros(2, 2),))
+    assert gained.passed is False and "1 disagreements" in gained.detail
+
+
+def test_verify_falls_back_to_the_seeded_sample_above_the_budget():
+    # One 4x4 cell has 65,536 profiles, and allocating each one would cost
+    # far more than the budget admits, so the check compares the cell's
+    # equilibria and 3 seeded profiles, and says so.
+    config = verify.random_config(np.random.default_rng(3), 4, 4, allow_zero_price=False)
+    scenario = Scenario(config, tuple((price,) for price in config.p), "fixed-delta")
+    results = _battery_results(scenario)
+    [(_, zre, _)] = results
+    result = check_oracle_equilibrium(scenario, results)
+    assert result.passed is True
+    assert result.detail.startswith("seeded sample (oracle work ")
+    assert result.detail.endswith(
+        f" over {verify.ORACLE_PROFILE_BUDGET}): "
+        f"{len(zre.all_zre) + 3} verdicts compared, 0 disagreements"
+    )
 
 
 def test_verify_skips_utility_drop_on_tied_values(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from zrsim import (
     DomainError,
+    InvalidArgument,
     StrategyMatrix,
     allocate,
     choice_probability,
@@ -167,6 +168,31 @@ def test_oracle_verdicts_equal_one_at_a_time():
         thetas = [random_theta(rng, markets[0]) for _ in range(int(rng.integers(1, 6)))]
         pairs += [(market, theta) for market in markets for theta in thetas]
     assert oracle.oracle_verdicts(pairs) == [oracle_verify_zre(c, t) for c, t in pairs]
+    # The shape verify sends: every valid profile of one market as
+    # consecutive pairs, which share one table of totals.  A 2x2 market with
+    # a zero price, its twin at a positive price (sharing its allocations) and
+    # a 3x2 market.
+    zero_priced = random_config(rng, 2, 2, allow_zero_price=False)
+    zero_priced = zero_priced.with_prices((0.0, zero_priced.p[1]))
+    markets = [
+        zero_priced,
+        zero_priced.with_prices((0.5, zero_priced.p[1])),
+        random_config(rng, 3, 2, allow_zero_price=False),
+    ]
+    pairs = []
+    for market in markets:
+        n, m = market.n_cps, market.n_isps
+        for code in range(1 << (n * m)):
+            theta = StrategyMatrix.from_bitstring(format(code, f"0{n * m}b"), n, m)
+            if all(theta.rows[i][j] for i in range(n) for j in range(m) if market.p[j] == 0.0):
+                pairs.append((market, theta))
+    assert len(pairs) == 4 + 16 + 64
+    verdicts = oracle.oracle_verdicts(pairs)
+    assert verdicts == [oracle_verify_zre(c, t) for c, t in pairs]
+    assert any(verdicts)
+    # A profile that breaks a forced cell raises, inside a batch too.
+    with pytest.raises(InvalidArgument):
+        oracle.oracle_verdicts(pairs[:3] + [(zero_priced, StrategyMatrix.zeros(2, 2))])
 
 
 def test_violation_names_the_deviation(bench):
@@ -185,8 +211,6 @@ def test_forced_cells_respected(bench):
     config = bench.with_prices((0.0, 1.0))
     all_forced = StrategyMatrix(((1, 0), (1, 0)))
     assert oracle_verify_zre(config, all_forced) == is_zre(config, all_forced)
-    from zrsim import InvalidArgument
-
     with pytest.raises(InvalidArgument):
         oracle_verify_zre(config, StrategyMatrix.zeros(2, 2))
 
