@@ -78,19 +78,22 @@ def hhi_variance_identity(shares: Sequence[float]) -> tuple[float, float]:
     """Herfindahl index of raw shares in two algebraic forms.
 
     Returns the normalized sum of squares and the equivalent mean-variance
-    form 1/N + N * var(shares) / S**2, where S is the raw total.  The two
-    agree to roughly 1e-12, which makes the identity an executable check.
+    form 1/N + N * var(shares) / S**2, where S is the raw total and var the
+    population variance.  The two agree to roughly 1e-12, which makes the
+    identity an executable check.  Both forms are summed left to right in
+    plain floats: a handful of shares costs no array round-trip.
     """
-    x = np.asarray(shares, dtype=float)
-    if x.size == 0:
+    x = [float(v) for v in shares]
+    n = len(x)
+    if n == 0:
         raise InvalidArgument("shares must be nonempty")
-    total = x.sum()
+    total = sum(x)
     if total <= 0.0:
         raise DomainError("shares must have a positive sum")
-    normalized = x / total
-    sum_of_squares = float((normalized**2).sum())
-    variance_form = float(1.0 / x.size + x.size * x.var() / total**2)
-    return sum_of_squares, variance_form
+    sum_of_squares = sum((v / total) ** 2 for v in x)
+    mean = total / n
+    var = sum((v - mean) ** 2 for v in x) / n
+    return sum_of_squares, 1.0 / n + n * var / total**2
 
 
 def _sweep(

@@ -12,6 +12,7 @@ skipped.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +25,10 @@ from .scenario import Scenario
 
 ORACLE_TOL = 1e-12
 HHI_TOL = 1e-12
+# Seeds the battery's own draws, the inputs of the two HHI identity checks
+# and the fallback sample of ``oracle-equilibrium``, each from a fresh
+# ``random.Random``: numpy's generators would import ``numpy.random``, about
+# 18 ms, into every ``zrsim verify``.
 VERIFY_SEED = 20240517
 # The most oracle work ``oracle-equilibrium`` spends on comparing every
 # profile of every cell, counted in deviation tests: each compared profile
@@ -46,43 +51,39 @@ class CheckResult:
     detail: str
 
 
-def random_config(
-    rng: np.random.Generator,
-    n_cps: int | None = None,
-    n_isps: int | None = None,
-    allow_zero_price: bool = True,
-) -> MarketConfig:
-    """A valid random market; each price is zero with probability 0.15
-    unless ``allow_zero_price`` is off."""
-    n_cps = n_cps or int(rng.integers(2, 4))
-    n_isps = n_isps or int(rng.integers(1, 4))
-    phi = rng.uniform(0.05, 1.0, size=1 << n_cps)
-    phi /= phi.sum()
-    psi = rng.uniform(0.05, 1.0, size=n_isps + 1)
-    psi /= psi.sum()
-    p = rng.uniform(0.0, 1.0, size=n_isps)
-    if allow_zero_price:
-        p[rng.uniform(size=n_isps) < 0.15] = 0.0
+def _seeded_market(rng: random.Random) -> MarketConfig:
+    """A valid random market of 2-3 CPs and 1-3 ISPs; each price is zero
+    with probability 0.15.  The draw order fixes the markets, and with
+    them the gap ``hhi-all-or-none`` reports."""
+    n_cps, n_isps = rng.randint(2, 3), rng.randint(1, 3)
+    phi = [rng.uniform(0.05, 1.0) for _ in range(1 << n_cps)]
+    psi = [rng.uniform(0.05, 1.0) for _ in range(n_isps + 1)]
+    p = [0.0 if rng.random() < 0.15 else rng.random() for _ in range(n_isps)]
+    alpha, c = rng.random(), rng.uniform(0.05, 1.0)
+    q = sorted(rng.random() for _ in range(n_cps))
+    delta = [rng.random() for _ in range(n_isps)]
+    phi_sum, psi_sum = sum(phi), sum(psi)
     return MarketConfig(
         n_cps=n_cps,
         n_isps=n_isps,
-        alpha=float(rng.uniform(0.0, 1.0)),
-        c=float(rng.uniform(0.05, 1.0)),
-        q=tuple(np.sort(rng.uniform(0.0, 1.0, size=n_cps))),
+        alpha=alpha,
+        c=c,
+        q=tuple(q),
         p=tuple(p),
-        delta=tuple(rng.uniform(0.0, 1.0, size=n_isps)),
-        phi=tuple(phi),
-        psi=tuple(psi),
+        delta=tuple(delta),
+        phi=tuple(v / phi_sum for v in phi),
+        psi=tuple(v / psi_sum for v in psi),
     )
 
 
-def random_theta(rng: np.random.Generator, config: MarketConfig) -> StrategyMatrix:
+def _seeded_profile(rng: random.Random, config: MarketConfig) -> StrategyMatrix:
     """A random profile with the cells of zero-price ISPs set to 1."""
-    rows = rng.integers(0, 2, size=(config.n_cps, config.n_isps))
-    for j in range(config.n_isps):
-        if config.p[j] == 0.0:
-            rows[:, j] = 1
-    return StrategyMatrix(tuple(tuple(int(v) for v in row) for row in rows))
+    return StrategyMatrix(
+        tuple(
+            tuple(1 if price == 0.0 else rng.randint(0, 1) for price in config.p)
+            for _ in range(config.n_cps)
+        )
+    )
 
 
 def check_oracle_allocation(scenario: Scenario, results: GridResults) -> CheckResult:
@@ -127,8 +128,8 @@ def check_oracle_equilibrium(scenario: Scenario, results: GridResults) -> CheckR
         profiles = [every[z] for z in zeros]
     else:
         path = f"seeded sample (oracle work {work} over {ORACLE_PROFILE_BUDGET})"
-        rng = np.random.default_rng(VERIFY_SEED)
-        draws = [[random_theta(rng, cell) for _ in range(3)] for cell, _, _ in results]
+        rng = random.Random(VERIFY_SEED)
+        draws = [[_seeded_profile(rng, cell) for _ in range(3)] for cell, _, _ in results]
         profiles = [
             list(result.all_zre) + sample
             for (_, result), sample in zip(cells, itertools.compress(draws, keep))
@@ -149,10 +150,10 @@ def check_oracle_equilibrium(scenario: Scenario, results: GridResults) -> CheckR
 
 
 def check_hhi_identity(scenario: Scenario, results: GridResults) -> CheckResult:
-    rng = np.random.default_rng(VERIFY_SEED)
+    rng = random.Random(VERIFY_SEED)
     worst = 0.0
     for _ in range(200):
-        shares = rng.uniform(0.01, 1.0, size=int(rng.integers(1, 6)))
+        shares = [rng.uniform(0.01, 1.0) for _ in range(rng.randint(1, 5))]
         a, b = hhi_variance_identity(shares)
         worst = max(worst, abs(a - b))
     ok = worst < HHI_TOL
@@ -160,10 +161,8 @@ def check_hhi_identity(scenario: Scenario, results: GridResults) -> CheckResult:
 
 
 def check_hhi_all_or_none(scenario: Scenario, results: GridResults) -> CheckResult:
-    rng = np.random.default_rng(VERIFY_SEED)
-    configs = [scenario.config]
-    for _ in range(100):
-        configs.append(random_config(rng, int(rng.integers(2, 4)), int(rng.integers(1, 4))))
+    rng = random.Random(VERIFY_SEED)
+    configs = [scenario.config] + [_seeded_market(rng) for _ in range(100)]
     worst = 0.0
     for cfg in configs:
         # The all-zero and all-one profiles, allocated together.

@@ -20,6 +20,7 @@ from zrsim import (
     hhi,
     hhi_variance_identity,
     market,
+    verify,
 )
 
 from conftest import GRID11, random_config
@@ -90,6 +91,32 @@ class TestHhiVarianceIdentity:
             hhi_variance_identity(())
         with pytest.raises(DomainError):
             hhi_variance_identity((0.0, 0.0))
+
+    def test_plain_floats_equal_the_numpy_forms(self, monkeypatch):
+        # On the 200 share vectors the verify battery draws, the plain-float
+        # sums give exactly the floats of the numpy formula they replace.
+        def reference(shares):
+            x = np.asarray(shares, dtype=float)
+            total = x.sum()
+            sum_of_squares = float(((x / total) ** 2).sum())
+            return sum_of_squares, float(1.0 / x.size + x.size * x.var() / total**2)
+
+        seen = []
+
+        def recording(shares):
+            forms = hhi_variance_identity(shares)
+            seen.append((shares, forms))
+            return forms
+
+        monkeypatch.setattr(verify, "hhi_variance_identity", recording)
+        assert verify.check_hhi_identity(None, []).passed is True
+        assert len(seen) == 200
+        for shares, forms in seen:
+            assert forms == reference(shares)
+        with pytest.raises(InvalidArgument):
+            hhi_variance_identity([])
+        with pytest.raises(DomainError):
+            hhi_variance_identity([0.3, -0.5])
 
 
 class TestCompareWorlds:

@@ -25,6 +25,8 @@ from zrsim.verify import (
     run_battery,
 )
 
+from conftest import random_config
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
 
@@ -216,29 +218,48 @@ def test_sweep_discount_mode_lists_cells_unless_duopoly(price_grid, delta_grid, 
     assert rows[1:] == expected
 
 
+def _lazy_numpy_submodules(*argvs):
+    """The numpy.ma and numpy.random modules a fresh process holds after
+    running ``main`` on each argv, all of which must exit 0."""
+    script = (
+        "import json, sys\n"
+        "from zrsim.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0\n"
+        "print(sorted(name for name in sys.modules\n"
+        "             if name.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])))\n"
+    )
+    paths = [str(Path(analysis.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
 def test_sweep_imports_no_lazy_numpy_submodule(tmp_path):
     # numpy.ma and numpy.random load on first use (np.unique, for one,
     # imports numpy.ma), and a cold process without cached bytecode pays
     # about 12 ms for numpy.ma: as much as the solve of a 2x2 sweep.
     # numpy.matrixlib shares the prefix but loads with numpy itself.
-    script = (
-        "import sys\n"
-        "from zrsim.cli import main\n"
-        "for path, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
-        "    assert main(['sweep', path, '--out', out]) == 0\n"
-        "print(sorted(name for name in sys.modules\n"
-        "             if name.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])))\n"
-    )
-    argv = []
-    for name in ("benchmark", "discount_game"):
-        argv += [str(SCENARIOS / f"{name}.json"), str(tmp_path / name)]
-    paths = [str(Path(analysis.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    result = subprocess.run(
-        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    argvs = [
+        ["sweep", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path / name)]
+        for name in ("benchmark", "discount_game")
+    ]
+    assert _lazy_numpy_submodules(*argvs) == "[]"
+
+
+@pytest.mark.parametrize("verb", ["verify", "sweep"])
+def test_verify_and_sweep_import_no_numpy_random(verb, tmp_path):
+    # The battery draws its seeded inputs from the standard library's
+    # generator, since importing numpy.random alone costs about 18 ms.
+    if verb == "verify":
+        argv = ["verify", str(SCENARIOS / "bandwidth_high.json")]
+    else:
+        argv = ["sweep", str(SCENARIOS / "benchmark.json"), "--out", str(tmp_path / "out")]
+    assert _lazy_numpy_submodules(argv) == "[]"
 
 
 def test_capacity_guard_exits_3_fast(tmp_path, capsys):
@@ -510,7 +531,9 @@ def test_verify_catches_a_planted_disagreement():
 
     # Dropped: 1111, the lone equilibrium at (0.0, 0.1), and 1010 at
     # (0.1, 0.4).  The seeded sample of 3 profiles per cell (VERIFY_SEED)
-    # draws neither, so a check of equilibria plus that sample passes both.
+    # draws 1010, 1010, 1011 at the first and 1110, 0001, 1100 at the
+    # second, neither of them, so a check of equilibria plus that sample
+    # passes both.
     for prices, theta in [
         ((0.0, 0.1), StrategyMatrix.ones(2, 2)),
         ((0.1, 0.4), StrategyMatrix(((1, 0), (1, 0)))),
@@ -536,7 +559,7 @@ def test_verify_falls_back_to_the_seeded_sample_above_the_budget():
     # One 4x4 cell has 65,536 profiles, and allocating each one would cost
     # far more than the budget admits, so the check compares the cell's
     # equilibria and 3 seeded profiles, and says so.
-    config = verify.random_config(np.random.default_rng(3), 4, 4, allow_zero_price=False)
+    config = random_config(np.random.default_rng(3), 4, 4, allow_zero_price=False)
     scenario = Scenario(config, tuple((price,) for price in config.p), "fixed-delta")
     results = _battery_results(scenario)
     [(_, zre, _)] = results
@@ -547,6 +570,59 @@ def test_verify_falls_back_to_the_seeded_sample_above_the_budget():
         f" over {verify.ORACLE_PROFILE_BUDGET}): "
         f"{len(zre.all_zre) + 3} verdicts compared, 0 disagreements"
     )
+
+
+def test_verify_fallback_sample_keeps_zero_price_columns_at_one(monkeypatch):
+    # Above the budget the seeded sample fills a zero-price ISP's column
+    # with 1, the only valid choice there, and draws every other cell.
+    config = random_config(np.random.default_rng(3), 4, 4, allow_zero_price=False)
+    config = config.with_prices((0.0,) + config.p[1:])
+    scenario = Scenario(config, tuple((price,) for price in config.p), "fixed-delta")
+    results = _battery_results(scenario)
+    compared = []
+    real = verify.oracle_verdicts
+
+    def recording(pairs):
+        compared.extend(theta for _, theta in pairs)
+        return real(pairs)
+
+    monkeypatch.setattr(verify, "oracle_verdicts", recording)
+    result = check_oracle_equilibrium(scenario, results)
+    assert result.passed is True and result.detail.startswith("seeded sample")
+    [(_, zre, _)] = results
+    sample = compared[len(zre.all_zre):]
+    assert len(sample) == 3
+    assert all(row[0] == 1 for theta in sample for row in theta.rows)
+    assert {row[j] for theta in sample for row in theta.rows for j in range(1, 4)} == {0, 1}
+
+
+def test_verify_hhi_draws_cover_every_shape(monkeypatch):
+    # randint includes its upper bound, unlike numpy's integers: the 100
+    # markets of hhi-all-or-none span 2-3 CPs by 1-3 ISPs and include a
+    # zero price, and the 200 share vectors of hhi-variance-identity have
+    # every length from 1 to 5.
+    scenario = load_scenario(SCENARIOS / "benchmark.json")
+    markets, vectors = [], []
+    real_allocations, real_identity = verify.allocations, verify.hhi_variance_identity
+
+    def allocations(config, cells):
+        markets.append(config)
+        return real_allocations(config, cells)
+
+    def identity(shares):
+        vectors.append(shares)
+        return real_identity(shares)
+
+    monkeypatch.setattr(verify, "allocations", allocations)
+    monkeypatch.setattr(verify, "hhi_variance_identity", identity)
+    assert verify.check_hhi_all_or_none(scenario, []).passed is True
+    assert verify.check_hhi_identity(scenario, []).passed is True
+    assert markets[0] is scenario.config and len(markets) == 101
+    shapes = {(cfg.n_cps, cfg.n_isps) for cfg in markets[1:]}
+    assert shapes == {(n, m) for n in (2, 3) for m in (1, 2, 3)}
+    assert any(0.0 in cfg.p for cfg in markets[1:])
+    assert len(vectors) == 200
+    assert {len(shares) for shares in vectors} == {1, 2, 3, 4, 5}
 
 
 def test_verify_skips_utility_drop_on_tied_values(tmp_path, capsys):
