@@ -9,8 +9,10 @@ Verbs:
 * ``zrsim verify <scenario>`` runs the invariant battery on the records
   ``sweep`` writes (in discount-game mode, the discount game's) and prints
   one pass/fail line per check.
-* ``zrsim zre <scenario> --p <prices>`` inspects a single price point:
-  all equilibria, the selected one, and the pressure flags.
+* ``zrsim zre <scenario> --p <prices>`` inspects one cell in the scenario's
+  mode, as ``sweep`` records it: in discount-game mode the selected discount
+  profile (or NODEQ), then all equilibria at it, the selected one, and the
+  pressure flags.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid scenario or usage
 (an out-of-range ``--p`` price, and an output directory or file that cannot
@@ -34,7 +36,7 @@ from .analysis import (
     discount_grid_sweep,
     grid_sweep,
 )
-from .equilibrium import ZreStatus, enumerate_zre
+from .equilibrium import ZreStatus, solve_grid
 from .errors import CapacityError, ConfigError
 from .scenario import ScenarioError, load_scenario
 from .verify import run_battery
@@ -151,7 +153,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ScenarioError(f"cannot create output directory {out_dir}: {exc}") from exc
     names = {key: out_dir / name for key, name in scenario.output_names.items()}
     cells = None
-    if scenario.mode == "discount-game":
+    if scenario.delta_grid is not None:
         cells = discount_grid_sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
         records = [cell.record for cell in cells]
     else:
@@ -192,19 +194,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_zre(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    config = scenario.config
-    if len(args.p) != config.n_isps:
-        raise ScenarioError(f"--p needs {config.n_isps} prices, got {len(args.p)}")
+    if len(args.p) != scenario.config.n_isps:
+        raise ScenarioError(f"--p needs {scenario.config.n_isps} prices, got {len(args.p)}")
     try:
-        config = config.with_prices(args.p)
+        [(_, delta, result)] = solve_grid(scenario.config, [tuple(args.p)], scenario.delta_grid)
     except ConfigError as exc:
         raise ScenarioError(str(exc)) from exc
-    result = enumerate_zre(config)
     print(f"prices: {' '.join(fmt_num(p) for p in args.p)}")
-    if result.status is ZreStatus.NO_ZRE:
-        print("status: NO_ZRE")
-        return EXIT_OK
+    if scenario.delta_grid is not None:
+        discounts = "NODEQ" if result.selected is None else " ".join(map(fmt_num, delta))
+        print(f"discounts: {discounts}")
     print(f"status: {result.status.value}")
+    if result.status is ZreStatus.NO_ZRE:
+        return EXIT_OK
     print(f"equilibria ({len(result.all_zre)}): "
           + " ".join(t.bitstring() for t in result.all_zre))
     print(f"selected: {result.selected.bitstring()}")

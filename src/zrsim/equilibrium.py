@@ -437,9 +437,9 @@ def solve_grid(
     it.  A cell without an equilibrium, or without a discount equilibrium,
     holds one shared NO_ZRE result.  No payoff of either world is returned.
 
-    Raises CapacityError when a cell needs more than ``EVALUATION_GUARD``
-    profile evaluations, then ConfigError when a price lies outside
-    [0, 1], both before any allocation.
+    Raises ConfigError when a discount or a price lies outside [0, 1],
+    then CapacityError when a cell needs more than ``EVALUATION_GUARD``
+    profile evaluations, both before any allocation.
     """
     n, m = config.n_cps, config.n_isps
     delta_axes = [(v,) for v in config.delta]
@@ -450,16 +450,16 @@ def solve_grid(
         # Every value, not the sorted ends: NaN has no place in a sorted order.
         check_unit_interval("delta", values)
         delta_axes = [tuple(sorted(set(values)))] * m
+    groups: dict[tuple[bool, ...], list[int]] = defaultdict(list)
+    for k, prices in enumerate(p_rows):
+        check_unit_interval("p", prices)
+        groups[_zero_isps(prices)].append(k)
     work = math.prod(map(len, delta_axes)) << (n * m)
     if work > EVALUATION_GUARD:
         raise CapacityError(
             f"a {n}x{m} cell needs {work} profile evaluations, above the guard of "
             f"{EVALUATION_GUARD}"
         )
-    groups: dict[tuple[bool, ...], list[int]] = defaultdict(list)
-    for k, prices in enumerate(p_rows):
-        check_unit_interval("p", prices)
-        groups[_zero_isps(prices)].append(k)
     profiles = {zero: _profiles(n, m, zero) for zero in groups}
     used = np.zeros(1 << (n * m), dtype=bool)
     for codes, _ in profiles.values():

@@ -58,14 +58,13 @@ class ScenarioError(ZrsimError, ValueError):
 class Scenario:
     """A validated scenario: market template, price grid, and run mode.
 
-    ``delta_grid`` is None exactly in fixed-delta mode; in discount-game
-    mode it is the file's grid, or ``DEFAULT_DELTA_GRID`` when the file
-    gives none.
+    ``delta_grid`` is the run mode: None in fixed-delta mode; in
+    discount-game mode the file's grid, or ``DEFAULT_DELTA_GRID`` when the
+    file gives none.
     """
 
     config: MarketConfig
     price_grid: tuple[tuple[float, ...], ...]
-    mode: str
     delta_grid: tuple[float, ...] | None = None
     expected_no_zre: tuple[tuple[float, ...], ...] | None = None
     output_names: dict[str, str] = field(default_factory=lambda: dict(_DEFAULT_OUTPUT_NAMES))
@@ -220,7 +219,6 @@ def parse_scenario(doc, text: str = "") -> Scenario:
     return Scenario(
         config=config,
         price_grid=price_grid,
-        mode=mode,
         delta_grid=delta_grid,
         expected_no_zre=expected,
         output_names=output_names,

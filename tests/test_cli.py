@@ -440,7 +440,7 @@ def test_low_value_utility_drop_margin_scales_with_users():
         n_cps=2, n_isps=2, alpha=0.5, c=0.5, q=(0.4, 1.0), p=(0.5, 0.5), delta=(1.0, 1.0),
         phi=(0.1, 0.4, 0.4, 0.1), psi=(0.2, 0.4, 0.4), total_users=1e6,
     )
-    scenario = Scenario(config, ((0.5, 0.5),), "fixed-delta")
+    scenario = Scenario(config, ((0.5, 0.5),))
     theta = StrategyMatrix(((0, 0), (1, 0)))
     zre = ZreResult(ZreStatus.EQUILIBRIA_FOUND, (theta,), theta, (False, False))
 
@@ -560,7 +560,7 @@ def test_verify_falls_back_to_the_seeded_sample_above_the_budget():
     # far more than the budget admits, so the check compares the cell's
     # equilibria and 3 seeded profiles, and says so.
     config = random_config(np.random.default_rng(3), 4, 4, allow_zero_price=False)
-    scenario = Scenario(config, tuple((price,) for price in config.p), "fixed-delta")
+    scenario = Scenario(config, tuple((price,) for price in config.p))
     results = _battery_results(scenario)
     [(_, zre, _)] = results
     result = check_oracle_equilibrium(scenario, results)
@@ -577,7 +577,7 @@ def test_verify_fallback_sample_keeps_zero_price_columns_at_one(monkeypatch):
     # with 1, the only valid choice there, and draws every other cell.
     config = random_config(np.random.default_rng(3), 4, 4, allow_zero_price=False)
     config = config.with_prices((0.0,) + config.p[1:])
-    scenario = Scenario(config, tuple((price,) for price in config.p), "fixed-delta")
+    scenario = Scenario(config, tuple((price,) for price in config.p))
     results = _battery_results(scenario)
     compared = []
     real = verify.oracle_verdicts
@@ -663,3 +663,54 @@ def test_zre_verb_reports_no_zre(capsys):
     code = main(["zre", str(SCENARIOS / "bandwidth_high.json"), "--p", "0.3", "0.3"])
     assert code == EXIT_OK
     assert "NO_ZRE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["benchmark", "discount_game"])
+def test_zre_verb_answers_what_sweep_records(name, tmp_path, capsys):
+    # zre solves its cell in the scenario's mode, as sweep does: in the
+    # discount game it shows the selected discount profile (NODEQ where
+    # there is none) and the equilibria at it.  A zero-price ISP shows the
+    # grid's largest discount, as discounts.csv does.
+    path = SCENARIOS / f"{name}.json"
+    assert main(["sweep", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    with (tmp_path / "grid.csv").open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    discounts = {}
+    if name == "discount_game":
+        with (tmp_path / "discounts.csv").open(encoding="utf-8") as fh:
+            [header, *matrix] = csv.reader(fh)
+        discounts = {
+            (p1, p2): text.replace(",", " ")
+            for p2, *cells in matrix
+            for p1, text in zip(header[1:], cells)
+        }
+    assert len(rows) == 121
+    for row in rows:
+        prices = (row["p_1"], row["p_2"])
+        assert main(["zre", str(path), "--p", *prices]) == EXIT_OK
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert lines["prices"] == " ".join(prices)
+        assert lines.get("selected", "NOZRE") == row["theta"]
+        assert (lines["status"] == "NO_ZRE") == (row["theta"] == "NOZRE")
+        assert lines.get("pressure", "0 0") == f"{row['pressure_1']} {row['pressure_2']}"
+        assert lines.get("discounts") == discounts.get(prices)
+
+
+def test_zre_verb_checks_prices_before_the_capacity_guard(tmp_path, capsys):
+    # A price outside [0, 1] is bad input on any market: exit 2, though a
+    # valid price on this 3 x 7 market exceeds the guard and exits 3.
+    doc = {
+        "market": {
+            "n_cps": 3, "n_isps": 7, "alpha": 0.5, "c": 0.5,
+            "q": [0.2, 0.5, 1.0], "delta": [1.0] * 7,
+            "phi": [0.125] * 8, "psi": [0.125] * 8,
+        },
+        "price_grid": [[0.5]] * 7,
+        "mode": "fixed-delta",
+    }
+    scenario = tmp_path / "wide.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["zre", str(scenario), "--p", "1.5"] + ["0.5"] * 6) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: p[0] must lie in [0, 1], got 1.5\n"
+    assert main(["zre", str(scenario), "--p"] + ["0.5"] * 7) == EXIT_CAPACITY
+    assert capsys.readouterr().err.startswith("error: a 3x7 cell needs ")

@@ -31,7 +31,7 @@ def base_doc() -> dict:
 def test_valid_document_parses():
     scenario = parse_scenario(base_doc())
     assert scenario.config.n_cps == 2
-    assert scenario.mode == "fixed-delta"
+    assert scenario.delta_grid is None
     assert scenario.price_grid[0][3] == 0.3
     assert scenario.output_names["grid"] == "grid.csv"
 
