@@ -7,12 +7,10 @@ comparing markets with and without zero-rating.
 """
 
 from .analysis import (
-    DiscountCell,
     SignSummary,
     SweepRecord,
     aggregate_signs,
     compare_worlds,
-    discount_grid_sweep,
     grid_sweep,
     hhi,
     hhi_variance_identity,
@@ -68,7 +66,6 @@ __all__ = [
     "ChoiceSet",
     "ConfigError",
     "ContractViolation",
-    "DiscountCell",
     "DiscountOutcome",
     "DiscountStatus",
     "DomainError",
@@ -93,7 +90,6 @@ __all__ = [
     "compare_worlds",
     "detect_pressure",
     "discount_equilibrium",
-    "discount_grid_sweep",
     "elastic_choice_set",
     "enumerate_zre",
     "find_zre_violation",

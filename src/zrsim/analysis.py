@@ -4,9 +4,11 @@ The central comparison is between two hypothetical markets built from the
 same parameters: one where zero-rating is unavailable (the all-zero
 strategy profile) and one where it is available and the market settles on
 the tie-break-selected equilibrium.  Each grid cell of a price sweep
-records the selected profile and the deltas in CP utilities, CP market
-shares, and the Herfindahl index between the two worlds.  Cells with no
-equilibrium carry exactly zero deltas.
+records the discount profile it was solved at, the selected profile and
+the deltas in CP utilities, CP market shares, and the Herfindahl index
+between the two worlds.  One sweep serves both run modes: fixed discounts,
+and the ISP discount game on a grid of discounts.  Cells with no
+equilibrium, or with no discount equilibrium, carry exactly zero deltas.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidArgument
-from .equilibrium import DEFAULT_DELTA_GRID, ZreResult, ZreStatus, solve_grid
+from .equilibrium import ZreResult, ZreStatus, solve_grid
 from .market import MarketConfig, StrategyMatrix, allocate, allocations, cp_totals, profile_cells
 from .payoff import ProfileTable, _isp_sums, _scores
 
@@ -27,9 +29,16 @@ SIGN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Outcome of one grid cell: selected equilibrium and two-world deltas."""
+    """Outcome of one grid cell: the discount profile it was solved at,
+    its selected equilibrium and its two-world deltas.
+
+    ``discounts`` is ``config.delta`` at fixed discounts, the selected
+    discount profile in the discount game, and None at a cell where no
+    discount profile is a Nash equilibrium (NODEQ).
+    """
 
     prices: tuple[float, ...]
+    discounts: tuple[float, ...] | None
     status: ZreStatus
     selected: StrategyMatrix | None
     delta_utility: tuple[float, ...]
@@ -100,14 +109,14 @@ def _sweep(
     config: MarketConfig,
     p_grid: Sequence[Sequence[float]],
     delta_grid: Sequence[float] | None = None,
-) -> list[tuple[tuple[float, ...], ZreResult, SweepRecord]]:
+) -> list[tuple[ZreResult, SweepRecord]]:
     """Every point of the price grid (one value list per ISP), row-major,
     as a row of prices solved by :func:`~zrsim.equilibrium.solve_grid`: its
-    discount profile (the selected one in the discount game), its
     equilibria and its two-world record.
 
     A cell without a selection counts as the all-zero profile (code 0), so
-    both of its worlds coincide and its deltas are exactly zero.  Shares
+    both of its worlds coincide and its deltas are exactly zero; a NODEQ
+    cell is scored at ``config.delta``, which code 0 does not read.  Shares
     and the Herfindahl index read only the profile's shares rho, so each
     is computed once per distinct profile from one allocation.  Its table
     is scored by the engine's :func:`~zrsim.payoff._scores` at L markets,
@@ -128,7 +137,7 @@ def _sweep(
     worlds = [(_shares(t), _hhi(t)) for t in cp_totals(config, rho)]
     rows = np.searchsorted(codes, [0] + selected)
     prices = np.array([config.p] + p_rows)
-    deltas = np.array([config.delta] + [delta for _, delta, _ in solved])
+    deltas = np.array([config.delta] + [config.delta if d is None else d for _, d, _ in solved])
     table = ProfileTable(cells, x_effective, *_isp_sums(config, cells, x_effective))
     u = _scores(config, table, prices, deltas)[0][np.arange(len(rows)), rows]
     base_share, base_hhi = worlds[0]
@@ -137,6 +146,7 @@ def _sweep(
         share, hhi_sel = worlds[row]
         record = SweepRecord(
             prices=cell_prices,
+            discounts=delta,
             status=zre.status,
             selected=zre.selected,
             delta_utility=tuple(float(v) for v in utility - u[0]),
@@ -144,49 +154,30 @@ def _sweep(
             delta_hhi=hhi_sel - base_hhi,
             pressure=zre.pressure,
         )
-        out.append((delta, zre, record))
+        out.append((zre, record))
     return out
 
 
 def compare_worlds(config: MarketConfig) -> SweepRecord:
     """One cell's record: selected equilibrium vs. the no-zero-rating world."""
-    return _sweep(config, [(p,) for p in config.p])[0][2]
+    return _sweep(config, [(p,) for p in config.p])[0][1]
 
 
-def grid_sweep(config: MarketConfig, p_grid: Sequence[Sequence[float]]) -> list[SweepRecord]:
+def grid_sweep(
+    config: MarketConfig,
+    p_grid: Sequence[Sequence[float]],
+    delta_grid: Sequence[float] | None = None,
+) -> list[SweepRecord]:
     """One record per Cartesian price-grid point, in row-major grid order.
 
-    ``p_grid`` holds one value list per ISP.  All cells are solved together
+    ``p_grid`` holds one value list per ISP.  Without ``delta_grid`` every
+    cell is solved at ``config.delta``; with it every cell plays the ISP
+    discount game on that grid, and its record holds the selected discount
+    profile, or None where there is none.  All cells are solved together
     from one table of effective users (see
     :func:`~zrsim.equilibrium.solve_grid`).
     """
-    return [record for _, _, record in _sweep(config, p_grid)]
-
-
-@dataclass(frozen=True)
-class DiscountCell:
-    """One discount-game grid cell: two-world record under the selected
-    discount profile, plus the profile itself (None when no discount
-    equilibrium exists, in which case the record carries zero deltas)."""
-
-    record: SweepRecord
-    delta_star: tuple[float, ...] | None
-
-
-def discount_grid_sweep(
-    config: MarketConfig,
-    p_grid: Sequence[Sequence[float]],
-    delta_grid: Sequence[float] = DEFAULT_DELTA_GRID,
-) -> list[DiscountCell]:
-    """Discount-game counterpart of :func:`grid_sweep`.
-
-    Each cell solves the ISP discount game at its prices and records the
-    two-world deltas under the selected discount profile.
-    """
-    return [
-        DiscountCell(record, None if zre.selected is None else delta)
-        for delta, zre, record in _sweep(config, p_grid, delta_grid)
-    ]
+    return [record for _, record in _sweep(config, p_grid, delta_grid)]
 
 
 def _sign(value: float, tol: float) -> int:

@@ -29,13 +29,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import (
-    DiscountCell,
-    SweepRecord,
-    aggregate_signs,
-    discount_grid_sweep,
-    grid_sweep,
-)
+from .analysis import SweepRecord, aggregate_signs, grid_sweep
 from .equilibrium import ZreStatus, solve_grid
 from .errors import CapacityError, ConfigError
 from .scenario import ScenarioError, load_scenario
@@ -111,37 +105,32 @@ def write_summary_json(
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _discount_fields(discounts: tuple[float, ...] | None, width: int = 1) -> list[str]:
+    """A record's discount profile, one field per ISP, or ``width`` NODEQ
+    fields where the cell has no discount equilibrium."""
+    return ["NODEQ"] * width if discounts is None else [fmt_num(d) for d in discounts]
+
+
 def write_discounts_csv(
-    cells: Sequence[DiscountCell], path: Path, price_grid: Sequence[Sequence[float]]
+    records: Sequence[SweepRecord], path: Path, price_grid: Sequence[Sequence[float]]
 ) -> None:
     """Discount profile per cell; duopolies use a p2-row by p1-column matrix."""
-    by_prices = {cell.record.prices: cell for cell in cells}
-
-    def cell_text(cell: DiscountCell) -> str:
-        if cell.delta_star is None:
-            return "NODEQ"
-        return ",".join(fmt_num(d) for d in cell.delta_star)
-
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if len(price_grid) == 2:
+            by_prices = {record.prices: record.discounts for record in records}
             axis1, axis2 = price_grid
             writer.writerow(["p2\\p1"] + [fmt_num(p1) for p1 in axis1])
             for p2 in axis2:
-                writer.writerow(
-                    [fmt_num(p2)]
-                    + [cell_text(by_prices[(float(p1), float(p2))]) for p1 in axis1]
-                )
+                row = [by_prices[(float(p1), float(p2))] for p1 in axis1]
+                writer.writerow([fmt_num(p2)] + [",".join(_discount_fields(d)) for d in row])
         else:
             m = len(price_grid)
             writer.writerow([f"p_{j + 1}" for j in range(m)] + [f"delta_{j + 1}" for j in range(m)])
-            for cell in cells:
-                row = [fmt_num(p) for p in cell.record.prices]
-                if cell.delta_star is None:
-                    row += ["NODEQ"] * m
-                else:
-                    row += [fmt_num(d) for d in cell.delta_star]
-                writer.writerow(row)
+            for record in records:
+                writer.writerow(
+                    [fmt_num(p) for p in record.prices] + _discount_fields(record.discounts, m)
+                )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -152,15 +141,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ScenarioError(f"cannot create output directory {out_dir}: {exc}") from exc
     names = {key: out_dir / name for key, name in scenario.output_names.items()}
-    cells = None
-    if scenario.delta_grid is not None:
-        cells = discount_grid_sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
-        records = [cell.record for cell in cells]
-    else:
-        records = grid_sweep(scenario.config, scenario.price_grid)
+    records = grid_sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
     try:
-        if cells is not None:
-            write_discounts_csv(cells, names["discounts"], scenario.price_grid)
+        if scenario.delta_grid is not None:
+            write_discounts_csv(records, names["discounts"], scenario.price_grid)
         write_grid_csv(records, names["grid"], scenario.config.n_cps, scenario.config.n_isps)
         write_summary_json(records, names["summary"], scenario.config.total_users)
     except OSError as exc:
@@ -202,8 +186,7 @@ def _cmd_zre(args: argparse.Namespace) -> int:
         raise ScenarioError(str(exc)) from exc
     print(f"prices: {' '.join(fmt_num(p) for p in args.p)}")
     if scenario.delta_grid is not None:
-        discounts = "NODEQ" if result.selected is None else " ".join(map(fmt_num, delta))
-        print(f"discounts: {discounts}")
+        print(f"discounts: {' '.join(_discount_fields(delta))}")
     print(f"status: {result.status.value}")
     if result.status is ZreStatus.NO_ZRE:
         return EXIT_OK

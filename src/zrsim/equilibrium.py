@@ -414,15 +414,16 @@ def solve_grid(
     config: MarketConfig,
     p_rows: Sequence[tuple[float, ...]],
     delta_grid: Sequence[float] | None = None,
-) -> list[tuple[tuple[float, ...], tuple[float, ...], ZreResult]]:
+) -> list[tuple[tuple[float, ...], tuple[float, ...] | None, ZreResult]]:
     """Solve ``config`` at every price row of ``p_rows`` (one float per
     ISP), in order: one (prices, discount profile, :class:`ZreResult`) row
     per cell, and no cell built as a market.
 
-    Without ``delta_grid`` each cell is solved at ``config.delta``; with it
-    each cell plays the ISP discount game on that grid (see
-    :func:`discount_equilibrium`), and its row carries the selected
-    discount profile (``config.delta`` where there is none).
+    Without ``delta_grid`` each cell is solved at ``config.delta``, which
+    its row carries; with it each cell plays the ISP discount game on that
+    grid (see :func:`discount_equilibrium`), and its row carries the
+    selected discount profile, or None where no discount profile is a Nash
+    equilibrium (NODEQ).  This is the one place NODEQ is decided.
 
     The profile table (see :class:`~zrsim.payoff.ProfileTable`) and the
     tie-break rank read neither prices nor discounts, so one of each serves
@@ -469,7 +470,8 @@ def solve_grid(
     rank, table = _rank(config, all_codes, cells), profile_table(config, cells)
 
     no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
-    solved = [(prices, config.delta, no_zre) for prices in p_rows]
+    unsolved = config.delta if delta_grid is None else None
+    solved = [(prices, unsolved, no_zre) for prices in p_rows]
     grid = np.array(p_rows)
     matrix = functools.cache(lambda code: _matrix(code, config))
     tol = GAIN_TOL * config.total_users
@@ -536,6 +538,6 @@ def discount_equilibrium(
     This is the one-cell case of :func:`solve_grid`.
     """
     [(_, delta, zre)] = solve_grid(config, [config.p], delta_grid)
-    if zre.selected is None:
+    if delta is None:
         return DiscountOutcome(DiscountStatus.NO_DISCOUNT_EQUILIBRIUM, None, None)
     return DiscountOutcome(DiscountStatus.EQUILIBRIUM_FOUND, delta, zre)

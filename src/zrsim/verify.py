@@ -38,9 +38,10 @@ VERIFY_SEED = 20240517
 # check compares a seeded sample.
 ORACLE_PROFILE_BUDGET = 500_000
 
-# Every price-grid cell (its market, at the selected discount profile in
-# the discount game) with its solved equilibria and its two-world record,
-# in row-major order, as :func:`run_battery` builds them.
+# Every price-grid cell (its market, at the record's discount profile) with
+# its solved equilibria and its two-world record, in row-major order, as
+# :func:`run_battery` builds them.  A NODEQ cell's market keeps the template
+# delta, which no check reads: of that market only its prices are read.
 GridResults = list[tuple[MarketConfig, ZreResult, SweepRecord]]
 
 
@@ -109,15 +110,16 @@ def _every_profile(zeros: tuple[bool, ...], n_cps: int) -> list[StrategyMatrix]:
 
 def check_oracle_equilibrium(scenario: Scenario, results: GridResults) -> CheckResult:
     # The engine's verdict on a profile is whether its cell's record holds
-    # it.  A discount-game cell without a discount equilibrium records none
-    # because no discount profile is Nash, not because no profile is stable,
-    # so it is skipped and counted.  Every profile of every other cell goes
-    # to the oracle in one batch when that fits ORACLE_PROFILE_BUDGET;
-    # otherwise each cell's equilibria and a seeded sample of 3 profiles
-    # (drawn for skipped cells too, so the draws do not depend on the
-    # skips).  A recorded profile that is never compared disagrees.
+    # it.  A NODEQ cell, whose record holds no discount profile, records no
+    # equilibrium because no discount profile is Nash, not because no
+    # profile is stable, so it is skipped and counted.  Every profile of
+    # every other cell goes to the oracle in one batch when that fits
+    # ORACLE_PROFILE_BUDGET; otherwise each cell's equilibria and a seeded
+    # sample of 3 profiles (drawn for skipped cells too, so the draws do
+    # not depend on the skips).  A recorded profile that is never compared
+    # disagrees.
     n, m = scenario.config.n_cps, scenario.config.n_isps
-    keep = [scenario.delta_grid is None or result.selected is not None for _, result, _ in results]
+    keep = [record.discounts is not None for _, _, record in results]
     cells = [(cell, result) for (cell, result, _), k in zip(results, keep) if k]
     zeros = [tuple(price == 0.0 for price in cell.p) for cell, _ in cells]
     work = n * m * sum(2 ** (n * z.count(False)) for z in zeros)
@@ -266,6 +268,8 @@ def run_battery(scenario: Scenario) -> list[CheckResult]:
     one solve of the price grid by the sweep's own driver, in the
     scenario's mode (the discount game on ``scenario.delta_grid`` when it
     has one), shared by every check.  Each cell's market is built once."""
-    rows = _sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
-    results = [(replace(scenario.config, p=r.prices, delta=d), zre, r) for d, zre, r in rows]
+    config, results = scenario.config, []
+    for zre, r in _sweep(config, scenario.price_grid, scenario.delta_grid):
+        delta = config.delta if r.discounts is None else r.discounts
+        results.append((replace(config, p=r.prices, delta=delta), zre, r))
     return [check(scenario, results) for check in ALL_CHECKS]

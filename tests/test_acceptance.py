@@ -34,7 +34,6 @@ from zrsim import (
     ZreStatus,
     aggregate_signs,
     allocate,
-    discount_grid_sweep,
     enumerate_zre,
     grid_sweep,
     hhi,
@@ -46,7 +45,7 @@ from zrsim import (
     payoffs,
     select_zre,
 )
-from zrsim.equilibrium import GAIN_TOL
+from zrsim.equilibrium import DEFAULT_DELTA_GRID, GAIN_TOL
 from zrsim.oracle import _oracle_totals, oracle_verdicts
 
 from conftest import GRID11, random_config, random_theta
@@ -251,11 +250,11 @@ def test_c2_no_equilibrium_cells_exact():
 
 def test_c3_discount_game_reference_grid(tmp_path):
     start = time.perf_counter()
-    cells = discount_grid_sweep(BENCH, (GRID11, GRID11))
+    records = grid_sweep(BENCH, (GRID11, GRID11), DEFAULT_DELTA_GRID)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"discount grid took {elapsed:.1f}s, target 120s"
 
-    computed = {c.record.prices: c.delta_star for c in cells}
+    computed = {r.prices: r.discounts for r in records}
     reference = _reference_table()
     assert reference.keys() == computed.keys()
     # Transcription check: a zero-price ISP's delta enters no payoff, so the

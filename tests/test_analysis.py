@@ -15,13 +15,13 @@ from zrsim import (
     allocate,
     analysis,
     compare_worlds,
-    discount_grid_sweep,
     grid_sweep,
     hhi,
     hhi_variance_identity,
     market,
     verify,
 )
+from zrsim.equilibrium import DEFAULT_DELTA_GRID
 
 from conftest import GRID11, random_config
 
@@ -218,15 +218,15 @@ class TestMonotonicity:
 
 class TestDiscountGridSweep:
     def test_cells_align_with_prices(self, bench):
-        cells = discount_grid_sweep(bench, ((0.0, 1.0), (0.0, 1.0)))
-        assert [c.record.prices for c in cells] == [
+        records = grid_sweep(bench, ((0.0, 1.0), (0.0, 1.0)), DEFAULT_DELTA_GRID)
+        assert [r.prices for r in records] == [
             (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)
         ]
-        by_prices = {c.record.prices: c for c in cells}
-        assert by_prices[(0.0, 0.0)].delta_star == (1.0, 1.0)
+        by_prices = {r.prices: r for r in records}
+        assert by_prices[(0.0, 0.0)].discounts == (1.0, 1.0)
 
     def test_missing_discount_equilibrium_zeroes_record(self, bench):
-        [cell] = discount_grid_sweep(bench, ((0.5,), (0.5,)))
-        assert cell.delta_star is None
-        assert cell.record.status is ZreStatus.NO_ZRE
-        assert cell.record.delta_utility == (0.0, 0.0)
+        [record] = grid_sweep(bench, ((0.5,), (0.5,)), DEFAULT_DELTA_GRID)
+        assert record.discounts is None
+        assert record.status is ZreStatus.NO_ZRE
+        assert record.delta_utility == (0.0, 0.0)

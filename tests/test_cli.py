@@ -446,7 +446,8 @@ def test_low_value_utility_drop_margin_scales_with_users():
 
     def check(high_delta):
         record = SweepRecord(
-            config.p, zre.status, theta, (-1.0, high_delta), (-0.1, 0.1), 0.01, zre.pressure
+            config.p, config.delta, zre.status, theta, (-1.0, high_delta), (-0.1, 0.1), 0.01,
+            zre.pressure,
         )
         return check_low_value_utility_drop(scenario, [(config, zre, record)])
 
@@ -480,13 +481,18 @@ def test_verify_checks_the_discount_game_records():
     )
     [check] = [r for r in results if r.name == "value-ordering-pruning"]
     solved = analysis._sweep(scenario.config, scenario.price_grid, DEFAULT_DELTA_GRID)
-    assert check.detail == f"{sum(len(zre.all_zre) for _, zre, _ in solved)} equilibria scanned"
+    assert check.detail == f"{sum(len(zre.all_zre) for zre, _ in solved)} equilibria scanned"
 
 
 def _battery_results(scenario):
-    # The grid results run_battery hands to every check.
-    rows = analysis._sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
-    return [(dataclasses.replace(scenario.config, p=r.prices, delta=d), zre, r) for d, zre, r in rows]
+    # The grid results run_battery hands to every check; a NODEQ cell's
+    # market keeps the template delta.
+    config = scenario.config
+    rows = analysis._sweep(config, scenario.price_grid, scenario.delta_grid)
+    return [
+        (dataclasses.replace(config, p=r.prices, delta=r.discounts or config.delta), zre, r)
+        for zre, r in rows
+    ]
 
 
 def test_verify_allocates_each_profile_once(monkeypatch):

@@ -20,7 +20,6 @@ import pytest
 from zrsim import (
     CapacityError,
     ConfigError,
-    DiscountCell,
     MarketConfig,
     StrategyMatrix,
     SweepRecord,
@@ -29,7 +28,6 @@ from zrsim import (
     analysis,
     detect_pressure,
     discount_equilibrium,
-    discount_grid_sweep,
     enumerate_zre,
     equilibrium,
     grid_sweep,
@@ -65,14 +63,19 @@ def _shares(cell: MarketConfig, theta: StrategyMatrix) -> np.ndarray:
     return analysis._shares(market.cp_totals(cell, x_pair[None])[0])
 
 
-def _reference_record(cell: MarketConfig, zre: ZreResult | None) -> SweepRecord:
+def _reference_record(
+    cell: MarketConfig, zre: ZreResult | None, discounts: tuple[float, ...] | None
+) -> SweepRecord:
     n = cell.n_cps
     if zre is None or zre.selected is None:
         zeros = (0.0,) * n
-        return SweepRecord(cell.p, ZreStatus.NO_ZRE, None, zeros, zeros, 0.0, (False,) * n)
+        return SweepRecord(
+            cell.p, discounts, ZreStatus.NO_ZRE, None, zeros, zeros, 0.0, (False,) * n
+        )
     base, sel = StrategyMatrix.zeros(n, cell.n_isps), zre.selected
     return SweepRecord(
         prices=cell.p,
+        discounts=discounts,
         status=zre.status,
         selected=sel,
         delta_utility=tuple(
@@ -84,7 +87,7 @@ def _reference_record(cell: MarketConfig, zre: ZreResult | None) -> SweepRecord:
     )
 
 
-def _reference_discount(cell: MarketConfig, grid: tuple[float, ...]) -> DiscountCell:
+def _reference_discount(cell: MarketConfig, grid: tuple[float, ...]) -> SweepRecord:
     m = cell.n_isps
     axes = [grid[-1:] if p == 0.0 else grid for p in cell.p]
     revenue = {}
@@ -103,12 +106,12 @@ def _reference_discount(cell: MarketConfig, grid: tuple[float, ...]) -> Discount
         )
     ]
     if not nash:
-        return DiscountCell(_reference_record(cell, None), None)
+        return _reference_record(cell, None, None)
     tie = max(range(m), key=lambda j: (cell.p[j], j))
     # Totals are compared as exact decimals, as the grid writes them.
     star = max(nash, key=lambda d: (sum(Fraction(str(v)) for v in d), d[tie], d[::-1]))
     at = replace(cell, delta=star)
-    return DiscountCell(_reference_record(at, _reference_zre(at)), star)
+    return _reference_record(at, _reference_zre(at), star)
 
 
 def _cases():
@@ -139,7 +142,7 @@ def references():
     for config, axes, grid in CASES:
         cells = [config.with_prices(prices) for prices in itertools.product(*axes)]
         zres = [_reference_zre(cell) for cell in cells]
-        records = [_reference_record(cell, zre) for cell, zre in zip(cells, zres)]
+        records = [_reference_record(cell, zre, cell.delta) for cell, zre in zip(cells, zres)]
         out.append((cells, zres, records, [_reference_discount(cell, grid) for cell in cells]))
     return out
 
@@ -155,20 +158,29 @@ def test_driver_equals_per_cell_reference(block_elements, references, monkeypatc
         solved = analysis._sweep(config, axes)
         # The sweep returns price rows; each cell's market is built from its
         # row and discount profile.
-        assert [replace(config, p=r.prices, delta=delta) for delta, _, r in solved] == cells
-        assert [zre for _, zre, _ in solved] == zres
-        assert [record for _, _, record in solved] == records
+        assert [replace(config, p=r.prices, delta=r.discounts) for _, r in solved] == cells
+        assert [zre for zre, _ in solved] == zres
+        assert [record for _, record in solved] == records
         assert grid_sweep(config, axes) == records
-        assert discount_grid_sweep(config, axes, grid) == discounts
+        assert grid_sweep(config, axes, grid) == discounts
+        # The driver marks a cell without a discount equilibrium (NODEQ)
+        # with no discount profile, at exactly the reference's NODEQ cells.
+        rows = equilibrium.solve_grid(config, [cell.p for cell in cells], grid)
+        assert [delta is None for _, delta, _ in rows] == [d.discounts is None for d in discounts]
         for cell, zre, discount in zip(cells, zres, discounts):
             assert enumerate_zre(cell) == zre
             outcome = discount_equilibrium(cell, grid)
-            assert outcome.delta_star == discount.delta_star
-            assert (outcome.zre and outcome.zre.selected) == discount.record.selected
+            assert outcome.delta_star == discount.discounts
+            assert (outcome.zre and outcome.zre.selected) == discount.selected
             statuses.add((zre.status, outcome.status))
     # Cells without an equilibrium and without a discount equilibrium occur.
     assert {status for status, _ in statuses} == set(ZreStatus)
     assert len({status for _, status in statuses}) == 2
+    # discount_game.json at (0.5, 0.5) is NODEQ: its row carries no
+    # discount profile, not the template delta (1, 1).
+    scenario = load_scenario(SCENARIOS / "discount_game.json")
+    [(_, delta, zre)] = equilibrium.solve_grid(scenario.config, [(0.5, 0.5)], scenario.delta_grid)
+    assert delta is None and zre.selected is None
 
 
 def _reference_pressure(cell: MarketConfig, selected: StrategyMatrix) -> tuple[bool, ...]:
@@ -235,7 +247,7 @@ def test_guard_raises_before_any_allocation(monkeypatch):
     with pytest.raises(CapacityError):
         grid_sweep(config, ((0.0, 0.5),) * 7)
     with pytest.raises(CapacityError):
-        discount_grid_sweep(config, ((0.5,),) * 7, (1.0,))
+        grid_sweep(config, ((0.5,),) * 7, (1.0,))
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
@@ -256,7 +268,7 @@ def test_grid_prices_rejected_before_any_allocation(bad, j, monkeypatch):
     with pytest.raises(ConfigError, match=message):
         grid_sweep(config, axes)
     with pytest.raises(ConfigError, match=message):
-        discount_grid_sweep(config, axes, (0.5, 1.0))
+        grid_sweep(config, axes, (0.5, 1.0))
 
 
 def test_sweep_builds_no_market(monkeypatch):
