@@ -19,7 +19,6 @@ from .scenario import Scenario, ScenarioError, load_scenario
 from .equilibrium import (
     BestResponseTrace,
     DiscountOutcome,
-    DiscountStatus,
     DynamicsOutcome,
     ZreResult,
     ZreStatus,
@@ -67,7 +66,6 @@ __all__ = [
     "ConfigError",
     "ContractViolation",
     "DiscountOutcome",
-    "DiscountStatus",
     "DomainError",
     "DynamicsOutcome",
     "InvalidArgument",

@@ -3,12 +3,14 @@
 The central comparison is between two hypothetical markets built from the
 same parameters: one where zero-rating is unavailable (the all-zero
 strategy profile) and one where it is available and the market settles on
-the tie-break-selected equilibrium.  Each grid cell of a price sweep
-records the discount profile it was solved at, the selected profile and
-the deltas in CP utilities, CP market shares, and the Herfindahl index
-between the two worlds.  One sweep serves both run modes: fixed discounts,
-and the ISP discount game on a grid of discounts.  Cells with no
-equilibrium, or with no discount equilibrium, carry exactly zero deltas.
+the tie-break-selected equilibrium.  A price sweep gives each grid cell
+one :class:`SweepRecord`: the discount profile it was solved at, the
+engine's equilibria there, and the deltas in CP utilities, CP market
+shares, and the Herfindahl index between the two worlds.  One sweep serves
+both run modes, fixed discounts and the ISP discount game on a grid of
+discounts, and its records are what ``zrsim sweep`` writes and the verify
+battery checks.  Cells with no equilibrium, or with no discount
+equilibrium, carry exactly zero deltas.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidArgument
-from .equilibrium import ZreResult, ZreStatus, solve_grid
+from .equilibrium import ZreResult, solve_grid
 from .market import MarketConfig, StrategyMatrix, allocate, allocations, cp_totals, profile_cells
 from .payoff import ProfileTable, _isp_sums, _scores
 
@@ -29,22 +31,23 @@ SIGN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Outcome of one grid cell: the discount profile it was solved at,
-    its selected equilibrium and its two-world deltas.
+    """The one record of a solved grid cell: the discount profile it was
+    solved at, its equilibria and its two-world deltas.
 
     ``discounts`` is ``config.delta`` at fixed discounts, the selected
     discount profile in the discount game, and None at a cell where no
-    discount profile is a Nash equilibrium (NODEQ).
+    discount profile is a Nash equilibrium (NODEQ).  ``zre`` is the cell's
+    :class:`~zrsim.equilibrium.ZreResult` from
+    :func:`~zrsim.equilibrium.solve_grid`: its status, every equilibrium,
+    the selected one and its pressure flags (NO_ZRE at a NODEQ cell).
     """
 
     prices: tuple[float, ...]
     discounts: tuple[float, ...] | None
-    status: ZreStatus
-    selected: StrategyMatrix | None
+    zre: ZreResult
     delta_utility: tuple[float, ...]
     delta_share: tuple[float, ...]
     delta_hhi: float
-    pressure: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -105,14 +108,18 @@ def hhi_variance_identity(shares: Sequence[float]) -> tuple[float, float]:
     return sum_of_squares, 1.0 / n + n * var / total**2
 
 
-def _sweep(
+def grid_sweep(
     config: MarketConfig,
     p_grid: Sequence[Sequence[float]],
     delta_grid: Sequence[float] | None = None,
-) -> list[tuple[ZreResult, SweepRecord]]:
-    """Every point of the price grid (one value list per ISP), row-major,
-    as a row of prices solved by :func:`~zrsim.equilibrium.solve_grid`: its
-    equilibria and its two-world record.
+) -> list[SweepRecord]:
+    """One record per Cartesian price-grid point, in row-major grid order.
+
+    ``p_grid`` holds one value list per ISP.  Without ``delta_grid`` every
+    cell is solved at ``config.delta``; with it every cell plays the ISP
+    discount game on that grid.  All cells are solved together by
+    :func:`~zrsim.equilibrium.solve_grid`, whose :class:`ZreResult` each
+    record holds.
 
     A cell without a selection counts as the all-zero profile (code 0), so
     both of its worlds coincide and its deltas are exactly zero; a NODEQ
@@ -144,40 +151,21 @@ def _sweep(
     out = []
     for (cell_prices, delta, zre), row, utility in zip(solved, rows[1:], u[1:]):
         share, hhi_sel = worlds[row]
-        record = SweepRecord(
+        out.append(SweepRecord(
             prices=cell_prices,
             discounts=delta,
-            status=zre.status,
-            selected=zre.selected,
+            zre=zre,
             delta_utility=tuple(float(v) for v in utility - u[0]),
             delta_share=tuple(float(v) for v in share - base_share),
             delta_hhi=hhi_sel - base_hhi,
-            pressure=zre.pressure,
-        )
-        out.append((zre, record))
+        ))
     return out
 
 
 def compare_worlds(config: MarketConfig) -> SweepRecord:
-    """One cell's record: selected equilibrium vs. the no-zero-rating world."""
-    return _sweep(config, [(p,) for p in config.p])[0][1]
-
-
-def grid_sweep(
-    config: MarketConfig,
-    p_grid: Sequence[Sequence[float]],
-    delta_grid: Sequence[float] | None = None,
-) -> list[SweepRecord]:
-    """One record per Cartesian price-grid point, in row-major grid order.
-
-    ``p_grid`` holds one value list per ISP.  Without ``delta_grid`` every
-    cell is solved at ``config.delta``; with it every cell plays the ISP
-    discount game on that grid, and its record holds the selected discount
-    profile, or None where there is none.  All cells are solved together
-    from one table of effective users (see
-    :func:`~zrsim.equilibrium.solve_grid`).
-    """
-    return [record for _, record in _sweep(config, p_grid, delta_grid)]
+    """One cell's record: selected equilibrium vs. the no-zero-rating world,
+    the one-cell case of :func:`grid_sweep`."""
+    return grid_sweep(config, [(p,) for p in config.p])[0]
 
 
 def _sign(value: float, tol: float) -> int:

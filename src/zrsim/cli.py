@@ -61,14 +61,15 @@ def _grid_header(n_cps: int, n_isps: int) -> list[str]:
 
 
 def _grid_row(record: SweepRecord) -> list[str]:
-    theta = record.selected.bitstring() if record.selected is not None else "NOZRE"
+    zre = record.zre
+    theta = zre.selected.bitstring() if zre.selected is not None else "NOZRE"
     return (
         [fmt_num(p) for p in record.prices]
         + [theta]
         + [fmt_num(v) for v in record.delta_utility]
         + [fmt_num(v) for v in record.delta_share]
         + [fmt_num(record.delta_hhi)]
-        + [str(int(flag)) for flag in record.pressure]
+        + [str(int(flag)) for flag in zre.pressure]
     )
 
 
@@ -89,7 +90,7 @@ def write_summary_json(
         "no_zre_prices": [
             [float(fmt_num(p)) for p in r.prices]
             for r in records
-            if r.status is ZreStatus.NO_ZRE
+            if r.zre.status is ZreStatus.NO_ZRE
         ],
         "per_cp": [
             {

@@ -24,7 +24,9 @@ profile and the all-zero one, are :mod:`zrsim.analysis`'s to score.
 :func:`enumerate_zre` and :func:`discount_equilibrium` are its one-cell
 case; :func:`is_zre` and the dynamics score a profile and its flips, and
 :func:`detect_pressure` its counterfactual markets.  The verify battery
-reads the engine's verdicts from :func:`solve_grid`'s equilibria.
+reads the engine's verdicts from the sweep's records
+(:func:`zrsim.analysis.grid_sweep`), each holding its cell's
+:class:`ZreResult` from :func:`solve_grid`.
 """
 
 from __future__ import annotations
@@ -78,11 +80,6 @@ class ZreStatus(enum.Enum):
     NO_ZRE = "NO_ZRE"
 
 
-class DiscountStatus(enum.Enum):
-    EQUILIBRIUM_FOUND = "EQUILIBRIUM_FOUND"
-    NO_DISCOUNT_EQUILIBRIUM = "NO_DISCOUNT_EQUILIBRIUM"
-
-
 class DynamicsOutcome(enum.Enum):
     FIXED_POINT = "FIXED_POINT"
     CYCLE = "CYCLE"
@@ -101,9 +98,10 @@ class ZreResult:
 
 @dataclass(frozen=True)
 class DiscountOutcome:
-    """Selected discount profile of the ISP discount game."""
+    """Selected discount profile of the ISP discount game and the
+    equilibria at it; both None where no discount profile is a Nash
+    equilibrium (NODEQ)."""
 
-    status: DiscountStatus
     delta_star: tuple[float, ...] | None
     zre: ZreResult | None
 
@@ -538,6 +536,4 @@ def discount_equilibrium(
     This is the one-cell case of :func:`solve_grid`.
     """
     [(_, delta, zre)] = solve_grid(config, [config.p], delta_grid)
-    if delta is None:
-        return DiscountOutcome(DiscountStatus.NO_DISCOUNT_EQUILIBRIUM, None, None)
-    return DiscountOutcome(DiscountStatus.EQUILIBRIUM_FOUND, delta, zre)
+    return DiscountOutcome(delta, None if delta is None else zre)

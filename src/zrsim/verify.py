@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import SweepRecord, _hhi, _sweep, hhi_variance_identity
-from .equilibrium import ZreResult, ZreStatus, _last_argmax
+from .analysis import SweepRecord, _hhi, grid_sweep, hhi_variance_identity
+from .equilibrium import ZreStatus, _last_argmax
 from .market import MarketConfig, StrategyMatrix, allocate, allocations, cp_totals, profile_cells
 from .oracle import oracle_allocate, oracle_verdicts
 from .scenario import Scenario
@@ -37,12 +37,6 @@ VERIFY_SEED = 20240517
 # 1.5 us on a 2-core x86 host, so the budget is about 0.75 s; above it the
 # check compares a seeded sample.
 ORACLE_PROFILE_BUDGET = 500_000
-
-# Every price-grid cell (its market, at the record's discount profile) with
-# its solved equilibria and its two-world record, in row-major order, as
-# :func:`run_battery` builds them.  A NODEQ cell's market keeps the template
-# delta, which no check reads: of that market only its prices are read.
-GridResults = list[tuple[MarketConfig, ZreResult, SweepRecord]]
 
 
 @dataclass(frozen=True)
@@ -77,22 +71,23 @@ def _seeded_market(rng: random.Random) -> MarketConfig:
     )
 
 
-def _seeded_profile(rng: random.Random, config: MarketConfig) -> StrategyMatrix:
-    """A random profile with the cells of zero-price ISPs set to 1."""
+def _seeded_profile(rng: random.Random, n_cps: int, prices: tuple[float, ...]) -> StrategyMatrix:
+    """A random profile of ``n_cps`` rows with the cells of zero-price ISPs
+    set to 1, drawn row by row."""
     return StrategyMatrix(
         tuple(
-            tuple(1 if price == 0.0 else rng.randint(0, 1) for price in config.p)
-            for _ in range(config.n_cps)
+            tuple(1 if price == 0.0 else rng.randint(0, 1) for price in prices)
+            for _ in range(n_cps)
         )
     )
 
 
-def check_oracle_allocation(scenario: Scenario, results: GridResults) -> CheckResult:
+def check_oracle_allocation(scenario: Scenario, records: list[SweepRecord]) -> CheckResult:
     # Neither route reads prices or discounts, so every cell's all-zero and
     # selected profiles are compared once each, on the scenario's market.
     config = scenario.config
     thetas = {StrategyMatrix.zeros(config.n_cps, config.n_isps)}
-    thetas.update(result.selected for _, result, _ in results if result.selected is not None)
+    thetas.update(r.zre.selected for r in records if r.zre.selected is not None)
     worst = 0.0
     for theta in thetas:
         diff = np.abs(allocate(config, theta).rho - oracle_allocate(config, theta).rho).max()
@@ -108,7 +103,7 @@ def _every_profile(zeros: tuple[bool, ...], n_cps: int) -> list[StrategyMatrix]:
     return [StrategyMatrix(rows) for rows in itertools.product(row_choices, repeat=n_cps)]
 
 
-def check_oracle_equilibrium(scenario: Scenario, results: GridResults) -> CheckResult:
+def check_oracle_equilibrium(scenario: Scenario, records: list[SweepRecord]) -> CheckResult:
     # The engine's verdict on a profile is whether its cell's record holds
     # it.  A NODEQ cell, whose record holds no discount profile, records no
     # equilibrium because no discount profile is Nash, not because no
@@ -117,11 +112,13 @@ def check_oracle_equilibrium(scenario: Scenario, results: GridResults) -> CheckR
     # ORACLE_PROFILE_BUDGET; otherwise each cell's equilibria and a seeded
     # sample of 3 profiles (drawn for skipped cells too, so the draws do
     # not depend on the skips).  A recorded profile that is never compared
-    # disagrees.
-    n, m = scenario.config.n_cps, scenario.config.n_isps
-    keep = [record.discounts is not None for _, _, record in results]
-    cells = [(cell, result) for (cell, result, _), k in zip(results, keep) if k]
-    zeros = [tuple(price == 0.0 for price in cell.p) for cell, _ in cells]
+    # disagrees.  Each compared cell's market, at its record's prices and
+    # discounts, is built here: no other check reads more than prices.
+    config = scenario.config
+    n, m = config.n_cps, config.n_isps
+    keep = [record.discounts is not None for record in records]
+    cells = list(itertools.compress(records, keep))
+    zeros = [tuple(price == 0.0 for price in record.prices) for record in cells]
     work = n * m * sum(2 ** (n * z.count(False)) for z in zeros)
     work += 3 * 2**n * (m + 1) * 2 ** (n * m)
     if work <= ORACLE_PROFILE_BUDGET:
@@ -131,27 +128,28 @@ def check_oracle_equilibrium(scenario: Scenario, results: GridResults) -> CheckR
     else:
         path = f"seeded sample (oracle work {work} over {ORACLE_PROFILE_BUDGET})"
         rng = random.Random(VERIFY_SEED)
-        draws = [[_seeded_profile(rng, cell) for _ in range(3)] for cell, _, _ in results]
+        draws = [[_seeded_profile(rng, n, r.prices) for _ in range(3)] for r in records]
         profiles = [
-            list(result.all_zre) + sample
-            for (_, result), sample in zip(cells, itertools.compress(draws, keep))
+            list(record.zre.all_zre) + sample
+            for record, sample in zip(cells, itertools.compress(draws, keep))
         ]
     pairs, engine, unmatched = [], [], 0
-    for (cell, result), thetas in zip(cells, profiles):
-        zre = set(result.all_zre)
+    for record, thetas in zip(cells, profiles):
+        market = replace(config, p=record.prices, delta=record.discounts)
+        zre = set(record.zre.all_zre)
         recorded = [theta in zre for theta in thetas]
-        pairs += [(cell, theta) for theta in thetas]
+        pairs += [(market, theta) for theta in thetas]
         engine += recorded
         unmatched += len(zre) - len(set(itertools.compress(thetas, recorded)))
     disagreements = unmatched + sum(e != o for e, o in zip(engine, oracle_verdicts(pairs)))
     detail = f"{path}: {len(pairs)} verdicts compared, {disagreements} disagreements"
-    skipped = len(results) - len(cells)
+    skipped = len(records) - len(cells)
     if skipped:
         detail += f", {skipped} NODEQ cells skipped"
     return CheckResult("oracle-equilibrium", disagreements == 0, detail)
 
 
-def check_hhi_identity(scenario: Scenario, results: GridResults) -> CheckResult:
+def check_hhi_identity(scenario: Scenario, records: list[SweepRecord]) -> CheckResult:
     rng = random.Random(VERIFY_SEED)
     worst = 0.0
     for _ in range(200):
@@ -162,7 +160,7 @@ def check_hhi_identity(scenario: Scenario, results: GridResults) -> CheckResult:
     return CheckResult("hhi-variance-identity", ok, f"max |forms| gap = {worst:.3e}")
 
 
-def check_hhi_all_or_none(scenario: Scenario, results: GridResults) -> CheckResult:
+def check_hhi_all_or_none(scenario: Scenario, records: list[SweepRecord]) -> CheckResult:
     rng = random.Random(VERIFY_SEED)
     configs = [scenario.config] + [_seeded_market(rng) for _ in range(100)]
     worst = 0.0
@@ -182,17 +180,17 @@ def _ordered_for_concentration(config: MarketConfig) -> bool:
     )
 
 
-def check_hhi_nondecreasing(scenario: Scenario, results: GridResults) -> CheckResult:
+def check_hhi_nondecreasing(scenario: Scenario, records: list[SweepRecord]) -> CheckResult:
     if not _ordered_for_concentration(scenario.config):
         return CheckResult(
             "hhi-nondecreasing", None, "skipped: values/baselines not co-ordered"
         )
-    worst = min(record.delta_hhi for _, _, record in results)
+    worst = min(record.delta_hhi for record in records)
     ok = worst >= -HHI_TOL
     return CheckResult("hhi-nondecreasing", ok, f"min delta HHI = {worst:.3e}")
 
 
-def check_low_value_utility_drop(scenario: Scenario, results: GridResults) -> CheckResult:
+def check_low_value_utility_drop(scenario: Scenario, records: list[SweepRecord]) -> CheckResult:
     config = scenario.config
     if config.n_cps == 1:
         return CheckResult("low-value-utility-drop", None, "skipped: single CP")
@@ -203,10 +201,10 @@ def check_low_value_utility_drop(scenario: Scenario, results: GridResults) -> Ch
     # Utilities scale with the market size, so the noise margin does too.
     tol = HHI_TOL * config.total_users
     hits = 0
-    for cell, result, record in results:
-        if result.selected is None:
+    for record in records:
+        if record.zre.selected is None:
             continue
-        rows = result.selected.rows
+        rows = record.zre.selected.rows
         if any(rows[low]) or not any(rows[high]):
             continue
         if any(any(rows[i]) for i in range(config.n_cps) if i not in (low, high)):
@@ -216,16 +214,16 @@ def check_low_value_utility_drop(scenario: Scenario, results: GridResults) -> Ch
             return CheckResult(
                 "low-value-utility-drop",
                 False,
-                f"violated at prices {cell.p}: deltas {record.delta_utility}",
+                f"violated at prices {record.prices}: deltas {record.delta_utility}",
             )
     return CheckResult("low-value-utility-drop", True, f"{hits} qualifying cells checked")
 
 
-def check_value_ordering_pruning(scenario: Scenario, results: GridResults) -> CheckResult:
+def check_value_ordering_pruning(scenario: Scenario, records: list[SweepRecord]) -> CheckResult:
     config = scenario.config
     scanned = 0
-    for cell, result, _ in results:
-        for theta in result.all_zre:
+    for record in records:
+        for theta in record.zre.all_zre:
             scanned += 1
             for i in range(config.n_cps):
                 for k in range(config.n_cps):
@@ -236,15 +234,16 @@ def check_value_ordering_pruning(scenario: Scenario, results: GridResults) -> Ch
                             return CheckResult(
                                 "value-ordering-pruning",
                                 False,
-                                f"prices {cell.p}: {theta.bitstring()} has a low-value-only relation",
+                                f"prices {record.prices}: {theta.bitstring()} has a "
+                                "low-value-only relation",
                             )
     return CheckResult("value-ordering-pruning", True, f"{scanned} equilibria scanned")
 
 
-def check_expected_no_zre(scenario: Scenario, results: GridResults) -> CheckResult:
+def check_expected_no_zre(scenario: Scenario, records: list[SweepRecord]) -> CheckResult:
     if scenario.expected_no_zre is None:
         return CheckResult("no-zre-cells", None, "skipped: no expectation recorded")
-    observed = {cell.p for cell, result, _ in results if result.status is ZreStatus.NO_ZRE}
+    observed = {r.prices for r in records if r.zre.status is ZreStatus.NO_ZRE}
     expected = set(scenario.expected_no_zre)
     ok = observed == expected
     detail = f"observed {sorted(observed)}" if not ok else f"{len(expected)} cells as expected"
@@ -265,11 +264,9 @@ ALL_CHECKS = (
 
 def run_battery(scenario: Scenario) -> list[CheckResult]:
     """Every check of ``ALL_CHECKS`` on the records ``zrsim sweep`` writes:
-    one solve of the price grid by the sweep's own driver, in the
-    scenario's mode (the discount game on ``scenario.delta_grid`` when it
-    has one), shared by every check.  Each cell's market is built once."""
-    config, results = scenario.config, []
-    for zre, r in _sweep(config, scenario.price_grid, scenario.delta_grid):
-        delta = config.delta if r.discounts is None else r.discounts
-        results.append((replace(config, p=r.prices, delta=delta), zre, r))
-    return [check(scenario, results) for check in ALL_CHECKS]
+    the list :func:`~zrsim.analysis.grid_sweep` returns for the scenario's
+    price grid, in the scenario's mode (the discount game on
+    ``scenario.delta_grid`` when it has one), one solve shared by every
+    check."""
+    records = grid_sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
+    return [check(scenario, records) for check in ALL_CHECKS]

@@ -385,9 +385,10 @@ def test_c6_locked_out_low_value_cp_loses():
     qualifying = 0
     for config in VARIANTS.values():
         for record in grid_sweep(config, (GRID11, GRID11)):
-            if record.selected is None:
+            selected = record.zre.selected
+            if selected is None:
                 continue
-            if any(record.selected.rows[0]) or not any(record.selected.rows[1]):
+            if any(selected.rows[0]) or not any(selected.rows[1]):
                 continue
             qualifying += 1
             assert record.delta_utility[0] < 0.0, f"at {record.prices}"

@@ -122,23 +122,23 @@ class TestHhiVarianceIdentity:
 class TestCompareWorlds:
     def test_identical_worlds_zero_deltas(self, bench):
         record = compare_worlds(bench.with_prices((1.0, 1.0)))
-        assert record.selected == StrategyMatrix.zeros(2, 2)
+        assert record.zre.selected == StrategyMatrix.zeros(2, 2)
         assert record.delta_utility == (0.0, 0.0)
         assert record.delta_share == (0.0, 0.0)
         assert record.delta_hhi == 0.0
 
     def test_lone_high_value_relation_hurts_low_value_cp(self, bench):
         record = compare_worlds(bench.with_prices((0.7, 0.7)))
-        assert record.selected.rows[0] == (0, 0)
-        assert any(record.selected.rows[1])
+        assert record.zre.selected.rows[0] == (0, 0)
+        assert any(record.zre.selected.rows[1])
         assert record.delta_utility[0] < 0
         assert record.delta_utility[1] >= -1e-12
 
     def test_no_equilibrium_means_exactly_zero(self, bench):
         config = dataclasses.replace(bench, c=0.8).with_prices((0.3, 0.3))
         record = compare_worlds(config)
-        assert record.status is ZreStatus.NO_ZRE
-        assert record.selected is None
+        assert record.zre.status is ZreStatus.NO_ZRE
+        assert record.zre.selected is None
         assert record.delta_utility == (0.0, 0.0)
         assert record.delta_share == (0.0, 0.0)
         assert record.delta_hhi == 0.0
@@ -165,7 +165,7 @@ class TestGridSweep:
     def test_no_zre_cells_match_reference_set(self, bench):
         config = dataclasses.replace(bench, c=0.8)
         records = grid_sweep(config, (GRID11, GRID11))
-        missing = {r.prices for r in records if r.status is ZreStatus.NO_ZRE}
+        missing = {r.prices for r in records if r.zre.status is ZreStatus.NO_ZRE}
         assert missing == {(0.3, 0.3), (0.3, 0.4), (0.4, 0.3)}
 
     def test_bad_grid_rejected(self, bench):
@@ -207,9 +207,10 @@ class TestMonotonicity:
     def test_low_value_loss_when_locked_out(self, bench):
         hits = 0
         for record in grid_sweep(bench, (GRID11, GRID11)):
-            if record.selected is None:
+            selected = record.zre.selected
+            if selected is None:
                 continue
-            if not any(record.selected.rows[0]) and any(record.selected.rows[1]):
+            if not any(selected.rows[0]) and any(selected.rows[1]):
                 hits += 1
                 assert record.delta_utility[0] < 0
                 assert record.delta_utility[1] >= -1e-12
@@ -228,5 +229,5 @@ class TestDiscountGridSweep:
     def test_missing_discount_equilibrium_zeroes_record(self, bench):
         [record] = grid_sweep(bench, ((0.5,), (0.5,)), DEFAULT_DELTA_GRID)
         assert record.discounts is None
-        assert record.status is ZreStatus.NO_ZRE
+        assert record.zre.status is ZreStatus.NO_ZRE
         assert record.delta_utility == (0.0, 0.0)

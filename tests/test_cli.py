@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 
 from zrsim import MarketConfig, Scenario, StrategyMatrix, analysis, load_scenario, oracle, verify
-from zrsim.analysis import SweepRecord
+from zrsim.analysis import SweepRecord, grid_sweep
 from zrsim.cli import EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, fmt_num, main
-from zrsim.equilibrium import DEFAULT_DELTA_GRID, ZreResult, ZreStatus
+from zrsim.equilibrium import DEFAULT_DELTA_GRID, ZreResult, ZreStatus, solve_grid
 from zrsim.verify import (
     CheckResult,
     check_low_value_utility_drop,
@@ -422,6 +423,94 @@ VERIFY_STDOUT = {
         "SKIP  no-zre-cells            skipped: no expectation recorded\n"
         "7/7 checks passed, 1 skipped\n"
     ),
+    "bandwidth_low": (
+        "PASS  oracle-allocation       max |rho - oracle rho| = 1.110e-16\n"
+        "PASS  oracle-equilibrium      every profile: 1681 verdicts compared, 0 disagreements\n"
+        "PASS  hhi-variance-identity   max |forms| gap = 2.220e-16\n"
+        "PASS  hhi-all-or-none         max |HHI(0) - HHI(1)| gap = 3.331e-16\n"
+        "PASS  hhi-nondecreasing       min delta HHI = 0.000e+00\n"
+        "PASS  low-value-utility-drop  48 qualifying cells checked\n"
+        "PASS  value-ordering-pruning  127 equilibria scanned\n"
+        "SKIP  no-zre-cells            skipped: no expectation recorded\n"
+        "7/7 checks passed, 1 skipped\n"
+    ),
+    "benchmark": (
+        "PASS  oracle-allocation       max |rho - oracle rho| = 1.110e-16\n"
+        "PASS  oracle-equilibrium      every profile: 1681 verdicts compared, 0 disagreements\n"
+        "PASS  hhi-variance-identity   max |forms| gap = 2.220e-16\n"
+        "PASS  hhi-all-or-none         max |HHI(0) - HHI(1)| gap = 3.331e-16\n"
+        "PASS  hhi-nondecreasing       min delta HHI = 0.000e+00\n"
+        "PASS  low-value-utility-drop  40 qualifying cells checked\n"
+        "PASS  value-ordering-pruning  128 equilibria scanned\n"
+        "SKIP  no-zre-cells            skipped: no expectation recorded\n"
+        "7/7 checks passed, 1 skipped\n"
+    ),
+    "cp1_share_high": (
+        "PASS  oracle-allocation       max |rho - oracle rho| = 5.551e-17\n"
+        "PASS  oracle-equilibrium      every profile: 1681 verdicts compared, 0 disagreements\n"
+        "PASS  hhi-variance-identity   max |forms| gap = 2.220e-16\n"
+        "PASS  hhi-all-or-none         max |HHI(0) - HHI(1)| gap = 3.331e-16\n"
+        "SKIP  hhi-nondecreasing       skipped: values/baselines not co-ordered\n"
+        "PASS  low-value-utility-drop  45 qualifying cells checked\n"
+        "PASS  value-ordering-pruning  127 equilibria scanned\n"
+        "SKIP  no-zre-cells            skipped: no expectation recorded\n"
+        "6/6 checks passed, 2 skipped\n"
+    ),
+    "cp1_share_low": (
+        "PASS  oracle-allocation       max |rho - oracle rho| = 5.551e-17\n"
+        "PASS  oracle-equilibrium      every profile: 1681 verdicts compared, 0 disagreements\n"
+        "PASS  hhi-variance-identity   max |forms| gap = 2.220e-16\n"
+        "PASS  hhi-all-or-none         max |HHI(0) - HHI(1)| gap = 3.331e-16\n"
+        "PASS  hhi-nondecreasing       min delta HHI = -2.220e-16\n"
+        "PASS  low-value-utility-drop  33 qualifying cells checked\n"
+        "PASS  value-ordering-pruning  124 equilibria scanned\n"
+        "SKIP  no-zre-cells            skipped: no expectation recorded\n"
+        "7/7 checks passed, 1 skipped\n"
+    ),
+    "elasticity_high": (
+        "PASS  oracle-allocation       max |rho - oracle rho| = 5.551e-17\n"
+        "PASS  oracle-equilibrium      every profile: 1681 verdicts compared, 0 disagreements\n"
+        "PASS  hhi-variance-identity   max |forms| gap = 2.220e-16\n"
+        "PASS  hhi-all-or-none         max |HHI(0) - HHI(1)| gap = 3.331e-16\n"
+        "PASS  hhi-nondecreasing       min delta HHI = 0.000e+00\n"
+        "PASS  low-value-utility-drop  40 qualifying cells checked\n"
+        "PASS  value-ordering-pruning  127 equilibria scanned\n"
+        "SKIP  no-zre-cells            skipped: no expectation recorded\n"
+        "7/7 checks passed, 1 skipped\n"
+    ),
+    "elasticity_low": (
+        "PASS  oracle-allocation       max |rho - oracle rho| = 5.551e-17\n"
+        "PASS  oracle-equilibrium      every profile: 1681 verdicts compared, 0 disagreements\n"
+        "PASS  hhi-variance-identity   max |forms| gap = 2.220e-16\n"
+        "PASS  hhi-all-or-none         max |HHI(0) - HHI(1)| gap = 3.331e-16\n"
+        "PASS  hhi-nondecreasing       min delta HHI = 0.000e+00\n"
+        "PASS  low-value-utility-drop  48 qualifying cells checked\n"
+        "PASS  value-ordering-pruning  126 equilibria scanned\n"
+        "SKIP  no-zre-cells            skipped: no expectation recorded\n"
+        "7/7 checks passed, 1 skipped\n"
+    ),
+    "isp1_share_high": (
+        "PASS  oracle-allocation       max |rho - oracle rho| = 5.551e-17\n"
+        "PASS  oracle-equilibrium      every profile: 1681 verdicts compared, 0 disagreements\n"
+        "PASS  hhi-variance-identity   max |forms| gap = 2.220e-16\n"
+        "PASS  hhi-all-or-none         max |HHI(0) - HHI(1)| gap = 3.331e-16\n"
+        "PASS  hhi-nondecreasing       min delta HHI = 0.000e+00\n"
+        "PASS  low-value-utility-drop  40 qualifying cells checked\n"
+        "PASS  value-ordering-pruning  127 equilibria scanned\n"
+        "SKIP  no-zre-cells            skipped: no expectation recorded\n"
+        "7/7 checks passed, 1 skipped\n"
+    ),
+    "isp1_share_low": (
+        "PASS  oracle-allocation       max |rho - oracle rho| = 5.551e-17\n"
+        "PASS  oracle-equilibrium      every profile: 1681 verdicts compared, 0 disagreements\n"
+        "PASS  hhi-variance-identity   max |forms| gap = 2.220e-16\n"
+        "PASS  hhi-all-or-none         max |HHI(0) - HHI(1)| gap = 3.331e-16\n"
+        "PASS  hhi-nondecreasing       min delta HHI = 0.000e+00\n"
+        "PASS  low-value-utility-drop  40 qualifying cells checked\n"
+        "PASS  value-ordering-pruning  127 equilibria scanned\n"
+        "SKIP  no-zre-cells            skipped: no expectation recorded\n"
+        "7/7 checks passed, 1 skipped\n"
+    ),
 }
 
 
@@ -445,11 +534,8 @@ def test_low_value_utility_drop_margin_scales_with_users():
     zre = ZreResult(ZreStatus.EQUILIBRIA_FOUND, (theta,), theta, (False, False))
 
     def check(high_delta):
-        record = SweepRecord(
-            config.p, config.delta, zre.status, theta, (-1.0, high_delta), (-0.1, 0.1), 0.01,
-            zre.pressure,
-        )
-        return check_low_value_utility_drop(scenario, [(config, zre, record)])
+        record = SweepRecord(config.p, config.delta, zre, (-1.0, high_delta), (-0.1, 0.1), 0.01)
+        return check_low_value_utility_drop(scenario, [record])
 
     assert check(-1e-9) == CheckResult("low-value-utility-drop", True, "1 qualifying cells checked")
     assert check(-1e-3).passed is False
@@ -480,19 +566,46 @@ def test_verify_checks_the_discount_game_records():
         "every profile: 817 verdicts compared, 0 disagreements, 54 NODEQ cells skipped"
     )
     [check] = [r for r in results if r.name == "value-ordering-pruning"]
-    solved = analysis._sweep(scenario.config, scenario.price_grid, DEFAULT_DELTA_GRID)
-    assert check.detail == f"{sum(len(zre.all_zre) for zre, _ in solved)} equilibria scanned"
+    records = grid_sweep(scenario.config, scenario.price_grid, DEFAULT_DELTA_GRID)
+    assert check.detail == f"{sum(len(r.zre.all_zre) for r in records)} equilibria scanned"
 
 
-def _battery_results(scenario):
-    # The grid results run_battery hands to every check; a NODEQ cell's
-    # market keeps the template delta.
-    config = scenario.config
-    rows = analysis._sweep(config, scenario.price_grid, scenario.delta_grid)
-    return [
-        (dataclasses.replace(config, p=r.prices, delta=r.discounts or config.delta), zre, r)
-        for zre, r in rows
-    ]
+def _battery_records(scenario):
+    # The records run_battery hands to every check: the sweep's.
+    return grid_sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
+
+
+@pytest.mark.parametrize("name", ["bandwidth_high", "discount_game"])
+def test_battery_checks_the_records_sweep_writes(name, monkeypatch):
+    # One solve serves the battery: every check receives the very list
+    # grid_sweep returned, and each record holds solve_grid's result for
+    # its cell, at fixed delta and in the discount game.
+    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    swept, received = [], []
+    real = verify.grid_sweep
+
+    def recording(*args):
+        swept.append(real(*args))
+        return swept[-1]
+
+    def receiving(check):
+        def wrapped(scenario, records):
+            received.append(records)
+            return check(scenario, records)
+
+        return wrapped
+
+    monkeypatch.setattr(verify, "grid_sweep", recording)
+    monkeypatch.setattr(verify, "ALL_CHECKS", tuple(map(receiving, verify.ALL_CHECKS)))
+    results = run_battery(scenario)
+    [records] = swept
+    assert len(received) == len(results) == 8
+    assert all(r is records for r in received)
+    p_rows = list(itertools.product(*scenario.price_grid))
+    rows = solve_grid(scenario.config, p_rows, scenario.delta_grid)
+    assert [(r.prices, r.discounts) for r in records] == [(p, d) for p, d, _ in rows]
+    assert [r.zre for r in records] == [zre for _, _, zre in rows]
+    assert records == grid_sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
 
 
 def test_verify_allocates_each_profile_once(monkeypatch):
@@ -500,7 +613,7 @@ def test_verify_allocates_each_profile_once(monkeypatch):
     # battery allocates each of the 16 profiles of the 2x2 market at most
     # once across all 121 cells, though it compares all 1681 valid profiles.
     scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
-    results = _battery_results(scenario)
+    records = _battery_records(scenario)
     allocated = []
     real = oracle.oracle_allocate
 
@@ -509,7 +622,7 @@ def test_verify_allocates_each_profile_once(monkeypatch):
         return real(config, theta)
 
     monkeypatch.setattr(oracle, "oracle_allocate", counting)
-    result = check_oracle_equilibrium(scenario, results)
+    result = check_oracle_equilibrium(scenario, records)
     assert result == CheckResult(
         "oracle-equilibrium", True, "every profile: 1681 verdicts compared, 0 disagreements"
     )
@@ -522,14 +635,14 @@ def test_verify_catches_a_planted_disagreement():
     # every cell is compared, so a record that drops a real equilibrium or
     # gains a non-equilibrium must fail the check.
     scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
-    results = _battery_results(scenario)
-    assert check_oracle_equilibrium(scenario, results).passed is True
+    records = _battery_records(scenario)
+    assert check_oracle_equilibrium(scenario, records).passed is True
 
     def planted(prices, change):
-        [k] = [k for k, (cell, _, _) in enumerate(results) if cell.p == prices]
-        cell, zre, record = results[k]
-        out = list(results)
-        out[k] = (cell, dataclasses.replace(zre, all_zre=change(zre.all_zre)), record)
+        [k] = [k for k, record in enumerate(records) if record.prices == prices]
+        record, out = records[k], list(records)
+        zre = dataclasses.replace(record.zre, all_zre=change(record.zre.all_zre))
+        out[k] = dataclasses.replace(record, zre=zre)
         return check_oracle_equilibrium(scenario, out)
 
     def drop(theta):
@@ -548,7 +661,7 @@ def test_verify_catches_a_planted_disagreement():
         assert dropped.passed is False
         assert dropped.detail == "every profile: 1681 verdicts compared, 1 disagreements"
     # Gained: a profile of a cell without zero prices that is no equilibrium.
-    [zre] = [zre for cell, zre, _ in results if cell.p == (0.5, 0.5)]
+    [zre] = [record.zre for record in records if record.prices == (0.5, 0.5)]
     extra = next(
         t for code in range(16)
         if (t := StrategyMatrix.from_bitstring(format(code, "04b"), 2, 2)) not in zre.all_zre
@@ -567,9 +680,10 @@ def test_verify_falls_back_to_the_seeded_sample_above_the_budget():
     # equilibria and 3 seeded profiles, and says so.
     config = random_config(np.random.default_rng(3), 4, 4, allow_zero_price=False)
     scenario = Scenario(config, tuple((price,) for price in config.p))
-    results = _battery_results(scenario)
-    [(_, zre, _)] = results
-    result = check_oracle_equilibrium(scenario, results)
+    records = _battery_records(scenario)
+    [record] = records
+    zre = record.zre
+    result = check_oracle_equilibrium(scenario, records)
     assert result.passed is True
     assert result.detail.startswith("seeded sample (oracle work ")
     assert result.detail.endswith(
@@ -584,7 +698,7 @@ def test_verify_fallback_sample_keeps_zero_price_columns_at_one(monkeypatch):
     config = random_config(np.random.default_rng(3), 4, 4, allow_zero_price=False)
     config = config.with_prices((0.0,) + config.p[1:])
     scenario = Scenario(config, tuple((price,) for price in config.p))
-    results = _battery_results(scenario)
+    records = _battery_records(scenario)
     compared = []
     real = verify.oracle_verdicts
 
@@ -593,10 +707,10 @@ def test_verify_fallback_sample_keeps_zero_price_columns_at_one(monkeypatch):
         return real(pairs)
 
     monkeypatch.setattr(verify, "oracle_verdicts", recording)
-    result = check_oracle_equilibrium(scenario, results)
+    result = check_oracle_equilibrium(scenario, records)
     assert result.passed is True and result.detail.startswith("seeded sample")
-    [(_, zre, _)] = results
-    sample = compared[len(zre.all_zre):]
+    [record] = records
+    sample = compared[len(record.zre.all_zre):]
     assert len(sample) == 3
     assert all(row[0] == 1 for theta in sample for row in theta.rows)
     assert {row[j] for theta in sample for row in theta.rows for j in range(1, 4)} == {0, 1}

@@ -175,10 +175,10 @@ def test_one_utility_summation_at_eight_isps(n_cps, seed):
     # from the one ISP-ordered summation.
     config = random_config(np.random.default_rng(seed), n_cps, 8, allow_zero_price=False)
     record = compare_worlds(config)
-    assert record.selected is not None
+    assert record.zre.selected is not None
     without = payoffs(config, StrategyMatrix.zeros(n_cps, 8)).cp_utility
-    selected = payoffs(config, record.selected).cp_utility
-    u, _ = code_scores(config, [0, record.selected.encoding()])
+    selected = payoffs(config, record.zre.selected).cp_utility
+    u, _ = code_scores(config, [0, record.zre.selected.encoding()])
     assert _same_bits(u[0], without) and _same_bits(u[1], selected)
     assert _same_bits(record.delta_utility, selected - without)
 

@@ -67,23 +67,21 @@ def _reference_record(
     cell: MarketConfig, zre: ZreResult | None, discounts: tuple[float, ...] | None
 ) -> SweepRecord:
     n = cell.n_cps
-    if zre is None or zre.selected is None:
+    if zre is None:
+        zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
+    if zre.selected is None:
         zeros = (0.0,) * n
-        return SweepRecord(
-            cell.p, discounts, ZreStatus.NO_ZRE, None, zeros, zeros, 0.0, (False,) * n
-        )
+        return SweepRecord(cell.p, discounts, zre, zeros, zeros, 0.0)
     base, sel = StrategyMatrix.zeros(n, cell.n_isps), zre.selected
     return SweepRecord(
         prices=cell.p,
         discounts=discounts,
-        status=zre.status,
-        selected=sel,
+        zre=zre,
         delta_utility=tuple(
             float(v) for v in payoffs(cell, sel).cp_utility - payoffs(cell, base).cp_utility
         ),
         delta_share=tuple(float(v) for v in _shares(cell, sel) - _shares(cell, base)),
         delta_hhi=hhi(cell, sel) - hhi(cell, base),
-        pressure=zre.pressure,
     )
 
 
@@ -155,13 +153,12 @@ def test_driver_equals_per_cell_reference(block_elements, references, monkeypatc
         monkeypatch.setattr(market, "BLOCK_ELEMENTS", block_elements)
     statuses = set()
     for (config, axes, grid), (cells, zres, records, discounts) in zip(CASES, references):
-        solved = analysis._sweep(config, axes)
+        swept = grid_sweep(config, axes)
         # The sweep returns price rows; each cell's market is built from its
         # row and discount profile.
-        assert [replace(config, p=r.prices, delta=r.discounts) for _, r in solved] == cells
-        assert [zre for zre, _ in solved] == zres
-        assert [record for _, record in solved] == records
-        assert grid_sweep(config, axes) == records
+        assert [replace(config, p=r.prices, delta=r.discounts) for r in swept] == cells
+        assert [r.zre for r in swept] == zres
+        assert swept == records
         assert grid_sweep(config, axes, grid) == discounts
         # The driver marks a cell without a discount equilibrium (NODEQ)
         # with no discount profile, at exactly the reference's NODEQ cells.
@@ -171,8 +168,8 @@ def test_driver_equals_per_cell_reference(block_elements, references, monkeypatc
             assert enumerate_zre(cell) == zre
             outcome = discount_equilibrium(cell, grid)
             assert outcome.delta_star == discount.discounts
-            assert (outcome.zre and outcome.zre.selected) == discount.selected
-            statuses.add((zre.status, outcome.status))
+            assert (outcome.zre and outcome.zre.selected) == discount.zre.selected
+            statuses.add((zre.status, outcome.delta_star is None))
     # Cells without an equilibrium and without a discount equilibrium occur.
     assert {status for status, _ in statuses} == set(ZreStatus)
     assert len({status for _, status in statuses}) == 2
