@@ -15,7 +15,8 @@ Auxiliary CPs are indexed by bitmask: bit ``i`` set means actual CP ``i``
 Zero-rating relations are stored only for actual CP x actual ISP pairs; a
 profile's integer code is :meth:`StrategyMatrix.encoding`, so flipping one
 cell is ``code ^ cell_bit(i, j, N, M)``.  Allocations are computed for
-batches of profiles: relations extend to the lattice (an auxiliary CP is
+batches of profiles, of one market or of several markets of one shape
+(``_rho``): relations extend to the lattice (an auxiliary CP is
 zero-rated with an ISP iff every actual CP in the bundle is; dummies never
 are), the elastic fraction ``alpha`` of users chooses among zero-rated pairs
 (all pairs when none exist) proportionally to baseline shares, and the
@@ -290,6 +291,19 @@ def _lattice(config: MarketConfig) -> tuple[np.ndarray, np.ndarray]:
     return _members(config.n_cps), np.outer(config.phi, config.psi)
 
 
+def _rho(
+    cells: np.ndarray, members: np.ndarray, baseline: np.ndarray, alpha: float | np.ndarray
+) -> np.ndarray:
+    """Shares ``rho[k, s, j]`` of the profiles ``cells``.  ``baseline`` (phi x
+    psi, ``[s, j]`` or ``[k, s, j]``) and ``alpha`` (a float or ``[k, 1, 1]``)
+    broadcast along the profile axis, so profiles may span markets of a shape."""
+    ext = _bundles_zero_rated(cells, members)
+    zero_rated = ext.any(axis=(1, 2))[:, None, None]
+    mass = (baseline * ext).reshape(len(ext), -1).sum(axis=1)[:, None, None]
+    elastic = alpha * baseline * ext / np.where(zero_rated, mass, 1.0)
+    return np.where(zero_rated, elastic + (1.0 - alpha) * baseline, baseline)
+
+
 def allocations(
     config: MarketConfig, cells: np.ndarray, lattice: tuple | None = None
 ) -> tuple[np.ndarray, ...]:
@@ -298,11 +312,7 @@ def allocations(
     ``lattice`` is :func:`_lattice` of ``config``, built here when not
     given."""
     members, baseline = _lattice(config) if lattice is None else lattice
-    ext = _bundles_zero_rated(cells, members)
-    zero_rated = ext.any(axis=(1, 2))[:, None, None]
-    mass = (baseline * ext).reshape(len(ext), -1).sum(axis=1)[:, None, None]
-    elastic = config.alpha * baseline * ext / np.where(zero_rated, mass, 1.0)
-    rho = np.where(zero_rated, elastic + (1.0 - config.alpha) * baseline, baseline)
+    rho = _rho(cells, members, baseline, config.alpha)
     x_pair = rho * config.total_users
     x_effective = np.empty(cells.shape)
     for i in range(config.n_cps):

@@ -167,22 +167,23 @@ def _payoff_totals(
 Totals = Callable[[tuple[tuple[int, ...], ...]], tuple[list[float], list[float]]]
 
 
-def _market_totals(config: MarketConfig, allocations: dict[tuple, list[list[float]]]) -> Totals:
+def _market_totals(config: MarketConfig, allocations: dict[tuple, dict]) -> Totals:
     """The (utilities, revenues) lookup of one market, keyed on a profile's
     rows: each entry is computed once, from the allocation of that profile,
-    which is itself computed once per ``allocations`` dict under the key
-    (alpha, phi, psi, total_users, rows) and shared by every market that
-    has those."""
+    which is itself computed once per ``allocations`` dict, filed under
+    (alpha, phi, psi, total_users) and then rows, and shared by every
+    market that has those."""
     table: dict[tuple[tuple[int, ...], ...], tuple[list[float], list[float]]] = {}
+    key = (config.alpha, config.phi, config.psi, config.total_users)
+    shared = allocations.setdefault(key, {})
 
     def totals(rows: tuple[tuple[int, ...], ...]) -> tuple[list[float], list[float]]:
         entry = table.get(rows)
         if entry is None:
-            key = (config.alpha, config.phi, config.psi, config.total_users, rows)
-            x_eff = allocations.get(key)
+            x_eff = shared.get(rows)
             if x_eff is None:
                 theta = StrategyMatrix(rows)
-                x_eff = allocations[key] = oracle_allocate(config, theta).x_effective.tolist()
+                x_eff = shared[rows] = oracle_allocate(config, theta).x_effective.tolist()
             entry = table[rows] = _payoff_totals(config, rows, x_eff)
         return entry
 
@@ -215,7 +216,7 @@ def find_zre_violation(config: MarketConfig, theta: StrategyMatrix) -> Violation
     Cells forced by a zero ISP price are never deviated.
     """
     return _first_violation(
-        config, theta.rows, _forced_columns(config), _market_totals(config, {})
+        config, theta.rows, _forced_columns(config), _market_totals(config, {}), {}
     )
 
 
@@ -224,14 +225,22 @@ def _first_violation(
     rows: tuple[tuple[int, ...], ...],
     forced: tuple[int, ...],
     totals: Totals,
+    flips: dict[tuple, list[tuple]],
 ) -> Violation | None:
     """:func:`find_zre_violation`'s rule on the profile ``rows``, with the
     forced columns ``forced`` of ``config``, reading the (utilities,
-    revenues) of the profile and of each flip from ``totals``."""
+    revenues) of the profile and of each flip from ``totals``; a profile's
+    row-major flips are built once per ``flips`` dict."""
     for j in forced:
         for i in range(config.n_cps):
             if rows[i][j] != 1:
                 raise InvalidArgument(f"cell ({i}, {j}) must be 1 because p[{j}] = 0")
+    flipped = flips.get(rows)
+    if flipped is None:
+        flipped = flips[rows] = [
+            rows[:i] + (row[:j] + (1 - row[j],) + row[j + 1 :],) + rows[i + 1 :]
+            for i, row in enumerate(rows) for j in range(len(row))
+        ]
     base_u, base_r = totals(rows)
     tol = GAIN_TOL * config.total_users
     for i in range(config.n_cps):
@@ -239,8 +248,7 @@ def _first_violation(
         for j in range(config.n_isps):
             if j in forced:
                 continue
-            flipped = rows[:i] + (row[:j] + (1 - row[j],) + row[j + 1 :],) + rows[i + 1 :]
-            flip_u, flip_r = totals(flipped)
+            flip_u, flip_r = totals(flipped[i * config.n_isps + j])
             cp_gains = flip_u[i] > base_u[i] + tol
             isp_gains = flip_r[j] > base_r[j] + tol
             if row[j] == 1:
@@ -266,14 +274,15 @@ def oracle_verdicts(pairs: Iterable[tuple[MarketConfig, StrategyMatrix]]) -> lis
     Consecutive pairs with an equal market share one table of oracle
     totals, so each profile or flip is scored once per market; the
     allocation reads only alpha, phi, psi, total_users and the profile, so
-    each distinct one is computed once per call, across all markets.  The
-    deviation rule of :func:`find_zre_violation` then runs pair by pair."""
-    allocations: dict[tuple, list[list[float]]] = {}
+    each distinct one, and each profile's flips, are built once per call.
+    The deviation rule of :func:`find_zre_violation` then runs pair by pair."""
+    allocations: dict[tuple, dict] = {}
+    flips: dict[tuple, list[tuple]] = {}
     verdicts = []
     market = None
     for config, theta in pairs:
         if config is not market and config != market:
             market, forced = config, _forced_columns(config)
             totals = _market_totals(config, allocations)
-        verdicts.append(_first_violation(config, theta.rows, forced, totals) is None)
+        verdicts.append(_first_violation(config, theta.rows, forced, totals, flips) is None)
     return verdicts

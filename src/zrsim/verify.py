@@ -19,7 +19,9 @@ import numpy as np
 
 from .analysis import SweepRecord, _hhi, grid_sweep, hhi_variance_identity
 from .equilibrium import ZreStatus, _last_argmax
-from .market import MarketConfig, StrategyMatrix, allocate, allocations, cp_totals, profile_cells
+from .market import (
+    MarketConfig, StrategyMatrix, _members, _rho, allocations, cp_totals, profile_cells
+)
 from .oracle import oracle_allocate, oracle_verdicts
 from .scenario import Scenario
 
@@ -86,11 +88,12 @@ def check_oracle_allocation(scenario: Scenario, records: list[SweepRecord]) -> C
     # Neither route reads prices or discounts, so every cell's all-zero and
     # selected profiles are compared once each, on the scenario's market.
     config = scenario.config
-    thetas = {StrategyMatrix.zeros(config.n_cps, config.n_isps)}
-    thetas.update(r.zre.selected for r in records if r.zre.selected is not None)
+    selected = {r.zre.selected for r in records if r.zre.selected is not None}
+    thetas = list(selected | {StrategyMatrix.zeros(config.n_cps, config.n_isps)})
+    cells = profile_cells([theta.encoding() for theta in thetas], config.n_cps, config.n_isps)
     worst = 0.0
-    for theta in thetas:
-        diff = np.abs(allocate(config, theta).rho - oracle_allocate(config, theta).rho).max()
+    for rho, theta in zip(allocations(config, cells)[0], thetas):
+        diff = np.abs(rho - oracle_allocate(config, theta).rho).max()
         worst = max(worst, float(diff))
     ok = worst < ORACLE_TOL
     return CheckResult("oracle-allocation", ok, f"max |rho - oracle rho| = {worst:.3e}")
@@ -162,13 +165,19 @@ def check_hhi_identity(scenario: Scenario, records: list[SweepRecord]) -> CheckR
 
 def check_hhi_all_or_none(scenario: Scenario, records: list[SweepRecord]) -> CheckResult:
     rng = random.Random(VERIFY_SEED)
-    configs = [scenario.config] + [_seeded_market(rng) for _ in range(100)]
+    shapes: dict[tuple[int, int], list[MarketConfig]] = {}
+    for cfg in [scenario.config] + [_seeded_market(rng) for _ in range(100)]:
+        shapes.setdefault((cfg.n_cps, cfg.n_isps), []).append(cfg)
     worst = 0.0
-    for cfg in configs:
-        # The all-zero and all-one profiles, allocated together.
-        cells = profile_cells([0, (1 << (cfg.n_cps * cfg.n_isps)) - 1], cfg.n_cps, cfg.n_isps)
-        none, every = map(_hhi, cp_totals(cfg, allocations(cfg, cells)[0]))
-        worst = max(worst, abs(none - every))
+    for (n, m), group in shapes.items():
+        # Market k's all-zero and all-one profiles are rows 2k and 2k + 1.
+        cells = profile_cells([0, (1 << (n * m)) - 1] * len(group), n, m)
+        phi, psi = np.array([cfg.phi for cfg in group]), np.array([cfg.psi for cfg in group])
+        baseline = np.repeat(phi[:, :, None] * psi[:, None, :], 2, axis=0)
+        alpha = np.repeat([cfg.alpha for cfg in group], 2)[:, None, None]
+        totals = cp_totals(group[0], _rho(cells, _members(n), baseline, alpha))
+        for none, every in zip(totals[::2], totals[1::2]):
+            worst = max(worst, abs(_hhi(none) - _hhi(every)))
     ok = worst < HHI_TOL
     return CheckResult("hhi-all-or-none", ok, f"max |HHI(0) - HHI(1)| gap = {worst:.3e}")
 

@@ -720,27 +720,45 @@ def test_verify_hhi_draws_cover_every_shape(monkeypatch):
     # randint includes its upper bound, unlike numpy's integers: the 100
     # markets of hhi-all-or-none span 2-3 CPs by 1-3 ISPs and include a
     # zero price, and the 200 share vectors of hhi-variance-identity have
-    # every length from 1 to 5.
+    # every length from 1 to 5.  The check allocates its markets in one
+    # stacked call per shape, two profiles per market, in draw order with
+    # the scenario's market first.
     scenario = load_scenario(SCENARIOS / "benchmark.json")
-    markets, vectors = [], []
-    real_allocations, real_identity = verify.allocations, verify.hhi_variance_identity
+    markets, stacked, vectors = [], [], []
+    real_market, real_rho = verify._seeded_market, verify._rho
+    real_identity = verify.hhi_variance_identity
 
-    def allocations(config, cells):
-        markets.append(config)
-        return real_allocations(config, cells)
+    def seeded_market(rng):
+        markets.append(real_market(rng))
+        return markets[-1]
+
+    def rho(cells, members, baseline, alpha):
+        stacked.append((cells.shape[1:], baseline, alpha))
+        return real_rho(cells, members, baseline, alpha)
 
     def identity(shares):
         vectors.append(shares)
         return real_identity(shares)
 
-    monkeypatch.setattr(verify, "allocations", allocations)
+    monkeypatch.setattr(verify, "_seeded_market", seeded_market)
+    monkeypatch.setattr(verify, "_rho", rho)
     monkeypatch.setattr(verify, "hhi_variance_identity", identity)
     assert verify.check_hhi_all_or_none(scenario, []).passed is True
     assert verify.check_hhi_identity(scenario, []).passed is True
-    assert markets[0] is scenario.config and len(markets) == 101
-    shapes = {(cfg.n_cps, cfg.n_isps) for cfg in markets[1:]}
-    assert shapes == {(n, m) for n in (2, 3) for m in (1, 2, 3)}
-    assert any(0.0 in cfg.p for cfg in markets[1:])
+    assert len(markets) == 100
+    groups = {}
+    for cfg in [scenario.config] + markets:
+        groups.setdefault((cfg.n_cps, cfg.n_isps), []).append(cfg)
+    assert [shape for shape, _, _ in stacked] == list(groups)
+    for (_, baseline, alpha), group in zip(stacked, groups.values()):
+        pairs = [np.outer(cfg.phi, cfg.psi) for cfg in group]
+        assert np.array_equal(baseline, np.repeat(pairs, 2, axis=0))
+        assert alpha.ravel().tolist() == [cfg.alpha for cfg in group for _ in range(2)]
+    assert sum(len(alpha) for _, _, alpha in stacked) == 2 * 101
+    assert groups[(2, 2)][0] is scenario.config
+    assert set(groups) == {(n, m) for n in (2, 3) for m in (1, 2, 3)}
+    assert {(cfg.n_cps, cfg.n_isps) for cfg in markets} == set(groups)
+    assert any(0.0 in cfg.p for cfg in markets)
     assert len(vectors) == 200
     assert {len(shares) for shares in vectors} == {1, 2, 3, 4, 5}
 

@@ -1,5 +1,8 @@
 """Market structure and user allocation."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,9 @@ from zrsim import (
     merge_providers,
     oracle_allocate,
 )
-from zrsim.market import _bundles_zero_rated, _members, aux_members
+from zrsim.market import (
+    _bundles_zero_rated, _members, _rho, allocations, aux_members, profile_cells
+)
 
 from conftest import random_config, random_theta
 
@@ -211,6 +216,27 @@ class TestAllocate:
         big = allocate(scaled, theta)
         np.testing.assert_allclose(big.x_pair, unit.x_pair * total, atol=1e-12 * total)
         np.testing.assert_allclose(big.rho, unit.rho, atol=1e-15)
+
+    def test_stacked_markets_allocate_as_each_alone(self):
+        # Markets of one shape allocated in one call, their baselines and
+        # alphas repeated along the profile axis, get every share bit for
+        # bit as from their own allocation: all six shapes of the verify
+        # battery's draws, with alpha 0, alpha 1 and a zero price among
+        # them, at the all-zero, all-one and random profiles.
+        rng = np.random.default_rng(61)
+        for n, m in itertools.product((2, 3), (1, 2, 3)):
+            group = [random_config(rng, n, m) for _ in range(4)]
+            group[0] = replace(group[0], alpha=0.0)
+            group[1] = replace(group[1], alpha=1.0, p=(0.0,) + group[1].p[1:])
+            full = (1 << (n * m)) - 1
+            codes = [[0, full, *rng.integers(0, full + 1, size=3).tolist()] for _ in group]
+            baseline = np.repeat([np.outer(cfg.phi, cfg.psi) for cfg in group], 5, axis=0)
+            alpha = np.repeat([cfg.alpha for cfg in group], 5)[:, None, None]
+            cells = profile_cells(sum(codes, []), n, m)
+            rho = _rho(cells, _members(n), baseline, alpha)
+            for k, cfg in enumerate(group):
+                alone = allocations(cfg, profile_cells(codes[k], n, m))[0]
+                assert np.array_equal(rho[5 * k : 5 * k + 5], alone), (n, m, k)
 
 
 class TestMergeProviders:

@@ -2,6 +2,7 @@
 
 import ast
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,21 @@ def test_oracle_verdicts_equal_one_at_a_time():
     # A profile that breaks a forced cell raises, inside a batch too.
     with pytest.raises(InvalidArgument):
         oracle.oracle_verdicts(pairs[:3] + [(zero_priced, StrategyMatrix.zeros(2, 2))])
+
+
+def test_oracle_verdicts_keep_alpha_apart():
+    # Markets that share phi, psi and total_users but differ in alpha have
+    # different allocations, so a batch files them apart; a market that
+    # differs from another only in prices shares its allocations.  Every
+    # profile of each market, with verdicts that differ across alpha.
+    base = random_config(np.random.default_rng(0), 2, 2, allow_zero_price=False)
+    markets = [replace(base, alpha=alpha) for alpha in (0.0, 0.5, 1.0)]
+    markets.append(markets[1].with_prices((0.5, 0.5)))
+    thetas = [StrategyMatrix.from_bitstring(format(code, "04b"), 2, 2) for code in range(16)]
+    pairs = [(market, theta) for market in markets for theta in thetas]
+    expected = [oracle_verify_zre(c, t) for c, t in pairs]
+    assert len({tuple(expected[k : k + 16]) for k in range(0, 48, 16)}) == 3
+    assert oracle.oracle_verdicts(pairs) == expected
 
 
 def test_violation_names_the_deviation(bench):
