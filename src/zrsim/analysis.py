@@ -15,7 +15,6 @@ equilibrium, carry exactly zero deltas.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -125,41 +124,32 @@ def grid_sweep(
     both of its worlds coincide and its deltas are exactly zero; a NODEQ
     cell is scored at ``config.delta``, which code 0 does not read.  Shares
     and the Herfindahl index read only the profile's shares rho, so each
-    is computed once per distinct profile from one allocation.  Its table
-    is scored by the engine's :func:`~zrsim.payoff._scores` at L markets,
-    and market l reads the row of its world: market 0 is the world without
-    zero-rating (which reads neither p nor delta, because every pair pays
-    q * c per user), the rest each cell's selected world."""
-    m = config.n_isps
-    if len(p_grid) != m:
-        raise InvalidArgument(f"p_grid must have one value list per ISP ({m})")
-    if any(len(axis) == 0 for axis in p_grid):
-        raise InvalidArgument("p_grid axes must be nonempty")
-    p_rows = [tuple(map(float, row)) for row in itertools.product(*p_grid)]
-    solved = solve_grid(config, p_rows, delta_grid)
-    selected = [0 if zre.selected is None else zre.selected.encoding() for _, _, zre in solved]
+    world's deltas are computed once per distinct profile, and each
+    selected matrix is encoded once.  Utilities come from the engine's
+    :func:`~zrsim.payoff._scores` at L markets, market l reading the row of
+    its world: market 0 is the world without zero-rating (which reads
+    neither p nor delta: every pair pays q * c per user), the rest each
+    cell's selected world."""
+    solved = solve_grid(config, p_grid, delta_grid)
+    distinct = {zre.selected for _, _, zre in solved} - {None}
+    encoded = {None: 0, **{theta: theta.encoding() for theta in distinct}}
+    selected = [encoded[zre.selected] for _, _, zre in solved]
     codes = sorted({0, *selected})
-    cells = profile_cells(codes, config.n_cps, m)
+    cells = profile_cells(codes, config.n_cps, config.n_isps)
     rho, _, x_effective = allocations(config, cells)
     worlds = [(_shares(t), _hhi(t)) for t in cp_totals(config, rho)]
+    base_share, base_hhi = worlds[0]
+    world_deltas = [(tuple((share - base_share).tolist()), h - base_hhi) for share, h in worlds]
     rows = np.searchsorted(codes, [0] + selected)
-    prices = np.array([config.p] + p_rows)
+    prices = np.array([config.p] + [row for row, _, _ in solved])
     deltas = np.array([config.delta] + [config.delta if d is None else d for _, d, _ in solved])
     table = ProfileTable(cells, x_effective, *_isp_sums(config, cells, x_effective))
-    u = _scores(config, table, prices, deltas)[0][np.arange(len(rows)), rows]
-    base_share, base_hhi = worlds[0]
-    out = []
-    for (cell_prices, delta, zre), row, utility in zip(solved, rows[1:], u[1:]):
-        share, hhi_sel = worlds[row]
-        out.append(SweepRecord(
-            prices=cell_prices,
-            discounts=delta,
-            zre=zre,
-            delta_utility=tuple(float(v) for v in utility - u[0]),
-            delta_share=tuple(float(v) for v in share - base_share),
-            delta_hhi=hhi_sel - base_hhi,
-        ))
-    return out
+    u = _scores(config, table, prices.T, deltas.T)[0][:, rows, np.arange(len(rows))].T
+    delta_u = (u[1:] - u[0]).tolist()
+    return [
+        SweepRecord(cell, discounts, zre, tuple(du), *world_deltas[row])
+        for (cell, discounts, zre), row, du in zip(solved, rows[1:], delta_u)
+    ]
 
 
 def compare_worlds(config: MarketConfig) -> SweepRecord:

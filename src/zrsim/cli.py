@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -60,25 +61,23 @@ def _grid_header(n_cps: int, n_isps: int) -> list[str]:
     )
 
 
-def _grid_row(record: SweepRecord) -> list[str]:
-    zre = record.zre
-    theta = zre.selected.bitstring() if zre.selected is not None else "NOZRE"
-    return (
-        [fmt_num(p) for p in record.prices]
-        + [theta]
-        + [fmt_num(v) for v in record.delta_utility]
-        + [fmt_num(v) for v in record.delta_share]
-        + [fmt_num(record.delta_hhi)]
-        + [str(int(flag)) for flag in zre.pressure]
-    )
-
-
 def write_grid_csv(records: Sequence[SweepRecord], path: Path, n_cps: int, n_isps: int) -> None:
+    """One row per record; each distinct price, world delta (one per selected
+    profile) and bitstring is formatted once."""
+    price = functools.cache(fmt_num)
+    world = functools.cache(lambda share, hhi: [fmt_num(v) for v in share] + [fmt_num(hhi)])
+    theta = functools.cache(lambda selected: "NOZRE" if selected is None else selected.bitstring())
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_grid_header(n_cps, n_isps))
-        for record in records:
-            writer.writerow(_grid_row(record))
+        for r in records:
+            writer.writerow(
+                [price(p) for p in r.prices]
+                + [theta(r.zre.selected)]
+                + [fmt_num(v) for v in r.delta_utility]
+                + world(r.delta_share, r.delta_hhi)
+                + [str(int(flag)) for flag in r.zre.pressure]
+            )
 
 
 def write_summary_json(
@@ -182,7 +181,9 @@ def _cmd_zre(args: argparse.Namespace) -> int:
     if len(args.p) != scenario.config.n_isps:
         raise ScenarioError(f"--p needs {scenario.config.n_isps} prices, got {len(args.p)}")
     try:
-        [(_, delta, result)] = solve_grid(scenario.config, [tuple(args.p)], scenario.delta_grid)
+        [(_, delta, result)] = solve_grid(
+            scenario.config, [(p,) for p in args.p], scenario.delta_grid
+        )
     except ConfigError as exc:
         raise ScenarioError(str(exc)) from exc
     print(f"prices: {' '.join(fmt_num(p) for p in args.p)}")

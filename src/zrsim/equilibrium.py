@@ -14,19 +14,17 @@ with price zero (an unlimited plan) is treated as always zero-rating with
 every CP: those cells are clamped to 1 and excluded from deviation checks.
 
 Profiles are integer codes (see :mod:`zrsim.market`) scored in batches.
-:func:`solve_grid` solves every price cell of a scenario, a row of prices
-and not a market, from one table of effective users: rows are grouped by
-their zero pattern, and every row of a group is scored, tested for
-stability, tie-broken and flagged for pressure as arrays led by a market
-axis (price cell, times discount profile in the discount game), in blocks.
-It returns equilibria only: the payoffs of both worlds, the selected
-profile and the all-zero one, are :mod:`zrsim.analysis`'s to score.
+:func:`solve_grid` solves every cell of a scenario's price axes, a point
+of the axes and not a market, from one table of effective users, in boxes
+of price and discount axes: each ISP's payoff terms are scored once per
+point of its own axes and broadcast, and stability, the tie-break and the
+Nash test run as arrays over the markets.  It returns equilibria only; the
+payoffs of both worlds are :mod:`zrsim.analysis`'s to score.
 :func:`enumerate_zre` and :func:`discount_equilibrium` are its one-cell
 case; :func:`is_zre` and the dynamics score a profile and its flips, and
 :func:`detect_pressure` its counterfactual markets.  The verify battery
 reads the engine's verdicts from the sweep's records
-(:func:`zrsim.analysis.grid_sweep`), each holding its cell's
-:class:`ZreResult` from :func:`solve_grid`.
+(:func:`zrsim.analysis.grid_sweep`).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import enum
 import functools
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,8 +40,8 @@ import numpy as np
 
 from .errors import CapacityError, ContractViolation, InvalidArgument
 from .market import (
-    MarketConfig, StrategyMatrix, _check_dims, blocks, cell_bit, check_unit_interval,
-    profile_cells
+    MarketConfig, StrategyMatrix, _check_dims, cell_bit, check_unit_interval, profile_cells,
+    sub_boxes
 )
 from .payoff import ProfileTable, _scores, code_scores, profile_table
 
@@ -153,28 +150,28 @@ def _breaks(cp_gains, isp_gains, held):
     return cp_gains | isp_gains if held else cp_gains & isp_gains
 
 
-def _stable(u: np.ndarray, r: np.ndarray, steps: list, tol: float) -> np.ndarray:
+def _stable(u: np.ndarray, r: Sequence[np.ndarray], steps: list, tol: float) -> np.ndarray:
     """Whether each profile of :func:`_profiles` survives every single-cell
-    deviation, per leading (market) index, from its utilities
-    ``u[..., k, i]`` and revenues ``r[..., k, j]``.
+    deviation, per market, from its utilities ``u[i, k, ...]`` and the
+    revenues ``r[j][k, ...]`` of each ISP, which may span only that ISP's
+    own axes of the market shape (see :func:`~zrsim.payoff._scores`).
 
     In that order the flip of the free cell with step s maps row t to
-    t ^ s, so a column reshaped to ``(..., K / 2s, 2, s)`` holds the rows
+    t ^ s, so the profile axis reshaped to ``(K / 2s, 2, s)`` holds the rows
     lacking the relation in half 0 and those holding it in half 1, and
     reversing the half axis puts each row's flip in its place.  A flip
-    gains when it beats a copy of the table with ``tol``, GAIN_TOL times
-    total_users, added.  Every temporary, the mask included, keeps the
-    memory layout of ``u`` (see :func:`~zrsim.payoff._scores`)."""
-    u_bar, r_bar = u + tol, r + tol
-    unstable = np.zeros_like(u[..., 0], dtype=bool)
+    gains when it beats a copy of the scores with ``tol``, GAIN_TOL times
+    total_users, added; an ISP's gains are compared on its own points."""
+    u_bar, r_bar = u + tol, [r_j + tol for r_j in r]
+    unstable = np.zeros(u.shape[1:], dtype=bool)
     for (i, j), step in steps:
         cu, cr, cu_bar, cr_bar, out = (
-            a.reshape(a.shape[:-1] + (-1, 2, step))
-            for a in (u[..., i], r[..., j], u_bar[..., i], r_bar[..., j], unstable)
+            a.reshape((-1, 2, step) + a.shape[1:])
+            for a in (u[i], r[j], u_bar[i], r_bar[j], unstable)
         )
-        cp_gains, isp_gains = cu[..., ::-1, :] > cu_bar, cr[..., ::-1, :] > cr_bar
+        cp_gains, isp_gains = cu[:, ::-1] > cu_bar, cr[:, ::-1] > cr_bar
         for half in (0, 1):
-            out[..., half, :] |= _breaks(cp_gains[..., half, :], isp_gains[..., half, :], half)
+            out[:, half] |= _breaks(cp_gains[:, half], isp_gains[:, half], half)
     return ~unstable
 
 
@@ -221,7 +218,7 @@ def enumerate_zre(config: MarketConfig) -> ZreResult:
     computed only for the selected profile.  This is the one-cell case of
     :func:`solve_grid`.
     """
-    return solve_grid(config, [config.p])[0][2]
+    return solve_grid(config, [(p,) for p in config.p])[0][2]
 
 
 def _last_argmax(values: Sequence[float]) -> int:
@@ -277,7 +274,7 @@ def detect_pressure(config: MarketConfig, selected: StrategyMatrix) -> tuple[boo
     _check_forced(selected, forced_cells(config))
     counterfactual = _counterfactuals(config.n_cps, config.n_isps, _zero_isps(config.p))
     codes = np.array(sorted(set(counterfactual.ravel().tolist())))
-    u = code_scores(config, codes)[0][None]
+    u = code_scores(config, codes)[0].T[..., None]
     chosen, tol = np.array([selected.encoding()]), GAIN_TOL * config.total_users
     return tuple(_pressure(u, codes, chosen, counterfactual, tol)[0].tolist())
 
@@ -296,7 +293,7 @@ def _counterfactuals(n: int, m: int, zero: tuple[bool, ...]) -> np.ndarray:
 
 def _pressure(u, codes, chosen, counterfactual, tol: float) -> np.ndarray:
     """Pressure flags ``[l, i]`` of the selected profiles ``chosen[l]`` (see
-    :func:`detect_pressure`), from the utilities ``u[l, k, i]`` of the
+    :func:`detect_pressure`), from the utilities ``u[i, k, l]`` of the
     profiles ``codes``, ascending, which include every row of
     ``counterfactual`` (see :func:`_counterfactuals`), with the gain margin
     ``tol``, GAIN_TOL times total_users.  A CP holding no free relation
@@ -307,7 +304,7 @@ def _pressure(u, codes, chosen, counterfactual, tol: float) -> np.ndarray:
     held = free[:, None] & chosen
     keep = (counterfactual[..., None] & held) == held
     # [b, i, l], markets innermost as in the scores (see _scores).
-    rows = u.T[np.arange(len(free)), np.searchsorted(codes, counterfactual)]
+    rows = u[np.arange(len(free)), np.searchsorted(codes, counterfactual)]
     dropping = np.where(keep, -np.inf, rows).max(axis=0)
     keeping = np.where(keep, rows, -np.inf).max(axis=0)
     return ((held.sum(axis=0) != held) & (dropping > keeping + tol)).T
@@ -371,51 +368,36 @@ def best_response_dynamics(
     return trace(DynamicsOutcome.INCONCLUSIVE)
 
 
-def _market_table(
-    config: MarketConfig,
-    table: ProfileTable,
-    rank: np.ndarray,
-    steps: list,
-    codes: np.ndarray,
-    counterfactual: np.ndarray,
-    prices: np.ndarray,
-    deltas: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every profile ``codes[k]`` of ``table`` (with its tie-break ``rank``)
-    scored in each market ``l`` at the prices ``prices[l]`` and the
-    discounts ``deltas[l]``, in blocks of markets holding at most
-    ``market.BLOCK_ELEMENTS`` score entries: K x (N + M) per market, its
-    utilities and revenues (see :func:`~zrsim.payoff._scores`), which
-    :func:`_stable`'s temporaries follow.  ``steps`` are the profiles' free
-    cells (see :func:`_profiles`) and ``counterfactual`` the rows of every
-    CP's counterfactual market (see :func:`_counterfactuals`), which are
-    among the profiles, so a block's utilities also flag pressure.
-    Returns the stable mask ``[l, k]``, the row of each market's selected
-    equilibrium ``[l]``, its revenue row ``[l, j]``, -inf where the market
-    has none, and its pressure flags ``[l, i]``."""
-    stable = np.empty((len(prices), len(table.cells)), dtype=bool)
-    selected = np.empty(len(prices), dtype=np.int64)
-    revenue = np.empty((len(prices), config.n_isps))
-    pressure = np.empty((len(prices), config.n_cps), dtype=bool)
-    tol = GAIN_TOL * config.total_users
-    for block in blocks(len(prices), len(table.cells) * (config.n_cps + config.n_isps)):
-        u, r = _scores(config, table, prices[block], deltas[block])
-        stable[block] = _stable(u, r, steps, tol)
-        selected[block] = np.where(stable[block], rank, -1).argmax(axis=1)
-        revenue[block] = r[np.arange(len(r)), selected[block]]
-        pressure[block] = _pressure(u, codes, codes[selected[block]], counterfactual, tol)
-    revenue[~stable.any(axis=1)] = -np.inf
-    return stable, selected, revenue, pressure
+def _box(config, table, rank, steps, prices, deltas, tol: float) -> tuple:
+    """The profiles of ``table`` (with their ``rank`` and free cells
+    ``steps``) scored and tested for stability in the markets of the box
+    ``(P_0, ..., P_{M-1}, D_0, ..., D_{M-1})`` of price axes ``prices[j]``
+    and discount axes ``deltas[j]``: utilities ``u[i, k, ...]``, the stable
+    mask ``[k, ...]``, each market's selected row and its revenues
+    ``[..., j]``, -inf where the market has no equilibrium."""
+    ndim = 2 * len(prices)
+    along = [np.reshape(v, [-1 if b == a else 1 for b in range(ndim)])
+             for a, v in enumerate([*prices, *deltas])]
+    u, r = _scores(config, table, along[:ndim // 2], along[ndim // 2:])
+    stable = _stable(u, r, steps, tol)
+    selected = np.where(stable, rank.reshape((-1,) + (1,) * ndim), -1).argmax(axis=0)
+    revenue = np.empty(selected.shape + (len(r),))
+    for j, r_j in enumerate(r):
+        # The selected row at each market's point of ISP j's own axes.
+        own = np.arange(r_j[0].size).reshape(r_j.shape[1:])
+        revenue[..., j] = r_j.reshape(len(r_j), -1)[selected, own]
+    revenue[~stable.any(axis=0)] = -np.inf
+    return u, stable, selected, revenue
 
 
 def solve_grid(
     config: MarketConfig,
-    p_rows: Sequence[tuple[float, ...]],
+    p_grid: Sequence[Sequence[float]],
     delta_grid: Sequence[float] | None = None,
 ) -> list[tuple[tuple[float, ...], tuple[float, ...] | None, ZreResult]]:
-    """Solve ``config`` at every price row of ``p_rows`` (one float per
-    ISP), in order: one (prices, discount profile, :class:`ZreResult`) row
-    per cell, and no cell built as a market.
+    """Solve ``config`` at every cell of the price axes ``p_grid`` (one
+    value list per ISP): one (prices, discount profile, :class:`ZreResult`)
+    row per cell, in row-major order, and no cell built as a market.
 
     Without ``delta_grid`` each cell is solved at ``config.delta``, which
     its row carries; with it each cell plays the ISP discount game on that
@@ -423,24 +405,29 @@ def solve_grid(
     selected discount profile, or None where no discount profile is a Nash
     equilibrium (NODEQ).  This is the one place NODEQ is decided.
 
-    The profile table (see :class:`~zrsim.payoff.ProfileTable`) and the
-    tie-break rank read neither prices nor discounts, so one of each serves
-    the whole grid.  Rows are grouped by their zero pattern (which ISPs
-    have price zero), the one thing the forced cells, and so the profiles
-    and counterfactual rows, read of the prices; no :class:`MarketConfig`
-    is built.  The markets of a group (rows, times discount profiles, one
-    profile of ``config.delta`` without ``delta_grid``) are scored, tested
-    for stability and tie-broken as arrays, in blocks, and their pressure
-    flags are read from the same scores.  Each distinct equilibrium is
-    built once as a :class:`StrategyMatrix`, shared by every result holding
-    it.  A cell without an equilibrium, or without a discount equilibrium,
-    holds one shared NO_ZRE result.  No payoff of either world is returned.
+    One profile table (see :class:`~zrsim.payoff.ProfileTable`) and one
+    tie-break rank, which read neither prices nor discounts, serve the grid.
+    The profiles read only which ISPs have price zero, and the cells of a
+    zero pattern form a box of axis positions (so axes may repeat or reorder
+    values), solved in sub-boxes of whole cells (see
+    :func:`~zrsim.market.sub_boxes`) times the discount axes (``config.delta``
+    without ``delta_grid``): scored by :func:`_box`, then Nash-tested and
+    tie-broken as arrays, with pressure flagged at each cell's selected
+    market only.  Cells with one outcome share one :class:`ZreResult`, those
+    without an equilibrium or a discount equilibrium the NO_ZRE one.  No
+    payoff of either world is returned.
 
-    Raises ConfigError when a discount or a price lies outside [0, 1],
-    then CapacityError when a cell needs more than ``EVALUATION_GUARD``
-    profile evaluations, both before any allocation.
+    Raises InvalidArgument without one nonempty axis per ISP, ConfigError
+    when a discount or a price lies outside [0, 1], then CapacityError when
+    a cell needs more than ``EVALUATION_GUARD`` profile evaluations, all
+    before any allocation.
     """
     n, m = config.n_cps, config.n_isps
+    if len(p_grid) != m:
+        raise InvalidArgument(f"p_grid must have one value list per ISP ({m})")
+    axes = [tuple(map(float, axis)) for axis in p_grid]
+    if not all(axes):
+        raise InvalidArgument("p_grid axes must be nonempty")
     delta_axes = [(v,) for v in config.delta]
     if delta_grid is not None:
         if not delta_grid:
@@ -449,16 +436,19 @@ def solve_grid(
         # Every value, not the sorted ends: NaN has no place in a sorted order.
         check_unit_interval("delta", values)
         delta_axes = [tuple(sorted(set(values)))] * m
-    groups: dict[tuple[bool, ...], list[int]] = defaultdict(list)
-    for k, prices in enumerate(p_rows):
-        check_unit_interval("p", prices)
-        groups[_zero_isps(prices)].append(k)
+    # Position k of every axis at once, so that a bad price is named by its ISP.
+    for values in itertools.zip_longest(*axes, fillvalue=0.0):
+        check_unit_interval("p", values)
     work = math.prod(map(len, delta_axes)) << (n * m)
     if work > EVALUATION_GUARD:
         raise CapacityError(
             f"a {n}x{m} cell needs {work} profile evaluations, above the guard of "
             f"{EVALUATION_GUARD}"
         )
+    groups = {
+        zero: [[k for k, v in enumerate(axis) if (v == 0.0) == z] for axis, z in zip(axes, zero)]
+        for zero in itertools.product(*({v == 0.0 for v in axis} for axis in axes))
+    }
     profiles = {zero: _profiles(n, m, zero) for zero in groups}
     used = np.zeros(1 << (n * m), dtype=bool)
     for codes, _ in profiles.values():
@@ -469,55 +459,85 @@ def solve_grid(
 
     no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
     unsolved = config.delta if delta_grid is None else None
-    solved = [(prices, unsolved, no_zre) for prices in p_rows]
-    grid = np.array(p_rows)
+    solved = [(row, unsolved, no_zre) for row in itertools.product(*axes)]
+    # Each cell's row in ``solved`` and its most expensive ISP, the later
+    # one on equal prices, which orders its Nash profiles.
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"))
+    index, tie = np.arange(len(solved)).reshape(grid.shape[1:]), m - 1 - grid[::-1].argmax(0)
+    # prefer[t, ...] places each discount profile in the order of Nash
+    # profiles when ISP t is the most expensive (see discount_equilibrium).
+    # Totals are rounded so that equal decimal totals tie whatever the order
+    # of their terms (0.2 + 0.1 + 0.5 == 0.8, 0.2 + 0.5 + 0.1 < 0.8).
+    d = np.array(list(itertools.product(*delta_axes)))
+    total = [round(sum(delta), 9) for delta in d.tolist()]
+    prefer = np.empty((m, len(d)), dtype=np.int64)
+    for t, row in enumerate(prefer):
+        row[np.lexsort((*d.T, d[:, t], total))] = np.arange(len(d))
+    prefer = prefer.reshape((m,) + tuple(map(len, delta_axes)))
     matrix = functools.cache(lambda code: _matrix(code, config))
     tol = GAIN_TOL * config.total_users
-    for zero, ks in groups.items():
+    for zero, box in groups.items():
         codes, steps = profiles[zero]
         rows = np.searchsorted(all_codes, codes) if len(codes) < len(all_codes) else slice(None)
-        group_table, group_rank = ProfileTable(*(column[rows] for column in table)), rank[rows]
+        group = (ProfileTable(*(column[rows] for column in table)), rank[rows], steps)
         counterfactual = _counterfactuals(n, m, zero)
+        box_prices = [np.take(axis, positions) for axis, positions in zip(axes, box)]
+        box_index, box_tie = index[np.ix_(*box)], tie[np.ix_(*box)]
         # A zero-price ISP's delta multiplies p = 0, so every value gives the
         # same market; only the largest, which the selection prefers, is
         # solved.  Its axis then has no deviation to gain from.
-        axes = [axis[-1:] if free else axis for free, axis in zip(zero, delta_axes)]
-        deltas = list(itertools.product(*axes))
-        # Totals are rounded so that equal decimal totals tie whatever the
-        # order of their terms (0.2 + 0.1 + 0.5 == 0.8, 0.2 + 0.5 + 0.1 < 0.8).
-        d, total = len(deltas), [round(sum(delta), 9) for delta in deltas]
-        # Blocks hold whole cells, so the Nash test of a cell sees all of its
-        # discount profiles, and count score entries as _market_table does.
-        for chunk in blocks(len(ks), d * len(codes) * (n + m)):
-            cell_ks, count = ks[chunk], len(ks[chunk])
-            stable, selected, revenue, pressure = _market_table(
-                config, table=group_table, rank=group_rank, steps=steps, codes=codes,
-                counterfactual=counterfactual, prices=np.repeat(grid[cell_ks], d, axis=0),
-                deltas=np.tile(deltas, (count, 1)),
-            )
+        cut = tuple(slice(-1, None) if free else slice(None) for free in zero)
+        d_axes = [axis[c] for axis, c in zip(delta_axes, cut)]
+        deltas = list(itertools.product(*d_axes))
+        group_prefer = prefer[(slice(None), *cut)].reshape(m, -1)
+        # A market holds K x N utilities; revenues span their ISP's axes only.
+        d_shape, entries = tuple(map(len, d_axes)), len(codes) * n
+        # Sub-boxes hold whole cells, so that the Nash test of a cell sees all
+        # of its discount profiles; a cell too large for a block is scored in
+        # parts of its discount box, then once more at its selected market.
+        for sub in sub_boxes(box_index.shape, len(deltas) * entries):
+            prices = [v[s] for v, s in zip(box_prices, sub)]
+            cell_ks = box_index[sub]
+            parts = list(sub_boxes(d_shape, cell_ks.size * entries))
+            revenue = np.empty(cell_ks.shape + d_shape + (m,))
+            for part in parts:
+                u, stable, selected, revenue[(..., *part, slice(None))] = _box(
+                    config, *group, prices, [a[s] for a, s in zip(d_axes, part)], tol
+                )
             # Nash: no ISP gains from a unilateral grid deviation that admits
-            # an equilibrium.  ISP j's best deviation is the maximum along
-            # discount axis j; a profile without equilibrium holds -inf and is
+            # an equilibrium.  ISP j's best deviation is the maximum along its
+            # discount axis; a profile without equilibrium holds -inf and is
             # never a gain, and a one-point axis offers no deviation.
-            r = revenue.reshape((count,) + tuple(map(len, axes)) + (m,))
-            gains = np.logical_or.reduce([
-                r[..., j].max(axis=1 + j, keepdims=True) > r[..., j] + tol for j in range(m)
-            ])
-            nash = (stable.any(axis=1) & ~gains.ravel()).reshape(count, d)
-            for row, k in enumerate(cell_ks):
-                found = np.flatnonzero(nash[row])
-                if not len(found):
-                    continue
-                # Among Nash profiles the largest is chosen: by total
-                # discount, then by the most expensive ISP's component, then
-                # by the later ISPs' components.
-                tie = _last_argmax(p_rows[k])
-                star = max(found, key=lambda s: (total[s], deltas[s][tie], deltas[s][::-1]))
-                at = row * d + star
-                all_zre = tuple(map(matrix, codes[stable[at]].tolist()))
-                chosen, flags = matrix(int(codes[selected[at]])), tuple(pressure[at].tolist())
-                zre = ZreResult(ZreStatus.EQUILIBRIA_FOUND, all_zre, chosen, flags)
-                solved[k] = (p_rows[k], deltas[star], zre)
+            nash = revenue[..., 0] > -np.inf
+            for j in range(m):
+                if d_shape[j] > 1:
+                    r_j = revenue[..., j]
+                    nash &= ~(r_j.max(axis=m + j, keepdims=True) > r_j + tol)
+            nash = nash.reshape(cell_ks.size, len(deltas))
+            found = np.flatnonzero(nash.any(axis=1))
+            if not len(found):
+                continue
+            # Among Nash profiles the largest is chosen.
+            star = np.where(nash, group_prefer[box_tie[sub].ravel()], -1)[found].argmax(axis=1)
+            at = found * len(deltas) + star
+            if len(parts) > 1:
+                delta_star = np.array(deltas[star[0]])[:, None]
+                u, stable, selected, _ = _box(config, *group, prices, delta_star, tol)
+                at = np.zeros(1, dtype=np.int64)
+            chosen = codes[selected.ravel()[at]]
+            held = stable.reshape(len(codes), -1)[:, at].T
+            pressure = _pressure(
+                u.reshape(n, len(codes), -1)[:, :, at], codes, chosen, counterfactual, tol
+            )
+            # One result per distinct outcome, shared by the cells that have it.
+            results, outcomes = {}, np.hstack([held, pressure])
+            for f, k in enumerate(cell_ks.ravel()[found].tolist()):
+                if (key := outcomes[f].tobytes()) not in results:
+                    results[key] = ZreResult(
+                        ZreStatus.EQUILIBRIA_FOUND, tuple(map(matrix, codes[held[f]].tolist())),
+                        matrix(int(chosen[f])), tuple(pressure[f].tolist()),
+                    )
+                solved[k] = (solved[k][0], deltas[star[f]], results[key])
     return solved
 
 
@@ -535,5 +555,5 @@ def discount_equilibrium(
     (later index on equal prices), then by the later ISPs' components.
     This is the one-cell case of :func:`solve_grid`.
     """
-    [(_, delta, zre)] = solve_grid(config, [config.p], delta_grid)
+    [(_, delta, zre)] = solve_grid(config, [(p,) for p in config.p], delta_grid)
     return DiscountOutcome(delta, None if delta is None else zre)

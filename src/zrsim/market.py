@@ -28,6 +28,7 @@ lattice (``x_effective``, :func:`cp_totals`) is taken here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
@@ -39,10 +40,10 @@ from .errors import ConfigError, ContractViolation, InvalidArgument
 SHARE_TOL = 1e-12
 # Array entries computed per block.  A block of B profiles holds
 # B x 2**N x (M + 1) allocation shares, and a block of L markets (price
-# cells times discount profiles) L x K x (N + M) scores, the utilities and
-# revenues of its K profiles, so this caps the working memory of scoring at
-# any market size; block sizes follow from it.  Measured against 2**14
-# (2 cores, Python 3.11, numpy 2.4; medians of 7 warm sweeps taken
+# cells times discount profiles) the L x K x N utilities of its K profiles
+# (revenues span only their ISP's own axes), so this caps the working memory
+# of scoring at any market size; block sizes follow from it.  Measured
+# against 2**14 while a market counted K x (N + M) scores (2 cores, Python 3.11, numpy 2.4; medians of 7 warm sweeps taken
 # alternately, peak RSS of fresh processes whose imports take 35 MB): the
 # 125-cell 3 x 3 sweep of the wide-market benchmark takes 27 ms instead of
 # 32 ms (blocks of 21 markets instead of 5) and adds 1.8 MB to the peak RSS
@@ -278,11 +279,18 @@ class AllocationTable:
     x_effective: np.ndarray
 
 
-def blocks(count: int, entries: int) -> Iterator[slice]:
-    """Consecutive slices of ``count`` items of ``entries`` array entries
-    each, every slice within BLOCK_ELEMENTS entries (or one item)."""
-    size = max(1, BLOCK_ELEMENTS // entries)
-    return (slice(start, start + size) for start in range(0, count, size))
+def sub_boxes(shape: Sequence[int], entries: int) -> Iterator[tuple[slice, ...]]:
+    """Slices of a box of ``shape`` of ``entries`` array entries per cell,
+    each within BLOCK_ELEMENTS entries (or one cell): leading axes are cut to
+    single positions until the rest fit, the next into near-equal parts."""
+    budget = max(1, BLOCK_ELEMENTS // entries)
+    cut = max(0, next(a for a in range(len(shape) + 1) if math.prod(shape[a:]) <= budget) - 1)
+    size, rest = shape[cut], (slice(None),) * (len(shape) - cut - 1)
+    parts = -(-size // (budget // math.prod(shape[cut + 1:])))
+    for lead in itertools.product(*map(range, shape[:cut])):
+        for k in range(parts):
+            part = slice(k * size // parts, (k + 1) * size // parts)
+            yield (*(slice(v, v + 1) for v in lead), part, *rest)
 
 
 def _lattice(config: MarketConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -13,15 +13,12 @@ coefficients that read neither: the effective users of its zero-rated
 pairs, and c times those of its other pairs.  A :class:`ProfileTable`
 holds both column sums beside the users, so one table serves every price
 cell and discount profile, and a revenue costs two products instead of a
-sum over pairs.  A CP utility is summed over the ISPs, one ISP at a time;
-no table of pair payoffs is built (see :func:`_scores`).
-
-Scores are laid out with the market axis innermost in memory, so every
-elementwise operation runs over long rows of markets instead of the 2-3
-providers of a trailing axis; callers see them through transposed views
-with the logical shapes ``U[..., k, i]`` and ``R[..., k, j]``.  numpy lays
-a product out after its operands, so R's prices enter as contiguous
-``[M, L]`` arrays: their transposed views would put the ISP axis innermost.
+sum over pairs.  A CP utility is a sum over the ISPs of pair terms, each
+reading one ISP's (p_j, delta_j), so every term is built once per point of
+its ISP's own price and discount axes and only the sum broadcasts to the
+markets (see :func:`_scores`).  Market axes trail the profile axis,
+innermost in memory, so elementwise operations run over rows of markets
+instead of the 2-3 providers of a provider axis.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .market import (
-    MarketConfig, StrategyMatrix, _check_dims, _lattice, allocations, blocks, profile_cells
+    MarketConfig, StrategyMatrix, _check_dims, _lattice, allocations, profile_cells, sub_boxes
 )
 
 
@@ -52,9 +49,8 @@ class PayoffVector:
     per_pair_isp: np.ndarray
 
 
-# Per-profile arrays: utilities U[k, i] and revenues R[k, j], each led by
-# the market axis when there is one.
-Scores = tuple[np.ndarray, np.ndarray]
+# U[i, k, ...] and each ISP's R[j][k, ...] (see _scores), or U[k, i] and R[k, j].
+Scores = tuple[np.ndarray, list]
 
 
 class ProfileTable(NamedTuple):
@@ -85,46 +81,49 @@ def profile_table(config: MarketConfig, cells: np.ndarray) -> ProfileTable:
     users = np.empty(cells.shape)
     zs, w = np.empty((2, len(cells), config.n_isps))
     lattice = _lattice(config)
-    for block in blocks(len(cells), config.lattice_size * (config.n_isps + 1)):
+    for (block,) in sub_boxes((len(cells),), config.lattice_size * (config.n_isps + 1)):
         users[block] = allocations(config, cells[block], lattice)[2]
         zs[block], w[block] = _isp_sums(config, cells[block], users[block])
     return ProfileTable(cells, users, zs, w)
 
 
 def _scores(config: MarketConfig, table: ProfileTable, p, delta) -> Scores:
-    """CP utilities ``U[l, k, i]`` and ISP revenues ``R[l, k, j]`` of each
-    profile of ``table`` in each of L markets, at the prices ``p[l]`` and
-    discounts ``delta[l]`` (both ``[L, M]``).
+    """CP utilities ``U[i, k, ...]`` and ISP revenues ``R[j][k, ...]`` of
+    each profile ``k`` of ``table`` at the prices ``p[j]`` and discounts
+    ``delta[j]`` of each ISP j, arrays of one rank that broadcast to the
+    market shape: ``(L,)`` for a list of L markets, ``(P_0, ..., P_{M-1},
+    D_0, ..., D_{M-1})`` for a box of price and discount axes.
 
-    Both are computed as arrays ``(N, K, L)`` and ``(M, K, L)``, markets
-    innermost in memory (see the module notes), and returned as transposed
-    views.  R is linear:
-    ``delta * p * zs + p * w``.  U adds, ISP by ISP, each pair's payoff
-    (``(q_i - delta_j p_j) X`` when zero-rated, ``q_i X c`` otherwise) to a
-    zeroed accumulator, ``0.0 + t_0 + t_1 + ...``.  Below 8 ISPs that is
-    the order in which numpy's ``sum`` adds a short axis, so U is the
-    per-pair sum of :attr:`PayoffVector.per_pair_cp` bit for bit (from 8
-    terms numpy sums pairwise).  The same U serves the engine,
-    :func:`payoffs` and the sweep's ``delta_u`` digits: a linear U rounds
-    differently, and turns exact zero deltas into float noise (5.6e-17 in
-    bandwidth_high's cell (0.5, 0.6))."""
-    p, delta = np.asarray(p, dtype=float), np.asarray(delta, dtype=float)
-    # Markets last: [M, L].
-    p, dp = (np.ascontiguousarray(a.T) for a in (p, delta * p))
-    r = dp[:, None] * table.zs.T[..., None] + p[:, None] * table.w.T[..., None]
-    q = np.asarray(config.q)[:, None, None]
-    u = np.zeros((config.n_cps, len(table.cells), p.shape[1]))
-    for dp_j, cells, x in zip(dp, table.cells.T[..., None], table.users.T[..., None]):
-        u += np.where(cells, (q - dp_j) * x, q * x * config.c)
-    return u.T, r.T
+    Each term is built once per point of its ISP's own axes.  R_j is
+    linear, ``delta_j * p_j * zs + p_j * w``, and keeps that ISP's shape.
+    U adds, ISP by ISP, each pair's payoff (``(q_i - delta_j p_j) X`` when
+    zero-rated, ``q_i X c`` otherwise) to a zero, ``0.0 + t_0 + t_1 + ...``,
+    broadcasting as the terms come in.  Below 8 ISPs that is the order in
+    which numpy's ``sum`` adds a short axis, so U is the per-pair sum of
+    :attr:`PayoffVector.per_pair_cp` bit for bit (from 8 terms numpy sums
+    pairwise).  The same U serves the engine, :func:`payoffs` and the
+    sweep's ``delta_u`` digits: a linear U rounds differently, and turns
+    exact zero deltas into float noise (5.6e-17 in bandwidth_high's cell
+    (0.5, 0.6))."""
+    q = np.asarray(config.q)[:, None]
+    u, r = 0.0, []
+    for j, (p_j, delta_j) in enumerate(zip(p, delta)):
+        p_j = np.asarray(p_j, dtype=float)
+        dp_j = np.asarray(delta_j, dtype=float) * p_j
+        pad = (...,) + (None,) * dp_j.ndim
+        r.append(table.zs[:, j][pad] * dp_j + table.w[:, j][pad] * p_j)
+        cells, x = table.cells[:, :, j].T[pad], table.users[:, :, j].T[pad]
+        u = u + np.where(cells, (q[pad] - dp_j) * x, q[pad] * x * config.c)
+    return u, r
 
 
 def code_scores(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> Scores:
-    """:func:`_scores` of profile codes in the one market ``config``; the
-    allocation works in blocks."""
+    """:func:`_scores` of profile codes in the one market ``config``, as
+    ``U[k, i]`` and ``R[k, j]``; the allocation works in blocks."""
     table = profile_table(config, profile_cells(codes, config.n_cps, config.n_isps))
-    u, r = _scores(config, table, [config.p], [config.delta])
-    return u[0], r[0]
+    p, delta = (np.asarray(v)[:, None] for v in (config.p, config.delta))
+    u, r = _scores(config, table, p, delta)
+    return u[..., 0].T, np.array(r)[..., 0].T
 
 
 def payoffs(config: MarketConfig, theta: StrategyMatrix) -> PayoffVector:
@@ -132,9 +131,9 @@ def payoffs(config: MarketConfig, theta: StrategyMatrix) -> PayoffVector:
     _check_dims(config, theta)
     table = profile_table(config, theta.as_array()[None] == 1)
     p, delta = np.asarray(config.p), np.asarray(config.delta)
-    u, r = _scores(config, table, [p], [delta])
+    u, r = _scores(config, table, p[:, None], delta[:, None])
     cells, users = table.cells[0], table.users[0]
     q = np.asarray(config.q)[:, None]
     cp = np.where(cells, (q - delta * p) * users, q * users * config.c)
     isp = np.where(cells, delta * p * users, p * users * config.c)
-    return PayoffVector(u[0, 0], r[0, 0], cp, isp)
+    return PayoffVector(u[:, 0, 0], np.array(r)[:, 0, 0], cp, isp)

@@ -3,7 +3,6 @@
 import csv
 import dataclasses
 import hashlib
-import itertools
 import json
 import os
 import subprocess
@@ -601,8 +600,7 @@ def test_battery_checks_the_records_sweep_writes(name, monkeypatch):
     [records] = swept
     assert len(received) == len(results) == 8
     assert all(r is records for r in received)
-    p_rows = list(itertools.product(*scenario.price_grid))
-    rows = solve_grid(scenario.config, p_rows, scenario.delta_grid)
+    rows = solve_grid(scenario.config, scenario.price_grid, scenario.delta_grid)
     assert [(r.prices, r.discounts) for r in records] == [(p, d) for p, d, _ in rows]
     assert [r.zre for r in records] == [zre for _, _, zre in rows]
     assert records == grid_sweep(scenario.config, scenario.price_grid, scenario.delta_grid)

@@ -30,7 +30,6 @@ from zrsim import (
     select_zre,
 )
 from zrsim import equilibrium
-from zrsim.payoff import profile_table
 
 from conftest import GRID11, random_config
 
@@ -411,21 +410,24 @@ class TestDiscountGame:
 
     @pytest.mark.parametrize("block_elements", [None, 1, 1000])
     def test_discount_table_rows_equal_per_market_route(self, block_elements, monkeypatch):
-        # The delta-batched route must reproduce, bit for bit, one
-        # enumerate_zre and one payoffs call per discount profile, whatever
-        # the block size: 1 puts every discount profile in a block of its
-        # own, 1000 gives ragged blocks (15 profiles of a 2x2 cell, 3 of a
-        # 2x3 one).  A market holds K x (N + M) score entries.
+        # The boxes a cell's discount game is scored in must reproduce, bit
+        # for bit, one enumerate_zre and one payoffs call per discount
+        # profile, whatever the block size: a box holds the whole cell when
+        # it fits, else parts of its discount box (1 puts every discount
+        # profile in a part of its own, 1000 gives parts of 18 profiles of a
+        # 2x2 cell and 3 or 6 of a 2x3 one), and the selected one is scored
+        # once more.  A market holds K x N utilities.
         if block_elements is not None:
             monkeypatch.setattr(market, "BLOCK_ELEMENTS", block_elements)
-        block_sizes = []
-        scores = equilibrium._scores
+        boxes = []
+        box = equilibrium._box
 
-        def recorded(config, table, p, delta):
-            block_sizes.append((len(delta), len(table.cells) * (config.n_cps + config.n_isps)))
-            return scores(config, table, p, delta)
+        def recorded(config, table, rank, steps, prices, deltas, tol):
+            out = box(config, table, rank, steps, prices, deltas, tol)
+            boxes.append((list(itertools.product(*deltas)), out))
+            return out
 
-        monkeypatch.setattr(equilibrium, "_scores", recorded)
+        monkeypatch.setattr(equilibrium, "_box", recorded)
         bench = load_scenario(SCENARIOS / "benchmark.json").config
         # bandwidth_high at (0.5, 0.5) has discount profiles without any
         # equilibrium (3 on this grid).
@@ -440,23 +442,23 @@ class TestDiscountGame:
         cases += [(random_config(rng, 2, 3), (0.2, 0.6, 1.0)) for _ in range(3)]
         without_zre = 0
         for config, grid in cases:
-            profiles = list(itertools.product(grid, repeat=config.n_isps))
-            # One cell's table as solve_grid builds it: every discount
-            # profile of the cell is a market of the leading axis.
+            boxes.clear()
+            discount_equilibrium(config, grid)
             n, m = config.n_cps, config.n_isps
-            zero = equilibrium._zero_isps(config.p)
-            codes, steps = equilibrium._profiles(n, m, zero)
-            cells = market.profile_cells(codes, n, m)
-            stable, _, revenue, _ = equilibrium._market_table(
-                config, profile_table(config, cells), equilibrium._rank(config, codes, cells),
-                steps, codes, equilibrium._counterfactuals(n, m, zero),
-                np.tile(config.p, (len(profiles), 1)), np.array(profiles),
-            )
-            one_profile = block_sizes[0][1]
-            assert sum(d for d, _ in block_sizes) == len(profiles)
-            largest = max(d * size for d, size in block_sizes)
-            assert largest <= max(one_profile, market.BLOCK_ELEMENTS)
-            for delta, mask, row in zip(profiles, stable, revenue):
+            codes, _ = equilibrium._profiles(n, m, equilibrium._zero_isps(config.p))
+            entries = len(codes) * n
+            rows = {}
+            for profiles, (_, stable, _, revenue) in list(boxes):
+                assert len(profiles) * entries <= max(entries, market.BLOCK_ELEMENTS)
+                for delta, mask, row in zip(
+                    profiles, stable.reshape(len(codes), -1).T, revenue.reshape(-1, m)
+                ):
+                    assert delta not in rows or np.array_equal(rows[delta][1], row)
+                    rows[delta] = (mask, row)
+            # A zero-price ISP plays only the largest discount.
+            axes = [grid[-1:] if p == 0.0 else grid for p in config.p]
+            assert sorted(rows) == list(itertools.product(*axes))
+            for delta, (mask, row) in rows.items():
                 market_at = dataclasses.replace(config, delta=delta)
                 result = enumerate_zre(market_at)
                 assert list(codes[mask]) == [theta.encoding() for theta in result.all_zre]
@@ -465,7 +467,6 @@ class TestDiscountGame:
                     without_zre += 1
                 else:
                     assert np.array_equal(row, payoffs(market_at, result.selected).isp_revenue)
-            block_sizes.clear()
         assert without_zre > 0
 
     def test_outcome_matches_naive_reference(self):

@@ -20,6 +20,7 @@ from zrsim import (
     merge_providers,
     oracle_allocate,
 )
+from zrsim import market
 from zrsim.market import (
     _bundles_zero_rated, _members, _rho, allocations, aux_members, profile_cells
 )
@@ -323,3 +324,28 @@ def _project_mask(mask: int, merged: list[int]) -> int:
         else:
             out |= 1 << old_to_new[b]
     return out
+
+
+@pytest.mark.parametrize(
+    "shape, entries, block",
+    [
+        ((4, 4, 4), 1536, 1 << 16),  # wide-market's largest group: 2 boxes of 32 cells
+        ((4, 4, 4), 1536, 1000),  # every cell alone
+        ((5, 3), 7, 30),
+        ((6, 6), 32, 1000),
+        ((2, 3, 1331), 1, 1000),  # a cut trailing axis: 665 + 666, not 1000 + 331
+        ((3,), 10, 1),
+    ],
+)
+def test_sub_boxes_tile_the_box(shape, entries, block, monkeypatch):
+    # Sub-boxes cover every cell exactly once, each within the block (or one
+    # cell), and the cut axis is split into near-equal parts, so no sub-box
+    # is more than twice as large as another.
+    monkeypatch.setattr(market, "BLOCK_ELEMENTS", block)
+    seen, sizes = np.zeros(shape, dtype=int), []
+    for sub in market.sub_boxes(shape, entries):
+        seen[sub] += 1
+        sizes.append(seen[sub].size)
+        assert sizes[-1] == 1 or sizes[-1] * entries <= block
+    assert (seen == 1).all()
+    assert max(sizes) - min(sizes) <= min(sizes)

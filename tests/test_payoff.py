@@ -184,9 +184,12 @@ def test_one_utility_summation_at_eight_isps(n_cps, seed):
 
 
 def test_market_batch_keeps_the_arithmetic():
-    # Scoring L markets in one call must give, bit for bit, what L
-    # one-market calls give: the market axis changes the layout only, and
-    # it is innermost in memory for U and R alike.
+    # Scoring many markets in one call, as a list of L markets or as a box
+    # (the product of per-ISP price and discount axes), must give, bit for
+    # bit, what one-market calls give, U and every R_j: broadcasting changes
+    # the layout only, and each term is the same product added in the same
+    # order.  Market axes are innermost in memory, and R_j spans only ISP
+    # j's own axes of the box.
     rng = np.random.default_rng(43)
     cases = []
     for n, m in [(1, 1), (1, 3), (2, 2), (3, 1), (2, 3), (3, 3)]:
@@ -203,9 +206,33 @@ def test_market_batch_keeps_the_arithmetic():
     for config, prices, deltas in cases:
         n, m = config.n_cps, config.n_isps
         table = profile_table(config, profile_cells(np.arange(1 << (n * m)), n, m))
-        u, r = _scores(config, table, prices, deltas)
-        assert u.shape == (len(prices), 1 << (n * m), n)
-        assert u.strides[0] == r.strides[0] == u.itemsize
+
+        def one(p, delta):
+            p, delta = (np.asarray(v, dtype=float)[:, None] for v in (p, delta))
+            u, r = _scores(config, table, p, delta)
+            return u[..., 0], [r_j[:, 0] for r_j in r]
+
+        u, r = _scores(config, table, prices.T, deltas.T)
+        assert u.shape == (n, 1 << (n * m), len(prices))
+        assert u.strides[-1] == u.itemsize and all(r_j.strides[-1] == u.itemsize for r_j in r)
         for l, (p, delta) in enumerate(zip(prices, deltas)):
-            one_u, one_r = _scores(config, table, [p], [delta])
-            assert _same_bits(u[l], one_u[0]) and _same_bits(r[l], one_r[0])
+            one_u, one_r = one(p, delta)
+            assert _same_bits(u[..., l], one_u)
+            assert all(_same_bits(r_j[:, l], o) for r_j, o in zip(r, one_r))
+        # A box of three prices (the first one zero) and two discounts per
+        # ISP: axis j holds ISP j's prices and axis m + j its discounts.
+        box = [prices[:3, j] for j in range(m)] + [deltas[:2, j] for j in range(m)]
+        along = [
+            np.reshape(v, [-1 if b == a else 1 for b in range(2 * m)]) for a, v in enumerate(box)
+        ]
+        u, r = _scores(config, table, along[:m], along[m:])
+        assert u.shape[2:] == (3,) * m + (2,) * m and u.strides[-1] == u.itemsize
+        for j, r_j in enumerate(r):
+            own = tuple(len(v) if a in (j, m + j) else 1 for a, v in enumerate(box))
+            assert r_j.shape[1:] == own
+        for at in np.ndindex(u.shape[2:]):
+            values = [v[a] for v, a in zip(box, at)]
+            one_u, one_r = one(values[:m], values[m:])
+            assert _same_bits(u[(...,) + at], one_u)
+            for r_j, o in zip(r, one_r):
+                assert _same_bits(np.broadcast_to(r_j, u.shape[1:])[(slice(None),) + at], o)

@@ -50,7 +50,7 @@ def _reference_zre(cell: MarketConfig) -> ZreResult:
     n, m = cell.n_cps, cell.n_isps
     codes, steps = equilibrium._profiles(n, m, equilibrium._zero_isps(cell.p))
     u, r = code_scores(cell, codes)
-    found = codes[equilibrium._stable(u, r, steps, GAIN_TOL * cell.total_users)]
+    found = codes[equilibrium._stable(u.T, r.T, steps, GAIN_TOL * cell.total_users)]
     if not len(found):
         return ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
     all_zre = tuple(StrategyMatrix.from_bitstring(format(c, f"0{n * m}b"), n, m) for c in found)
@@ -162,7 +162,7 @@ def test_driver_equals_per_cell_reference(block_elements, references, monkeypatc
         assert grid_sweep(config, axes, grid) == discounts
         # The driver marks a cell without a discount equilibrium (NODEQ)
         # with no discount profile, at exactly the reference's NODEQ cells.
-        rows = equilibrium.solve_grid(config, [cell.p for cell in cells], grid)
+        rows = equilibrium.solve_grid(config, axes, grid)
         assert [delta is None for _, delta, _ in rows] == [d.discounts is None for d in discounts]
         for cell, zre, discount in zip(cells, zres, discounts):
             assert enumerate_zre(cell) == zre
@@ -176,8 +176,40 @@ def test_driver_equals_per_cell_reference(block_elements, references, monkeypatc
     # discount_game.json at (0.5, 0.5) is NODEQ: its row carries no
     # discount profile, not the template delta (1, 1).
     scenario = load_scenario(SCENARIOS / "discount_game.json")
-    [(_, delta, zre)] = equilibrium.solve_grid(scenario.config, [(0.5, 0.5)], scenario.delta_grid)
+    [(_, delta, zre)] = equilibrium.solve_grid(scenario.config, [(0.5,), (0.5,)], scenario.delta_grid)
     assert delta is None and zre.selected is None
+
+
+@pytest.mark.parametrize("block_elements", [1, 1000])
+def test_repeated_and_unsorted_axes_solve_each_cell(block_elements, monkeypatch):
+    # A zero-price group is a box of axis positions, so an axis may repeat
+    # values, list them out of order and hold a zero: every record, in both
+    # modes, is what its cell gives solved alone.  1 scores every market on
+    # its own; 1000 cuts the groups into sub-boxes of several cells.
+    monkeypatch.setattr(market, "BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(59)
+    bench = load_scenario(SCENARIOS / "benchmark.json").config
+    # The benchmark has no discount equilibrium at (0.6, 0.8) on this grid.
+    cases = [
+        (bench, ([0.6, 0.0, 0.6, 1.0], [1.0, 0.8, 0.0, 0.8]), (0.2, 0.6, 1.0)),
+        (random_config(rng, 2, 3), ([0.5, 0.0, 0.5], [1.0, 0.0], [0.3, 0.7, 0.3]), (0.5, 1.0)),
+    ]
+    no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * 2)
+    nodeq = 0
+    for config, axes, grid in cases:
+        cells = list(itertools.product(*axes))
+        fixed, game = grid_sweep(config, axes), grid_sweep(config, axes, grid)
+        assert [r.prices for r in fixed] == [r.prices for r in game] == cells
+        for prices, record, discount in zip(cells, fixed, game):
+            cell = config.with_prices(prices)
+            assert record.zre == enumerate_zre(cell)
+            assert record == grid_sweep(config, [(p,) for p in prices])[0]
+            outcome = discount_equilibrium(cell, grid)
+            assert discount.discounts == outcome.delta_star
+            assert discount.zre == (outcome.zre or no_zre)
+            assert discount == grid_sweep(config, [(p,) for p in prices], grid)[0]
+            nodeq += outcome.delta_star is None
+    assert nodeq > 0
 
 
 def _reference_pressure(cell: MarketConfig, selected: StrategyMatrix) -> tuple[bool, ...]:
@@ -218,9 +250,7 @@ def test_engine_pressure_equals_definition(block_elements, monkeypatch):
         config = random_config(rng, n, m)
         axes = tuple((0.0, *rng.uniform(0.05, 1.0, size=2)) for _ in range(m))
         for grid in (None, (0.5, 1.0)):
-            for prices, delta, zre in equilibrium.solve_grid(
-                config, list(itertools.product(*axes)), grid
-            ):
+            for prices, delta, zre in equilibrium.solve_grid(config, axes, grid):
                 if zre.selected is not None:
                     cell = replace(config, p=prices, delta=delta)
                     assert zre.pressure == _reference_pressure(cell, zre.selected)
