@@ -16,10 +16,10 @@ every CP: those cells are clamped to 1 and excluded from deviation checks.
 Profiles are integer codes (see :mod:`zrsim.market`) scored in batches.
 :func:`solve_grid` solves every cell of a scenario's price axes, a point
 of the axes and not a market, from one table of effective users, in boxes
-of price and discount axes: each ISP's payoff terms are scored once per
-point of its own axes and broadcast, and stability, the tie-break and the
-Nash test run as arrays over the markets.  It returns equilibria only; the
-payoffs of both worlds are :mod:`zrsim.analysis`'s to score.
+of price and discount axes, each market once: each ISP's payoff terms are
+scored once per point of its own axes and broadcast, and stability, the
+tie-break and the Nash test run as arrays over the markets.  It returns
+equilibria only; :mod:`zrsim.analysis` scores the payoffs of both worlds.
 :func:`enumerate_zre` and :func:`discount_equilibrium` are its one-cell
 case; :func:`is_zre` and the dynamics score a profile and its flips, and
 :func:`detect_pressure` its counterfactual markets.  The verify battery
@@ -241,18 +241,16 @@ def select_zre(all_zre: Sequence[StrategyMatrix], config: MarketConfig) -> Strat
         _check_dims(config, theta)
     codes = [theta.encoding() for theta in all_zre]
     cells = profile_cells(codes, config.n_cps, config.n_isps)
-    return all_zre[_rank(config, codes, cells).argmax()]
+    return all_zre[_order(config, codes, cells)[-1]]
 
 
-def _rank(config: MarketConfig, codes, cells: np.ndarray) -> np.ndarray:
-    """Position of each of the distinct profile ``codes`` (with their
-    ``cells``) in the :func:`select_zre` order.  The key reads only q and
-    the code, so the winner among any subset is its highest-ranked member."""
+def _order(config: MarketConfig, codes, cells: np.ndarray) -> np.ndarray:
+    """The indices that sort the distinct profile ``codes`` (with their
+    ``cells``) into the :func:`select_zre` order, the winner last.  The key
+    reads only q and the code, so the winner among any subset is its last."""
     codes = np.asarray(codes, dtype=np.int64)
     hv, last = cells[:, _last_argmax(config.q)].sum(axis=1), cells[:, :, -1].sum(axis=1)
-    rank = np.empty(len(codes), dtype=np.int64)
-    rank[np.lexsort((-codes, last, hv, cells.sum(axis=(1, 2))))] = np.arange(len(codes))
-    return rank
+    return np.lexsort((-codes, last, hv, cells.sum(axis=(1, 2))))
 
 
 def detect_pressure(config: MarketConfig, selected: StrategyMatrix) -> tuple[bool, ...]:
@@ -272,23 +270,24 @@ def detect_pressure(config: MarketConfig, selected: StrategyMatrix) -> tuple[boo
     """
     _check_dims(config, selected)
     _check_forced(selected, forced_cells(config))
-    counterfactual = _counterfactuals(config.n_cps, config.n_isps, _zero_isps(config.p))
-    codes = np.array(sorted(set(counterfactual.ravel().tolist())))
+    counterfactual, codes = _counterfactuals(config.n_cps, config.n_isps, _zero_isps(config.p))
     u = code_scores(config, codes)[0].T[..., None]
     chosen, tol = np.array([selected.encoding()]), GAIN_TOL * config.total_users
     return tuple(_pressure(u, codes, chosen, counterfactual, tol)[0].tolist())
 
 
-def _counterfactuals(n: int, m: int, zero: tuple[bool, ...]) -> np.ndarray:
+def _counterfactuals(n: int, m: int, zero: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Codes ``[b, i]`` of every row ``b`` CP ``i`` can choose alone in its
     counterfactual market (see :func:`detect_pressure`): the forced cells of
-    ``zero`` plus a row of CP ``i`` over the other ISPs.  Row 0 holds only
-    the forced cells and the last row every free cell of CP ``i``.  These
-    are profiles of :func:`_profiles`."""
+    ``zero`` plus a row of CP ``i`` over the other ISPs, and those codes
+    distinct and ascending.  Row 0 holds only the forced cells and the last
+    row every free cell of CP ``i``.  These are profiles of :func:`_profiles`."""
     # A CP's cells are m consecutive bits of a code (see cell_bit).
     forced = sum(1 << (m - 1 - j) for j in range(m) if zero[j])
     rows = np.flatnonzero(np.arange(1 << m) & forced == 0)[:, None]
-    return forced * sum(1 << (m * i) for i in range(n)) + (rows << (m * np.arange(n)[::-1]))
+    codes = forced * sum(1 << (m * i) for i in range(n)) + (rows << (m * np.arange(n)[::-1]))
+    # Not np.unique: it imports numpy.ma, which a sweep otherwise never loads.
+    return codes, np.array(sorted(set(codes.ravel().tolist())))
 
 
 def _pressure(u, codes, chosen, counterfactual, tol: float) -> np.ndarray:
@@ -368,60 +367,10 @@ def best_response_dynamics(
     return trace(DynamicsOutcome.INCONCLUSIVE)
 
 
-def _box(config, table, rank, steps, prices, deltas, tol: float) -> tuple:
-    """The profiles of ``table`` (with their ``rank`` and free cells
-    ``steps``) scored and tested for stability in the markets of the box
-    ``(P_0, ..., P_{M-1}, D_0, ..., D_{M-1})`` of price axes ``prices[j]``
-    and discount axes ``deltas[j]``: utilities ``u[i, k, ...]``, the stable
-    mask ``[k, ...]``, each market's selected row and its revenues
-    ``[..., j]``, -inf where the market has no equilibrium."""
-    ndim = 2 * len(prices)
-    along = [np.reshape(v, [-1 if b == a else 1 for b in range(ndim)])
-             for a, v in enumerate([*prices, *deltas])]
-    u, r = _scores(config, table, along[:ndim // 2], along[ndim // 2:])
-    stable = _stable(u, r, steps, tol)
-    selected = np.where(stable, rank.reshape((-1,) + (1,) * ndim), -1).argmax(axis=0)
-    revenue = np.empty(selected.shape + (len(r),))
-    for j, r_j in enumerate(r):
-        # The selected row at each market's point of ISP j's own axes.
-        own = np.arange(r_j[0].size).reshape(r_j.shape[1:])
-        revenue[..., j] = r_j.reshape(len(r_j), -1)[selected, own]
-    revenue[~stable.any(axis=0)] = -np.inf
-    return u, stable, selected, revenue
-
-
-def solve_grid(
-    config: MarketConfig,
-    p_grid: Sequence[Sequence[float]],
-    delta_grid: Sequence[float] | None = None,
-) -> list[tuple[tuple[float, ...], tuple[float, ...] | None, ZreResult]]:
-    """Solve ``config`` at every cell of the price axes ``p_grid`` (one
-    value list per ISP): one (prices, discount profile, :class:`ZreResult`)
-    row per cell, in row-major order, and no cell built as a market.
-
-    Without ``delta_grid`` each cell is solved at ``config.delta``, which
-    its row carries; with it each cell plays the ISP discount game on that
-    grid (see :func:`discount_equilibrium`), and its row carries the
-    selected discount profile, or None where no discount profile is a Nash
-    equilibrium (NODEQ).  This is the one place NODEQ is decided.
-
-    One profile table (see :class:`~zrsim.payoff.ProfileTable`) and one
-    tie-break rank, which read neither prices nor discounts, serve the grid.
-    The profiles read only which ISPs have price zero, and the cells of a
-    zero pattern form a box of axis positions (so axes may repeat or reorder
-    values), solved in sub-boxes of whole cells (see
-    :func:`~zrsim.market.sub_boxes`) times the discount axes (``config.delta``
-    without ``delta_grid``): scored by :func:`_box`, then Nash-tested and
-    tie-broken as arrays, with pressure flagged at each cell's selected
-    market only.  Cells with one outcome share one :class:`ZreResult`, those
-    without an equilibrium or a discount equilibrium the NO_ZRE one.  No
-    payoff of either world is returned.
-
-    Raises InvalidArgument without one nonempty axis per ISP, ConfigError
-    when a discount or a price lies outside [0, 1], then CapacityError when
-    a cell needs more than ``EVALUATION_GUARD`` profile evaluations, all
-    before any allocation.
-    """
+def _axes(config: MarketConfig, p_grid, delta_grid) -> tuple[list, list]:
+    """The price axes ``p_grid`` and the discount axes of :func:`solve_grid`,
+    ``delta_grid`` sorted and distinct for every ISP or else
+    ``config.delta``, checked and held to ``EVALUATION_GUARD`` per cell."""
     n, m = config.n_cps, config.n_isps
     if len(p_grid) != m:
         raise InvalidArgument(f"p_grid must have one value list per ISP ({m})")
@@ -445,6 +394,89 @@ def solve_grid(
             f"a {n}x{m} cell needs {work} profile evaluations, above the guard of "
             f"{EVALUATION_GUARD}"
         )
+    return axes, delta_axes
+
+
+def _box(config, table, rank, order, steps, cf_rows, prices, deltas, tol: float) -> tuple:
+    """The profiles of ``table`` (with their free cells ``steps``) scored
+    and tested for stability in the markets of the box ``(P_0, ..., P_{M-1},
+    D_0, ..., D_{M-1})`` of price axes ``prices[j]`` and discount axes
+    ``deltas[j]``: the stable mask ``[k, ...]``, each market's selected row
+    (the stable one last in ``order``, of highest ``rank``), its revenues
+    ``[..., j]``, -inf where the market has no equilibrium, and the
+    utilities ``[i, c, ...]`` of the rows ``cf_rows`` only."""
+    ndim = 2 * len(prices)
+    along = [np.reshape(v, [-1 if b == a else 1 for b in range(ndim)])
+             for a, v in enumerate([*prices, *deltas])]
+    u, r = _scores(config, table, along[:ndim // 2], along[ndim // 2:])
+    stable = _stable(u, r, steps, tol)
+    # -1 where no row is stable: any row will do, the revenues there are -inf.
+    best = np.where(stable, rank.reshape((-1,) + (1,) * ndim), -1).max(axis=0)
+    selected = order[best]
+    revenue = np.empty(selected.shape + (len(r),))
+    for j, r_j in enumerate(r):
+        # The selected row at each market's point of ISP j's own axes.
+        own = np.arange(r_j[0].size).reshape(r_j.shape[1:])
+        revenue[..., j] = r_j.reshape(len(r_j), -1)[selected, own]
+    revenue[best < 0] = -np.inf
+    return stable, selected, revenue, u[:, cf_rows]
+
+
+def _nash(revenue: np.ndarray, prefer: np.ndarray, tol: float) -> tuple:
+    """The cells with a Nash discount profile, and each one's most preferred
+    Nash profile ``d``, from the revenues ``[c_0, ..., c_{M-1}, D_0, ...,
+    D_{M-1}, j]`` of a box of cells and discount axes and ``prefer[c, d]``.
+
+    Nash: no ISP gains from a unilateral grid deviation that admits an
+    equilibrium.  ISP j's best deviation is the maximum along its discount
+    axis; a profile without equilibrium holds -inf and is never a gain, and
+    a one-point axis offers no deviation."""
+    m = revenue.shape[-1]
+    nash = revenue[..., 0] > -np.inf
+    for j in range(m):
+        if revenue.shape[m + j] > 1:
+            r_j = revenue[..., j]
+            nash &= ~(r_j.max(axis=m + j, keepdims=True) > r_j + tol)
+    nash = nash.reshape(len(prefer), -1)
+    found = np.flatnonzero(nash.any(axis=1))
+    return found, np.where(nash, prefer, -1)[found].argmax(axis=1)
+
+
+def solve_grid(
+    config: MarketConfig,
+    p_grid: Sequence[Sequence[float]],
+    delta_grid: Sequence[float] | None = None,
+) -> list[tuple[tuple[float, ...], tuple[float, ...] | None, ZreResult]]:
+    """Solve ``config`` at every cell of the price axes ``p_grid`` (one
+    value list per ISP): one (prices, discount profile, :class:`ZreResult`)
+    row per cell, in row-major order, and no cell built as a market.
+
+    Without ``delta_grid`` each cell is solved at ``config.delta``, which
+    its row carries; with it each cell plays the ISP discount game on that
+    grid (see :func:`discount_equilibrium`), and its row carries the
+    selected discount profile, or None where no discount profile is a Nash
+    equilibrium (NODEQ).  This is the one place NODEQ is decided.
+
+    One profile table (see :class:`~zrsim.payoff.ProfileTable`) and one
+    tie-break rank, which read neither prices nor discounts, serve the grid.
+    The profiles read only which ISPs have price zero, and the cells of a
+    zero pattern form a box of axis positions (so axes may repeat or reorder
+    values), solved in sub-boxes of whole cells (see
+    :func:`~zrsim.market.sub_boxes`) times the discount axes, in stages that
+    pass arrays: :func:`_axes` checks and guards, :func:`_box` scores each
+    market once (a cell too large for one block in parts of its discount
+    box), :func:`_nash` picks each cell's discount profile, and pressure is
+    flagged at its selected market only.  Cells with one outcome share one
+    :class:`ZreResult`, those without an equilibrium or a discount
+    equilibrium the NO_ZRE one.  No payoff of either world is returned.
+
+    Raises InvalidArgument without one nonempty axis per ISP, ConfigError
+    when a discount or a price lies outside [0, 1], then CapacityError when
+    a cell needs more than ``EVALUATION_GUARD`` profile evaluations, all
+    before any allocation.
+    """
+    n, m = config.n_cps, config.n_isps
+    axes, delta_axes = _axes(config, p_grid, delta_grid)
     groups = {
         zero: [[k for k, v in enumerate(axis) if (v == 0.0) == z] for axis, z in zip(axes, zero)]
         for zero in itertools.product(*({v == 0.0 for v in axis} for axis in axes))
@@ -455,7 +487,7 @@ def solve_grid(
         used[codes] = True
     all_codes = np.flatnonzero(used)
     cells = profile_cells(all_codes, n, m)
-    rank, table = _rank(config, all_codes, cells), profile_table(config, cells)
+    rank, table = np.argsort(_order(config, all_codes, cells)), profile_table(config, cells)
 
     no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
     unsolved = config.delta if delta_grid is None else None
@@ -479,8 +511,11 @@ def solve_grid(
     for zero, box in groups.items():
         codes, steps = profiles[zero]
         rows = np.searchsorted(all_codes, codes) if len(codes) < len(all_codes) else slice(None)
-        group = (ProfileTable(*(column[rows] for column in table)), rank[rows], steps)
-        counterfactual = _counterfactuals(n, m, zero)
+        # The group's rows in the select_zre order, and each row's place in it.
+        order = np.argsort(rank[rows])
+        group_table = ProfileTable(*(column[rows] for column in table))
+        counterfactual, cf_codes = _counterfactuals(n, m, zero)
+        group = (group_table, np.argsort(order), order, steps, np.searchsorted(codes, cf_codes))
         box_prices = [np.take(axis, positions) for axis, positions in zip(axes, box)]
         box_index, box_tie = index[np.ix_(*box)], tie[np.ix_(*box)]
         # A zero-price ISP's delta multiplies p = 0, so every value gives the
@@ -494,40 +529,25 @@ def solve_grid(
         d_shape, entries = tuple(map(len, d_axes)), len(codes) * n
         # Sub-boxes hold whole cells, so that the Nash test of a cell sees all
         # of its discount profiles; a cell too large for a block is scored in
-        # parts of its discount box, then once more at its selected market.
+        # parts of its discount box, each written to the sub-box's arrays.
         for sub in sub_boxes(box_index.shape, len(deltas) * entries):
-            prices = [v[s] for v, s in zip(box_prices, sub)]
-            cell_ks = box_index[sub]
-            parts = list(sub_boxes(d_shape, cell_ks.size * entries))
-            revenue = np.empty(cell_ks.shape + d_shape + (m,))
-            for part in parts:
-                u, stable, selected, revenue[(..., *part, slice(None))] = _box(
+            prices, cell_ks = [v[s] for v, s in zip(box_prices, sub)], box_index[sub]
+            shape = cell_ks.shape + d_shape
+            stable, selected = np.empty((len(codes),) + shape, bool), np.empty(shape, np.int64)
+            revenue, u_cf = np.empty(shape + (m,)), np.empty((n, len(cf_codes)) + shape)
+            for part in sub_boxes(d_shape, cell_ks.size * entries):
+                put = (..., *part)
+                stable[put], selected[put], revenue[put + (slice(None),)], u_cf[put] = _box(
                     config, *group, prices, [a[s] for a, s in zip(d_axes, part)], tol
                 )
-            # Nash: no ISP gains from a unilateral grid deviation that admits
-            # an equilibrium.  ISP j's best deviation is the maximum along its
-            # discount axis; a profile without equilibrium holds -inf and is
-            # never a gain, and a one-point axis offers no deviation.
-            nash = revenue[..., 0] > -np.inf
-            for j in range(m):
-                if d_shape[j] > 1:
-                    r_j = revenue[..., j]
-                    nash &= ~(r_j.max(axis=m + j, keepdims=True) > r_j + tol)
-            nash = nash.reshape(cell_ks.size, len(deltas))
-            found = np.flatnonzero(nash.any(axis=1))
+            found, star = _nash(revenue, group_prefer[box_tie[sub].ravel()], tol)
             if not len(found):
                 continue
-            # Among Nash profiles the largest is chosen.
-            star = np.where(nash, group_prefer[box_tie[sub].ravel()], -1)[found].argmax(axis=1)
             at = found * len(deltas) + star
-            if len(parts) > 1:
-                delta_star = np.array(deltas[star[0]])[:, None]
-                u, stable, selected, _ = _box(config, *group, prices, delta_star, tol)
-                at = np.zeros(1, dtype=np.int64)
             chosen = codes[selected.ravel()[at]]
             held = stable.reshape(len(codes), -1)[:, at].T
             pressure = _pressure(
-                u.reshape(n, len(codes), -1)[:, :, at], codes, chosen, counterfactual, tol
+                u_cf.reshape(n, len(cf_codes), -1)[:, :, at], cf_codes, chosen, counterfactual, tol
             )
             # One result per distinct outcome, shared by the cells that have it.
             results, outcomes = {}, np.hstack([held, pressure])

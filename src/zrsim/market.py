@@ -42,15 +42,14 @@ SHARE_TOL = 1e-12
 # B x 2**N x (M + 1) allocation shares, and a block of L markets (price
 # cells times discount profiles) the L x K x N utilities of its K profiles
 # (revenues span only their ISP's own axes), so this caps the working memory
-# of scoring at any market size; block sizes follow from it.  Measured
-# against 2**14 while a market counted K x (N + M) scores (2 cores, Python 3.11, numpy 2.4; medians of 7 warm sweeps taken
-# alternately, peak RSS of fresh processes whose imports take 35 MB): the
-# 125-cell 3 x 3 sweep of the wide-market benchmark takes 27 ms instead of
-# 32 ms (blocks of 21 markets instead of 5) and adds 1.8 MB to the peak RSS
-# instead of 1.1 MB; the discount-duopoly sweep takes 6.0 ms instead of
-# 7.6 ms; one 3 x 3 discount cell takes 0.13 s instead of 0.20-0.26 s and
-# adds 2.8 MB instead of 1.8 MB; one 4 x 4 enumerate_zre adds 25.7 MB at
-# either size.  At 2**18 the wide-market sweep is no faster.
+# of scoring at any market size; block sizes follow from it.  Against 2**14
+# and 2**18 (2 cores, Python 3.11, numpy 2.4; medians of 15 warm sweeps taken
+# in turn, and the peak RSS a fresh process adds): the 125-cell 3 x 3 sweep
+# of the wide-market benchmark takes 12.2-12.4 ms, against 17.0-17.5 and
+# 11.6-11.8 ms; the discount-duopoly sweep 2.2-2.3 ms, against 3.5-3.8 and
+# 2.2-2.3 ms; one 3 x 3 discount cell takes 0.09 s and adds 3.4 MB, against
+# 0.23 s and 2.9 MB and 0.06 s and 5.5 MB; one 4 x 4 enumerate_zre adds
+# 27.7 MB at all three sizes.
 BLOCK_ELEMENTS = 1 << 16
 
 

@@ -415,15 +415,14 @@ class TestDiscountGame:
         # profile, whatever the block size: a box holds the whole cell when
         # it fits, else parts of its discount box (1 puts every discount
         # profile in a part of its own, 1000 gives parts of 18 profiles of a
-        # 2x2 cell and 3 or 6 of a 2x3 one), and the selected one is scored
-        # once more.  A market holds K x N utilities.
+        # 2x2 cell and 3 or 6 of a 2x3 one).  A market holds K x N utilities.
         if block_elements is not None:
             monkeypatch.setattr(market, "BLOCK_ELEMENTS", block_elements)
         boxes = []
         box = equilibrium._box
 
-        def recorded(config, table, rank, steps, prices, deltas, tol):
-            out = box(config, table, rank, steps, prices, deltas, tol)
+        def recorded(config, table, rank, order, steps, cf_rows, prices, deltas, tol):
+            out = box(config, table, rank, order, steps, cf_rows, prices, deltas, tol)
             boxes.append((list(itertools.product(*deltas)), out))
             return out
 
@@ -448,7 +447,7 @@ class TestDiscountGame:
             codes, _ = equilibrium._profiles(n, m, equilibrium._zero_isps(config.p))
             entries = len(codes) * n
             rows = {}
-            for profiles, (_, stable, _, revenue) in list(boxes):
+            for profiles, (stable, _, revenue, _) in list(boxes):
                 assert len(profiles) * entries <= max(entries, market.BLOCK_ELEMENTS)
                 for delta, mask, row in zip(
                     profiles, stable.reshape(len(codes), -1).T, revenue.reshape(-1, m)

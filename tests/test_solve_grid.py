@@ -9,6 +9,7 @@ occurs.  ``detect_pressure`` reads its scores as the driver does, so the
 driver's flags are also checked against scores of each counterfactual row.
 """
 
+import inspect
 import itertools
 from dataclasses import replace
 from fractions import Fraction
@@ -210,6 +211,45 @@ def test_repeated_and_unsorted_axes_solve_each_cell(block_elements, monkeypatch)
             assert discount == grid_sweep(config, [(p,) for p in prices], grid)[0]
             nodeq += outcome.delta_star is None
     assert nodeq > 0
+
+
+@pytest.mark.parametrize("block_elements", [None, 1, 1000])
+def test_every_market_is_scored_once(block_elements, monkeypatch):
+    # The scoring stage receives every market of the grid, a price cell at
+    # one discount profile, exactly once: also a cell too large for one
+    # block, which is scored in parts of its discount box (1 puts every
+    # market in a part of its own, 1000 cuts the 8 profiles of a 2x3 cell).
+    if block_elements is not None:
+        monkeypatch.setattr(market, "BLOCK_ELEMENTS", block_elements)
+    box, scored = equilibrium._box, []
+    bind = inspect.signature(box).bind
+
+    def counted(*args):
+        given = bind(*args).arguments
+        axes = [[float(v) for v in axis] for axis in (*given["prices"], *given["deltas"])]
+        scored.extend(itertools.product(*axes))
+        return box(*args)
+
+    monkeypatch.setattr(equilibrium, "_box", counted)
+    bench = load_scenario(SCENARIOS / "benchmark.json").config
+    rng = np.random.default_rng(61)
+    cases = [
+        (bench, ((0.0, 0.3, 0.7), (0.2, 1.0)), (0.0, 0.5, 1.0), 42),
+        (random_config(rng, 2, 3), ((0.0, 0.5), (1.0,), (0.0, 0.4)), (0.5, 1.0), 18),
+    ]
+    for config, axes, grid, markets in cases:
+        for delta_grid in (None, grid):
+            scored.clear()
+            equilibrium.solve_grid(config, axes, delta_grid)
+            expected = []
+            for prices in itertools.product(*axes):
+                # A zero-price ISP plays only its largest discount.
+                deltas = [(d,) for d in config.delta] if delta_grid is None else [
+                    grid[-1:] if p == 0.0 else grid for p in prices
+                ]
+                expected.extend(itertools.product(*[(p,) for p in prices], *deltas))
+            assert sorted(scored) == sorted(expected)
+        assert len(expected) == markets
 
 
 def _reference_pressure(cell: MarketConfig, selected: StrategyMatrix) -> tuple[bool, ...]:
