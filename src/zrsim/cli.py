@@ -14,6 +14,13 @@ Verbs:
   profile (or NODEQ), then all equilibria at it, the selected one, and the
   pressure flags.
 
+An option may come before or after the scenario and may read
+``--out=<dir>``; ``--p`` takes every following token up to the next ``--``
+option, so a negative price reaches the range check.  ``-h`` or ``--help``,
+alone or after a verb, prints the usage.  Any other command line prints
+``error: <what is wrong>`` and the usage to stderr and exits 2.  ``main``
+returns the exit code; it does not raise ``SystemExit``.
+
 Exit codes: 0 success, 1 failed verification, 2 invalid scenario or usage
 (an out-of-range ``--p`` price, and an output directory or file that cannot
 be written, included), 3 capacity guard exceeded.
@@ -22,13 +29,12 @@ Outputs are byte-stable for identical inputs.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .analysis import SweepRecord, aggregate_signs, grid_sweep
 from .equilibrium import ZreStatus, solve_grid
@@ -133,9 +139,9 @@ def write_discounts_csv(
                 )
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    out_dir = Path(args.out)
+def _cmd_sweep(scenario_path: str, out: str) -> int:
+    scenario = load_scenario(scenario_path)
+    out_dir = Path(out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -152,8 +158,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_verify(scenario_path: str) -> int:
+    scenario = load_scenario(scenario_path)
     results = run_battery(scenario)
     width = max(len(r.name) for r in results)
     failed = skipped = 0
@@ -176,17 +182,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _cmd_zre(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    if len(args.p) != scenario.config.n_isps:
-        raise ScenarioError(f"--p needs {scenario.config.n_isps} prices, got {len(args.p)}")
+def _cmd_zre(scenario_path: str, prices: list[float]) -> int:
+    scenario = load_scenario(scenario_path)
+    if len(prices) != scenario.config.n_isps:
+        raise ScenarioError(f"--p needs {scenario.config.n_isps} prices, got {len(prices)}")
     try:
         [(_, delta, result)] = solve_grid(
-            scenario.config, [(p,) for p in args.p], scenario.delta_grid
+            scenario.config, [(p,) for p in prices], scenario.delta_grid
         )
     except ConfigError as exc:
         raise ScenarioError(str(exc)) from exc
-    print(f"prices: {' '.join(fmt_num(p) for p in args.p)}")
+    print(f"prices: {' '.join(fmt_num(p) for p in prices)}")
     if scenario.delta_grid is not None:
         print(f"discounts: {' '.join(_discount_fields(delta))}")
     print(f"status: {result.status.value}")
@@ -199,37 +205,111 @@ def _cmd_zre(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zrsim",
-        description="Zero-rating market simulator: price-grid sweeps, "
-        "equilibrium inspection, and invariant verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Verb(NamedTuple):
+    run: Callable[..., int]
+    option: str | None = None  # required when present; the only option
+    metavar: str = ""
+    many: bool = False  # the option takes one or more values, not one
+    value: Callable[[str], object] = str
 
-    p_sweep = sub.add_parser("sweep", help="run a scenario's price grid and write artifacts")
-    p_sweep.add_argument("scenario", help="path to a scenario JSON file")
-    p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_verify = sub.add_parser("verify", help="run the invariant battery on a scenario")
-    p_verify.add_argument("scenario", help="path to a scenario JSON file")
-    p_verify.set_defaults(func=_cmd_verify)
+# Every verb takes one scenario path, then its option's value(s), if any.
+_VERBS = {
+    "sweep": _Verb(_cmd_sweep, "--out", "DIR"),
+    "verify": _Verb(_cmd_verify),
+    "zre": _Verb(_cmd_zre, "--p", "P", many=True, value=float),
+}
+_HELP = ("-h", "--help")
 
-    p_zre = sub.add_parser("zre", help="inspect equilibria at a single price point")
-    p_zre.add_argument("scenario", help="path to a scenario JSON file")
-    p_zre.add_argument(
-        "--p", required=True, nargs="+", type=float, help="one price per ISP"
-    )
-    p_zre.set_defaults(func=_cmd_zre)
-    return parser
+
+def _form(verb: str, spec: _Verb) -> str:
+    form = f"zrsim {verb} SCENARIO"
+    if spec.option:
+        form += f" {spec.option} {spec.metavar}"
+    if spec.many:
+        form += f" [{spec.metavar} ...]"
+    return form
+
+
+_USAGE = "usage: " + "\n       ".join(_form(v, spec) for v, spec in _VERBS.items()) + "\n"
+
+
+def _cmd_help() -> int:
+    print(_USAGE, end="")
+    return EXIT_OK
+
+
+def _usage_error(what: str) -> ScenarioError:
+    return ScenarioError(f"{what}\n{_USAGE.rstrip()}")
+
+
+def _parse(argv: Sequence[str]) -> tuple[Callable[..., int], tuple]:
+    """The command and arguments that ``argv`` asks for.
+
+    An option reads as ``--opt=value`` or ``--opt value``, before or after
+    the scenario; a many-valued option takes every following token up to
+    the next ``--`` token, so negative numbers reach the range check.
+    Anything outside these forms raises ScenarioError with the usage.
+    """
+    if not argv:
+        raise _usage_error("missing command")
+    verb, *rest = argv
+    if verb in _HELP:
+        return _cmd_help, ()
+    spec = _VERBS.get(verb)
+    if spec is None:
+        raise _usage_error(f"unknown command {verb!r}")
+    if any(token in _HELP for token in rest):
+        return _cmd_help, ()
+    positionals: list[str] = []
+    values: list[str] | None = None
+    k = 0
+    while k < len(rest):
+        token = rest[k]
+        k += 1
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        name, eq, inline = token.partition("=")
+        if name != spec.option:
+            raise _usage_error(f"unknown option {name} for {verb}")
+        if values is not None:
+            raise _usage_error(f"{name} given more than once")
+        if eq:
+            values = [inline] if inline else []
+        else:
+            values = []
+            for value in rest[k : len(rest) if spec.many else k + 1]:
+                if value.startswith("--"):
+                    break
+                values.append(value)
+            k += len(values)
+        if not values:
+            raise _usage_error(f"{name} needs a value")
+    if not positionals:
+        raise _usage_error(f"{verb} needs a SCENARIO")
+    if len(positionals) > 1:
+        raise _usage_error(f"unexpected argument {positionals[1]!r}")
+    if spec.option is None:
+        return spec.run, (positionals[0],)
+    if values is None:
+        raise _usage_error(f"{verb} needs {spec.option} {spec.metavar}")
+    parsed = []
+    for value in values:
+        try:
+            parsed.append(spec.value(value))
+        except ValueError:
+            raise _usage_error(f"invalid {spec.option} value {value!r}") from None
+    return spec.run, (positionals[0], parsed if spec.many else parsed[0])
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` by default) and return its
+    exit code; errors, usage errors included, print ``error: ...`` to
+    stderr instead of raising."""
     try:
-        return args.func(args)
+        run, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return run(*args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -54,7 +54,7 @@ BLOCK_ELEMENTS = 1 << 16
 
 
 def _as_float_tuple(values: Sequence[float]) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True)

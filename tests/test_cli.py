@@ -218,25 +218,32 @@ def test_sweep_discount_mode_lists_cells_unless_duopoly(price_grid, delta_grid, 
     assert rows[1:] == expected
 
 
-def _lazy_numpy_submodules(*argvs):
-    """The numpy.ma and numpy.random modules a fresh process holds after
-    running ``main`` on each argv, all of which must exit 0."""
+def _lazy_modules(*argvs):
+    """Which modules that no command may load a fresh process holds after
+    running ``main`` on each argv (each must exit 0).  They are numpy's
+    lazily loaded numpy.ma and numpy.random, and argparse, gettext and
+    locale, which a cold argparse parser costs (about 2.5 ms, most of it
+    the import of locale on its first message lookup)."""
     script = (
         "import json, sys\n"
         "from zrsim.cli import main\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert main(argv) == 0\n"
         "print(sorted(name for name in sys.modules\n"
-        "             if name.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])))\n"
+        "             if name in ('argparse', 'gettext', 'locale')\n"
+        "             or name.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])))\n"
     )
-    paths = [str(Path(analysis.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     result = subprocess.run(
         [sys.executable, "-c", script, json.dumps(argvs)],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_src_env(), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1]
+
+
+def _src_env():
+    paths = [str(Path(analysis.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
 def test_sweep_imports_no_lazy_numpy_submodule(tmp_path):
@@ -248,7 +255,7 @@ def test_sweep_imports_no_lazy_numpy_submodule(tmp_path):
         ["sweep", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path / name)]
         for name in ("benchmark", "discount_game")
     ]
-    assert _lazy_numpy_submodules(*argvs) == "[]"
+    assert _lazy_modules(*argvs) == "[]"
 
 
 @pytest.mark.parametrize("verb", ["verify", "sweep"])
@@ -259,7 +266,19 @@ def test_verify_and_sweep_import_no_numpy_random(verb, tmp_path):
         argv = ["verify", str(SCENARIOS / "bandwidth_high.json")]
     else:
         argv = ["sweep", str(SCENARIOS / "benchmark.json"), "--out", str(tmp_path / "out")]
-    assert _lazy_numpy_submodules(argv) == "[]"
+    assert _lazy_modules(argv) == "[]"
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    # python -m zrsim.cli calls main() with no argument, which reads
+    # sys.argv[1:]; it must answer as main(argv) does.
+    argv = ["zre", str(SCENARIOS / "benchmark.json"), "--p", "0.3", "0.7"]
+    result = subprocess.run(
+        [sys.executable, "-m", "zrsim.cli", *argv],
+        env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert main(argv) == result.returncode == EXIT_OK
+    assert capsys.readouterr().out == result.stdout
 
 
 def test_capacity_guard_exits_3_fast(tmp_path, capsys):
@@ -326,6 +345,78 @@ def test_no_zre_rows_encode_literal_zeros(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[1][2] == "NOZRE"
     assert rows[1][3:8] == ["0", "0", "0", "0", "0"]
+
+
+USAGE = (
+    "usage: zrsim sweep SCENARIO --out DIR\n"
+    "       zrsim verify SCENARIO\n"
+    "       zrsim zre SCENARIO --p P [P ...]\n"
+)
+BENCHMARK = str(SCENARIOS / "benchmark.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["solve", BENCHMARK],
+        ["verify"],
+        ["sweep", "--out", "o"],
+        ["sweep", BENCHMARK],
+        ["sweep", BENCHMARK, "--out"],
+        ["sweep", BENCHMARK, "--out="],
+        ["zre", BENCHMARK, "--p"],
+        ["zre", BENCHMARK, "--p", "0.3", "cheap"],
+        ["verify", BENCHMARK, "--out", "o"],
+        ["sweep", BENCHMARK, "--o", "o"],
+        ["verify", BENCHMARK, BENCHMARK],
+        ["sweep", BENCHMARK, "--out", "a", "--out", "b"],
+        ["zre", BENCHMARK, "--p", "0.3", "0.7", "--p=0.5"],
+    ],
+    ids=[
+        "no-argument", "unknown-verb", "missing-scenario", "missing-scenario-with-out",
+        "missing-out", "out-without-value", "out-empty", "p-without-value", "p-not-a-number",
+        "unknown-option", "abbreviated-option", "extra-positional", "repeated-out",
+        "repeated-p",
+    ],
+)
+def test_usage_error_exits_2_with_the_usage(argv, tmp_path, capsys, monkeypatch):
+    # A command line outside the documented forms is refused before
+    # anything is loaded or written: a message and the usage on stderr,
+    # exit 2, and no SystemExit.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.endswith("\n" + USAGE)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["sweep", "-h"], ["zre", BENCHMARK, "--p", "0.3", "--help"]]
+)
+def test_help_prints_the_usage_to_stdout(argv, capsys):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr() == (USAGE, "")
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda scenario, out: ["sweep", "--out", out, scenario],
+        lambda scenario, out: ["sweep", scenario, f"--out={out}"],
+    ],
+    ids=["out-first", "out-equals"],
+)
+def test_sweep_option_forms_write_the_same_bytes(form, tmp_path):
+    scenario = str(SCENARIOS / "discount_game.json")
+    assert main(["sweep", scenario, "--out", str(tmp_path / "documented")]) == EXIT_OK
+    assert main(form(scenario, str(tmp_path / "form"))) == EXIT_OK
+    documented = sorted((tmp_path / "documented").iterdir())
+    assert [p.name for p in documented] == ["discounts.csv", "grid.csv", "summary.json"]
+    for path in documented:
+        assert (tmp_path / "form" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_invalid_scenario_exits_2(tmp_path, capsys):
