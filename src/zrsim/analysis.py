@@ -62,18 +62,27 @@ class SignSummary:
     share_signs: tuple[int, ...]
 
 
-def _hhi(totals: np.ndarray) -> float:
-    grand = totals.sum()
-    if grand <= 0.0:
-        raise DomainError("Herfindahl index needs at least one CP with users")
-    return float((totals**2).sum() / grand**2)
+def _grand(totals: np.ndarray, what: str) -> np.ndarray:
+    """The sum of each row of CP totals (along the last axis), refusing a
+    row with no users."""
+    grand = totals.sum(axis=-1)
+    if (grand <= 0.0).any():
+        raise DomainError(f"{what} at least one CP with users")
+    return grand
+
+
+def _hhi(totals: np.ndarray) -> np.ndarray:
+    """Herfindahl index of each row of CP totals: sum(X_i^2) / sum(X_i)^2.
+    The sum is squared by ``float_power``, the C ``pow`` a float's ``**``
+    calls, so a row of a stack gets its one-row value bit for bit: ``**``
+    on an array multiplies instead, and about one row in a thousand then
+    differs in the last bit."""
+    return (totals**2).sum(axis=-1) / np.float_power(_grand(totals, "Herfindahl index needs"), 2)
 
 
 def _shares(totals: np.ndarray) -> np.ndarray:
-    grand = totals.sum()
-    if grand <= 0.0:
-        raise DomainError("market shares need at least one CP with users")
-    return totals / grand
+    """Market shares of each row of CP totals."""
+    return totals / _grand(totals, "market shares need")[..., None]
 
 
 def hhi(config: MarketConfig, theta: StrategyMatrix) -> float:
@@ -82,7 +91,7 @@ def hhi(config: MarketConfig, theta: StrategyMatrix) -> float:
     Computed as sum(X_i^2) / (sum(X_i))^2 over the per-CP sums X of the
     shares rho, so the result lies in (0, 1] whatever the market size.
     """
-    return _hhi(cp_totals(config, allocate(config, theta).rho[None])[0])
+    return float(_hhi(cp_totals(config, allocate(config, theta).rho[None])[0]))
 
 
 def hhi_variance_identity(shares: Sequence[float]) -> tuple[float, float]:
@@ -137,9 +146,9 @@ def grid_sweep(
     codes = sorted({0, *selected})
     cells = profile_cells(codes, config.n_cps, config.n_isps)
     rho, _, x_effective = allocations(config, cells)
-    worlds = [(_shares(t), _hhi(t)) for t in cp_totals(config, rho)]
-    base_share, base_hhi = worlds[0]
-    world_deltas = [(tuple((share - base_share).tolist()), h - base_hhi) for share, h in worlds]
+    totals = cp_totals(config, rho)
+    shares, hhis = _shares(totals), _hhi(totals)
+    world_deltas = list(zip(map(tuple, (shares - shares[0]).tolist()), (hhis - hhis[0]).tolist()))
     rows = np.searchsorted(codes, [0] + selected)
     prices = np.array([config.p] + [row for row, _, _ in solved])
     deltas = np.array([config.delta] + [config.delta if d is None else d for _, d, _ in solved])

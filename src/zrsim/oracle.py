@@ -8,11 +8,15 @@ naive arithmetic, pair by pair, with one normaliser per choice set: each
 class's distribution sums phi * psi over its set once.  The allocation reads
 neither prices nor discounts, so :func:`oracle_verdicts` computes each
 distinct one once per call and shares it across the markets of its batch.
-Each run of consecutive pairs in one market gets one table of (utilities,
-revenues), so a profile is scored once per market however many of its
-pairs deviate to it; every deviation is still tested pair by pair.  Nothing
-here reads :mod:`zrsim.market`'s lattice or allocation code; only its data
-types.
+Each call files every distinct profile once under a small integer, its
+profile number, with the numbers of its row-major flips, and keys the
+shared allocations and each market's table of (utilities, revenues) on
+that number.  Each run of consecutive pairs in one market gets one such
+table, so a profile is scored once per market however many of its pairs
+deviate to it; every deviation is still tested pair by pair.  A profile is
+scored in one pass over its (CP, ISP) pairs: each utility and each revenue
+is a plain-float sum, pair by pair.  Nothing here reads
+:mod:`zrsim.market`'s lattice or allocation code; only its data types.
 """
 
 from __future__ import annotations
@@ -25,6 +29,14 @@ import numpy as np
 from .equilibrium import GAIN_TOL
 from .errors import DomainError, InvalidArgument
 from .market import AllocationTable, MarketConfig, StrategyMatrix
+
+Rows = tuple[tuple[int, ...], ...]
+# A call's profile book: the number of each distinct profile, the profiles
+# by number and, once built, the numbers of each profile's row-major flips.
+Book = tuple[dict[Rows, int], list[Rows], list[list[int] | None]]
+# A market's zero-price ISPs and its other cells (CP, ISP, row-major position).
+Cells = tuple[tuple[int, ...], list[tuple[int, int, int]]]
+Totals = Callable[[int], tuple[list[float], list[float]]]
 
 
 @dataclass(frozen=True)
@@ -134,65 +146,74 @@ def oracle_allocate(config: MarketConfig, theta: StrategyMatrix) -> AllocationTa
 
 def _oracle_totals(config: MarketConfig, theta: StrategyMatrix) -> tuple[list[float], list[float]]:
     """(CP utilities, ISP revenues), recomputed from the oracle allocation."""
-    return _market_totals(config, {})(theta.rows)
+    return _payoff_totals(config, theta.rows, oracle_allocate(config, theta).x_effective.tolist())
 
 
 def _payoff_totals(
-    config: MarketConfig, rows: tuple[tuple[int, ...], ...], x_eff: list[list[float]]
+    config: MarketConfig, rows: Rows, x_eff: list[list[float]]
 ) -> tuple[list[float], list[float]]:
     """(CP utilities, ISP revenues) of the profile ``rows`` in ``config``,
-    pair by pair, from its oracle effective users ``x_eff``."""
+    from its oracle effective users ``x_eff``, in one pass over its (CP,
+    ISP) pairs: each CP's utility sums its ISPs in order, each ISP's
+    revenue its CPs in order."""
     q, p, delta, c = config.q, config.p, config.delta, config.c
     utilities = []
-    for i in range(config.n_cps):
+    revenues = [0.0] * config.n_isps
+    for i, (row, x_row) in enumerate(zip(rows, x_eff)):
         u = 0.0
-        for j in range(config.n_isps):
-            if rows[i][j]:
-                u += (q[i] - delta[j] * p[j]) * x_eff[i][j]
+        for j, x in enumerate(x_row):
+            if row[j]:
+                u += (q[i] - delta[j] * p[j]) * x
+                revenues[j] += delta[j] * p[j] * x
             else:
-                u += q[i] * x_eff[i][j] * c
+                u += q[i] * x * c
+                revenues[j] += p[j] * x * c
         utilities.append(u)
-    revenues = []
-    for j in range(config.n_isps):
-        r = 0.0
-        for i in range(config.n_cps):
-            if rows[i][j]:
-                r += delta[j] * p[j] * x_eff[i][j]
-            else:
-                r += p[j] * x_eff[i][j] * c
-        revenues.append(r)
     return utilities, revenues
 
 
-Totals = Callable[[tuple[tuple[int, ...], ...]], tuple[list[float], list[float]]]
+def _file(book: Book, rows: Rows) -> int:
+    """The number of the profile ``rows`` in ``book``, filed under the next
+    free one if it is new."""
+    numbers, profiles, flips = book
+    k = numbers.get(rows)
+    if k is None:
+        k = numbers[rows] = len(profiles)
+        profiles.append(rows)
+        flips.append(None)
+    return k
 
 
-def _market_totals(config: MarketConfig, allocations: dict[tuple, dict]) -> Totals:
+def _market_totals(config: MarketConfig, allocations: dict[tuple, dict], book: Book) -> Totals:
     """The (utilities, revenues) lookup of one market, keyed on a profile's
-    rows: each entry is computed once, from the allocation of that profile,
-    which is itself computed once per ``allocations`` dict, filed under
-    (alpha, phi, psi, total_users) and then rows, and shared by every
-    market that has those."""
-    table: dict[tuple[tuple[int, ...], ...], tuple[list[float], list[float]]] = {}
+    number in ``book``: each entry is computed once, from the allocation of
+    that profile, which is itself computed once per ``allocations`` dict,
+    filed under (alpha, phi, psi, total_users) and then the number, and
+    shared by every market that has those."""
+    profiles = book[1]
+    table: dict[int, tuple[list[float], list[float]]] = {}
     key = (config.alpha, config.phi, config.psi, config.total_users)
     shared = allocations.setdefault(key, {})
 
-    def totals(rows: tuple[tuple[int, ...], ...]) -> tuple[list[float], list[float]]:
-        entry = table.get(rows)
+    def totals(k: int) -> tuple[list[float], list[float]]:
+        entry = table.get(k)
         if entry is None:
-            x_eff = shared.get(rows)
+            x_eff = shared.get(k)
             if x_eff is None:
-                theta = StrategyMatrix(rows)
-                x_eff = shared[rows] = oracle_allocate(config, theta).x_effective.tolist()
-            entry = table[rows] = _payoff_totals(config, rows, x_eff)
+                theta = StrategyMatrix(profiles[k])
+                x_eff = shared[k] = oracle_allocate(config, theta).x_effective.tolist()
+            entry = table[k] = _payoff_totals(config, profiles[k], x_eff)
         return entry
 
     return totals
 
 
-def _forced_columns(config: MarketConfig) -> tuple[int, ...]:
-    """The ISPs at a zero price, whose cells are forced to 1."""
-    return tuple(j for j in range(config.n_isps) if config.p[j] == 0.0)
+def _cells(config: MarketConfig) -> Cells:
+    """The ISPs at a zero price, whose cells are forced to 1, and every
+    other cell as (CP, ISP, row-major position), in row-major order."""
+    n, m = config.n_cps, config.n_isps
+    forced = tuple(j for j in range(m) if config.p[j] == 0.0)
+    return forced, [(i, j, i * m + j) for i in range(n) for j in range(m) if j not in forced]
 
 
 class Violation(NamedTuple):
@@ -215,51 +236,44 @@ def find_zre_violation(config: MarketConfig, theta: StrategyMatrix) -> Violation
     total_users, so tie verdicts agree across the two arithmetic routes).
     Cells forced by a zero ISP price are never deviated.
     """
-    return _first_violation(
-        config, theta.rows, _forced_columns(config), _market_totals(config, {}), {}
-    )
+    book: Book = ({}, [], [])
+    k = _file(book, theta.rows)
+    return _first_violation(config, k, _cells(config), _market_totals(config, {}, book), book)
 
 
 def _first_violation(
-    config: MarketConfig,
-    rows: tuple[tuple[int, ...], ...],
-    forced: tuple[int, ...],
-    totals: Totals,
-    flips: dict[tuple, list[tuple]],
+    config: MarketConfig, k: int, cells: Cells, totals: Totals, book: Book
 ) -> Violation | None:
-    """:func:`find_zre_violation`'s rule on the profile ``rows``, with the
-    forced columns ``forced`` of ``config``, reading the (utilities,
-    revenues) of the profile and of each flip from ``totals``; a profile's
-    row-major flips are built once per ``flips`` dict."""
+    """:func:`find_zre_violation`'s rule on profile number ``k`` of ``book``,
+    with the forced columns and free cells ``cells`` of ``config``, reading
+    the (utilities, revenues) of the profile and of each flip from
+    ``totals``; a profile's row-major flips are filed once per book."""
+    rows = book[1][k]
+    forced, free = cells
     for j in forced:
         for i in range(config.n_cps):
             if rows[i][j] != 1:
                 raise InvalidArgument(f"cell ({i}, {j}) must be 1 because p[{j}] = 0")
-    flipped = flips.get(rows)
+    flipped = book[2][k]
     if flipped is None:
-        flipped = flips[rows] = [
-            rows[:i] + (row[:j] + (1 - row[j],) + row[j + 1 :],) + rows[i + 1 :]
+        flipped = book[2][k] = [
+            _file(book, rows[:i] + (row[:j] + (1 - row[j],) + row[j + 1 :],) + rows[i + 1 :])
             for i, row in enumerate(rows) for j in range(len(row))
         ]
-    base_u, base_r = totals(rows)
+    base_u, base_r = totals(k)
     tol = GAIN_TOL * config.total_users
-    for i in range(config.n_cps):
-        row = rows[i]
-        for j in range(config.n_isps):
-            if j in forced:
-                continue
-            flip_u, flip_r = totals(flipped[i * config.n_isps + j])
-            cp_gains = flip_u[i] > base_u[i] + tol
-            isp_gains = flip_r[j] > base_r[j] + tol
-            if row[j] == 1:
-                if cp_gains or isp_gains:
-                    gainers = tuple(
-                        side for side, g in (("cp", cp_gains), ("isp", isp_gains)) if g
-                    )
-                    return Violation(i, j, "cancel", gainers)
-            else:
-                if cp_gains and isp_gains:
-                    return Violation(i, j, "establish", ("cp", "isp"))
+    for i, j, position in free:
+        flip_u, flip_r = totals(flipped[position])
+        cp_gains = flip_u[i] > base_u[i] + tol
+        isp_gains = flip_r[j] > base_r[j] + tol
+        if rows[i][j] == 1:
+            if cp_gains or isp_gains:
+                gainers = ("cp", "isp") if cp_gains and isp_gains else (
+                    ("cp",) if cp_gains else ("isp",)
+                )
+                return Violation(i, j, "cancel", gainers)
+        elif cp_gains and isp_gains:
+            return Violation(i, j, "establish", ("cp", "isp"))
     return None
 
 
@@ -271,18 +285,21 @@ def oracle_verify_zre(config: MarketConfig, theta: StrategyMatrix) -> bool:
 def oracle_verdicts(pairs: Iterable[tuple[MarketConfig, StrategyMatrix]]) -> list[bool]:
     """:func:`oracle_verify_zre` of each (market, profile) pair, in order.
 
-    Consecutive pairs with an equal market share one table of oracle
-    totals, so each profile or flip is scored once per market; the
-    allocation reads only alpha, phi, psi, total_users and the profile, so
-    each distinct one, and each profile's flips, are built once per call.
-    The deviation rule of :func:`find_zre_violation` then runs pair by pair."""
+    Each distinct profile of the call is filed once under a number, with
+    the numbers of its row-major flips.  Consecutive pairs with an equal
+    market share one table of oracle totals, keyed on that number, so each
+    profile or flip is scored once per market; the allocation reads only
+    alpha, phi, psi, total_users and the profile, so each distinct one is
+    built once per call.  The deviation rule of :func:`find_zre_violation`
+    then runs pair by pair."""
+    book: Book = ({}, [], [])
     allocations: dict[tuple, dict] = {}
-    flips: dict[tuple, list[tuple]] = {}
     verdicts = []
     market = None
     for config, theta in pairs:
         if config is not market and config != market:
-            market, forced = config, _forced_columns(config)
-            totals = _market_totals(config, allocations)
-        verdicts.append(_first_violation(config, theta.rows, forced, totals, flips) is None)
+            market, cells = config, _cells(config)
+            totals = _market_totals(config, allocations, book)
+        k = _file(book, theta.rows)
+        verdicts.append(_first_violation(config, k, cells, totals, book) is None)
     return verdicts

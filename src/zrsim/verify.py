@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,10 +49,12 @@ class CheckResult:
     detail: str
 
 
-def _seeded_market(rng: random.Random) -> MarketConfig:
-    """A valid random market of 2-3 CPs and 1-3 ISPs; each price is zero
-    with probability 0.15.  The draw order fixes the markets, and with
-    them the gap ``hhi-all-or-none`` reports."""
+def _seeded_market(rng: random.Random) -> SimpleNamespace:
+    """The fields of a valid random market of 2-3 CPs and 1-3 ISPs, named
+    as :class:`MarketConfig`'s; each price is zero with probability 0.15.
+    The draw order fixes the markets, and with them the gap
+    ``hhi-all-or-none`` reports, which reads only their shape, alpha, phi
+    and psi, so no market is built."""
     n_cps, n_isps = rng.randint(2, 3), rng.randint(1, 3)
     phi = [rng.uniform(0.05, 1.0) for _ in range(1 << n_cps)]
     psi = [rng.uniform(0.05, 1.0) for _ in range(n_isps + 1)]
@@ -60,7 +63,7 @@ def _seeded_market(rng: random.Random) -> MarketConfig:
     q = sorted(rng.random() for _ in range(n_cps))
     delta = [rng.random() for _ in range(n_isps)]
     phi_sum, psi_sum = sum(phi), sum(psi)
-    return MarketConfig(
+    return SimpleNamespace(
         n_cps=n_cps,
         n_isps=n_isps,
         alpha=alpha,
@@ -165,7 +168,8 @@ def check_hhi_identity(scenario: Scenario, records: list[SweepRecord]) -> CheckR
 
 def check_hhi_all_or_none(scenario: Scenario, records: list[SweepRecord]) -> CheckResult:
     rng = random.Random(VERIFY_SEED)
-    shapes: dict[tuple[int, int], list[MarketConfig]] = {}
+    # The scenario's market and the 100 drawn ones, grouped by shape.
+    shapes: dict[tuple[int, int], list[MarketConfig | SimpleNamespace]] = {}
     for cfg in [scenario.config] + [_seeded_market(rng) for _ in range(100)]:
         shapes.setdefault((cfg.n_cps, cfg.n_isps), []).append(cfg)
     worst = 0.0
@@ -175,9 +179,8 @@ def check_hhi_all_or_none(scenario: Scenario, records: list[SweepRecord]) -> Che
         phi, psi = np.array([cfg.phi for cfg in group]), np.array([cfg.psi for cfg in group])
         baseline = np.repeat(phi[:, :, None] * psi[:, None, :], 2, axis=0)
         alpha = np.repeat([cfg.alpha for cfg in group], 2)[:, None, None]
-        totals = cp_totals(group[0], _rho(cells, _members(n), baseline, alpha))
-        for none, every in zip(totals[::2], totals[1::2]):
-            worst = max(worst, abs(_hhi(none) - _hhi(every)))
+        h = _hhi(cp_totals(group[0], _rho(cells, _members(n), baseline, alpha)))
+        worst = max(worst, float(np.abs(h[::2] - h[1::2]).max()))
     ok = worst < HHI_TOL
     return CheckResult("hhi-all-or-none", ok, f"max |HHI(0) - HHI(1)| gap = {worst:.3e}")
 

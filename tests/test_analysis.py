@@ -51,6 +51,25 @@ class TestHhi:
             ones = StrategyMatrix.ones(config.n_cps, config.n_isps)
             assert hhi(config, zeros) == pytest.approx(hhi(config, ones), abs=1e-12)
 
+    def test_stack_equals_row_by_row(self, bench):
+        # One array pass over a stack of CP-total rows gives each row's
+        # one-row result bit for bit; hhi() still returns a float.
+        rng = np.random.default_rng(53)
+        for width in range(1, 10):
+            stack = rng.uniform(0.0, 2.0, size=(30, width))
+            hhis, shares = analysis._hhi(stack), analysis._shares(stack)
+            assert hhis.shape == (30,) and shares.shape == stack.shape
+            for row, h, share in zip(stack, hhis, shares):
+                assert analysis._hhi(row).tobytes() == h.tobytes()
+                assert analysis._shares(row).tobytes() == share.tobytes()
+        assert type(hhi(bench, StrategyMatrix.zeros(2, 2))) is float
+        # Any row without users refuses the whole stack.
+        stack[7] = 0.0
+        with pytest.raises(DomainError):
+            analysis._hhi(stack)
+        with pytest.raises(DomainError):
+            analysis._shares(stack)
+
 
 class TestHhiVarianceIdentity:
     def test_equal_shares(self):

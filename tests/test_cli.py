@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zrsim import MarketConfig, Scenario, StrategyMatrix, analysis, load_scenario, oracle, verify
+from zrsim import (
+    InvalidArgument, MarketConfig, Scenario, StrategyMatrix, analysis, load_scenario, oracle, verify
+)
 from zrsim.analysis import SweepRecord, grid_sweep
 from zrsim.cli import EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, fmt_num, main
 from zrsim.equilibrium import DEFAULT_DELTA_GRID, ZreResult, ZreStatus, solve_grid
@@ -805,6 +807,42 @@ def test_verify_fallback_sample_keeps_zero_price_columns_at_one(monkeypatch):
     assert {row[j] for theta in sample for row in theta.rows for j in range(1, 4)} == {0, 1}
 
 
+def test_oracle_verdicts_share_work_across_the_battery(monkeypatch):
+    # bandwidth_high's every-profile pairs, as check_oracle_equilibrium
+    # sends them: 121 markets at one alpha, phi and psi, 1,681 distinct
+    # (market, profile) pairs over 16 distinct profiles.  The batch
+    # allocates each profile once and scores it once per market.
+    scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
+    records = _battery_records(scenario)
+    sent, calls = [], {"allocate": 0, "totals": 0}
+    real_verdicts = oracle.oracle_verdicts
+    real_allocate, real_totals = oracle.oracle_allocate, oracle._payoff_totals
+
+    def recording(pairs):
+        sent.extend(pairs)
+        return real_verdicts(pairs)
+
+    def allocate(config, theta):
+        calls["allocate"] += 1
+        return real_allocate(config, theta)
+
+    def totals(config, rows, x_eff):
+        calls["totals"] += 1
+        return real_totals(config, rows, x_eff)
+
+    monkeypatch.setattr(verify, "oracle_verdicts", recording)
+    monkeypatch.setattr(oracle, "oracle_allocate", allocate)
+    monkeypatch.setattr(oracle, "_payoff_totals", totals)
+    result = check_oracle_equilibrium(scenario, records)
+    assert result.detail == "every profile: 1681 verdicts compared, 0 disagreements"
+    assert len(set(sent)) == 1681 and len({theta for _, theta in sent}) == 16
+    assert calls == {"allocate": 16, "totals": 1681}
+    # A profile that breaks a forced cell raises, inside the batch too.
+    zero_priced = next(market for market, _ in sent if 0.0 in market.p)
+    with pytest.raises(InvalidArgument):
+        oracle.oracle_verdicts(sent[:100] + [(zero_priced, StrategyMatrix.zeros(2, 2))])
+
+
 def test_verify_hhi_draws_cover_every_shape(monkeypatch):
     # randint includes its upper bound, unlike numpy's integers: the 100
     # markets of hhi-all-or-none span 2-3 CPs by 1-3 ISPs and include a
@@ -850,6 +888,25 @@ def test_verify_hhi_draws_cover_every_shape(monkeypatch):
     assert any(0.0 in cfg.p for cfg in markets)
     assert len(vectors) == 200
     assert {len(shares) for shares in vectors} == {1, 2, 3, 4, 5}
+
+
+def test_verify_hhi_draws_are_valid_markets(monkeypatch):
+    # hhi-all-or-none reads only the shape, alpha, phi and psi of its 100
+    # draws and builds no market from them; each draw still names the
+    # fields of a valid MarketConfig, which holds exactly the drawn values.
+    draws = []
+    real_market = verify._seeded_market
+
+    def seeded_market(rng):
+        draws.append(real_market(rng))
+        return draws[-1]
+
+    monkeypatch.setattr(verify, "_seeded_market", seeded_market)
+    verify.check_hhi_all_or_none(load_scenario(SCENARIOS / "benchmark.json"), [])
+    assert len(draws) == 100
+    for draw in draws:
+        config = MarketConfig(**vars(draw))
+        assert all(getattr(config, name) == value for name, value in vars(draw).items())
 
 
 def test_verify_skips_utility_drop_on_tied_values(tmp_path, capsys):
