@@ -225,7 +225,7 @@ def _last_argmax(values: Sequence[float]) -> int:
     # The largest value wins (the highest-value CP, the most expensive
     # ISP); ties go to the later index, mirroring the convention that the
     # second provider is the tie-breaker.
-    return max(range(len(values)), key=lambda k: (values[k], k))
+    return len(values) - 1 - values[::-1].index(max(values))
 
 
 def select_zre(all_zre: Sequence[StrategyMatrix], config: MarketConfig) -> StrategyMatrix:
@@ -494,8 +494,8 @@ def solve_grid(
     solved = [(row, unsolved, no_zre) for row in itertools.product(*axes)]
     # Each cell's row in ``solved`` and its most expensive ISP, the later
     # one on equal prices, which orders its Nash profiles.
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"))
-    index, tie = np.arange(len(solved)).reshape(grid.shape[1:]), m - 1 - grid[::-1].argmax(0)
+    index = np.arange(len(solved)).reshape(tuple(map(len, axes)))
+    tie = np.array([_last_argmax(row) for row, _, _ in solved]).reshape(index.shape)
     # prefer[t, ...] places each discount profile in the order of Nash
     # profiles when ISP t is the most expensive (see discount_equilibrium).
     # Totals are rounded so that equal decimal totals tie whatever the order

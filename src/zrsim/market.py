@@ -108,14 +108,8 @@ class MarketConfig:
             raise ConfigError(f"total_users must be positive and finite, got {self.total_users}")
         if len(self.q) != self.n_cps:
             raise ConfigError(f"q must have length {self.n_cps}, got {len(self.q)}")
-        if len(self.p) != self.n_isps:
-            raise ConfigError(f"p must have length {self.n_isps}, got {len(self.p)}")
-        if len(self.delta) != self.n_isps:
-            raise ConfigError(f"delta must have length {self.n_isps}, got {len(self.delta)}")
-        # Zero discounts are admitted so the discount game can explore its
-        # full grid; a zero simply makes zero-rated bandwidth free.
-        for name in ("q", "p", "delta"):
-            check_unit_interval(name, getattr(self, name))
+        check_unit_interval("q", self.q)
+        self._check_cell(self.p, self.delta)
         if len(self.phi) != self.lattice_size:
             raise ConfigError(
                 f"phi must have length 2**n_cps = {self.lattice_size}, got {len(self.phi)}"
@@ -137,8 +131,29 @@ class MarketConfig:
         """Number of auxiliary CP nodes, dummy included."""
         return 1 << self.n_cps
 
+    def _check_cell(self, p: tuple[float, ...], delta: tuple[float, ...]) -> None:
+        if len(p) != self.n_isps:
+            raise ConfigError(f"p must have length {self.n_isps}, got {len(p)}")
+        if len(delta) != self.n_isps:
+            raise ConfigError(f"delta must have length {self.n_isps}, got {len(delta)}")
+        # Zero discounts are admitted so the discount game can explore its
+        # full grid; a zero simply makes zero-rated bandwidth free.
+        check_unit_interval("p", p)
+        check_unit_interval("delta", delta)
+
+    def with_cell(self, p: Sequence[float], delta: Sequence[float]) -> "MarketConfig":
+        """This market at prices ``p`` and discounts ``delta``.  Only these
+        two are coerced and checked, as in construction; every other field
+        is this validated market's own, so a price grid's markets skip
+        re-validating shares and shape."""
+        p, delta = _as_float_tuple(p), _as_float_tuple(delta)
+        self._check_cell(p, delta)
+        cell = object.__new__(type(self))
+        cell.__dict__.update(self.__dict__, p=p, delta=delta)
+        return cell
+
     def with_prices(self, p: Sequence[float]) -> "MarketConfig":
-        return replace(self, p=_as_float_tuple(p))
+        return self.with_cell(p, self.delta)
 
 
 def check_unit_interval(name: str, values: Iterable[float]) -> None:

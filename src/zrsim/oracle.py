@@ -15,8 +15,14 @@ that number.  Each run of consecutive pairs in one market gets one such
 table, so a profile is scored once per market however many of its pairs
 deviate to it; every deviation is still tested pair by pair.  A profile is
 scored in one pass over its (CP, ISP) pairs: each utility and each revenue
-is a plain-float sum, pair by pair.  Nothing here reads
-:mod:`zrsim.market`'s lattice or allocation code; only its data types.
+is a plain-float sum, pair by pair.  The deviation rule returns the first
+breaking cell as a plain tuple, and only :func:`find_zre_violation` turns
+it into a :class:`Violation`, so :func:`oracle_verdicts` builds none.  The
+markets of a batch are the caller's: ``zrsim verify`` derives each cell's
+market from the scenario's validated one and validates only its prices
+and discounts (:meth:`~zrsim.market.MarketConfig.with_cell`).  Nothing
+here reads :mod:`zrsim.market`'s lattice or allocation code; only its
+data types.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ Book = tuple[dict[Rows, int], list[Rows], list[list[int] | None]]
 # A market's zero-price ISPs and its other cells (CP, ISP, row-major position).
 Cells = tuple[tuple[int, ...], list[tuple[int, int, int]]]
 Totals = Callable[[int], tuple[list[float], list[float]]]
+# A breaking cell: (CP, ISP, whether the profile holds it, CP gains, ISP gains).
+Breach = tuple[int, int, bool, bool, bool]
 
 
 @dataclass(frozen=True)
@@ -238,16 +246,24 @@ def find_zre_violation(config: MarketConfig, theta: StrategyMatrix) -> Violation
     """
     book: Book = ({}, [], [])
     k = _file(book, theta.rows)
-    return _first_violation(config, k, _cells(config), _market_totals(config, {}, book), book)
+    broken = _first_violation(config, k, _cells(config), _market_totals(config, {}, book), book)
+    if broken is None:
+        return None
+    i, j, held, cp_gains, isp_gains = broken
+    if not held:
+        return Violation(i, j, "establish", ("cp", "isp"))
+    gainers = tuple(side for side, gains in (("cp", cp_gains), ("isp", isp_gains)) if gains)
+    return Violation(i, j, "cancel", gainers)
 
 
 def _first_violation(
     config: MarketConfig, k: int, cells: Cells, totals: Totals, book: Book
-) -> Violation | None:
+) -> Breach | None:
     """:func:`find_zre_violation`'s rule on profile number ``k`` of ``book``,
     with the forced columns and free cells ``cells`` of ``config``, reading
     the (utilities, revenues) of the profile and of each flip from
-    ``totals``; a profile's row-major flips are filed once per book."""
+    ``totals``; a profile's row-major flips are filed once per book.  The
+    first breaking cell comes back as (CP, ISP, held, CP gains, ISP gains)."""
     rows = book[1][k]
     forced, free = cells
     for j in forced:
@@ -268,12 +284,9 @@ def _first_violation(
         isp_gains = flip_r[j] > base_r[j] + tol
         if rows[i][j] == 1:
             if cp_gains or isp_gains:
-                gainers = ("cp", "isp") if cp_gains and isp_gains else (
-                    ("cp",) if cp_gains else ("isp",)
-                )
-                return Violation(i, j, "cancel", gainers)
+                return i, j, True, cp_gains, isp_gains
         elif cp_gains and isp_gains:
-            return Violation(i, j, "establish", ("cp", "isp"))
+            return i, j, False, True, True
     return None
 
 

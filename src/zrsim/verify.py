@@ -12,8 +12,9 @@ skipped.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -117,9 +118,11 @@ def check_oracle_equilibrium(scenario: Scenario, records: list[SweepRecord]) -> 
     # every other cell goes to the oracle in one batch when that fits
     # ORACLE_PROFILE_BUDGET; otherwise each cell's equilibria and a seeded
     # sample of 3 profiles (drawn for skipped cells too, so the draws do
-    # not depend on the skips).  A recorded profile that is never compared
-    # disagrees.  Each compared cell's market, at its record's prices and
-    # discounts, is built here: no other check reads more than prices.
+    # not depend on the skips).  Each distinct recorded profile that is
+    # never compared disagrees once, however often a draw repeats another.
+    # Profiles are matched by their rows.  Each compared cell's market is
+    # derived here from the scenario's, validating only its record's
+    # prices and discounts: no other check reads more than prices.
     config = scenario.config
     n, m = config.n_cps, config.n_isps
     keep = [record.discounts is not None for record in records]
@@ -141,13 +144,14 @@ def check_oracle_equilibrium(scenario: Scenario, records: list[SweepRecord]) -> 
         ]
     pairs, engine, unmatched = [], [], 0
     for record, thetas in zip(cells, profiles):
-        market = replace(config, p=record.prices, delta=record.discounts)
-        zre = set(record.zre.all_zre)
-        recorded = [theta in zre for theta in thetas]
-        pairs += [(market, theta) for theta in thetas]
+        market = config.with_cell(record.prices, record.discounts)
+        zre = {theta.rows for theta in record.zre.all_zre}
+        rows = [theta.rows for theta in thetas]
+        recorded = [key in zre for key in rows]
+        pairs += zip(itertools.repeat(market), thetas)
         engine += recorded
-        unmatched += len(zre) - len(set(itertools.compress(thetas, recorded)))
-    disagreements = unmatched + sum(e != o for e, o in zip(engine, oracle_verdicts(pairs)))
+        unmatched += len(zre) - len(set(itertools.compress(rows, recorded)))
+    disagreements = unmatched + sum(map(operator.ne, engine, oracle_verdicts(pairs)))
     detail = f"{path}: {len(pairs)} verdicts compared, {disagreements} disagreements"
     skipped = len(records) - len(cells)
     if skipped:

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -805,6 +806,48 @@ def test_verify_fallback_sample_keeps_zero_price_columns_at_one(monkeypatch):
     assert len(sample) == 3
     assert all(row[0] == 1 for theta in sample for row in theta.rows)
     assert {row[j] for theta in sample for row in theta.rows for j in range(1, 4)} == {0, 1}
+
+
+def test_verify_sample_repeats_offset_no_disagreement(monkeypatch):
+    # With a zero budget bandwidth_high takes the seeded-sample path: each
+    # compared cell sends its recorded equilibria and 3 draws, and some
+    # draws repeat a recorded equilibrium.  The check counts each recorded
+    # profile left uncompared once, by distinct profile, so a repeat
+    # offsets nothing: a recorded profile that is no equilibrium still
+    # counts 1.
+    monkeypatch.setattr(verify, "ORACLE_PROFILE_BUDGET", 0)
+    scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
+    records = _battery_records(scenario)
+    rng = random.Random(verify.VERIFY_SEED)
+    draws = [[verify._seeded_profile(rng, 2, r.prices) for _ in range(3)] for r in records]
+    repeats = [
+        k for k, (record, sample) in enumerate(zip(records, draws))
+        if record.discounts is not None and set(sample) & set(record.zre.all_zre)
+    ]
+    assert len(repeats) > 1
+    compared = sum(len(r.zre.all_zre) + 3 for r in records if r.discounts is not None)
+    head = "seeded sample (oracle work "
+    result = check_oracle_equilibrium(scenario, records)
+    assert result.passed is True and result.detail.startswith(head)
+    assert result.detail.endswith(f"): {compared} verdicts compared, 0 disagreements")
+    # A planted profile at a cell without repeats, valid there, no
+    # equilibrium and not drawn: the oracle refutes it once, and nothing
+    # cancels that out.
+    [k] = [k for k, record in enumerate(records) if record.prices == (0.5, 0.5)]
+    assert k not in repeats
+    record = records[k]
+    extra = next(
+        t for code in range(16)
+        if (t := StrategyMatrix.from_bitstring(format(code, "04b"), 2, 2))
+        not in record.zre.all_zre + tuple(draws[k])
+    )
+    planted = list(records)
+    planted[k] = dataclasses.replace(
+        record, zre=dataclasses.replace(record.zre, all_zre=record.zre.all_zre + (extra,))
+    )
+    result = check_oracle_equilibrium(scenario, planted)
+    assert result.passed is False and result.detail.startswith(head)
+    assert result.detail.endswith(f"): {compared + 1} verdicts compared, 1 disagreements")
 
 
 def test_oracle_verdicts_share_work_across_the_battery(monkeypatch):

@@ -1,7 +1,8 @@
 """Market structure and user allocation."""
 
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +21,15 @@ from zrsim import (
     merge_providers,
     oracle_allocate,
 )
-from zrsim import market
+from zrsim import load_scenario, market
+from zrsim.analysis import grid_sweep
 from zrsim.market import (
     _bundles_zero_rated, _members, _rho, allocations, aux_members, profile_cells
 )
 
 from conftest import random_config, random_theta
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
 
 class TestMarketConfig:
@@ -70,6 +74,55 @@ class TestMarketConfig:
         moved = bench.with_prices((0.3, 0.7))
         assert moved.p == (0.3, 0.7)
         assert moved.q == bench.q
+
+    @pytest.mark.parametrize("name", ["bandwidth_high", "discount_game"])
+    def test_cell_market_is_the_replaced_market(self, name):
+        # Every cell of the scenario's sweep, at its record's discounts (the
+        # scenario's own at a NODEQ cell), and once more from numpy values
+        # and integers: the cell market shares the template's validated
+        # fields, yet matches a fully re-validated replace in ==, in hash
+        # and field by field, types included.
+        scenario = load_scenario(SCENARIOS / f"{name}.json")
+        config = scenario.config
+        records = grid_sweep(config, scenario.price_grid, scenario.delta_grid)
+        assert len(records) == 121
+        cells = [(r.prices, config.delta if r.discounts is None else r.discounts) for r in records]
+        cells += [(np.array(p), tuple(map(round, d))) for p, d in cells]
+        for p, delta in cells:
+            cell = config.with_cell(p, delta)
+            expected = replace(config, p=p, delta=delta)
+            assert cell == expected and hash(cell) == hash(expected)
+            for field in fields(MarketConfig):
+                got, want = getattr(cell, field.name), getattr(expected, field.name)
+                assert repr(got) == repr(want), field.name
+                assert type(got) is type(want), field.name
+            assert cell.with_prices(p) == expected
+
+    @pytest.mark.parametrize(
+        "p,delta",
+        [
+            ((1.0, -0.2), (1.0, 1.0)),
+            ((1.5, 1.0), (1.0, 1.0)),
+            ((float("nan"), 1.0), (1.0, 1.0)),
+            ((1.0, 1.0), (1.0, 1.1)),
+            ((1.0, 1.0), (-0.1, 1.0)),
+            ((1.0, 1.0), (1.0, float("nan"))),
+            ((1.0,), (1.0, 1.0)),
+            ((1.0, 1.0, 1.0), (1.0, 1.0)),
+            ((1.0, 1.0), (1.0,)),
+        ],
+    )
+    def test_cell_market_rejects_bad_prices_and_discounts(self, bench, p, delta):
+        # Only prices and discounts are checked, with construction's messages.
+        with pytest.raises(ConfigError) as built:
+            replace(bench, p=p, delta=delta)
+        with pytest.raises(ConfigError) as derived:
+            bench.with_cell(p, delta)
+        assert str(derived.value) == str(built.value)
+        if delta == bench.delta:
+            with pytest.raises(ConfigError) as moved:
+                bench.with_prices(p)
+            assert str(moved.value) == str(built.value)
 
 
 class TestStrategyMatrix:

@@ -22,10 +22,14 @@ from zrsim import (
     oracle_verify_zre,
     sticky_choice_set,
 )
-from zrsim import oracle
-from zrsim.oracle import ChoiceSet
+from zrsim import load_scenario, oracle, verify
+from zrsim.analysis import grid_sweep
+from zrsim.equilibrium import GAIN_TOL
+from zrsim.oracle import ChoiceSet, Violation
 
 from conftest import random_config, random_theta
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
 
 def test_sticky_set_is_full_lattice(bench):
@@ -221,6 +225,63 @@ def test_violation_names_the_deviation(bench):
     assert (violation.cp, violation.isp) == (1, 0)
     assert "cp" in violation.gainers
     assert oracle_verify_zre(bench, StrategyMatrix.zeros(2, 2))
+
+
+def test_oracle_verdicts_are_those_of_find_zre_violation(monkeypatch):
+    # The batch builds no Violation, yet its verdicts are exactly the ones
+    # find_zre_violation gives pair by pair: on bandwidth_high's 1,681
+    # battery pairs as oracle-equilibrium sends them, and on seeded random
+    # markets, every other one with a zero-price ISP.
+    scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
+    records = grid_sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
+    battery = []
+    monkeypatch.setattr(
+        verify, "oracle_verdicts", lambda pairs: battery.extend(pairs) or oracle.oracle_verdicts(pairs)
+    )
+    assert verify.check_oracle_equilibrium(scenario, records).passed
+    assert len(battery) == 1681
+    rng = np.random.default_rng(331)
+    seeded = []
+    for draw in range(40):
+        config = random_config(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        if draw % 2 == 0:
+            p = list(config.p)
+            p[rng.integers(config.n_isps)] = 0.0
+            config = config.with_prices(p)
+        seeded += [(config, random_theta(rng, config)) for _ in range(4)]
+    assert sum(0.0 in config.p for config, _ in seeded) >= 80
+    for pairs in (battery, seeded):
+        verdicts = oracle.oracle_verdicts(pairs)
+        assert verdicts == [find_zre_violation(c, t) is None for c, t in pairs]
+        assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize(
+    "alpha,bits,expected",
+    [
+        (0.5, "0100", Violation(0, 1, "cancel", ("cp",))),
+        (0.0, "0001", Violation(1, 1, "cancel", ("isp",))),
+        (0.1, "0101", Violation(0, 1, "cancel", ("cp", "isp"))),
+        (0.5, "0000", Violation(1, 0, "establish", ("cp", "isp"))),
+    ],
+)
+def test_violation_fields_of_each_move(bench, alpha, bits, expected):
+    # At top prices and a 0.4 discount, a cancel that the CP gains from
+    # alone, one the ISP gains from alone, one both gain from, and an
+    # establish.  The named sides are exactly those whose oracle totals
+    # rise by more than the margin when the cell flips.
+    config = replace(bench, alpha=alpha, delta=(0.4, 0.4))
+    theta = StrategyMatrix.from_bitstring(bits, 2, 2)
+    violation = find_zre_violation(config, theta)
+    assert type(violation) is Violation and violation == expected
+    i, j = violation.cp, violation.isp
+    assert theta.rows[i][j] == (violation.move == "cancel")
+    base_u, base_r = oracle._oracle_totals(config, theta)
+    flip_u, flip_r = oracle._oracle_totals(config, theta.flip(i, j))
+    tol = GAIN_TOL * config.total_users
+    gains = {"cp": flip_u[i] > base_u[i] + tol, "isp": flip_r[j] > base_r[j] + tol}
+    assert violation.gainers == tuple(side for side, gain in gains.items() if gain)
+    assert oracle.oracle_verdicts([(config, theta)]) == [False]
 
 
 def test_forced_cells_respected(bench):
