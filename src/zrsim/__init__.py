@@ -12,7 +12,6 @@ from .analysis import (
     aggregate_signs,
     compare_worlds,
     grid_sweep,
-    hhi,
     hhi_variance_identity,
 )
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -43,13 +42,9 @@ from .market import (
     MarketConfig,
     StrategyMatrix,
     allocate,
-    aux_members,
-    merge_providers,
 )
 from .oracle import (
-    ChoiceSet,
     Violation,
-    choice_probability,
     elastic_choice_set,
     find_zre_violation,
     oracle_allocate,
@@ -62,7 +57,6 @@ __all__ = [
     "AllocationTable",
     "BestResponseTrace",
     "CapacityError",
-    "ChoiceSet",
     "ConfigError",
     "ContractViolation",
     "DiscountOutcome",
@@ -82,9 +76,7 @@ __all__ = [
     "ZrsimError",
     "aggregate_signs",
     "allocate",
-    "aux_members",
     "best_response_dynamics",
-    "choice_probability",
     "compare_worlds",
     "detect_pressure",
     "discount_equilibrium",
@@ -93,11 +85,9 @@ __all__ = [
     "find_zre_violation",
     "forced_cells",
     "grid_sweep",
-    "hhi",
     "hhi_variance_identity",
     "is_zre",
     "load_scenario",
-    "merge_providers",
     "oracle_allocate",
     "oracle_verify_zre",
     "payoffs",

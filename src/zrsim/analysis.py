@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidArgument
 from .equilibrium import ZreResult, solve_grid
-from .market import MarketConfig, StrategyMatrix, allocate, allocations, cp_totals, profile_cells
+from .market import MarketConfig, allocations, cp_totals, profile_cells
 from .payoff import ProfileTable, _isp_sums, _scores
 
 SIGN_TOL = 1e-12
@@ -83,15 +83,6 @@ def _hhi(totals: np.ndarray) -> np.ndarray:
 def _shares(totals: np.ndarray) -> np.ndarray:
     """Market shares of each row of CP totals."""
     return totals / _grand(totals, "market shares need")[..., None]
-
-
-def hhi(config: MarketConfig, theta: StrategyMatrix) -> float:
-    """Herfindahl index of the actual-CP market under ``theta``.
-
-    Computed as sum(X_i^2) / (sum(X_i))^2 over the per-CP sums X of the
-    shares rho, so the result lies in (0, 1] whatever the market size.
-    """
-    return float(_hhi(cp_totals(config, allocate(config, theta).rho[None])[0]))
 
 
 def hhi_variance_identity(shares: Sequence[float]) -> tuple[float, float]:

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, InvalidArgument
+from .errors import ConfigError, InvalidArgument
 
 SHARE_TOL = 1e-12
 # Array entries computed per block.  A block of B profiles holds
@@ -164,11 +164,6 @@ def check_unit_interval(name: str, values: Iterable[float]) -> None:
             raise ConfigError(f"{name}[{k}] must lie in [0, 1], got {v}")
 
 
-def aux_members(mask: int) -> tuple[int, ...]:
-    """Actual CP indices bundled in auxiliary CP ``mask``."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 @dataclass(frozen=True)
 class StrategyMatrix:
     """Binary zero-rating profile over actual CP x actual ISP pairs.
@@ -199,10 +194,6 @@ class StrategyMatrix:
         return cls(tuple((0,) * n_isps for _ in range(n_cps)))
 
     @classmethod
-    def ones(cls, n_cps: int, n_isps: int) -> "StrategyMatrix":
-        return cls(tuple((1,) * n_isps for _ in range(n_cps)))
-
-    @classmethod
     def from_bitstring(cls, bits: str, n_cps: int, n_isps: int) -> "StrategyMatrix":
         if len(bits) != n_cps * n_isps or set(bits) - {"0", "1"}:
             raise InvalidArgument(f"bad bitstring {bits!r} for a {n_cps}x{n_isps} matrix")
@@ -216,18 +207,6 @@ class StrategyMatrix:
     @property
     def n_isps(self) -> int:
         return len(self.rows[0])
-
-    def flip(self, i: int, j: int) -> "StrategyMatrix":
-        row = list(self.rows[i])
-        row[j] = 1 - row[j]
-        rows = list(self.rows)
-        rows[i] = tuple(row)
-        return StrategyMatrix(tuple(rows))
-
-    def with_row(self, i: int, row: Sequence[int]) -> "StrategyMatrix":
-        rows = list(self.rows)
-        rows[i] = tuple(int(v) for v in row)
-        return StrategyMatrix(tuple(rows))
 
     def bitstring(self) -> str:
         """Row-major serialization, e.g. "0111" for a duopoly."""
@@ -375,98 +354,3 @@ def _check_dims(config: MarketConfig, theta: StrategyMatrix) -> None:
             f"config expects {config.n_cps}x{config.n_isps}"
         )
 
-
-def merge_providers(
-    config: MarketConfig,
-    theta: StrategyMatrix,
-    cp_subset: Iterable[int] | None = None,
-    isp_subset: Iterable[int] | None = None,
-) -> tuple[MarketConfig, StrategyMatrix]:
-    """Merge same-profile providers into one, preserving all allocations.
-
-    Exactly one of ``cp_subset`` / ``isp_subset`` selects the actual
-    providers (0-based) to merge.  All selected providers must share an
-    identical zero-rating profile (equal rows for CPs, equal columns for
-    ISPs); baseline shares add up, and per-bandwidth parameters are taken
-    from the lowest-indexed member.  Untouched pair allocations are
-    unchanged and the merged pair's allocation equals the sum of its
-    constituents'.
-    """
-    _check_dims(config, theta)
-    if (cp_subset is None) == (isp_subset is None):
-        raise InvalidArgument("exactly one of cp_subset / isp_subset must be given")
-    if cp_subset is not None:
-        return _merge_cps(config, theta, sorted(set(cp_subset)))
-    return _merge_isps(config, theta, sorted(set(isp_subset)))
-
-
-def _merge_cps(
-    config: MarketConfig, theta: StrategyMatrix, subset: list[int]
-) -> tuple[MarketConfig, StrategyMatrix]:
-    if not subset:
-        raise InvalidArgument("cp_subset must be nonempty")
-    if subset[0] < 0 or subset[-1] >= config.n_cps:
-        raise InvalidArgument(f"cp_subset {subset} out of range")
-    rows = {theta.rows[i] for i in subset}
-    if len(rows) > 1:
-        raise ContractViolation("merged CPs must share identical zero-rating rows")
-    if len(subset) == 1:
-        return config, theta
-
-    keep = subset[0]
-    dropped = set(subset[1:])
-    kept = [i for i in range(config.n_cps) if i not in dropped]
-    old_to_new = {i: k for k, i in enumerate(kept)}
-    n_new = len(kept)
-
-    def project(mask: int) -> int:
-        out = 0
-        touches_merged = False
-        for i in aux_members(mask):
-            if i in dropped or i == keep:
-                touches_merged = True
-            else:
-                out |= 1 << old_to_new[i]
-        if touches_merged:
-            out |= 1 << old_to_new[keep]
-        return out
-
-    phi_new = [0.0] * (1 << n_new)
-    for s, share in enumerate(config.phi):
-        phi_new[project(s)] += share
-
-    q_new = tuple(config.q[i] for i in kept)
-    theta_new = StrategyMatrix(tuple(theta.rows[i] for i in kept))
-    config_new = replace(config, n_cps=n_new, q=q_new, phi=tuple(phi_new))
-    return config_new, theta_new
-
-
-def _merge_isps(
-    config: MarketConfig, theta: StrategyMatrix, subset: list[int]
-) -> tuple[MarketConfig, StrategyMatrix]:
-    if not subset:
-        raise InvalidArgument("isp_subset must be nonempty")
-    if subset[0] < 0 or subset[-1] >= config.n_isps:
-        raise InvalidArgument(f"isp_subset {subset} out of range")
-    columns = {tuple(theta.rows[i][j] for i in range(config.n_cps)) for j in subset}
-    if len(columns) > 1:
-        raise ContractViolation("merged ISPs must share identical zero-rating columns")
-    if len(subset) == 1:
-        return config, theta
-
-    keep = subset[0]
-    dropped = set(subset[1:])
-    kept_isps = [j for j in range(config.n_isps) if j not in dropped]
-    psi_new = [config.psi[0]]
-    for j in kept_isps:
-        share = config.psi[j + 1]
-        if j == keep:
-            share += sum(config.psi[d + 1] for d in dropped)
-        psi_new.append(share)
-    p_new = tuple(config.p[j] for j in kept_isps)
-    delta_new = tuple(config.delta[j] for j in kept_isps)
-    theta_new = StrategyMatrix(tuple(tuple(row[j] for j in kept_isps) for row in theta.rows))
-    config_new = replace(
-        config, n_isps=len(kept_isps), p=p_new, delta=delta_new, psi=tuple(psi_new)
-    )
-    return config_new, theta_new

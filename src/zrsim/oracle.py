@@ -27,13 +27,12 @@ data types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .equilibrium import GAIN_TOL
-from .errors import DomainError, InvalidArgument
+from .errors import InvalidArgument
 from .market import AllocationTable, MarketConfig, StrategyMatrix
 
 Rows = tuple[tuple[int, ...], ...]
@@ -45,39 +44,6 @@ Cells = tuple[tuple[int, ...], list[tuple[int, int, int]]]
 Totals = Callable[[int], tuple[list[float], list[float]]]
 # A breaking cell: (CP, ISP, whether the profile holds it, CP gains, ISP gains).
 Breach = tuple[int, int, bool, bool, bool]
-
-
-@dataclass(frozen=True)
-class ChoiceSet:
-    """Explicit set of (aux mask, isp index) pairs available to a user class."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        if not self.pairs:
-            raise DomainError("choice set must be nonempty")
-
-
-def choice_probability(
-    choice_set: Iterable[tuple[int, int]],
-    aux_mask: int,
-    isp: int,
-    config: MarketConfig,
-) -> float:
-    """Probability that a user restricted to ``choice_set`` picks a pair.
-
-    ``choice_set`` holds (aux mask, isp index) pairs over the extended
-    provider sets; probabilities are proportional to phi * psi and sum to
-    one over the set.  Pairs outside the set have probability zero.
-    """
-    pairs = set(choice_set)
-    if not pairs:
-        raise DomainError("choice set must be nonempty")
-    if not 0 <= aux_mask < config.lattice_size:
-        raise InvalidArgument(f"aux mask {aux_mask} out of range")
-    if not 0 <= isp <= config.n_isps:
-        raise InvalidArgument(f"isp index {isp} out of range")
-    return _distribution(pairs, config).get((aux_mask, isp), 0.0)
 
 
 def _distribution(
@@ -100,16 +66,15 @@ def _bundle_zero_rated(theta: StrategyMatrix, mask: int, isp: int) -> bool:
     return True
 
 
-def sticky_choice_set(config: MarketConfig) -> ChoiceSet:
-    """The full extended choice set, dummies included."""
-    return ChoiceSet(
-        frozenset(
-            (s, j) for s in range(config.lattice_size) for j in range(config.n_isps + 1)
-        )
+def sticky_choice_set(config: MarketConfig) -> frozenset[tuple[int, int]]:
+    """The full extended choice set of (aux mask, ISP index) pairs, dummies
+    included."""
+    return frozenset(
+        (s, j) for s in range(config.lattice_size) for j in range(config.n_isps + 1)
     )
 
 
-def elastic_choice_set(config: MarketConfig, theta: StrategyMatrix) -> ChoiceSet:
+def elastic_choice_set(config: MarketConfig, theta: StrategyMatrix) -> frozenset[tuple[int, int]]:
     """Zero-rated pairs when any exist, otherwise the full choice set."""
     zero_rated = frozenset(
         (s, j)
@@ -117,9 +82,7 @@ def elastic_choice_set(config: MarketConfig, theta: StrategyMatrix) -> ChoiceSet
         for j in range(config.n_isps + 1)
         if _bundle_zero_rated(theta, s, j)
     )
-    if zero_rated:
-        return ChoiceSet(zero_rated)
-    return sticky_choice_set(config)
+    return zero_rated or sticky_choice_set(config)
 
 
 def oracle_allocate(config: MarketConfig, theta: StrategyMatrix) -> AllocationTable:
@@ -127,13 +90,13 @@ def oracle_allocate(config: MarketConfig, theta: StrategyMatrix) -> AllocationTa
 
     Sticky users draw from the full choice set and elastic users from the
     zero-rated one; each class is distributed pair by pair, with the
-    probabilities of :func:`choice_probability`, and the classes are mixed
-    with weights (1 - alpha, alpha).
+    probabilities of :func:`_distribution`, and the classes are mixed with
+    weights (1 - alpha, alpha).
     """
     if theta.n_cps != config.n_cps or theta.n_isps != config.n_isps:
         raise InvalidArgument("strategy matrix does not match the config dimensions")
-    sticky = _distribution(set(sticky_choice_set(config).pairs), config)
-    elastic = _distribution(set(elastic_choice_set(config, theta).pairs), config)
+    sticky = _distribution(set(sticky_choice_set(config)), config)
+    elastic = _distribution(set(elastic_choice_set(config, theta)), config)
     rho = np.zeros((config.lattice_size, config.n_isps + 1))
     for s in range(config.lattice_size):
         for j in range(config.n_isps + 1):

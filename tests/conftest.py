@@ -1,9 +1,14 @@
-"""Shared fixtures and random market generators."""
+"""Shared fixtures, random market generators and reference helpers."""
+
+from dataclasses import replace
+from typing import Iterable
 
 import numpy as np
 import pytest
 
-from zrsim import MarketConfig, StrategyMatrix
+from zrsim import ContractViolation, InvalidArgument, MarketConfig, StrategyMatrix, allocate
+from zrsim.analysis import _hhi
+from zrsim.market import _check_dims, cp_totals
 
 GRID11 = tuple(k / 10 for k in range(11))
 
@@ -45,6 +50,122 @@ def random_theta(rng: np.random.Generator, config: MarketConfig) -> StrategyMatr
         if config.p[j] == 0.0:
             rows[:, j] = 1
     return StrategyMatrix(tuple(tuple(int(v) for v in row) for row in rows))
+
+
+def flip(theta: StrategyMatrix, i: int, j: int) -> StrategyMatrix:
+    """``theta`` with cell (CP ``i``, ISP ``j``) flipped."""
+    rows = [list(row) for row in theta.rows]
+    rows[i][j] = 1 - rows[i][j]
+    return StrategyMatrix(tuple(map(tuple, rows)))
+
+
+def hhi(config: MarketConfig, theta: StrategyMatrix) -> float:
+    """Herfindahl index of the actual-CP market under ``theta``, one profile
+    at a time: sum(X_i^2) / (sum(X_i))^2 over the per-CP sums X of the
+    shares rho, so it lies in (0, 1] whatever the market size."""
+    return float(_hhi(cp_totals(config, allocate(config, theta).rho[None])[0]))
+
+
+def aux_members(mask: int) -> tuple[int, ...]:
+    """Actual CP indices bundled in auxiliary CP ``mask``."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def merge_providers(
+    config: MarketConfig,
+    theta: StrategyMatrix,
+    cp_subset: Iterable[int] | None = None,
+    isp_subset: Iterable[int] | None = None,
+) -> tuple[MarketConfig, StrategyMatrix]:
+    """Merge same-profile providers into one, which must preserve every
+    allocation.
+
+    Exactly one of ``cp_subset`` / ``isp_subset`` selects the actual
+    providers (0-based) to merge.  All selected providers must share an
+    identical zero-rating profile (equal rows for CPs, equal columns for
+    ISPs); baseline shares add up, and per-bandwidth parameters are taken
+    from the lowest-indexed member.  Untouched pair allocations should be
+    unchanged and the merged pair's allocation the sum of its
+    constituents'.
+    """
+    _check_dims(config, theta)
+    if (cp_subset is None) == (isp_subset is None):
+        raise InvalidArgument("exactly one of cp_subset / isp_subset must be given")
+    if cp_subset is not None:
+        return _merge_cps(config, theta, sorted(set(cp_subset)))
+    return _merge_isps(config, theta, sorted(set(isp_subset)))
+
+
+def _merge_cps(
+    config: MarketConfig, theta: StrategyMatrix, subset: list[int]
+) -> tuple[MarketConfig, StrategyMatrix]:
+    if not subset:
+        raise InvalidArgument("cp_subset must be nonempty")
+    if subset[0] < 0 or subset[-1] >= config.n_cps:
+        raise InvalidArgument(f"cp_subset {subset} out of range")
+    rows = {theta.rows[i] for i in subset}
+    if len(rows) > 1:
+        raise ContractViolation("merged CPs must share identical zero-rating rows")
+    if len(subset) == 1:
+        return config, theta
+
+    keep = subset[0]
+    dropped = set(subset[1:])
+    kept = [i for i in range(config.n_cps) if i not in dropped]
+    old_to_new = {i: k for k, i in enumerate(kept)}
+    n_new = len(kept)
+
+    def project(mask: int) -> int:
+        out = 0
+        touches_merged = False
+        for i in aux_members(mask):
+            if i in dropped or i == keep:
+                touches_merged = True
+            else:
+                out |= 1 << old_to_new[i]
+        if touches_merged:
+            out |= 1 << old_to_new[keep]
+        return out
+
+    phi_new = [0.0] * (1 << n_new)
+    for s, share in enumerate(config.phi):
+        phi_new[project(s)] += share
+
+    q_new = tuple(config.q[i] for i in kept)
+    theta_new = StrategyMatrix(tuple(theta.rows[i] for i in kept))
+    config_new = replace(config, n_cps=n_new, q=q_new, phi=tuple(phi_new))
+    return config_new, theta_new
+
+
+def _merge_isps(
+    config: MarketConfig, theta: StrategyMatrix, subset: list[int]
+) -> tuple[MarketConfig, StrategyMatrix]:
+    if not subset:
+        raise InvalidArgument("isp_subset must be nonempty")
+    if subset[0] < 0 or subset[-1] >= config.n_isps:
+        raise InvalidArgument(f"isp_subset {subset} out of range")
+    columns = {tuple(theta.rows[i][j] for i in range(config.n_cps)) for j in subset}
+    if len(columns) > 1:
+        raise ContractViolation("merged ISPs must share identical zero-rating columns")
+    if len(subset) == 1:
+        return config, theta
+
+    keep = subset[0]
+    dropped = set(subset[1:])
+    kept_isps = [j for j in range(config.n_isps) if j not in dropped]
+    psi_new = [config.psi[0]]
+    for j in kept_isps:
+        share = config.psi[j + 1]
+        if j == keep:
+            share += sum(config.psi[d + 1] for d in dropped)
+        psi_new.append(share)
+    p_new = tuple(config.p[j] for j in kept_isps)
+    delta_new = tuple(config.delta[j] for j in kept_isps)
+    theta_new = StrategyMatrix(tuple(tuple(row[j] for j in kept_isps) for row in theta.rows))
+    config_new = replace(
+        config, n_isps=len(kept_isps), p=p_new, delta=delta_new, psi=tuple(psi_new)
+    )
+    return config_new, theta_new
 
 
 @pytest.fixture

@@ -36,10 +36,8 @@ from zrsim import (
     allocate,
     enumerate_zre,
     grid_sweep,
-    hhi,
     hhi_variance_identity,
     is_zre,
-    merge_providers,
     oracle_allocate,
     oracle_verify_zre,
     payoffs,
@@ -48,7 +46,7 @@ from zrsim import (
 from zrsim.equilibrium import DEFAULT_DELTA_GRID, GAIN_TOL
 from zrsim.oracle import _oracle_totals, oracle_verdicts
 
-from conftest import GRID11, random_config, random_theta
+from conftest import GRID11, hhi, merge_providers, random_config, random_theta
 
 BENCH = MarketConfig(
     n_cps=2,
@@ -407,7 +405,7 @@ def test_c7_herfindahl_identities_randomized():
         a, b = hhi_variance_identity(shares)
         worst_identity = max(worst_identity, abs(a - b))
         zeros = StrategyMatrix.zeros(config.n_cps, config.n_isps)
-        ones = StrategyMatrix.ones(config.n_cps, config.n_isps)
+        ones = StrategyMatrix(((1,) * config.n_isps,) * config.n_cps)
         worst_equality = max(worst_equality, abs(hhi(config, zeros) - hhi(config, ones)))
     assert worst_identity < 1e-12
     assert worst_equality < 1e-12
@@ -462,8 +460,10 @@ def test_c9_merge_additivity_randomized():
             config = random_config(rng, n_cps=3, n_isps=2)
             theta = random_theta(rng, config)
             subset = sorted(rng.choice(3, size=2, replace=False).tolist())
-            for i in subset[1:]:
-                theta = theta.with_row(i, theta.rows[subset[0]])
+            rows = theta.rows
+            theta = StrategyMatrix(
+                tuple(rows[subset[0]] if i in subset else row for i, row in enumerate(rows))
+            )
             merged_config, merged_theta = merge_providers(
                 config, theta, cp_subset=subset
             )

@@ -16,14 +16,13 @@ from zrsim import (
     analysis,
     compare_worlds,
     grid_sweep,
-    hhi,
     hhi_variance_identity,
     market,
     verify,
 )
 from zrsim.equilibrium import DEFAULT_DELTA_GRID
 
-from conftest import GRID11, random_config
+from conftest import GRID11, hhi, random_config
 
 
 class TestHhi:
@@ -32,7 +31,7 @@ class TestHhi:
 
     def test_all_relations_equal_no_relations(self, bench):
         zeros = hhi(bench, StrategyMatrix.zeros(2, 2))
-        ones = hhi(bench, StrategyMatrix.ones(2, 2))
+        ones = hhi(bench, StrategyMatrix.from_bitstring("1111", 2, 2))
         assert ones == pytest.approx(zeros, abs=1e-12)
 
     def test_near_monopoly_approaches_one(self):
@@ -48,12 +47,12 @@ class TestHhi:
         for _ in range(60):
             config = random_config(rng)
             zeros = StrategyMatrix.zeros(config.n_cps, config.n_isps)
-            ones = StrategyMatrix.ones(config.n_cps, config.n_isps)
+            ones = StrategyMatrix(((1,) * config.n_isps,) * config.n_cps)
             assert hhi(config, zeros) == pytest.approx(hhi(config, ones), abs=1e-12)
 
-    def test_stack_equals_row_by_row(self, bench):
+    def test_stack_equals_row_by_row(self):
         # One array pass over a stack of CP-total rows gives each row's
-        # one-row result bit for bit; hhi() still returns a float.
+        # one-row result bit for bit.
         rng = np.random.default_rng(53)
         for width in range(1, 10):
             stack = rng.uniform(0.0, 2.0, size=(30, width))
@@ -62,7 +61,6 @@ class TestHhi:
             for row, h, share in zip(stack, hhis, shares):
                 assert analysis._hhi(row).tobytes() == h.tobytes()
                 assert analysis._shares(row).tobytes() == share.tobytes()
-        assert type(hhi(bench, StrategyMatrix.zeros(2, 2))) is float
         # Any row without users refuses the whole stack.
         stack[7] = 0.0
         with pytest.raises(DomainError):

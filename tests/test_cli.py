@@ -746,7 +746,7 @@ def test_verify_catches_a_planted_disagreement():
     # second, neither of them, so a check of equilibria plus that sample
     # passes both.
     for prices, theta in [
-        ((0.0, 0.1), StrategyMatrix.ones(2, 2)),
+        ((0.0, 0.1), StrategyMatrix.from_bitstring("1111", 2, 2)),
         ((0.1, 0.4), StrategyMatrix(((1, 0), (1, 0)))),
     ]:
         dropped = planted(prices, drop(theta))

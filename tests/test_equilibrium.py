@@ -31,7 +31,7 @@ from zrsim import (
 )
 from zrsim import equilibrium
 
-from conftest import GRID11, random_config
+from conftest import GRID11, flip, random_config
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
@@ -87,7 +87,7 @@ class TestIsZre:
 
     def test_all_relations_stable_when_all_forced(self, bench):
         config = bench.with_prices((0.0, 0.0))
-        assert is_zre(config, StrategyMatrix.ones(2, 2))
+        assert is_zre(config, StrategyMatrix.from_bitstring("1111", 2, 2))
 
     def test_forced_cell_violation_rejected(self, bench):
         config = bench.with_prices((0.0, 1.0))
@@ -96,7 +96,7 @@ class TestIsZre:
 
     def test_wrong_dims_rejected(self, bench):
         with pytest.raises(InvalidArgument):
-            is_zre(bench, StrategyMatrix.ones(2, 3))
+            is_zre(bench, StrategyMatrix.from_bitstring("111111", 2, 3))
 
     def test_matches_exhaustive_payoff_comparison(self, bench):
         # Re-derive the verdict for all 16 profiles from raw payoffs: a
@@ -109,7 +109,7 @@ class TestIsZre:
             expected = True
             for i in range(2):
                 for j in range(2):
-                    fv = payoffs(config, theta.flip(i, j))
+                    fv = payoffs(config, flip(theta, i, j))
                     cp_gain = fv.cp_utility[i] > pv.cp_utility[i] + 1e-9
                     isp_gain = fv.isp_revenue[j] > pv.isp_revenue[j] + 1e-9
                     if theta.rows[i][j] and (cp_gain or isp_gain):
@@ -204,7 +204,7 @@ class TestEnumerateZre:
 class TestSelectZre:
     def test_more_relations_win(self, bench):
         zeros = StrategyMatrix.zeros(2, 2)
-        ones = StrategyMatrix.ones(2, 2)
+        ones = StrategyMatrix.from_bitstring("1111", 2, 2)
         assert select_zre([zeros, ones], bench) == ones
 
     def test_tie_prefers_high_value_cp_then_last_isp(self, bench):
@@ -225,7 +225,9 @@ class TestSelectZre:
     def test_wrong_size_rejected(self, bench):
         config = bench.with_prices((0.3, 0.7))
         with pytest.raises(InvalidArgument, match="2x3"):
-            select_zre([StrategyMatrix.zeros(2, 3), StrategyMatrix.ones(2, 3)], config)
+            select_zre(
+                [StrategyMatrix.zeros(2, 3), StrategyMatrix.from_bitstring("111111", 2, 3)], config
+            )
 
     def test_final_tie_break_is_lowest_encoding(self, bench):
         # Equal-value CPs make the value key a tie; "1001" and "0110" also
@@ -271,7 +273,7 @@ class TestDetectPressure:
     def test_wrong_size_rejected(self, bench, prices, n, m):
         # Checked before the forced cells, which a 1x1 matrix cannot index.
         with pytest.raises(InvalidArgument, match=f"{n}x{m}"):
-            detect_pressure(bench.with_prices(prices), StrategyMatrix.ones(n, m))
+            detect_pressure(bench.with_prices(prices), StrategyMatrix(((1,) * m,) * n))
 
     def test_voluntary_relations_are_not_pressure(self, bench):
         # CP 2 alone in the market chooses the same relation: no pressure.
@@ -291,7 +293,7 @@ class TestBestResponseDynamics:
 
     def test_converges_into_equilibrium_set(self, bench):
         config = bench.with_prices((1.0, 1.0))
-        trace = best_response_dynamics(config, StrategyMatrix.ones(2, 2))
+        trace = best_response_dynamics(config, StrategyMatrix.from_bitstring("1111", 2, 2))
         assert trace.outcome is DynamicsOutcome.FIXED_POINT
         assert trace.visited[-1] in enumerate_zre(config).all_zre
 
@@ -535,9 +537,9 @@ class TestProfileCodeLimit:
     def test_limit_is_63_cells(self, call):
         big = random_config(np.random.default_rng(1), 8, 8, allow_zero_price=False)
         with pytest.raises(InvalidArgument, match="63"):
-            call(big, StrategyMatrix.ones(8, 8))
+            call(big, StrategyMatrix(((1,) * 8,) * 8))
         wide = random_config(np.random.default_rng(1), 7, 9, allow_zero_price=False)
-        call(wide, StrategyMatrix.ones(7, 9))
+        call(wide, StrategyMatrix(((1,) * 9,) * 7))
 
 
 class TestGridInvariants:

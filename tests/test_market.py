@@ -12,22 +12,18 @@ from hypothesis import strategies as st
 from zrsim import (
     ConfigError,
     ContractViolation,
-    DomainError,
     InvalidArgument,
     MarketConfig,
     StrategyMatrix,
     allocate,
-    choice_probability,
-    merge_providers,
     oracle_allocate,
 )
 from zrsim import load_scenario, market
 from zrsim.analysis import grid_sweep
-from zrsim.market import (
-    _bundles_zero_rated, _members, _rho, allocations, aux_members, profile_cells
-)
+from zrsim.market import _bundles_zero_rated, _members, _rho, allocations, profile_cells
+from zrsim.oracle import _distribution
 
-from conftest import random_config, random_theta
+from conftest import aux_members, flip, merge_providers, random_config, random_theta
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
@@ -133,9 +129,9 @@ class TestStrategyMatrix:
         assert theta.encoding() == 7
 
     def test_flip_is_local(self):
-        theta = StrategyMatrix.zeros(2, 2).flip(1, 0)
+        theta = flip(StrategyMatrix.zeros(2, 2), 1, 0)
         assert theta.rows == ((0, 0), (1, 0))
-        assert theta.flip(1, 0) == StrategyMatrix.zeros(2, 2)
+        assert flip(theta, 1, 0) == StrategyMatrix.zeros(2, 2)
 
     def test_rejects_non_binary(self):
         with pytest.raises(InvalidArgument):
@@ -156,7 +152,7 @@ class TestExtendTheta:
         assert ext[3, 2] == 0
 
     def test_dummies_never_zero_rated(self):
-        ext = self._extended(StrategyMatrix.ones(2, 2))
+        ext = self._extended(StrategyMatrix.from_bitstring("1111", 2, 2))
         assert ext[0, 1] == 0
         assert ext[3, 0] == 0
 
@@ -168,30 +164,30 @@ class TestExtendTheta:
 
 
 class TestChoiceProbability:
+    # The oracle's per-class distribution over a choice set of (aux mask,
+    # ISP index) pairs.
     def test_full_set_gives_baseline_product(self, bench):
         full = {(s, j) for s in range(4) for j in range(3)}
-        p = choice_probability(full, 1, 1, bench)
+        p = _distribution(full, bench)[1, 1]
         assert p == pytest.approx(bench.phi[1] * bench.psi[1], abs=1e-15)
 
     def test_singleton_normalizes_to_one(self, bench):
-        assert choice_probability({(2, 1)}, 2, 1, bench) == pytest.approx(1.0)
+        assert _distribution({(2, 1)}, bench)[2, 1] == pytest.approx(1.0)
 
     def test_symmetric_pair_splits_evenly(self, bench):
         pairs = {(1, 1), (2, 1)}
-        assert choice_probability(pairs, 2, 1, bench) == pytest.approx(0.5)
+        assert _distribution(pairs, bench)[2, 1] == pytest.approx(0.5)
 
     def test_outside_set_is_zero(self, bench):
-        assert choice_probability({(1, 1)}, 2, 1, bench) == 0.0
-
-    def test_empty_set_rejected(self, bench):
-        with pytest.raises(DomainError):
-            choice_probability(set(), 1, 1, bench)
+        # Only the set's own pairs get a probability; oracle_allocate reads
+        # every other pair as 0.
+        assert _distribution({(1, 1)}, bench).keys() == {(1, 1)}
 
     def test_iia_ratio_invariance(self, bench):
-        small = {(1, 1), (2, 1)}
-        large = small | {(3, 2), (0, 0), (1, 2)}
-        r_small = choice_probability(small, 1, 1, bench) / choice_probability(small, 2, 1, bench)
-        r_large = choice_probability(large, 1, 1, bench) / choice_probability(large, 2, 1, bench)
+        small = _distribution({(1, 1), (2, 1)}, bench)
+        large = _distribution({(1, 1), (2, 1), (3, 2), (0, 0), (1, 2)}, bench)
+        r_small = small[1, 1] / small[2, 1]
+        r_large = large[1, 1] / large[2, 1]
         assert r_small == pytest.approx(r_large, rel=1e-12)
 
 
@@ -205,7 +201,7 @@ class TestAllocate:
     def test_single_relation_concentrates_elastic_users(self, bench):
         # Only the high-value CP zero-rates with ISP 1: the whole elastic
         # mass lands on that pair, on top of its sticky baseline.
-        theta = StrategyMatrix.zeros(2, 2).flip(1, 0)
+        theta = flip(StrategyMatrix.zeros(2, 2), 1, 0)
         table = allocate(bench, theta)
         assert table.rho[2, 1] == pytest.approx(0.58, abs=1e-12)
         assert table.x_effective[1, 0] == pytest.approx(0.60, abs=1e-12)
@@ -214,7 +210,7 @@ class TestAllocate:
         assert abs(oracle.rho - table.rho).max() < 1e-12
 
     def test_all_relations_scale_by_common_factor(self, bench):
-        table = allocate(bench, StrategyMatrix.ones(2, 2))
+        table = allocate(bench, StrategyMatrix.from_bitstring("1111", 2, 2))
         baseline = np.outer(bench.phi, bench.psi)
         ratio = table.rho[1:, 1:] / baseline[1:, 1:]
         assert ratio.max() - ratio.min() < 1e-12
@@ -246,9 +242,9 @@ class TestAllocate:
             i = int(rng.integers(config.n_cps))
             j = int(rng.integers(config.n_isps))
             if theta.rows[i][j] == 1:
-                theta = theta.flip(i, j)
+                theta = flip(theta, i, j)
             before = allocate(config, theta).x_effective[i, j]
-            after = allocate(config, theta.flip(i, j)).x_effective[i, j]
+            after = allocate(config, flip(theta, i, j)).x_effective[i, j]
             assert after > before
 
     @given(
@@ -347,8 +343,10 @@ class TestMergeProviders:
                 rng.choice(3, size=int(rng.integers(2, 4)), replace=False).tolist()
             )
             theta = random_theta(rng, config)
-            for i in subset[1:]:
-                theta = theta.with_row(i, theta.rows[subset[0]])
+            rows = theta.rows
+            theta = StrategyMatrix(
+                tuple(rows[subset[0]] if i in subset else row for i, row in enumerate(rows))
+            )
             merged_config, merged_theta = merge_providers(config, theta, cp_subset=subset)
             old = allocate(config, theta)
             new = allocate(merged_config, merged_theta)

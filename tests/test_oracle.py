@@ -9,11 +9,9 @@ import numpy as np
 import pytest
 
 from zrsim import (
-    DomainError,
     InvalidArgument,
     StrategyMatrix,
     allocate,
-    choice_probability,
     elastic_choice_set,
     enumerate_zre,
     find_zre_violation,
@@ -25,31 +23,26 @@ from zrsim import (
 from zrsim import load_scenario, oracle, verify
 from zrsim.analysis import grid_sweep
 from zrsim.equilibrium import GAIN_TOL
-from zrsim.oracle import ChoiceSet, Violation
+from zrsim.oracle import Violation
 
-from conftest import random_config, random_theta
+from conftest import flip, random_config, random_theta
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
 
 def test_sticky_set_is_full_lattice(bench):
-    pairs = sticky_choice_set(bench).pairs
+    pairs = sticky_choice_set(bench)
     assert len(pairs) == 4 * 3
     assert (0, 0) in pairs
 
 
 def test_elastic_set_tracks_relations(bench):
     theta = StrategyMatrix(((0, 0), (1, 0)))
-    pairs = elastic_choice_set(bench, theta).pairs
+    pairs = elastic_choice_set(bench, theta)
     # Only the high-value CP's bundle on ISP 1 is zero-rated; the joint
     # bundle is not, because the other CP has no relation there.
     assert pairs == {(2, 1)}
-    assert elastic_choice_set(bench, StrategyMatrix.zeros(2, 2)).pairs == sticky_choice_set(bench).pairs
-
-
-def test_empty_choice_set_rejected():
-    with pytest.raises(DomainError):
-        ChoiceSet(frozenset())
+    assert elastic_choice_set(bench, StrategyMatrix.zeros(2, 2)) == sticky_choice_set(bench)
 
 
 def test_oracle_matches_baseline(bench):
@@ -75,14 +68,13 @@ def test_allocation_mixes_the_two_choice_probabilities():
         for _ in range(5):
             config = random_config(rng, n_cps, int(rng.integers(1, 4)))
             theta = random_theta(rng, config)
-            sticky = sticky_choice_set(config).pairs
-            elastic = elastic_choice_set(config, theta).pairs
+            sticky = oracle._distribution(set(sticky_choice_set(config)), config)
+            elastic = oracle._distribution(set(elastic_choice_set(config, theta)), config)
             rho = oracle_allocate(config, theta).rho
             for s in range(config.lattice_size):
                 for j in range(config.n_isps + 1):
-                    expected = (1.0 - config.alpha) * choice_probability(
-                        sticky, s, j, config
-                    ) + config.alpha * choice_probability(elastic, s, j, config)
+                    p_sticky, p_elastic = sticky.get((s, j), 0.0), elastic.get((s, j), 0.0)
+                    expected = (1.0 - config.alpha) * p_sticky + config.alpha * p_elastic
                     assert rho[s, j] == expected, (n_cps, s, j)
 
 
@@ -277,7 +269,7 @@ def test_violation_fields_of_each_move(bench, alpha, bits, expected):
     i, j = violation.cp, violation.isp
     assert theta.rows[i][j] == (violation.move == "cancel")
     base_u, base_r = oracle._oracle_totals(config, theta)
-    flip_u, flip_r = oracle._oracle_totals(config, theta.flip(i, j))
+    flip_u, flip_r = oracle._oracle_totals(config, flip(theta, i, j))
     tol = GAIN_TOL * config.total_users
     gains = {"cp": flip_u[i] > base_u[i] + tol, "isp": flip_r[j] > base_r[j] + tol}
     assert violation.gainers == tuple(side for side, gain in gains.items() if gain)
@@ -294,4 +286,4 @@ def test_forced_cells_respected(bench):
 
 def test_fully_forced_market_is_trivially_stable(bench):
     config = bench.with_prices((0.0, 0.0))
-    assert oracle_verify_zre(config, StrategyMatrix.ones(2, 2))
+    assert oracle_verify_zre(config, StrategyMatrix.from_bitstring("1111", 2, 2))

@@ -1,17 +1,21 @@
-"""Relabelling invariants of the grid engine.
+"""Relabelling and scaling invariants of the grid engine.
 
 The model names no provider, so renaming the ISPs (with their prices,
 discounts, baseline shares and price axes) or the CPs (with their values
 and the bundle masks of phi) must map every cell's equilibrium set onto
 the renamed cell.  Only sets are compared: ``select_zre``'s "last ISP"
-tie-break reads the labels by design.
+tie-break reads the labels by design, and the cells where that decides
+the outcome are pinned below.  Scaling ``total_users`` scales every
+payoff and the gain margin alike, so it must change no verdict.
 """
 
 import itertools
 from dataclasses import replace
 from pathlib import Path
 
-from zrsim import MarketConfig, load_scenario
+import pytest
+
+from zrsim import MarketConfig, grid_sweep, load_scenario
 from zrsim.equilibrium import solve_grid
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
@@ -65,3 +69,58 @@ def test_fixed_delta_equilibrium_sets_map_under_relabelling():
                     )
                     compared += 1
     assert compared == 4356
+
+
+def test_total_users_scaling_changes_no_verdict():
+    # Every shipped scenario, each in its own mode, at four market sizes:
+    # the verdicts and the share and Herfindahl deltas read no payoff scale.
+    # At 1e-6 an unscaled gain margin changes cells in most scenarios.
+    compared = 0
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario = load_scenario(path)
+        config, grid, deltas = scenario.config, scenario.price_grid, scenario.delta_grid
+        unscaled = grid_sweep(config, grid, deltas)
+        for factor in (1e-6, 1e-3, 7.0, 1e6):
+            scaled = replace(config, total_users=config.total_users * factor)
+            for base, record in zip(unscaled, grid_sweep(scaled, grid, deltas), strict=True):
+                fields = (record.discounts, record.zre, record.delta_share, record.delta_hhi)
+                assert fields == (base.discounts, base.zre, base.delta_share, base.delta_hhi), (
+                    path.name, factor, base.prices,
+                )
+                compared += 1
+    assert compared == 10 * 4 * 121
+
+
+@pytest.mark.parametrize(
+    "cell, mirror",
+    [
+        # The ISPs of discount_game.json are symmetric.  In cell (0.3, 0.5)
+        # at delta (1.0, 0.6) the equilibria 0111 and 1011 tie on the first
+        # two keys, and "relations of the last ISP" picks 0111 under both
+        # labellings.
+        ((0.3, 0.5), ((1.0, 1.0), "0111")),
+        ((0.3, 0.6), ((0.9, 1.0), "0111")),
+    ],
+)
+def test_tie_break_decides_discount_equilibrium_by_label(cell, mirror):
+    # A cell is NODEQ while its mirror image selects a discount profile.
+    scenario = load_scenario(SCENARIOS / "discount_game.json")
+    solved = {
+        prices: (discounts, zre.selected)
+        for prices, discounts, zre in solve_grid(scenario.config, [cell, cell], scenario.delta_grid)
+    }
+    assert solved[cell] == (None, None)
+    discounts, selected = solved[cell[::-1]]
+    assert (discounts, selected.bitstring()) == mirror
+
+
+def test_tie_break_selects_the_same_profile_in_mirror_cells():
+    # bandwidth_high.json: (0.5, 0.6) and (0.6, 0.5) both have the
+    # equilibria {0001, 0010}; the last ISP's relation wins in both, whichever
+    # ISP is the pricier.
+    scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
+    grid = [(0.5, 0.6), (0.5, 0.6)]
+    solved = {prices: zre for prices, _, zre in solve_grid(scenario.config, grid)}
+    for cell in ((0.5, 0.6), (0.6, 0.5)):
+        assert {theta.bitstring() for theta in solved[cell].all_zre} == {"0001", "0010"}
+        assert solved[cell].selected.bitstring() == "0001"

@@ -2,10 +2,10 @@
 
 The reference solves each cell on its own from ``_profiles``,
 ``code_scores`` and ``_stable``, selects with ``select_zre``, flags with
-``detect_pressure`` and records both worlds with ``payoffs`` and ``hhi``:
-none of it runs through :func:`zrsim.equilibrium.solve_grid`.  Price axes
-hold 0.0, so every set of zero-price ISPs (every group of the driver)
-occurs.  ``detect_pressure`` reads its scores as the driver does, so the
+``detect_pressure`` and records both worlds with ``payoffs`` and the
+one-profile ``hhi`` of conftest: none of it runs through
+:func:`zrsim.equilibrium.solve_grid`.  Price axes hold 0.0, so every set of
+zero-price ISPs (every group of the driver) occurs.  ``detect_pressure`` reads its scores as the driver does, so the
 driver's flags are also checked against scores of each counterfactual row.
 """
 
@@ -32,7 +32,6 @@ from zrsim import (
     enumerate_zre,
     equilibrium,
     grid_sweep,
-    hhi,
     load_scenario,
     market,
     payoff,
@@ -42,7 +41,7 @@ from zrsim import (
 from zrsim.equilibrium import GAIN_TOL
 from zrsim.payoff import code_scores
 
-from conftest import random_config
+from conftest import hhi, random_config
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
@@ -98,7 +97,7 @@ def _reference_discount(cell: MarketConfig, grid: tuple[float, ...]) -> SweepRec
         delta
         for delta, rev in revenue.items()
         if not any(
-            revenue[dev][j] > rev[j] + GAIN_TOL
+            revenue[dev][j] > rev[j] + GAIN_TOL * cell.total_users
             for j in range(m)
             for alt in axes[j]
             if (dev := delta[:j] + (alt,) + delta[j + 1:]) in revenue
