@@ -125,15 +125,17 @@ def grid_sweep(
     cell is scored at ``config.delta``, which code 0 does not read.  Shares
     and the Herfindahl index read only the profile's shares rho, so each
     world's deltas are computed once per distinct profile, and each
-    selected matrix is encoded once.  Utilities come from the engine's
+    selected matrix is encoded once per :class:`ZreResult`, which the cells
+    of one outcome share.  Utilities come from the engine's
     :func:`~zrsim.payoff._scores` at L markets, market l reading the row of
     its world: market 0 is the world without zero-rating (which reads
     neither p nor delta: every pair pays q * c per user), the rest each
     cell's selected world."""
     solved = solve_grid(config, p_grid, delta_grid)
-    distinct = {zre.selected for _, _, zre in solved} - {None}
-    encoded = {None: 0, **{theta: theta.encoding() for theta in distinct}}
-    selected = [encoded[zre.selected] for _, _, zre in solved]
+    # Keyed on the result objects, which cells of one outcome share.
+    outcomes = {id(zre): zre.selected for _, _, zre in solved}
+    encoded = {key: 0 if theta is None else theta.encoding() for key, theta in outcomes.items()}
+    selected = [encoded[id(zre)] for _, _, zre in solved]
     codes = sorted({0, *selected})
     cells = profile_cells(codes, config.n_cps, config.n_isps)
     rho, _, x_effective = allocations(config, cells)

@@ -68,22 +68,25 @@ def _grid_header(n_cps: int, n_isps: int) -> list[str]:
 
 
 def write_grid_csv(records: Sequence[SweepRecord], path: Path, n_cps: int, n_isps: int) -> None:
-    """One row per record; each distinct price, world delta (one per selected
-    profile) and bitstring is formatted once."""
+    """One line per record, written in one call.  Each distinct price and
+    world delta (one per selected profile) is formatted once, and so are
+    the theta and pressure fields of each outcome, keyed on the
+    :class:`~zrsim.equilibrium.ZreResult` that its cells share.  No field
+    needs CSV quoting, so a line is its fields joined by commas."""
     price = functools.cache(fmt_num)
-    world = functools.cache(lambda share, hhi: [fmt_num(v) for v in share] + [fmt_num(hhi)])
-    theta = functools.cache(lambda selected: "NOZRE" if selected is None else selected.bitstring())
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_grid_header(n_cps, n_isps))
-        for r in records:
-            writer.writerow(
-                [price(p) for p in r.prices]
-                + [theta(r.zre.selected)]
-                + [fmt_num(v) for v in r.delta_utility]
-                + world(r.delta_share, r.delta_hhi)
-                + [str(int(flag)) for flag in r.zre.pressure]
-            )
+    world = functools.cache(lambda share, hhi: ",".join(map(fmt_num, (*share, hhi))))
+    outcomes: dict[int, tuple[str, str]] = {}
+    lines = [",".join(_grid_header(n_cps, n_isps))]
+    for r in records:
+        if (key := id(r.zre)) not in outcomes:
+            theta = "NOZRE" if r.zre.selected is None else r.zre.selected.bitstring()
+            outcomes[key] = theta, ",".join(str(int(flag)) for flag in r.zre.pressure)
+        theta, pressure = outcomes[key]
+        lines.append(",".join([
+            *map(price, r.prices), theta, *map(fmt_num, r.delta_utility),
+            world(r.delta_share, r.delta_hhi), pressure,
+        ]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 
 def write_summary_json(

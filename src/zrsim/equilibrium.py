@@ -160,14 +160,19 @@ def _stable(u: np.ndarray, r: Sequence[np.ndarray], steps: list, tol: float) -> 
     t ^ s, so the profile axis reshaped to ``(K / 2s, 2, s)`` holds the rows
     lacking the relation in half 0 and those holding it in half 1, and
     reversing the half axis puts each row's flip in its place.  A flip
-    gains when it beats a copy of the scores with ``tol``, GAIN_TOL times
-    total_users, added; an ISP's gains are compared on its own points."""
-    u_bar, r_bar = u + tol, [r_j + tol for r_j in r]
+    gains when it beats the scores with ``tol``, GAIN_TOL times
+    total_users, added: the steps run CP by CP, so one buffer holds one
+    CP's raised utilities at a time; an ISP's gains are compared on its
+    own points."""
+    r_bar, u_bar, cp = [r_j + tol for r_j in r], np.empty(u.shape[1:]), None
     unstable = np.zeros(u.shape[1:], dtype=bool)
     for (i, j), step in steps:
+        if i != cp:
+            cp = i
+            np.add(u[i], tol, out=u_bar)
         cu, cr, cu_bar, cr_bar, out = (
             a.reshape((-1, 2, step) + a.shape[1:])
-            for a in (u[i], r[j], u_bar[i], r_bar[j], unstable)
+            for a in (u[i], r[j], u_bar, r_bar[j], unstable)
         )
         cp_gains, isp_gains = cu[:, ::-1] > cu_bar, cr[:, ::-1] > cr_bar
         for half in (0, 1):
@@ -196,18 +201,15 @@ def is_zre(config: MarketConfig, theta: StrategyMatrix) -> bool:
 
 def _profiles(n: int, m: int, zero: tuple[bool, ...]) -> tuple[np.ndarray, list]:
     """Codes of all N x M profiles respecting the forced cells of the
-    zero-price ISPs ``zero``, ascending, and the free cells, each with its
-    bit in a profile's row of that array (see :func:`_stable`)."""
+    zero-price ISPs ``zero``, ascending, and the free cells, CP by CP, each
+    with its bit in a profile's row of that array (see :func:`_stable`)."""
     forced = _forced(n, m, zero)
     free = _free_cells(n, m, forced)
-    # Row t holds the free cells' bits, first free cell most significant,
-    # so codes ascend with t and a flip is t ^ step.
-    t = np.arange(1 << len(free), dtype=np.int64)
-    codes = np.full(len(t), sum(cell_bit(i, j, n, m) for i, j in forced), dtype=np.int64)
-    steps = [((i, j), 1 << (len(free) - 1 - rank)) for rank, (i, j) in enumerate(free)]
-    for (i, j), step in steps:
-        codes[t & step != 0] |= cell_bit(i, j, n, m)
-    return codes, steps
+    # Row t holds the free cells' bits in the order of the codes, first
+    # free cell most significant, so codes ascend with t and a flip is t ^ step.
+    mask = sum(cell_bit(i, j, n, m) for i, j in forced)
+    codes = np.flatnonzero(np.arange(1 << (n * m)) & mask == mask)
+    return codes, [((i, j), 1 << (len(free) - 1 - rank)) for rank, (i, j) in enumerate(free)]
 
 
 def enumerate_zre(config: MarketConfig) -> ZreResult:
@@ -397,28 +399,29 @@ def _axes(config: MarketConfig, p_grid, delta_grid) -> tuple[list, list]:
     return axes, delta_axes
 
 
-def _box(config, table, rank, order, steps, cf_rows, prices, deltas, tol: float) -> tuple:
+def _box(config, table, order, steps, cf_rows, prices, deltas, tol: float) -> tuple:
     """The profiles of ``table`` (with their free cells ``steps``) scored
     and tested for stability in the markets of the box ``(P_0, ..., P_{M-1},
     D_0, ..., D_{M-1})`` of price axes ``prices[j]`` and discount axes
     ``deltas[j]``: the stable mask ``[k, ...]``, each market's selected row
-    (the stable one last in ``order``, of highest ``rank``), its revenues
-    ``[..., j]``, -inf where the market has no equilibrium, and the
-    utilities ``[i, c, ...]`` of the rows ``cf_rows`` only."""
+    (the stable one last in ``order``), its revenues ``[..., j]``, -inf
+    where the market has no equilibrium, and the utilities ``[i, c, ...]``
+    of the rows ``cf_rows`` only."""
     ndim = 2 * len(prices)
     along = [np.reshape(v, [-1 if b == a else 1 for b in range(ndim)])
              for a, v in enumerate([*prices, *deltas])]
     u, r = _scores(config, table, along[:ndim // 2], along[ndim // 2:])
     stable = _stable(u, r, steps, tol)
-    # -1 where no row is stable: any row will do, the revenues there are -inf.
-    best = np.where(stable, rank.reshape((-1,) + (1,) * ndim), -1).max(axis=0)
-    selected = order[best]
+    # The first stable row from the end of ``order``; where none is, its
+    # last row, whose revenues are then -inf.
+    backward = order[::-1]
+    selected = backward[stable[backward].argmax(axis=0)]
     revenue = np.empty(selected.shape + (len(r),))
     for j, r_j in enumerate(r):
         # The selected row at each market's point of ISP j's own axes.
         own = np.arange(r_j[0].size).reshape(r_j.shape[1:])
         revenue[..., j] = r_j.reshape(len(r_j), -1)[selected, own]
-    revenue[best < 0] = -np.inf
+    revenue[~stable.any(axis=0)] = -np.inf
     return stable, selected, revenue, u[:, cf_rows]
 
 
@@ -468,7 +471,10 @@ def solve_grid(
     box), :func:`_nash` picks each cell's discount profile, and pressure is
     flagged at its selected market only.  Cells with one outcome share one
     :class:`ZreResult`, those without an equilibrium or a discount
-    equilibrium the NO_ZRE one.  No payoff of either world is returned.
+    equilibrium the NO_ZRE one, and each distinct matrix in them is built
+    once, from its row of the table's cells.  A group reads its cells'
+    rows and tie ISPs through one gather of the cell index.  No payoff of
+    either world is returned.
 
     Raises InvalidArgument without one nonempty axis per ISP, ConfigError
     when a discount or a price lies outside [0, 1], then CapacityError when
@@ -492,10 +498,11 @@ def solve_grid(
     no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
     unsolved = config.delta if delta_grid is None else None
     solved = [(row, unsolved, no_zre) for row in itertools.product(*axes)]
-    # Each cell's row in ``solved`` and its most expensive ISP, the later
-    # one on equal prices, which orders its Nash profiles.
+    # Each cell's row in ``solved`` and, by that row, its most expensive
+    # ISP, the later one on equal prices (as _last_argmax), which orders its
+    # Nash profiles.
     index = np.arange(len(solved)).reshape(tuple(map(len, axes)))
-    tie = np.array([_last_argmax(row) for row, _, _ in solved]).reshape(index.shape)
+    tie = m - 1 - np.array([row for row, _, _ in solved])[:, ::-1].argmax(axis=1)
     # prefer[t, ...] places each discount profile in the order of Nash
     # profiles when ISP t is the most expensive (see discount_equilibrium).
     # Totals are rounded so that equal decimal totals tie whatever the order
@@ -506,18 +513,21 @@ def solve_grid(
     for t, row in enumerate(prefer):
         row[np.lexsort((*d.T, d[:, t], total))] = np.arange(len(d))
     prefer = prefer.reshape((m,) + tuple(map(len, delta_axes)))
-    matrix = functools.cache(lambda code: _matrix(code, config))
+    matrix = functools.cache(lambda row: StrategyMatrix(cells[row].tolist()))
     tol = GAIN_TOL * config.total_users
     for zero, box in groups.items():
         codes, steps = profiles[zero]
-        rows = np.searchsorted(all_codes, codes) if len(codes) < len(all_codes) else slice(None)
-        # The group's rows in the select_zre order, and each row's place in it.
+        # The group's rows in the table and in the select_zre order; a group
+        # of every row scores the table itself, not a copy.
+        rows = np.searchsorted(all_codes, codes)
         order = np.argsort(rank[rows])
-        group_table = ProfileTable(*(column[rows] for column in table))
+        whole = len(rows) == len(all_codes)
+        group_table = table if whole else ProfileTable(*(column[rows] for column in table))
         counterfactual, cf_codes = _counterfactuals(n, m, zero)
-        group = (group_table, np.argsort(order), order, steps, np.searchsorted(codes, cf_codes))
+        group = (group_table, order, steps, np.searchsorted(codes, cf_codes))
         box_prices = [np.take(axis, positions) for axis, positions in zip(axes, box)]
-        box_index, box_tie = index[np.ix_(*box)], tie[np.ix_(*box)]
+        box_index = index[np.ix_(*box)]
+        box_tie = tie[box_index]
         # A zero-price ISP's delta multiplies p = 0, so every value gives the
         # same market; only the largest, which the selection prefers, is
         # solved.  Its axis then has no deviation to gain from.
@@ -544,18 +554,19 @@ def solve_grid(
             if not len(found):
                 continue
             at = found * len(deltas) + star
-            chosen = codes[selected.ravel()[at]]
+            chosen = selected.ravel()[at]
             held = stable.reshape(len(codes), -1)[:, at].T
             pressure = _pressure(
-                u_cf.reshape(n, len(cf_codes), -1)[:, :, at], cf_codes, chosen, counterfactual, tol
+                u_cf.reshape(n, len(cf_codes), -1)[:, :, at], cf_codes, codes[chosen],
+                counterfactual, tol,
             )
             # One result per distinct outcome, shared by the cells that have it.
             results, outcomes = {}, np.hstack([held, pressure])
             for f, k in enumerate(cell_ks.ravel()[found].tolist()):
                 if (key := outcomes[f].tobytes()) not in results:
                     results[key] = ZreResult(
-                        ZreStatus.EQUILIBRIA_FOUND, tuple(map(matrix, codes[held[f]].tolist())),
-                        matrix(int(chosen[f])), tuple(pressure[f].tolist()),
+                        ZreStatus.EQUILIBRIA_FOUND, tuple(map(matrix, rows[held[f]].tolist())),
+                        matrix(int(rows[chosen[f]])), tuple(pressure[f].tolist()),
                     )
                 solved[k] = (solved[k][0], deltas[star[f]], results[key])
     return solved

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import random
@@ -19,7 +20,9 @@ from zrsim import (
     InvalidArgument, MarketConfig, Scenario, StrategyMatrix, analysis, load_scenario, oracle, verify
 )
 from zrsim.analysis import SweepRecord, grid_sweep
-from zrsim.cli import EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, fmt_num, main
+from zrsim.cli import (
+    EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, fmt_num, main, write_grid_csv
+)
 from zrsim.equilibrium import DEFAULT_DELTA_GRID, ZreResult, ZreStatus, solve_grid
 from zrsim.verify import (
     CheckResult,
@@ -348,6 +351,35 @@ def test_no_zre_rows_encode_literal_zeros(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[1][2] == "NOZRE"
     assert rows[1][3:8] == ["0", "0", "0", "0", "0"]
+
+
+def test_grid_rows_sharing_an_outcome_keep_their_own_fields(tmp_path):
+    # Cells of one outcome share one ZreResult, whose theta and pressure
+    # fields are formatted once; every other field is the record's own.
+    # The bytes are those of a csv.writer rendering of every field.
+    theta = StrategyMatrix(((0, 1), (1, 1)))
+    shared = ZreResult(ZreStatus.EQUILIBRIA_FOUND, (theta,), theta, (True, False))
+    no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False, False))
+    records = [
+        SweepRecord((0.2, 0.7), (1.0, 1.0), shared, (0.125, -0.0), (0.1, -0.1), 0.05),
+        SweepRecord((0.7, 0.2), (1.0, 1.0), shared, (-0.25, 1e-13), (0.1, -0.1), 0.05),
+        SweepRecord((1.0, 1.0), (1.0, 1.0), no_zre, (0.0, 0.0), (0.0, 0.0), 0.0),
+        SweepRecord((0.3, 0.0), (1.0, 1.0), shared, (1 / 3, 0.75), (0.2, -0.2), -0.0),
+    ]
+    write_grid_csv(records, tmp_path / "grid.csv", 2, 2)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow("p_1 p_2 theta delta_u_1 delta_u_2 delta_share_1 delta_share_2 delta_hhi "
+                    "pressure_1 pressure_2".split())
+    for r in records:
+        writer.writerow(
+            [fmt_num(v) for v in r.prices]
+            + ["NOZRE" if r.zre.selected is None else r.zre.selected.bitstring()]
+            + [fmt_num(v) for v in (*r.delta_utility, *r.delta_share, r.delta_hhi)]
+            + [str(int(flag)) for flag in r.zre.pressure]
+        )
+    assert (tmp_path / "grid.csv").read_bytes() == expected.getvalue().encode("utf-8")
+    assert expected.getvalue().splitlines()[1].split(",")[4] == "0"  # the -0.0 delta
 
 
 USAGE = (

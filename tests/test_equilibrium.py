@@ -423,8 +423,8 @@ class TestDiscountGame:
         boxes = []
         box = equilibrium._box
 
-        def recorded(config, table, rank, order, steps, cf_rows, prices, deltas, tol):
-            out = box(config, table, rank, order, steps, cf_rows, prices, deltas, tol)
+        def recorded(config, table, order, steps, cf_rows, prices, deltas, tol):
+            out = box(config, table, order, steps, cf_rows, prices, deltas, tol)
             boxes.append((list(itertools.product(*deltas)), out))
             return out
 

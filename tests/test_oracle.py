@@ -61,16 +61,36 @@ def test_oracle_single_relation_value(bench):
 
 
 def test_allocation_mixes_the_two_choice_probabilities():
-    # One normaliser per choice set gives, digit for digit, the mixture of
-    # the per-pair choice probabilities that define the two classes.
+    # Each class spreads over its own choice set in proportion to phi * psi,
+    # built here from phi, psi and theta: the sticky class over every pair,
+    # the elastic class over the zero-rated pairs (a bundle with an ISP
+    # whose every member CP zero-rates with it; dummies never are), or over
+    # every pair when there are none.  Normalisers summed in another order
+    # than the oracle's differ in the last bits, hence the tolerance.  One
+    # normaliser per choice set then gives, digit for digit, the mixture of
+    # the per-pair choice probabilities of _distribution.
     rng = np.random.default_rng(107)
     for n_cps in range(1, 5):
         for _ in range(5):
             config = random_config(rng, n_cps, int(rng.integers(1, 4)))
             theta = random_theta(rng, config)
+            rho = oracle_allocate(config, theta).rho
+            pairs = [(s, j) for s in range(config.lattice_size) for j in range(config.n_isps + 1)]
+            zero_rated = [
+                (s, j) for s, j in pairs
+                if s and j and all(theta.rows[i][j - 1] for i in range(n_cps) if s >> i & 1)
+            ] or pairs
+            weight = {(s, j): config.phi[s] * config.psi[j] for s, j in pairs}
+            sticky_norm = sum(weight.values())
+            elastic_norm = sum(weight[pair] for pair in zero_rated)
+            built = np.zeros_like(rho)
+            for s, j in pairs:
+                p_elastic = weight[s, j] / elastic_norm if (s, j) in zero_rated else 0.0
+                built[s, j] = ((1.0 - config.alpha) * weight[s, j] / sticky_norm
+                               + config.alpha * p_elastic)
+            np.testing.assert_allclose(rho, built, rtol=1e-14, atol=0.0)
             sticky = oracle._distribution(set(sticky_choice_set(config)), config)
             elastic = oracle._distribution(set(elastic_choice_set(config, theta)), config)
-            rho = oracle_allocate(config, theta).rho
             for s in range(config.lattice_size):
                 for j in range(config.n_isps + 1):
                     p_sticky, p_elastic = sticky.get((s, j), 0.0), elastic.get((s, j), 0.0)

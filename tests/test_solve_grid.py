@@ -58,6 +58,28 @@ def _reference_zre(cell: MarketConfig) -> ZreResult:
     return ZreResult(ZreStatus.EQUILIBRIA_FOUND, all_zre, selected, detect_pressure(cell, selected))
 
 
+def test_profiles_match_their_definition():
+    # The reference above reads _profiles, so it is checked here on its own
+    # against its definition, at every zero pattern of every shape of at
+    # most 9 cells: the codes are the ascending codes holding every forced
+    # cell, flipping a free cell's step flips its bit in the code, and the
+    # steps run CP by CP, which _stable's one-CP buffer expects.
+    for n, m in ((n, m) for n in range(1, 10) for m in range(1, 10) if n * m <= 9):
+        for zero in itertools.product((False, True), repeat=m):
+            codes, steps = equilibrium._profiles(n, m, zero)
+            forced = sum(
+                market.cell_bit(i, j, n, m) for i in range(n) for j in range(m) if zero[j]
+            )
+            assert codes.tolist() == [c for c in range(1 << (n * m)) if c & forced == forced]
+            free = [(i, j) for i in range(n) for j in range(m) if not zero[j]]
+            assert sorted(cell for cell, _ in steps) == free
+            t = np.arange(len(codes))
+            for (i, j), step in steps:
+                assert (codes[t ^ step] == codes ^ market.cell_bit(i, j, n, m)).all(), (n, m, zero)
+            cps = [i for (i, _), _ in steps]
+            assert cps == sorted(cps), (n, m, zero)
+
+
 def _shares(cell: MarketConfig, theta: StrategyMatrix) -> np.ndarray:
     x_pair = market.allocate(cell, theta).x_pair
     return analysis._shares(market.cp_totals(cell, x_pair[None])[0])
