@@ -20,19 +20,16 @@ from .equilibrium import (
     DiscountOutcome,
     DynamicsOutcome,
     ZreResult,
-    ZreStatus,
     best_response_dynamics,
     detect_pressure,
     discount_equilibrium,
     enumerate_zre,
     forced_cells,
     is_zre,
-    select_zre,
 )
 from .errors import (
     CapacityError,
     ConfigError,
-    ContractViolation,
     DomainError,
     InvalidArgument,
     ZrsimError,
@@ -58,7 +55,6 @@ __all__ = [
     "BestResponseTrace",
     "CapacityError",
     "ConfigError",
-    "ContractViolation",
     "DiscountOutcome",
     "DomainError",
     "DynamicsOutcome",
@@ -72,7 +68,6 @@ __all__ = [
     "SweepRecord",
     "Violation",
     "ZreResult",
-    "ZreStatus",
     "ZrsimError",
     "aggregate_signs",
     "allocate",
@@ -91,6 +86,5 @@ __all__ = [
     "oracle_allocate",
     "oracle_verify_zre",
     "payoffs",
-    "select_zre",
     "sticky_choice_set",
 ]

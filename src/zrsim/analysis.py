@@ -37,8 +37,9 @@ class SweepRecord:
     discount profile in the discount game, and None at a cell where no
     discount profile is a Nash equilibrium (NODEQ).  ``zre`` is the cell's
     :class:`~zrsim.equilibrium.ZreResult` from
-    :func:`~zrsim.equilibrium.solve_grid`: its status, every equilibrium,
-    the selected one and its pressure flags (NO_ZRE at a NODEQ cell).
+    :func:`~zrsim.equilibrium.solve_grid`: every equilibrium, the selected
+    one and its pressure flags, no equilibrium and None selected where the
+    cell has none (NO_ZRE), as at a NODEQ cell.
     """
 
     prices: tuple[float, ...]

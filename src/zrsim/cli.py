@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .analysis import SweepRecord, aggregate_signs, grid_sweep
-from .equilibrium import ZreStatus, solve_grid
+from .equilibrium import solve_grid
 from .errors import CapacityError, ConfigError
 from .scenario import ScenarioError, load_scenario
 from .verify import run_battery
@@ -98,7 +98,7 @@ def write_summary_json(
         "no_zre_prices": [
             [float(fmt_num(p)) for p in r.prices]
             for r in records
-            if r.zre.status is ZreStatus.NO_ZRE
+            if r.zre.selected is None
         ],
         "per_cp": [
             {
@@ -198,9 +198,10 @@ def _cmd_zre(scenario_path: str, prices: list[float]) -> int:
     print(f"prices: {' '.join(fmt_num(p) for p in prices)}")
     if scenario.delta_grid is not None:
         print(f"discounts: {' '.join(_discount_fields(delta))}")
-    print(f"status: {result.status.value}")
-    if result.status is ZreStatus.NO_ZRE:
+    if result.selected is None:
+        print("status: NO_ZRE")
         return EXIT_OK
+    print("status: EQUILIBRIA_FOUND")
     print(f"equilibria ({len(result.all_zre)}): "
           + " ".join(t.bitstring() for t in result.all_zre))
     print(f"selected: {result.selected.bitstring()}")

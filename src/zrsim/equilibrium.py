@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ContractViolation, InvalidArgument
+from .errors import CapacityError, InvalidArgument
 from .market import (
     MarketConfig, StrategyMatrix, _check_dims, cell_bit, check_unit_interval, profile_cells,
     sub_boxes
@@ -72,11 +72,6 @@ EVALUATION_GUARD = 2_000_000
 GAIN_TOL = 1e-9
 
 
-class ZreStatus(enum.Enum):
-    EQUILIBRIA_FOUND = "EQUILIBRIA_FOUND"
-    NO_ZRE = "NO_ZRE"
-
-
 class DynamicsOutcome(enum.Enum):
     FIXED_POINT = "FIXED_POINT"
     CYCLE = "CYCLE"
@@ -85,9 +80,9 @@ class DynamicsOutcome(enum.Enum):
 
 @dataclass(frozen=True)
 class ZreResult:
-    """All equilibria of one market plus the tie-break-selected one."""
+    """All equilibria of one market plus the tie-break-selected one; no
+    equilibrium and None where the market has none (NO_ZRE)."""
 
-    status: ZreStatus
     all_zre: tuple[StrategyMatrix, ...]
     selected: StrategyMatrix | None
     pressure: tuple[bool, ...]
@@ -109,7 +104,6 @@ class BestResponseTrace:
 
     outcome: DynamicsOutcome
     visited: tuple[StrategyMatrix, ...]
-    moves: int
     cycle_start: int | None = None
 
 
@@ -131,11 +125,6 @@ def _check_forced(theta: StrategyMatrix, forced: frozenset[tuple[int, int]]) -> 
     for i, j in forced:
         if theta.rows[i][j] != 1:
             raise InvalidArgument(f"cell ({i}, {j}) must be 1 because the ISP price is 0")
-
-
-def _matrix(code: int, config: MarketConfig) -> StrategyMatrix:
-    n, m = config.n_cps, config.n_isps
-    return StrategyMatrix.from_bitstring(format(int(code), f"0{n * m}b"), n, m)
 
 
 def _free_cells(n: int, m: int, forced) -> list[tuple[int, int]]:
@@ -215,41 +204,30 @@ def _profiles(n: int, m: int, zero: tuple[bool, ...]) -> tuple[np.ndarray, list]
 def enumerate_zre(config: MarketConfig) -> ZreResult:
     """Exhaustively enumerate all equilibria and select one.
 
-    When no equilibrium exists the status is NO_ZRE (the market is assumed
-    to behave as if zero-rating were unavailable).  Pressure flags are
-    computed only for the selected profile.  This is the one-cell case of
-    :func:`solve_grid`.
+    When no equilibrium exists none is selected, NO_ZRE (the market is
+    assumed to behave as if zero-rating were unavailable).  Pressure flags
+    are computed only for the selected profile.  This is the one-cell case
+    of :func:`solve_grid`.
     """
     return solve_grid(config, [(p,) for p in config.p])[0][2]
 
 
-def _last_argmax(values: Sequence[float]) -> int:
-    # The largest value wins (the highest-value CP, the most expensive
-    # ISP); ties go to the later index, mirroring the convention that the
-    # second provider is the tie-breaker.
-    return len(values) - 1 - values[::-1].index(max(values))
-
-
-def select_zre(all_zre: Sequence[StrategyMatrix], config: MarketConfig) -> StrategyMatrix:
-    """Deterministic tie-break among equilibria.
-
-    Maximizes, in order: total zero-rated relations; relations of the
-    highest-value CP; relations of the last ISP; then the lowest binary
-    encoding settles anything left.
-    """
-    if not all_zre:
-        raise ContractViolation("select_zre requires a nonempty equilibrium set")
-    for theta in all_zre:
-        _check_dims(config, theta)
-    codes = [theta.encoding() for theta in all_zre]
-    cells = profile_cells(codes, config.n_cps, config.n_isps)
-    return all_zre[_order(config, codes, cells)[-1]]
+def _last_argmax(values) -> np.ndarray:
+    """The index of the largest of ``values`` along their last axis (the
+    highest-value CP, the most expensive ISP); ties go to the later index,
+    mirroring the convention that the second provider is the tie-breaker."""
+    values = np.asarray(values)
+    return values.shape[-1] - 1 - values[..., ::-1].argmax(axis=-1)
 
 
 def _order(config: MarketConfig, codes, cells: np.ndarray) -> np.ndarray:
     """The indices that sort the distinct profile ``codes`` (with their
-    ``cells``) into the :func:`select_zre` order, the winner last.  The key
-    reads only q and the code, so the winner among any subset is its last."""
+    ``cells``) into the tie-break order among equilibria, the winner last.
+
+    The winner has the most zero-rated relations, then the most relations
+    of the highest-value CP, then the most of the last ISP, then the lowest
+    binary encoding.  The key reads only q and the code, so the winner
+    among any subset is its last."""
     codes = np.asarray(codes, dtype=np.int64)
     hv, last = cells[:, _last_argmax(config.q)].sum(axis=1), cells[:, :, -1].sum(axis=1)
     return np.lexsort((-codes, last, hv, cells.sum(axis=(1, 2))))
@@ -336,8 +314,8 @@ def best_response_dynamics(
     tol = GAIN_TOL * config.total_users
 
     def trace(outcome: DynamicsOutcome, cycle_start: int | None = None) -> BestResponseTrace:
-        path = tuple(_matrix(code, config) for code in visited)
-        return BestResponseTrace(outcome, path, len(visited) - 1, cycle_start)
+        path = tuple(map(StrategyMatrix, profile_cells(visited, n, m).tolist()))
+        return BestResponseTrace(outcome, path, cycle_start)
 
     state = start.encoding()
     visited = [state]
@@ -495,14 +473,13 @@ def solve_grid(
     cells = profile_cells(all_codes, n, m)
     rank, table = np.argsort(_order(config, all_codes, cells)), profile_table(config, cells)
 
-    no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
+    no_zre = ZreResult((), None, (False,) * n)
     unsolved = config.delta if delta_grid is None else None
     solved = [(row, unsolved, no_zre) for row in itertools.product(*axes)]
     # Each cell's row in ``solved`` and, by that row, its most expensive
-    # ISP, the later one on equal prices (as _last_argmax), which orders its
-    # Nash profiles.
+    # ISP, which orders its Nash profiles.
     index = np.arange(len(solved)).reshape(tuple(map(len, axes)))
-    tie = m - 1 - np.array([row for row, _, _ in solved])[:, ::-1].argmax(axis=1)
+    tie = _last_argmax([row for row, _, _ in solved])
     # prefer[t, ...] places each discount profile in the order of Nash
     # profiles when ISP t is the most expensive (see discount_equilibrium).
     # Totals are rounded so that equal decimal totals tie whatever the order
@@ -517,7 +494,7 @@ def solve_grid(
     tol = GAIN_TOL * config.total_users
     for zero, box in groups.items():
         codes, steps = profiles[zero]
-        # The group's rows in the table and in the select_zre order; a group
+        # The group's rows in the table and in the tie-break order; a group
         # of every row scores the table itself, not a copy.
         rows = np.searchsorted(all_codes, codes)
         order = np.argsort(rank[rows])
@@ -565,8 +542,8 @@ def solve_grid(
             for f, k in enumerate(cell_ks.ravel()[found].tolist()):
                 if (key := outcomes[f].tobytes()) not in results:
                     results[key] = ZreResult(
-                        ZreStatus.EQUILIBRIA_FOUND, tuple(map(matrix, rows[held[f]].tolist())),
-                        matrix(int(rows[chosen[f]])), tuple(pressure[f].tolist()),
+                        tuple(map(matrix, rows[held[f]].tolist())), matrix(int(rows[chosen[f]])),
+                        tuple(pressure[f].tolist()),
                     )
                 solved[k] = (solved[k][0], deltas[star[f]], results[key])
     return solved

@@ -17,9 +17,5 @@ class DomainError(ZrsimError, ValueError):
     """An operation was evaluated outside its mathematical domain."""
 
 
-class ContractViolation(ZrsimError, RuntimeError):
-    """A documented precondition between modules was broken."""
-
-
 class CapacityError(ZrsimError, RuntimeError):
     """The requested computation exceeds the exhaustive-search guard."""

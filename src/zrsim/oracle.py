@@ -115,11 +115,6 @@ def oracle_allocate(config: MarketConfig, theta: StrategyMatrix) -> AllocationTa
     return AllocationTable(rho=rho, x_pair=x_pair, x_effective=x_effective)
 
 
-def _oracle_totals(config: MarketConfig, theta: StrategyMatrix) -> tuple[list[float], list[float]]:
-    """(CP utilities, ISP revenues), recomputed from the oracle allocation."""
-    return _payoff_totals(config, theta.rows, oracle_allocate(config, theta).x_effective.tolist())
-
-
 def _payoff_totals(
     config: MarketConfig, rows: Rows, x_eff: list[list[float]]
 ) -> tuple[list[float], list[float]]:

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .analysis import SweepRecord, _hhi, grid_sweep, hhi_variance_identity
-from .equilibrium import ZreStatus, _last_argmax
+from .equilibrium import _last_argmax
 from .market import (
     MarketConfig, StrategyMatrix, _members, _rho, allocations, cp_totals, profile_cells
 )
@@ -259,7 +259,7 @@ def check_value_ordering_pruning(scenario: Scenario, records: list[SweepRecord])
 def check_expected_no_zre(scenario: Scenario, records: list[SweepRecord]) -> CheckResult:
     if scenario.expected_no_zre is None:
         return CheckResult("no-zre-cells", None, "skipped: no expectation recorded")
-    observed = {r.prices for r in records if r.zre.status is ZreStatus.NO_ZRE}
+    observed = {r.prices for r in records if r.zre.selected is None}
     expected = set(scenario.expected_no_zre)
     ok = observed == expected
     detail = f"observed {sorted(observed)}" if not ok else f"{len(expected)} cells as expected"

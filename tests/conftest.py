@@ -6,9 +6,10 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from zrsim import ContractViolation, InvalidArgument, MarketConfig, StrategyMatrix, allocate
+from zrsim import InvalidArgument, MarketConfig, StrategyMatrix, allocate, oracle_allocate
 from zrsim.analysis import _hhi
 from zrsim.market import _check_dims, cp_totals
+from zrsim.oracle import _payoff_totals
 
 GRID11 = tuple(k / 10 for k in range(11))
 
@@ -66,6 +67,25 @@ def hhi(config: MarketConfig, theta: StrategyMatrix) -> float:
     return float(_hhi(cp_totals(config, allocate(config, theta).rho[None])[0]))
 
 
+def oracle_totals(config: MarketConfig, theta: StrategyMatrix) -> tuple[list[float], list[float]]:
+    """(CP utilities, ISP revenues), recomputed from the oracle allocation."""
+    return _payoff_totals(config, theta.rows, oracle_allocate(config, theta).x_effective.tolist())
+
+
+def tie_break_winner(config: MarketConfig, profiles: Iterable[StrategyMatrix]) -> StrategyMatrix:
+    """The profile README's tie-break selects among ``profiles``, restated
+    one profile at a time: the most zero-rating relations, then the most
+    relations of the highest-value CP (the later CP on equal values), then
+    the most relations of the last ISP, then the lowest binary encoding."""
+    high = max(i for i, q in enumerate(config.q) if q == max(config.q))
+    return min(profiles, key=lambda theta: (
+        -sum(map(sum, theta.rows)),
+        -sum(theta.rows[high]),
+        -sum(row[-1] for row in theta.rows),
+        int(theta.bitstring(), 2),
+    ))
+
+
 def aux_members(mask: int) -> tuple[int, ...]:
     """Actual CP indices bundled in auxiliary CP ``mask``."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
@@ -105,7 +125,7 @@ def _merge_cps(
         raise InvalidArgument(f"cp_subset {subset} out of range")
     rows = {theta.rows[i] for i in subset}
     if len(rows) > 1:
-        raise ContractViolation("merged CPs must share identical zero-rating rows")
+        raise InvalidArgument("merged CPs must share identical zero-rating rows")
     if len(subset) == 1:
         return config, theta
 
@@ -146,7 +166,7 @@ def _merge_isps(
         raise InvalidArgument(f"isp_subset {subset} out of range")
     columns = {tuple(theta.rows[i][j] for i in range(config.n_cps)) for j in subset}
     if len(columns) > 1:
-        raise ContractViolation("merged ISPs must share identical zero-rating columns")
+        raise InvalidArgument("merged ISPs must share identical zero-rating columns")
     if len(subset) == 1:
         return config, theta
 

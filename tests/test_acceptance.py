@@ -31,7 +31,6 @@ import numpy as np
 from zrsim import (
     MarketConfig,
     StrategyMatrix,
-    ZreStatus,
     aggregate_signs,
     allocate,
     enumerate_zre,
@@ -41,12 +40,13 @@ from zrsim import (
     oracle_allocate,
     oracle_verify_zre,
     payoffs,
-    select_zre,
 )
 from zrsim.equilibrium import DEFAULT_DELTA_GRID, GAIN_TOL
-from zrsim.oracle import _oracle_totals, oracle_verdicts
+from zrsim.oracle import oracle_verdicts
 
-from conftest import GRID11, hhi, merge_providers, random_config, random_theta
+from conftest import (
+    GRID11, hhi, merge_providers, oracle_totals, random_config, random_theta, tie_break_winner
+)
 
 BENCH = MarketConfig(
     n_cps=2,
@@ -152,7 +152,7 @@ def _closed_form_revenues(config):
     def revenue_of(delta):
         market = dataclasses.replace(config, delta=delta)
         result = enumerate_zre(market)
-        if result.status is ZreStatus.NO_ZRE:
+        if result.selected is None:
             return None
         return tuple(float(r) for r in payoffs(market, result.selected).isp_revenue)
 
@@ -164,7 +164,8 @@ def _oracle_revenues(config):
 
     Brute-force route: equilibria by the oracle's deviation checks over all
     profiles that keep zero-price columns at 1 (one ``oracle_verdicts``
-    batch over the grid's markets), selection by ``select_zre``, and
+    batch over the grid's markets), selection by conftest's
+    ``tie_break_winner``, and
     revenues summed pair by pair from the oracle allocation.
     """
     n, m = config.n_cps, config.n_isps
@@ -181,7 +182,7 @@ def _oracle_revenues(config):
         if not zre:
             revenues[market.delta] = None
             continue
-        revenues[market.delta] = tuple(_oracle_totals(market, select_zre(zre, market))[1])
+        revenues[market.delta] = tuple(oracle_totals(market, tie_break_winner(market, zre))[1])
     return revenues
 
 
@@ -222,7 +223,7 @@ def test_c1_benchmark_equilibrium_map():
     for p1 in GRID11:
         for p2 in GRID11:
             result = enumerate_zre(BENCH.with_prices((p1, p2)))
-            assert result.status is ZreStatus.EQUILIBRIA_FOUND
+            assert result.selected is not None
             bits = result.selected.bitstring()
             selected.add(bits)
             assert not (bits[0] == "1" and bits[2] == "0")
@@ -240,7 +241,7 @@ def test_c2_no_equilibrium_cells_exact():
     missing = set()
     for p1 in GRID11:
         for p2 in GRID11:
-            if enumerate_zre(config.with_prices((p1, p2))).status is ZreStatus.NO_ZRE:
+            if enumerate_zre(config.with_prices((p1, p2))).selected is None:
                 missing.add((p1, p2))
     assert missing == {(0.3, 0.3), (0.3, 0.4), (0.4, 0.3)}
     _report(2, "no-equilibrium set matches the reference exactly")

@@ -10,7 +10,6 @@ from zrsim import (
     InvalidArgument,
     MarketConfig,
     StrategyMatrix,
-    ZreStatus,
     aggregate_signs,
     allocate,
     analysis,
@@ -154,7 +153,7 @@ class TestCompareWorlds:
     def test_no_equilibrium_means_exactly_zero(self, bench):
         config = dataclasses.replace(bench, c=0.8).with_prices((0.3, 0.3))
         record = compare_worlds(config)
-        assert record.zre.status is ZreStatus.NO_ZRE
+        assert record.zre.all_zre == ()
         assert record.zre.selected is None
         assert record.delta_utility == (0.0, 0.0)
         assert record.delta_share == (0.0, 0.0)
@@ -182,7 +181,7 @@ class TestGridSweep:
     def test_no_zre_cells_match_reference_set(self, bench):
         config = dataclasses.replace(bench, c=0.8)
         records = grid_sweep(config, (GRID11, GRID11))
-        missing = {r.prices for r in records if r.zre.status is ZreStatus.NO_ZRE}
+        missing = {r.prices for r in records if r.zre.selected is None}
         assert missing == {(0.3, 0.3), (0.3, 0.4), (0.4, 0.3)}
 
     def test_bad_grid_rejected(self, bench):
@@ -246,5 +245,5 @@ class TestDiscountGridSweep:
     def test_missing_discount_equilibrium_zeroes_record(self, bench):
         [record] = grid_sweep(bench, ((0.5,), (0.5,)), DEFAULT_DELTA_GRID)
         assert record.discounts is None
-        assert record.zre.status is ZreStatus.NO_ZRE
+        assert record.zre.all_zre == () and record.zre.selected is None
         assert record.delta_utility == (0.0, 0.0)

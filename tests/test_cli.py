@@ -23,7 +23,7 @@ from zrsim.analysis import SweepRecord, grid_sweep
 from zrsim.cli import (
     EXIT_CAPACITY, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, fmt_num, main, write_grid_csv
 )
-from zrsim.equilibrium import DEFAULT_DELTA_GRID, ZreResult, ZreStatus, solve_grid
+from zrsim.equilibrium import DEFAULT_DELTA_GRID, ZreResult, solve_grid
 from zrsim.verify import (
     CheckResult,
     check_low_value_utility_drop,
@@ -358,8 +358,8 @@ def test_grid_rows_sharing_an_outcome_keep_their_own_fields(tmp_path):
     # fields are formatted once; every other field is the record's own.
     # The bytes are those of a csv.writer rendering of every field.
     theta = StrategyMatrix(((0, 1), (1, 1)))
-    shared = ZreResult(ZreStatus.EQUILIBRIA_FOUND, (theta,), theta, (True, False))
-    no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False, False))
+    shared = ZreResult((theta,), theta, (True, False))
+    no_zre = ZreResult((), None, (False, False))
     records = [
         SweepRecord((0.2, 0.7), (1.0, 1.0), shared, (0.125, -0.0), (0.1, -0.1), 0.05),
         SweepRecord((0.7, 0.2), (1.0, 1.0), shared, (-0.25, 1e-13), (0.1, -0.1), 0.05),
@@ -656,7 +656,7 @@ def test_low_value_utility_drop_margin_scales_with_users():
     )
     scenario = Scenario(config, ((0.5, 0.5),))
     theta = StrategyMatrix(((0, 0), (1, 0)))
-    zre = ZreResult(ZreStatus.EQUILIBRIA_FOUND, (theta,), theta, (False, False))
+    zre = ZreResult((theta,), theta, (False, False))
 
     def check(high_delta):
         record = SweepRecord(config.p, config.delta, zre, (-1.0, high_delta), (-0.1, 0.1), 0.01)

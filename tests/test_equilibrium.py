@@ -11,12 +11,10 @@ import pytest
 from zrsim import (
     CapacityError,
     ConfigError,
-    ContractViolation,
     DynamicsOutcome,
     InvalidArgument,
     MarketConfig,
     StrategyMatrix,
-    ZreStatus,
     best_response_dynamics,
     detect_pressure,
     discount_equilibrium,
@@ -27,11 +25,10 @@ from zrsim import (
     market,
     oracle_verify_zre,
     payoffs,
-    select_zre,
 )
 from zrsim import equilibrium
 
-from conftest import GRID11, flip, random_config
+from conftest import GRID11, flip, random_config, tie_break_winner
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
@@ -47,7 +44,7 @@ def _reference_discount_outcome(config, grid):
     for delta in itertools.product(grid, repeat=m):
         market_at = dataclasses.replace(config, delta=delta)
         result = enumerate_zre(market_at)
-        if result.status is ZreStatus.EQUILIBRIA_FOUND:
+        if result.selected is not None:
             revenue[delta] = payoffs(market_at, result.selected).isp_revenue
     nash = [
         delta
@@ -134,7 +131,7 @@ class TestEnumerateZre:
         for p1 in GRID11:
             for p2 in GRID11:
                 result = enumerate_zre(bench.with_prices((p1, p2)))
-                assert result.status is ZreStatus.EQUILIBRIA_FOUND
+                assert result.selected is not None
                 selected.add(result.selected.bitstring())
         admissible = {
             "".join(map(str, bits))
@@ -150,7 +147,7 @@ class TestEnumerateZre:
             (p1, p2)
             for p1 in GRID11
             for p2 in GRID11
-            if enumerate_zre(config.with_prices((p1, p2))).status is ZreStatus.NO_ZRE
+            if enumerate_zre(config.with_prices((p1, p2))).selected is None
         }
         assert missing == {(0.3, 0.3), (0.3, 0.4), (0.4, 0.3)}
 
@@ -168,7 +165,6 @@ class TestEnumerateZre:
     def test_no_zre_result_shape(self, bench):
         config = dataclasses.replace(bench, c=0.8).with_prices((0.3, 0.3))
         result = enumerate_zre(config)
-        assert result.status is ZreStatus.NO_ZRE
         assert result.all_zre == ()
         assert result.selected is None
         assert result.pressure == (False, False)
@@ -201,33 +197,44 @@ class TestEnumerateZre:
                     assert oracle_verify_zre(cell, theta)
 
 
+def _engine_winner(config, profiles):
+    """The profile the engine's tie-break order (``_order``) ranks last."""
+    codes = [theta.encoding() for theta in profiles]
+    cells = market.profile_cells(codes, config.n_cps, config.n_isps)
+    return profiles[equilibrium._order(config, codes, cells)[-1]]
+
+
+def test_last_argmax_matches_its_list_definition():
+    # The vectorised rule against "largest value, later index on ties" on
+    # seeded rows drawn from few values, so that ties (of 0.0 and -0.0 too)
+    # are common.
+    rng = np.random.default_rng(30)
+    values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+    for width in range(1, 7):
+        rows = rng.choice(values, size=(2000, width))
+        expected = [width - 1 - row[::-1].index(max(row)) for row in rows.tolist()]
+        assert equilibrium._last_argmax(rows).tolist() == expected
+        assert [int(equilibrium._last_argmax(row)) for row in rows[:50].tolist()] == expected[:50]
+
+
 class TestSelectZre:
+    # The engine's tie-break, read through its order: explicit cases, then
+    # conftest's one-profile-at-a-time restatement of README's rule.
     def test_more_relations_win(self, bench):
         zeros = StrategyMatrix.zeros(2, 2)
         ones = StrategyMatrix.from_bitstring("1111", 2, 2)
-        assert select_zre([zeros, ones], bench) == ones
+        assert _engine_winner(bench, [zeros, ones]) == ones
 
     def test_tie_prefers_high_value_cp_then_last_isp(self, bench):
         cp2_isp1 = StrategyMatrix(((0, 0), (1, 0)))
         cp2_isp2 = StrategyMatrix(((0, 0), (0, 1)))
-        assert select_zre([cp2_isp1, cp2_isp2], bench) == cp2_isp2
+        assert _engine_winner(bench, [cp2_isp1, cp2_isp2]) == cp2_isp2
         cp1_isp2 = StrategyMatrix(((0, 1), (0, 0)))
-        assert select_zre([cp1_isp2, cp2_isp1], bench) == cp2_isp1
+        assert _engine_winner(bench, [cp1_isp2, cp2_isp1]) == cp2_isp1
 
     def test_singleton(self, bench):
         only = StrategyMatrix(((0, 1), (0, 0)))
-        assert select_zre([only], bench) == only
-
-    def test_empty_set_rejected(self, bench):
-        with pytest.raises(ContractViolation):
-            select_zre([], bench)
-
-    def test_wrong_size_rejected(self, bench):
-        config = bench.with_prices((0.3, 0.7))
-        with pytest.raises(InvalidArgument, match="2x3"):
-            select_zre(
-                [StrategyMatrix.zeros(2, 3), StrategyMatrix.from_bitstring("111111", 2, 3)], config
-            )
+        assert _engine_winner(bench, [only]) == only
 
     def test_final_tie_break_is_lowest_encoding(self, bench):
         # Equal-value CPs make the value key a tie; "1001" and "0110" also
@@ -235,7 +242,22 @@ class TestSelectZre:
         config = dataclasses.replace(bench, q=(0.7, 0.7))
         a = StrategyMatrix.from_bitstring("0110", 2, 2)
         b = StrategyMatrix.from_bitstring("1001", 2, 2)
-        assert select_zre([a, b], config) == a
+        assert _engine_winner(config, [a, b]) == a
+
+    @pytest.mark.parametrize("q", [(0.4, 1.0), (1.0, 0.4), (0.7, 0.7)])
+    def test_engine_order_matches_documented_rule(self, bench, q):
+        # Every ordered pair of distinct 2 x 2 profiles, then seeded random
+        # subsets of them, each in a random order.
+        config = dataclasses.replace(bench, q=q)
+        profiles = [StrategyMatrix((bits[:2], bits[2:]))
+                    for bits in itertools.product((0, 1), repeat=4)]
+        subsets = [list(pair) for pair in itertools.permutations(profiles, 2)]
+        rng = np.random.default_rng(2)
+        for _ in range(2000):
+            picked = rng.choice(16, size=int(rng.integers(1, 17)), replace=False)
+            subsets.append([profiles[k] for k in picked])
+        for subset in subsets:
+            assert _engine_winner(config, subset) == tie_break_winner(config, subset), subset
 
 
 class TestDetectPressure:
@@ -288,7 +310,6 @@ class TestBestResponseDynamics:
         config = bench.with_prices((1.0, 1.0))
         trace = best_response_dynamics(config, StrategyMatrix.zeros(2, 2))
         assert trace.outcome is DynamicsOutcome.FIXED_POINT
-        assert trace.moves == 0
         assert trace.visited == (StrategyMatrix.zeros(2, 2),)
 
     def test_converges_into_equilibrium_set(self, bench):
@@ -319,7 +340,7 @@ class TestDiscountGame:
         outcome = discount_equilibrium(bench.with_prices((1.0, 1.0)))
         assert outcome.delta_star is not None
         assert all(d in GRID11 for d in outcome.delta_star)
-        assert outcome.zre.status is ZreStatus.EQUILIBRIA_FOUND
+        assert outcome.zre.selected is not None
 
     def test_free_isps_keep_full_discount_factor(self, bench):
         outcome = discount_equilibrium(bench.with_prices((0.0, 0.0)))
@@ -393,7 +414,7 @@ class TestDiscountGame:
                 delta = list(outcome.delta_star)
                 delta[j] = alt
                 result = enumerate_zre(dataclasses.replace(config, delta=delta))
-                if result.status is ZreStatus.NO_ZRE:
+                if result.selected is None:
                     continue
                 rev = payoffs(dataclasses.replace(config, delta=delta), result.selected).isp_revenue
                 assert rev[j] <= base[j] + 1e-9
@@ -463,7 +484,7 @@ class TestDiscountGame:
                 market_at = dataclasses.replace(config, delta=delta)
                 result = enumerate_zre(market_at)
                 assert list(codes[mask]) == [theta.encoding() for theta in result.all_zre]
-                if result.status is ZreStatus.NO_ZRE:
+                if result.selected is None:
                     assert np.all(row == -np.inf)
                     without_zre += 1
                 else:
@@ -529,10 +550,9 @@ class TestProfileCodeLimit:
         [
             lambda config, theta: is_zre(config, theta),
             lambda config, theta: best_response_dynamics(config, theta, max_steps=20),
-            lambda config, theta: select_zre([theta], config),
             lambda config, theta: detect_pressure(config, theta),
         ],
-        ids=["is_zre", "best_response_dynamics", "select_zre", "detect_pressure"],
+        ids=["is_zre", "best_response_dynamics", "detect_pressure"],
     )
     def test_limit_is_63_cells(self, call):
         big = random_config(np.random.default_rng(1), 8, 8, allow_zero_price=False)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from zrsim import (
     ConfigError,
-    ContractViolation,
     InvalidArgument,
     MarketConfig,
     StrategyMatrix,
@@ -311,9 +310,9 @@ class TestMergeProviders:
 
     def test_unequal_profiles_rejected(self, bench):
         theta = StrategyMatrix(((0, 1), (1, 1)))
-        with pytest.raises(ContractViolation):
+        with pytest.raises(InvalidArgument, match="identical zero-rating rows"):
             merge_providers(bench, theta, cp_subset=(0, 1))
-        with pytest.raises(ContractViolation):
+        with pytest.raises(InvalidArgument, match="identical zero-rating columns"):
             merge_providers(bench, theta, isp_subset=(0, 1))
 
     def test_exactly_one_subset_required(self, bench):

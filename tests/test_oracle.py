@@ -25,7 +25,7 @@ from zrsim.analysis import grid_sweep
 from zrsim.equilibrium import GAIN_TOL
 from zrsim.oracle import Violation
 
-from conftest import flip, random_config, random_theta
+from conftest import flip, oracle_totals, random_config, random_theta
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
@@ -288,8 +288,8 @@ def test_violation_fields_of_each_move(bench, alpha, bits, expected):
     assert type(violation) is Violation and violation == expected
     i, j = violation.cp, violation.isp
     assert theta.rows[i][j] == (violation.move == "cancel")
-    base_u, base_r = oracle._oracle_totals(config, theta)
-    flip_u, flip_r = oracle._oracle_totals(config, flip(theta, i, j))
+    base_u, base_r = oracle_totals(config, theta)
+    flip_u, flip_r = oracle_totals(config, flip(theta, i, j))
     tol = GAIN_TOL * config.total_users
     gains = {"cp": flip_u[i] > base_u[i] + tol, "isp": flip_r[j] > base_r[j] + tol}
     assert violation.gainers == tuple(side for side, gain in gains.items() if gain)

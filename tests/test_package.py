@@ -1,10 +1,13 @@
-"""The package's public names and README's library example."""
+"""The package's public names, error types and README's library example."""
 
+import ast
 from pathlib import Path
 
 import zrsim
+from zrsim import errors
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(zrsim.__file__).resolve().parent
 
 
 def test_public_names_are_sorted_unique_and_resolve():
@@ -25,3 +28,18 @@ def test_readme_library_example_runs(capsys):
     example = text.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out == "1010 (False, False)\n"
+
+
+def test_every_error_type_is_raised_in_the_package():
+    # An error type that no code raises is a public name without a use.
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    declared = {
+        name for name, cls in vars(errors).items()
+        if isinstance(cls, type) and cls.__module__ == errors.__name__
+    }
+    assert declared - raised - {"ZrsimError"} == set()

@@ -3,7 +3,7 @@
 The model names no provider, so renaming the ISPs (with their prices,
 discounts, baseline shares and price axes) or the CPs (with their values
 and the bundle masks of phi) must map every cell's equilibrium set onto
-the renamed cell.  Only sets are compared: ``select_zre``'s "last ISP"
+the renamed cell.  Only sets are compared: the engine's "last ISP"
 tie-break reads the labels by design, and the cells where that decides
 the outcome are pinned below.  Scaling ``total_users`` scales every
 payoff and the gain margin alike, so it must change no verdict.

@@ -1,12 +1,13 @@
 """The scenario-level driver against a per-cell reference.
 
 The reference solves each cell on its own from ``_profiles``,
-``code_scores`` and ``_stable``, selects with ``select_zre``, flags with
-``detect_pressure`` and records both worlds with ``payoffs`` and the
-one-profile ``hhi`` of conftest: none of it runs through
-:func:`zrsim.equilibrium.solve_grid`.  Price axes hold 0.0, so every set of
-zero-price ISPs (every group of the driver) occurs.  ``detect_pressure`` reads its scores as the driver does, so the
-driver's flags are also checked against scores of each counterfactual row.
+``code_scores`` and ``_stable``, selects with conftest's
+``tie_break_winner``, flags with ``detect_pressure`` and records both
+worlds with ``payoffs`` and the one-profile ``hhi`` of conftest: none of it
+runs through :func:`zrsim.equilibrium.solve_grid`.  Price axes hold 0.0, so
+every set of zero-price ISPs (every group of the driver) occurs.
+``detect_pressure`` reads its scores as the driver does, so the driver's
+flags are also checked against scores of each counterfactual row.
 """
 
 import inspect
@@ -25,7 +26,6 @@ from zrsim import (
     StrategyMatrix,
     SweepRecord,
     ZreResult,
-    ZreStatus,
     analysis,
     detect_pressure,
     discount_equilibrium,
@@ -36,12 +36,11 @@ from zrsim import (
     market,
     payoff,
     payoffs,
-    select_zre,
 )
 from zrsim.equilibrium import GAIN_TOL
 from zrsim.payoff import code_scores
 
-from conftest import hhi, random_config
+from conftest import hhi, random_config, tie_break_winner
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
@@ -52,10 +51,10 @@ def _reference_zre(cell: MarketConfig) -> ZreResult:
     u, r = code_scores(cell, codes)
     found = codes[equilibrium._stable(u.T, r.T, steps, GAIN_TOL * cell.total_users)]
     if not len(found):
-        return ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
+        return ZreResult((), None, (False,) * n)
     all_zre = tuple(StrategyMatrix.from_bitstring(format(c, f"0{n * m}b"), n, m) for c in found)
-    selected = select_zre(all_zre, cell)
-    return ZreResult(ZreStatus.EQUILIBRIA_FOUND, all_zre, selected, detect_pressure(cell, selected))
+    selected = tie_break_winner(cell, all_zre)
+    return ZreResult(all_zre, selected, detect_pressure(cell, selected))
 
 
 def test_profiles_match_their_definition():
@@ -90,7 +89,7 @@ def _reference_record(
 ) -> SweepRecord:
     n = cell.n_cps
     if zre is None:
-        zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * n)
+        zre = ZreResult((), None, (False,) * n)
     if zre.selected is None:
         zeros = (0.0,) * n
         return SweepRecord(cell.p, discounts, zre, zeros, zeros, 0.0)
@@ -173,7 +172,7 @@ def test_driver_equals_per_cell_reference(block_elements, references, monkeypatc
     # own; 1000 gives ragged blocks.
     if block_elements is not None:
         monkeypatch.setattr(market, "BLOCK_ELEMENTS", block_elements)
-    statuses = set()
+    outcomes = set()
     for (config, axes, grid), (cells, zres, records, discounts) in zip(CASES, references):
         swept = grid_sweep(config, axes)
         # The sweep returns price rows; each cell's market is built from its
@@ -191,10 +190,10 @@ def test_driver_equals_per_cell_reference(block_elements, references, monkeypatc
             outcome = discount_equilibrium(cell, grid)
             assert outcome.delta_star == discount.discounts
             assert (outcome.zre and outcome.zre.selected) == discount.zre.selected
-            statuses.add((zre.status, outcome.delta_star is None))
+            outcomes.add((zre.selected is None, outcome.delta_star is None))
     # Cells without an equilibrium and without a discount equilibrium occur.
-    assert {status for status, _ in statuses} == set(ZreStatus)
-    assert len({status for _, status in statuses}) == 2
+    assert {no_zre for no_zre, _ in outcomes} == {False, True}
+    assert {nodeq for _, nodeq in outcomes} == {False, True}
     # discount_game.json at (0.5, 0.5) is NODEQ: its row carries no
     # discount profile, not the template delta (1, 1).
     scenario = load_scenario(SCENARIOS / "discount_game.json")
@@ -216,7 +215,7 @@ def test_repeated_and_unsorted_axes_solve_each_cell(block_elements, monkeypatch)
         (bench, ([0.6, 0.0, 0.6, 1.0], [1.0, 0.8, 0.0, 0.8]), (0.2, 0.6, 1.0)),
         (random_config(rng, 2, 3), ([0.5, 0.0, 0.5], [1.0, 0.0], [0.3, 0.7, 0.3]), (0.5, 1.0)),
     ]
-    no_zre = ZreResult(ZreStatus.NO_ZRE, (), None, (False,) * 2)
+    no_zre = ZreResult((), None, (False,) * 2)
     nodeq = 0
     for config, axes, grid in cases:
         cells = list(itertools.product(*axes))
