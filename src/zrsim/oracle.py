@@ -5,29 +5,27 @@ choice sets per user class and pair-by-pair probability sums -- rather than
 through the closed-form allocation path, so agreement between the two routes
 is evidence that the closed form was transcribed correctly.  The contract is
 naive arithmetic, pair by pair, with one normaliser per choice set: each
-class's distribution sums phi * psi over its set once.  The allocation reads
-neither prices nor discounts, so :func:`oracle_verdicts` computes each
-distinct one once per call and shares it across the markets of its batch.
-Each call files every distinct profile once under a small integer, its
-profile number, with the numbers of its row-major flips, and keys the
-shared allocations and each market's table of (utilities, revenues) on
-that number.  Each run of consecutive pairs in one market gets one such
-table, so a profile is scored once per market however many of its pairs
-deviate to it; every deviation is still tested pair by pair.  A profile is
-scored in one pass over its (CP, ISP) pairs: each utility and each revenue
-is a plain-float sum, pair by pair.  The deviation rule returns the first
-breaking cell as a plain tuple, and only :func:`find_zre_violation` turns
-it into a :class:`Violation`, so :func:`oracle_verdicts` builds none.  The
-markets of a batch are the caller's: ``zrsim verify`` derives each cell's
-market from the scenario's validated one and validates only its prices
-and discounts (:meth:`~zrsim.market.MarketConfig.with_cell`).  Nothing
-here reads :mod:`zrsim.market`'s lattice or allocation code; only its
-data types.
+class's distribution sums phi * psi over its set once.  A profile is scored
+in one pass over its (CP, ISP) pairs, each utility and each revenue a
+plain-float sum, and one deviation rule reads those scores cell by cell.
+The allocation reads neither prices nor discounts, so each distinct one is
+computed once per call, under (alpha, phi, psi, total_users), and shared
+across the markets of a batch.  There are two routes to the rule:
+:func:`oracle_equilibria` lists every valid profile of each market once,
+scores each once per market and keeps those that no flip breaks;
+:func:`oracle_verdicts` tests given (market, profile) pairs, scoring a
+profile and its flips once per run of pairs in one market.  Only
+:func:`find_zre_violation` names the breaking deviation.  The markets are
+the caller's: ``zrsim verify`` derives each cell's market from the
+scenario's validated one and validates only its prices and discounts
+(:meth:`~zrsim.market.MarketConfig.with_cell`).  Nothing here reads
+:mod:`zrsim.market`'s lattice or allocation code; only its data types.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+import itertools
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -36,14 +34,13 @@ from .errors import InvalidArgument
 from .market import AllocationTable, MarketConfig, StrategyMatrix
 
 Rows = tuple[tuple[int, ...], ...]
-# A call's profile book: the number of each distinct profile, the profiles
-# by number and, once built, the numbers of each profile's row-major flips.
-Book = tuple[dict[Rows, int], list[Rows], list[list[int] | None]]
-# A market's zero-price ISPs and its other cells (CP, ISP, row-major position).
-Cells = tuple[tuple[int, ...], list[tuple[int, int, int]]]
-Totals = Callable[[int], tuple[list[float], list[float]]]
+# A profile's (CP utilities, ISP revenues) in one market.
+Scores = tuple[list[float], list[float]]
 # A breaking cell: (CP, ISP, whether the profile holds it, CP gains, ISP gains).
 Breach = tuple[int, int, bool, bool, bool]
+# A zero-price pattern's profiles and, for each, its flips as (CP, ISP,
+# whether the profile holds the cell, index of the flipped profile).
+Space = tuple[list[Rows], list[list[tuple[int, int, bool, int]]]]
 
 
 def _distribution(
@@ -115,9 +112,7 @@ def oracle_allocate(config: MarketConfig, theta: StrategyMatrix) -> AllocationTa
     return AllocationTable(rho=rho, x_pair=x_pair, x_effective=x_effective)
 
 
-def _payoff_totals(
-    config: MarketConfig, rows: Rows, x_eff: list[list[float]]
-) -> tuple[list[float], list[float]]:
+def _payoff_totals(config: MarketConfig, rows: Rows, x_eff: list[list[float]]) -> Scores:
     """(CP utilities, ISP revenues) of the profile ``rows`` in ``config``,
     from its oracle effective users ``x_eff``, in one pass over its (CP,
     ISP) pairs: each CP's utility sums its ISPs in order, each ISP's
@@ -138,48 +133,35 @@ def _payoff_totals(
     return utilities, revenues
 
 
-def _file(book: Book, rows: Rows) -> int:
-    """The number of the profile ``rows`` in ``book``, filed under the next
-    free one if it is new."""
-    numbers, profiles, flips = book
-    k = numbers.get(rows)
-    if k is None:
-        k = numbers[rows] = len(profiles)
-        profiles.append(rows)
-        flips.append(None)
-    return k
+def _x_eff(config: MarketConfig, rows: Rows, allocations: dict) -> list[list[float]]:
+    """The oracle effective users of ``rows`` in ``config``, computed once
+    per ``allocations`` under (alpha, phi, psi, total_users, rows)."""
+    key = (config.alpha, config.phi, config.psi, config.total_users, rows)
+    if key not in allocations:
+        allocations[key] = oracle_allocate(config, StrategyMatrix(rows)).x_effective.tolist()
+    return allocations[key]
 
 
-def _market_totals(config: MarketConfig, allocations: dict[tuple, dict], book: Book) -> Totals:
-    """The (utilities, revenues) lookup of one market, keyed on a profile's
-    number in ``book``: each entry is computed once, from the allocation of
-    that profile, which is itself computed once per ``allocations`` dict,
-    filed under (alpha, phi, psi, total_users) and then the number, and
-    shared by every market that has those."""
-    profiles = book[1]
-    table: dict[int, tuple[list[float], list[float]]] = {}
-    key = (config.alpha, config.phi, config.psi, config.total_users)
-    shared = allocations.setdefault(key, {})
+class _Table(dict):
+    """One market's scores by profile rows, each computed on its first
+    lookup, from the allocations of :func:`_x_eff`."""
 
-    def totals(k: int) -> tuple[list[float], list[float]]:
-        entry = table.get(k)
-        if entry is None:
-            x_eff = shared.get(k)
-            if x_eff is None:
-                theta = StrategyMatrix(profiles[k])
-                x_eff = shared[k] = oracle_allocate(config, theta).x_effective.tolist()
-            entry = table[k] = _payoff_totals(config, profiles[k], x_eff)
-        return entry
+    def __init__(self, config: MarketConfig, allocations: dict) -> None:
+        super().__init__()
+        self.config, self.allocations = config, allocations
 
-    return totals
+    def __missing__(self, rows: Rows) -> Scores:
+        x_eff = _x_eff(self.config, rows, self.allocations)
+        self[rows] = scores = _payoff_totals(self.config, rows, x_eff)
+        return scores
 
 
-def _cells(config: MarketConfig) -> Cells:
+def _cells(config: MarketConfig) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     """The ISPs at a zero price, whose cells are forced to 1, and every
-    other cell as (CP, ISP, row-major position), in row-major order."""
+    other cell as (CP, ISP), in row-major order."""
     n, m = config.n_cps, config.n_isps
     forced = tuple(j for j in range(m) if config.p[j] == 0.0)
-    return forced, [(i, j, i * m + j) for i in range(n) for j in range(m) if j not in forced]
+    return forced, [(i, j) for i in range(n) for j in range(m) if j not in forced]
 
 
 class Violation(NamedTuple):
@@ -202,9 +184,7 @@ def find_zre_violation(config: MarketConfig, theta: StrategyMatrix) -> Violation
     total_users, so tie verdicts agree across the two arithmetic routes).
     Cells forced by a zero ISP price are never deviated.
     """
-    book: Book = ({}, [], [])
-    k = _file(book, theta.rows)
-    broken = _first_violation(config, k, _cells(config), _market_totals(config, {}, book), book)
+    broken = _first_violation(config, theta.rows, _Table(config, {}))
     if broken is None:
         return None
     i, j, held, cp_gains, isp_gains = broken
@@ -214,37 +194,36 @@ def find_zre_violation(config: MarketConfig, theta: StrategyMatrix) -> Violation
     return Violation(i, j, "cancel", gainers)
 
 
-def _first_violation(
-    config: MarketConfig, k: int, cells: Cells, totals: Totals, book: Book
-) -> Breach | None:
-    """:func:`find_zre_violation`'s rule on profile number ``k`` of ``book``,
-    with the forced columns and free cells ``cells`` of ``config``, reading
-    the (utilities, revenues) of the profile and of each flip from
-    ``totals``; a profile's row-major flips are filed once per book.  The
-    first breaking cell comes back as (CP, ISP, held, CP gains, ISP gains)."""
-    rows = book[1][k]
-    forced, free = cells
+def _first_violation(config: MarketConfig, rows: Rows, table: _Table) -> Breach | None:
+    """:func:`find_zre_violation`'s rule on the profile ``rows``, reading it
+    and its flips from ``table``.  The first breaking cell comes back as
+    (CP, ISP, held, CP gains, ISP gains)."""
+    forced, free = _cells(config)
     for j in forced:
         for i in range(config.n_cps):
             if rows[i][j] != 1:
                 raise InvalidArgument(f"cell ({i}, {j}) must be 1 because p[{j}] = 0")
-    flipped = book[2][k]
-    if flipped is None:
-        flipped = book[2][k] = [
-            _file(book, rows[:i] + (row[:j] + (1 - row[j],) + row[j + 1 :],) + rows[i + 1 :])
-            for i, row in enumerate(rows) for j in range(len(row))
-        ]
-    base_u, base_r = totals(k)
-    tol = GAIN_TOL * config.total_users
-    for i, j, position in free:
-        flip_u, flip_r = totals(flipped[position])
-        cp_gains = flip_u[i] > base_u[i] + tol
-        isp_gains = flip_r[j] > base_r[j] + tol
-        if rows[i][j] == 1:
-            if cp_gains or isp_gains:
-                return i, j, True, cp_gains, isp_gains
-        elif cp_gains and isp_gains:
-            return i, j, False, True, True
+    flips = []
+    for i, j in free:
+        row = rows[i][:j] + (1 - rows[i][j],) + rows[i][j + 1 :]
+        flips.append((i, j, rows[i][j] == 1, rows[:i] + (row,) + rows[i + 1 :]))
+    return _first_breach(table[rows], flips, table, GAIN_TOL * config.total_users)
+
+
+def _first_breach(
+    base: Scores, flips: list[tuple], scores: list[Scores] | _Table, tol: float
+) -> Breach | None:
+    """The deviation rule on a profile whose scores are ``base``, over its
+    ``flips`` (CP, ISP, held, key of the flip's scores in ``scores``) in
+    order: a held relation breaks when either side gains by more than
+    ``tol`` from canceling it, a missing one when both gain from
+    establishing it."""
+    for i, j, held, k in flips:
+        flip = scores[k]
+        cp_gains = flip[0][i] > base[0][i] + tol
+        isp_gains = flip[1][j] > base[1][j] + tol
+        if (cp_gains or isp_gains) if held else (cp_gains and isp_gains):
+            return i, j, held, cp_gains, isp_gains
     return None
 
 
@@ -256,21 +235,62 @@ def oracle_verify_zre(config: MarketConfig, theta: StrategyMatrix) -> bool:
 def oracle_verdicts(pairs: Iterable[tuple[MarketConfig, StrategyMatrix]]) -> list[bool]:
     """:func:`oracle_verify_zre` of each (market, profile) pair, in order.
 
-    Each distinct profile of the call is filed once under a number, with
-    the numbers of its row-major flips.  Consecutive pairs with an equal
-    market share one table of oracle totals, keyed on that number, so each
-    profile or flip is scored once per market; the allocation reads only
+    Consecutive pairs with an equal market share one table of scores, so a
+    profile or flip is scored once per such run; the allocation reads only
     alpha, phi, psi, total_users and the profile, so each distinct one is
-    built once per call.  The deviation rule of :func:`find_zre_violation`
-    then runs pair by pair."""
-    book: Book = ({}, [], [])
-    allocations: dict[tuple, dict] = {}
+    built once per call."""
+    allocations: dict = {}
     verdicts = []
     market = None
     for config, theta in pairs:
         if config is not market and config != market:
-            market, cells = config, _cells(config)
-            totals = _market_totals(config, allocations, book)
-        k = _file(book, theta.rows)
-        verdicts.append(_first_violation(config, k, cells, totals, book) is None)
+            market, table = config, _Table(config, allocations)
+        verdicts.append(_first_violation(config, theta.rows, table) is None)
     return verdicts
+
+
+def oracle_equilibria(markets: Iterable[MarketConfig]) -> list[tuple[StrategyMatrix, ...]]:
+    """Each market's equilibria by exhaustive deviation checks, in row-major
+    bit order: every profile whose zero-price columns are all 1 that
+    :func:`find_zre_violation` accepts.
+
+    Each zero-price pattern's profiles are listed once per call, in that
+    order, with each free cell's flip as a list index.  Each distinct
+    profile is allocated once per (alpha, phi, psi, total_users), and every
+    profile is scored once per market into a list, which the deviation rule
+    then reads by index."""
+    spaces: dict[tuple, Space] = {}
+    allocations: dict = {}
+    x_effs: dict[tuple, list[list[list[float]]]] = {}
+    equilibria = []
+    for config in markets:
+        forced, free = _cells(config)
+        pattern = (config.n_cps, config.n_isps, forced)
+        if pattern not in spaces:
+            spaces[pattern] = _space(*pattern, free)
+        profiles, moves = spaces[pattern]
+        key = (config.alpha, config.phi, config.psi, config.total_users, pattern)
+        if key not in x_effs:
+            x_effs[key] = [_x_eff(config, rows, allocations) for rows in profiles]
+        scores = list(map(_payoff_totals, itertools.repeat(config), profiles, x_effs[key]))
+        tol = GAIN_TOL * config.total_users
+        equilibria.append(tuple(
+            StrategyMatrix(rows) for rows, base, flips in zip(profiles, scores, moves)
+            if _first_breach(base, flips, scores, tol) is None
+        ))
+    return equilibria
+
+
+def _space(n: int, m: int, forced: tuple[int, ...], free: list[tuple[int, int]]) -> Space:
+    """Every profile of ``n`` rows and ``m`` columns whose ``forced``
+    columns are 1, in row-major bit order, and each one's (CP, ISP, held,
+    index of the flip) over the ``free`` cells: the free cells are the bits
+    of a profile's index, the first the highest."""
+    choices = itertools.product(*[(1,) if j in forced else (0, 1) for j in range(m)])
+    profiles = list(itertools.product(list(choices), repeat=n))
+    bits = [1 << (len(free) - 1 - t) for t in range(len(free))]
+    moves = [
+        [(i, j, rows[i][j] == 1, k ^ bit) for (i, j), bit in zip(free, bits)]
+        for k, rows in enumerate(profiles)
+    ]
+    return profiles, moves

@@ -24,7 +24,7 @@ from .equilibrium import _last_argmax
 from .market import (
     MarketConfig, StrategyMatrix, _members, _rho, allocations, cp_totals, profile_cells
 )
-from .oracle import oracle_allocate, oracle_verdicts
+from .oracle import oracle_allocate, oracle_equilibria, oracle_verdicts
 from .scenario import Scenario
 
 ORACLE_TOL = 1e-12
@@ -37,9 +37,9 @@ VERIFY_SEED = 20240517
 # The most oracle work ``oracle-equilibrium`` spends on comparing every
 # profile of every cell, counted in deviation tests: each compared profile
 # makes one per cell (N x M), and allocating a profile costs about 3 per
-# (bundle, ISP) pair of its 2^N x (M + 1) lattice.  A test takes about
-# 1.5 us on a 2-core x86 host, so the budget is about 0.75 s; above it the
-# check compares a seeded sample.
+# (bundle, ISP) pair of its 2^N x (M + 1) lattice.  A test takes 0.5 to
+# 0.8 us on a 2-core x86 host, so the budget is 0.25 to 0.4 s; above it
+# the check compares a seeded sample.
 ORACLE_PROFILE_BUDGET = 500_000
 
 
@@ -103,56 +103,45 @@ def check_oracle_allocation(scenario: Scenario, records: list[SweepRecord]) -> C
     return CheckResult("oracle-allocation", ok, f"max |rho - oracle rho| = {worst:.3e}")
 
 
-def _every_profile(zeros: tuple[bool, ...], n_cps: int) -> list[StrategyMatrix]:
-    """Every profile of ``n_cps`` rows whose zero-price columns (``zeros``)
-    are all 1, in row-major bit order."""
-    row_choices = list(itertools.product(*[(1,) if zero else (0, 1) for zero in zeros]))
-    return [StrategyMatrix(rows) for rows in itertools.product(row_choices, repeat=n_cps)]
-
-
 def check_oracle_equilibrium(scenario: Scenario, records: list[SweepRecord]) -> CheckResult:
     # The engine's verdict on a profile is whether its cell's record holds
     # it.  A NODEQ cell, whose record holds no discount profile, records no
     # equilibrium because no discount profile is Nash, not because no
-    # profile is stable, so it is skipped and counted.  Every profile of
-    # every other cell goes to the oracle in one batch when that fits
-    # ORACLE_PROFILE_BUDGET; otherwise each cell's equilibria and a seeded
-    # sample of 3 profiles (drawn for skipped cells too, so the draws do
-    # not depend on the skips).  Each distinct recorded profile that is
-    # never compared disagrees once, however often a draw repeats another.
-    # Profiles are matched by their rows.  Each compared cell's market is
-    # derived here from the scenario's, validating only its record's
-    # prices and discounts: no other check reads more than prices.
+    # profile is stable, so it is skipped and counted.  When every profile
+    # of every other cell fits ORACLE_PROFILE_BUDGET, the oracle lists each
+    # cell's equilibria, and each profile in only one of that list and the
+    # record disagrees once (a recorded profile that breaks a forced cell
+    # included).  Otherwise each cell's equilibria and a seeded sample of 3
+    # profiles (drawn for skipped cells too, so the draws do not depend on
+    # the skips) go to the oracle pair by pair.  Profiles are matched by
+    # their rows.  Each compared cell's market is derived here from the
+    # scenario's, validating only its record's prices and discounts: no
+    # other check reads more than prices.
     config = scenario.config
     n, m = config.n_cps, config.n_isps
     keep = [record.discounts is not None for record in records]
     cells = list(itertools.compress(records, keep))
-    zeros = [tuple(price == 0.0 for price in record.prices) for record in cells]
-    work = n * m * sum(2 ** (n * z.count(False)) for z in zeros)
-    work += 3 * 2**n * (m + 1) * 2 ** (n * m)
+    markets = [config.with_cell(record.prices, record.discounts) for record in cells]
+    compared = sum(2 ** (n * sum(price != 0.0 for price in record.prices)) for record in cells)
+    work = n * m * compared + 3 * 2**n * (m + 1) * 2 ** (n * m)
     if work <= ORACLE_PROFILE_BUDGET:
         path = "every profile"
-        every = {z: _every_profile(z, n) for z in set(zeros)}
-        profiles = [every[z] for z in zeros]
+        disagreements = sum(
+            len(set(record.zre.all_zre) ^ set(oracle))
+            for record, oracle in zip(cells, oracle_equilibria(markets))
+        )
     else:
         path = f"seeded sample (oracle work {work} over {ORACLE_PROFILE_BUDGET})"
         rng = random.Random(VERIFY_SEED)
         draws = [[_seeded_profile(rng, n, r.prices) for _ in range(3)] for r in records]
-        profiles = [
-            list(record.zre.all_zre) + sample
-            for record, sample in zip(cells, itertools.compress(draws, keep))
-        ]
-    pairs, engine, unmatched = [], [], 0
-    for record, thetas in zip(cells, profiles):
-        market = config.with_cell(record.prices, record.discounts)
-        zre = {theta.rows for theta in record.zre.all_zre}
-        rows = [theta.rows for theta in thetas]
-        recorded = [key in zre for key in rows]
-        pairs += zip(itertools.repeat(market), thetas)
-        engine += recorded
-        unmatched += len(zre) - len(set(itertools.compress(rows, recorded)))
-    disagreements = unmatched + sum(map(operator.ne, engine, oracle_verdicts(pairs)))
-    detail = f"{path}: {len(pairs)} verdicts compared, {disagreements} disagreements"
+        pairs, engine = [], []
+        for market, record, sample in zip(markets, cells, itertools.compress(draws, keep)):
+            zre, thetas = set(record.zre.all_zre), record.zre.all_zre + tuple(sample)
+            pairs += zip(itertools.repeat(market), thetas)
+            engine += [theta in zre for theta in thetas]
+        compared = len(pairs)
+        disagreements = sum(map(operator.ne, engine, oracle_verdicts(pairs)))
+    detail = f"{path}: {compared} verdicts compared, {disagreements} disagreements"
     skipped = len(records) - len(cells)
     if skipped:
         detail += f", {skipped} NODEQ cells skipped"

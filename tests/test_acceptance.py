@@ -24,10 +24,12 @@ import dataclasses
 import itertools
 import time
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+import zrsim
 from zrsim import (
     MarketConfig,
     StrategyMatrix,
@@ -37,12 +39,13 @@ from zrsim import (
     grid_sweep,
     hhi_variance_identity,
     is_zre,
+    load_scenario,
     oracle_allocate,
     oracle_verify_zre,
     payoffs,
 )
 from zrsim.equilibrium import DEFAULT_DELTA_GRID, GAIN_TOL
-from zrsim.oracle import oracle_verdicts
+from zrsim.oracle import oracle_equilibria
 
 from conftest import (
     GRID11, hhi, merge_providers, oracle_totals, random_config, random_theta, tie_break_winner
@@ -162,27 +165,21 @@ def _closed_form_revenues(config):
 def _oracle_revenues(config):
     """Selected-equilibrium ISP revenues of every grid discount profile.
 
-    Brute-force route: equilibria by the oracle's deviation checks over all
-    profiles that keep zero-price columns at 1 (one ``oracle_verdicts``
-    batch over the grid's markets), selection by conftest's
-    ``tie_break_winner``, and
-    revenues summed pair by pair from the oracle allocation.
+    Brute-force route: each market's equilibria by the oracle's deviation
+    checks over all profiles that keep zero-price columns at 1 (one
+    ``oracle_equilibria`` call over the grid's markets), selection by
+    conftest's ``tie_break_winner``, and revenues summed pair by pair from
+    the oracle allocation.
     """
-    n, m = config.n_cps, config.n_isps
-    thetas = []
-    for bits in itertools.product((0, 1), repeat=n * m):
-        rows = tuple(bits[i * m : (i + 1) * m] for i in range(n))
-        if all(rows[i][j] for i in range(n) for j in range(m) if config.p[j] == 0.0):
-            thetas.append(StrategyMatrix(rows))
-    markets = [dataclasses.replace(config, delta=d) for d in itertools.product(GRID11, repeat=m)]
-    verdicts = iter(oracle_verdicts([(market, theta) for market in markets for theta in thetas]))
+    markets = [
+        dataclasses.replace(config, delta=d)
+        for d in itertools.product(GRID11, repeat=config.n_isps)
+    ]
     revenues = {}
-    for market in markets:
-        zre = [theta for theta in thetas if next(verdicts)]
-        if not zre:
-            revenues[market.delta] = None
-            continue
-        revenues[market.delta] = tuple(oracle_totals(market, tie_break_winner(market, zre))[1])
+    for market, zre in zip(markets, oracle_equilibria(markets)):
+        revenues[market.delta] = (
+            tuple(oracle_totals(market, tie_break_winner(market, zre))[1]) if zre else None
+        )
     return revenues
 
 
@@ -345,6 +342,46 @@ def test_c3_discount_game_reference_grid(tmp_path):
         3,
         f"{counts['match']} cells match, {counts['refuted']} refuted, anchors "
         f"re-checked on the oracle route; sweep {elapsed:.1f}s",
+    )
+
+
+def test_c3_gap_is_cp2_zero_rating_threshold():
+    # c3's gap as a pair of numbers on discount_game.json's p_1 = 0 row,
+    # where ISP 1's discount multiplies a zero price, so ISP 2 alone picks
+    # delta_2, up to the largest one at which CP 2 still zero-rates with it.
+    # zrsim: CP 2's utility at 1011 (both relations) and at 1010 (ISP 1
+    # only) is equal where delta_2 p_2 is the threshold below, from the
+    # allocations alone.  Published: each discounted cell of the row is the
+    # largest grid delta_2 with delta_2 p_2 under one threshold, so the row
+    # admits the band [largest delta_2 p_2, smallest next-grid delta_2 p_2).
+    # Report only: zrsim's threshold lies below the band.
+    scenario = load_scenario(Path(zrsim.__file__).parent / "scenarios" / "discount_game.json")
+    market = scenario.config.with_prices((0.0, 1.0))
+    assert market == BENCH.with_prices((0.0, 1.0))
+    both, alone = (
+        allocate(market, StrategyMatrix.from_bitstring(bits, 2, 2)).x_effective
+        for bits in ("1011", "1010")
+    )
+    q, c = market.q[1], market.c
+    kept = q * both[1, 0] + q * both[1, 1] - q * alone[1, 0] - q * c * alone[1, 1]
+    threshold = kept / both[1, 1]
+    assert abs(threshold - 0.46632996632996654) < 1e-12
+    for delta_2, keeps in ((threshold - 1e-6, True), (threshold + 1e-6, False)):
+        cell = dataclasses.replace(market, delta=(1.0, delta_2))
+        utility = {
+            bits: payoffs(cell, StrategyMatrix.from_bitstring(bits, 2, 2)).cp_utility[1]
+            for bits in ("1011", "1010")
+        }
+        assert (utility["1011"] > utility["1010"]) == keeps
+    row = {p2: d for (p1, p2), d in _reference_table().items() if p1 == 0.0 and p2 > 0.0}
+    low = max(p2 * d2 for p2, (_, d2) in row.items())
+    high = min(p2 * GRID11[GRID11.index(d2) + 1] for p2, (_, d2) in row.items() if d2 < 1.0)
+    assert sorted(p2 for p2, (_, d2) in row.items() if d2 < 1.0) == [0.6, 0.7, 0.8, 0.9, 1.0]
+    assert abs(low - 0.56) < 1e-12 and abs(high - 0.6) < 1e-12
+    assert threshold < low < high
+    print(
+        f"c3 gap on the p_1 = 0 row: zrsim's CP 2 leaves ISP 2 above delta_2 p_2 = "
+        f"{threshold:.5f}; the published row admits [{low:.2f}, {high:.2f})"
     )
 
 

@@ -883,19 +883,19 @@ def test_verify_sample_repeats_offset_no_disagreement(monkeypatch):
 
 
 def test_oracle_verdicts_share_work_across_the_battery(monkeypatch):
-    # bandwidth_high's every-profile pairs, as check_oracle_equilibrium
-    # sends them: 121 markets at one alpha, phi and psi, 1,681 distinct
-    # (market, profile) pairs over 16 distinct profiles.  The batch
-    # allocates each profile once and scores it once per market.
+    # bandwidth_high's every-profile route, as check_oracle_equilibrium
+    # takes it: one oracle_equilibria call over its 121 markets at one
+    # alpha, phi and psi, whose 1,681 valid profiles are 16 distinct ones.
+    # The call allocates each profile once and scores it once per market.
     scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
     records = _battery_records(scenario)
     sent, calls = [], {"allocate": 0, "totals": 0}
-    real_verdicts = oracle.oracle_verdicts
+    real_equilibria = oracle.oracle_equilibria
     real_allocate, real_totals = oracle.oracle_allocate, oracle._payoff_totals
 
-    def recording(pairs):
-        sent.extend(pairs)
-        return real_verdicts(pairs)
+    def recording(markets):
+        sent.append(list(markets))
+        return real_equilibria(sent[-1])
 
     def allocate(config, theta):
         calls["allocate"] += 1
@@ -905,17 +905,26 @@ def test_oracle_verdicts_share_work_across_the_battery(monkeypatch):
         calls["totals"] += 1
         return real_totals(config, rows, x_eff)
 
-    monkeypatch.setattr(verify, "oracle_verdicts", recording)
+    monkeypatch.setattr(verify, "oracle_equilibria", recording)
     monkeypatch.setattr(oracle, "oracle_allocate", allocate)
     monkeypatch.setattr(oracle, "_payoff_totals", totals)
     result = check_oracle_equilibrium(scenario, records)
     assert result.detail == "every profile: 1681 verdicts compared, 0 disagreements"
-    assert len(set(sent)) == 1681 and len({theta for _, theta in sent}) == 16
+    [markets] = sent
+    assert len(set(markets)) == len(markets) == 121
+    assert len({(c.alpha, c.phi, c.psi, c.total_users) for c in markets}) == 1
+    valid = sum(2 ** (2 * sum(price != 0.0 for price in c.p)) for c in markets)
+    assert valid == 1681
     assert calls == {"allocate": 16, "totals": 1681}
-    # A profile that breaks a forced cell raises, inside the batch too.
-    zero_priced = next(market for market, _ in sent if 0.0 in market.p)
+    # The seeded-sample route tests given pairs, and a profile that breaks a
+    # forced cell raises there, after 100 valid pairs too.
+    ones = StrategyMatrix.from_bitstring("1111", 2, 2)
+    zero_priced = next(market for market in markets if 0.0 in market.p)
     with pytest.raises(InvalidArgument):
-        oracle.oracle_verdicts(sent[:100] + [(zero_priced, StrategyMatrix.zeros(2, 2))])
+        oracle.oracle_verdicts(
+            [(market, ones) for market in markets[:100]]
+            + [(zero_priced, StrategyMatrix.zeros(2, 2))]
+        )
 
 
 def test_verify_hhi_draws_cover_every_shape(monkeypatch):

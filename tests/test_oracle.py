@@ -239,19 +239,37 @@ def test_violation_names_the_deviation(bench):
     assert oracle_verify_zre(bench, StrategyMatrix.zeros(2, 2))
 
 
+def _valid_profiles(config):
+    """Every profile of ``config`` whose zero-price columns are all 1, in
+    row-major bit order."""
+    n, m = config.n_cps, config.n_isps
+    forced = [j for j in range(m) if config.p[j] == 0.0]
+    thetas = (StrategyMatrix.from_bitstring(format(code, f"0{n * m}b"), n, m)
+              for code in range(1 << (n * m)))
+    return [t for t in thetas if all(row[j] for row in t.rows for j in forced)]
+
+
 def test_oracle_verdicts_are_those_of_find_zre_violation(monkeypatch):
-    # The batch builds no Violation, yet its verdicts are exactly the ones
-    # find_zre_violation gives pair by pair: on bandwidth_high's 1,681
-    # battery pairs as oracle-equilibrium sends them, and on seeded random
+    # Neither route builds a Violation, yet their verdicts are exactly the
+    # ones find_zre_violation gives pair by pair: oracle_equilibria on
+    # bandwidth_high's 121 battery markets as oracle-equilibrium sends them,
+    # over their 1,681 valid profiles, and both routes on seeded random
     # markets, every other one with a zero-price ISP.
     scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
     records = grid_sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
     battery = []
     monkeypatch.setattr(
-        verify, "oracle_verdicts", lambda pairs: battery.extend(pairs) or oracle.oracle_verdicts(pairs)
+        verify, "oracle_equilibria",
+        lambda markets: battery.extend(markets) or oracle.oracle_equilibria(battery),
     )
     assert verify.check_oracle_equilibrium(scenario, records).passed
-    assert len(battery) == 1681
+    assert len(battery) == 121
+    compared = accepted = 0
+    for config, equilibria in zip(battery, oracle.oracle_equilibria(battery)):
+        valid = _valid_profiles(config)
+        assert list(equilibria) == [t for t in valid if find_zre_violation(config, t) is None]
+        compared, accepted = compared + len(valid), accepted + len(equilibria)
+    assert compared == 1681 and 0 < accepted < compared
     rng = np.random.default_rng(331)
     seeded = []
     for draw in range(40):
@@ -262,10 +280,40 @@ def test_oracle_verdicts_are_those_of_find_zre_violation(monkeypatch):
             config = config.with_prices(p)
         seeded += [(config, random_theta(rng, config)) for _ in range(4)]
     assert sum(0.0 in config.p for config, _ in seeded) >= 80
-    for pairs in (battery, seeded):
-        verdicts = oracle.oracle_verdicts(pairs)
-        assert verdicts == [find_zre_violation(c, t) is None for c, t in pairs]
-        assert any(verdicts) and not all(verdicts)
+    expected = [find_zre_violation(c, t) is None for c, t in seeded]
+    assert any(expected) and not all(expected)
+    assert oracle.oracle_verdicts(seeded) == expected
+    equilibria = oracle.oracle_equilibria(config for config, _ in seeded)
+    assert [t in zre for (_, t), zre in zip(seeded, equilibria)] == expected
+
+
+def test_oracle_equilibria_are_the_accepted_profiles():
+    # One call over seeded markets of 1-3 CPs by 1-3 ISPs, every other one
+    # with a zero-price ISP and every third at full discounts: each market's
+    # list is every valid profile that find_zre_violation accepts, in
+    # row-major bit order, and the engine's equilibria.  A rule with its
+    # "or" and "and" swapped fails the engine comparison; a flip index aimed
+    # at the wrong cell fails the find_zre_violation one.
+    rng = np.random.default_rng(313)
+    markets = []
+    for draw in range(36):
+        config = random_config(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        if draw % 3 == 0:
+            config = replace(config, delta=(1.0,) * config.n_isps)
+        if draw % 2 == 0:
+            p = list(config.p)
+            p[rng.integers(config.n_isps)] = 0.0
+            config = config.with_prices(p)
+        markets.append(config)
+    assert sum(0.0 in config.p for config in markets) >= 18
+    found = oracle.oracle_equilibria(markets)
+    assert len(found) == len(markets)
+    for config, equilibria in zip(markets, found):
+        accepted = [t for t in _valid_profiles(config) if find_zre_violation(config, t) is None]
+        assert list(equilibria) == accepted, config
+        assert equilibria == enumerate_zre(config).all_zre, config
+    sizes = [len(equilibria) for equilibria in found]
+    assert max(sizes) > 1
 
 
 @pytest.mark.parametrize(
