@@ -10,11 +10,10 @@ in one pass over its (CP, ISP) pairs, each utility and each revenue a
 plain-float sum, and one deviation rule reads those scores cell by cell.
 The allocation reads neither prices nor discounts, so each distinct one is
 computed once per call, under (alpha, phi, psi, total_users), and shared
-across the markets of a batch.  There are two routes to the rule:
-:func:`oracle_equilibria` lists every valid profile of each market once,
-scores each once per market and keeps those that no flip breaks;
-:func:`oracle_verdicts` tests given (market, profile) pairs, scoring a
-profile and its flips once per run of pairs in one market.  Only
+across the markets of a batch.  One rule defines an equilibrium: a
+profile whose zero-price columns are all 1 and that no flip breaks.
+:func:`oracle_equilibria` applies it to every profile of each market,
+:func:`oracle_equilibria_among` to the profiles it is shown.  Only
 :func:`find_zre_violation` names the breaking deviation.  The markets are
 the caller's: ``zrsim verify`` derives each cell's market from the
 scenario's validated one and validates only its prices and discounts
@@ -232,21 +231,23 @@ def oracle_verify_zre(config: MarketConfig, theta: StrategyMatrix) -> bool:
     return find_zre_violation(config, theta) is None
 
 
-def oracle_verdicts(pairs: Iterable[tuple[MarketConfig, StrategyMatrix]]) -> list[bool]:
-    """:func:`oracle_verify_zre` of each (market, profile) pair, in order.
-
-    Consecutive pairs with an equal market share one table of scores, so a
-    profile or flip is scored once per such run; the allocation reads only
-    alpha, phi, psi, total_users and the profile, so each distinct one is
-    built once per call."""
+def oracle_equilibria_among(
+    markets: Iterable[MarketConfig], among: Iterable[Iterable[StrategyMatrix]]
+) -> list[tuple[StrategyMatrix, ...]]:
+    """Each market's equilibria among the profiles ``among`` shows it, in
+    the order shown: the valid ones that no flip breaks, so one that breaks
+    a forced cell is none.  Each market scores a profile or flip once, and
+    each distinct allocation is built once per call."""
     allocations: dict = {}
-    verdicts = []
-    market = None
-    for config, theta in pairs:
-        if config is not market and config != market:
-            market, table = config, _Table(config, allocations)
-        verdicts.append(_first_violation(config, theta.rows, table) is None)
-    return verdicts
+    equilibria = []
+    for config, thetas in zip(markets, among):
+        table, (forced, _) = _Table(config, allocations), _cells(config)
+        equilibria.append(tuple(
+            theta for theta in thetas
+            if all(row[j] for row in theta.rows for j in forced)
+            and _first_violation(config, theta.rows, table) is None
+        ))
+    return equilibria
 
 
 def oracle_equilibria(markets: Iterable[MarketConfig]) -> list[tuple[StrategyMatrix, ...]]:

@@ -12,7 +12,6 @@ skipped.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -24,7 +23,7 @@ from .equilibrium import _last_argmax
 from .market import (
     MarketConfig, StrategyMatrix, _members, _rho, allocations, cp_totals, profile_cells
 )
-from .oracle import oracle_allocate, oracle_equilibria, oracle_verdicts
+from .oracle import oracle_allocate, oracle_equilibria, oracle_equilibria_among
 from .scenario import Scenario
 
 ORACLE_TOL = 1e-12
@@ -107,16 +106,15 @@ def check_oracle_equilibrium(scenario: Scenario, records: list[SweepRecord]) -> 
     # The engine's verdict on a profile is whether its cell's record holds
     # it.  A NODEQ cell, whose record holds no discount profile, records no
     # equilibrium because no discount profile is Nash, not because no
-    # profile is stable, so it is skipped and counted.  When every profile
-    # of every other cell fits ORACLE_PROFILE_BUDGET, the oracle lists each
-    # cell's equilibria, and each profile in only one of that list and the
-    # record disagrees once (a recorded profile that breaks a forced cell
-    # included).  Otherwise each cell's equilibria and a seeded sample of 3
-    # profiles (drawn for skipped cells too, so the draws do not depend on
-    # the skips) go to the oracle pair by pair.  Profiles are matched by
-    # their rows.  Each compared cell's market is derived here from the
-    # scenario's, validating only its record's prices and discounts: no
-    # other check reads more than prices.
+    # profile is stable, so it is skipped and counted.  Each other cell
+    # compares one set of profiles: every valid one when all of them fit
+    # ORACLE_PROFILE_BUDGET, otherwise its recorded equilibria and a seeded
+    # sample of 3 (drawn for skipped cells too, so the draws do not depend
+    # on the skips), each distinct profile once.  A profile in only one of
+    # the record and the oracle's equilibria disagrees once, a recorded one
+    # that breaks a forced cell included.  Each compared cell's market is
+    # derived here from the scenario's, validating only its record's prices
+    # and discounts: no other check reads more than prices.
     config = scenario.config
     n, m = config.n_cps, config.n_isps
     keep = [record.discounts is not None for record in records]
@@ -126,21 +124,18 @@ def check_oracle_equilibrium(scenario: Scenario, records: list[SweepRecord]) -> 
     work = n * m * compared + 3 * 2**n * (m + 1) * 2 ** (n * m)
     if work <= ORACLE_PROFILE_BUDGET:
         path = "every profile"
-        disagreements = sum(
-            len(set(record.zre.all_zre) ^ set(oracle))
-            for record, oracle in zip(cells, oracle_equilibria(markets))
-        )
+        found = oracle_equilibria(markets)
     else:
         path = f"seeded sample (oracle work {work} over {ORACLE_PROFILE_BUDGET})"
         rng = random.Random(VERIFY_SEED)
         draws = [[_seeded_profile(rng, n, r.prices) for _ in range(3)] for r in records]
-        pairs, engine = [], []
-        for market, record, sample in zip(markets, cells, itertools.compress(draws, keep)):
-            zre, thetas = set(record.zre.all_zre), record.zre.all_zre + tuple(sample)
-            pairs += zip(itertools.repeat(market), thetas)
-            engine += [theta in zre for theta in thetas]
-        compared = len(pairs)
-        disagreements = sum(map(operator.ne, engine, oracle_verdicts(pairs)))
+        among = [
+            dict.fromkeys(record.zre.all_zre + tuple(sample))
+            for record, sample in zip(cells, itertools.compress(draws, keep))
+        ]
+        compared = sum(map(len, among))
+        found = oracle_equilibria_among(markets, among)
+    disagreements = sum(len(set(r.zre.all_zre) ^ set(f)) for r, f in zip(cells, found))
     detail = f"{path}: {compared} verdicts compared, {disagreements} disagreements"
     skipped = len(records) - len(cells)
     if skipped:

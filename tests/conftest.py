@@ -1,13 +1,18 @@
 """Shared fixtures, random market generators and reference helpers."""
 
+import itertools
 from dataclasses import replace
-from typing import Iterable
+from fractions import Fraction
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import pytest
 
-from zrsim import InvalidArgument, MarketConfig, StrategyMatrix, allocate, oracle_allocate
+from zrsim import (
+    InvalidArgument, MarketConfig, StrategyMatrix, allocate, oracle_allocate, payoffs
+)
 from zrsim.analysis import _hhi
+from zrsim.equilibrium import GAIN_TOL
 from zrsim.market import _check_dims, cp_totals
 from zrsim.oracle import _payoff_totals
 
@@ -84,6 +89,47 @@ def tie_break_winner(config: MarketConfig, profiles: Iterable[StrategyMatrix]) -
         -sum(row[-1] for row in theta.rows),
         int(theta.bitstring(), 2),
     ))
+
+
+def reference_delta_star(
+    config: MarketConfig,
+    axes: Sequence[Sequence[float]],
+    selected_of: Callable[[MarketConfig], StrategyMatrix | None],
+) -> tuple[float, ...] | None:
+    """The discount game solved naively on the grid ``axes``, one value
+    list per ISP: each discount profile's ISP revenues from ``payoffs`` at
+    the equilibrium ``selected_of`` gives for its market (a profile without
+    one is dropped), the Nash profiles, from which no ISP gains more than
+    the engine's margin, GAIN_TOL * total_users, by moving alone along its
+    axis, and :func:`documented_delta_star`'s choice among them."""
+    revenue = {}
+    for delta in itertools.product(*axes):
+        market_at = replace(config, delta=delta)
+        if (selected := selected_of(market_at)) is not None:
+            revenue[delta] = payoffs(market_at, selected).isp_revenue
+    tol = GAIN_TOL * config.total_users
+    return documented_delta_star(config, [
+        delta for delta, rev in revenue.items()
+        if not any(
+            revenue[dev][j] > rev[j] + tol
+            for j, axis in enumerate(axes) for alt in axis
+            if (dev := delta[:j] + (alt,) + delta[j + 1:]) in revenue
+        )
+    ])
+
+
+def documented_delta_star(
+    config: MarketConfig, nash: Iterable[tuple[float, ...]]
+) -> tuple[float, ...] | None:
+    """The discount profile ``discount_equilibrium`` selects among the Nash
+    profiles ``nash``, restated from its docstring: the largest total,
+    compared as exact decimals as the grid writes them, then the pricier
+    ISP's component (the later ISP on equal prices), then the later ISPs'
+    components.  None when there is no Nash profile."""
+    pricier = max(range(config.n_isps), key=lambda j: (config.p[j], j))
+    return max(
+        nash, key=lambda d: (sum(Fraction(str(v)) for v in d), d[pricier], d[::-1]), default=None
+    )
 
 
 def aux_members(mask: int) -> tuple[int, ...]:

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from zrsim import (
-    InvalidArgument, MarketConfig, Scenario, StrategyMatrix, analysis, load_scenario, oracle, verify
+    MarketConfig, Scenario, StrategyMatrix, analysis, load_scenario, oracle, oracle_verify_zre,
+    verify,
 )
 from zrsim.analysis import SweepRecord, grid_sweep
 from zrsim.cli import (
@@ -666,6 +667,31 @@ def test_low_value_utility_drop_margin_scales_with_users():
     assert check(-1e-3).passed is False
 
 
+def test_verify_checks_on_hand_made_records():
+    # Branches no shipped scenario reaches: low-value-utility-drop skips a
+    # single-CP market, and a cell where a third CP holds a relation though
+    # its deltas would fail; value-ordering-pruning fails an equilibrium in
+    # which only the low-value CP zero-rates with an ISP.
+    rng = np.random.default_rng(5)
+    single, three, two = (random_config(rng, n, m, False) for n, m in ((1, 2), (3, 1), (2, 2)))
+    drop, pruning = check_low_value_utility_drop, verify.check_value_ordering_pruning
+
+    def run(check, config, bits, deltas):
+        theta = StrategyMatrix.from_bitstring(bits, config.n_cps, config.n_isps)
+        zre = ZreResult((theta,), theta, (False,) * config.n_cps)
+        record = SweepRecord(config.p, config.delta, zre, deltas, deltas, 0.0)
+        return check(Scenario(config, ()), [record])
+
+    skipped = CheckResult("low-value-utility-drop", None, "skipped: single CP")
+    assert run(drop, single, "11", (-1.0,)) == skipped
+    unqualified = CheckResult("low-value-utility-drop", True, "0 qualifying cells checked")
+    assert run(drop, three, "011", (-1.0,) * 3) == unqualified
+    assert run(drop, three, "001", (-1.0,) * 3).passed is False
+    assert run(pruning, two, "1000", (0.0, 0.0)) == CheckResult(
+        "value-ordering-pruning", False, f"prices {two.p}: 1000 has a low-value-only relation"
+    )
+
+
 def test_verify_fails_on_wrong_expectation(tmp_path, capsys):
     doc = json.loads((SCENARIOS / "benchmark.json").read_text())
     doc["expected_no_zre"] = [[0.5, 0.5]]
@@ -754,6 +780,16 @@ def test_verify_allocates_each_profile_once(monkeypatch):
     assert len(set(allocated)) == len(allocated)
 
 
+def _planted(records, prices, change):
+    # The records with ``change`` applied to the equilibria of the cell at
+    # ``prices``.
+    [k] = [k for k, record in enumerate(records) if record.prices == prices]
+    record, out = records[k], list(records)
+    zre = dataclasses.replace(record.zre, all_zre=change(record.zre.all_zre))
+    out[k] = dataclasses.replace(record, zre=zre)
+    return out
+
+
 def test_verify_catches_a_planted_disagreement():
     # The engine's side is read from the records and every profile of
     # every cell is compared, so a record that drops a real equilibrium or
@@ -763,11 +799,7 @@ def test_verify_catches_a_planted_disagreement():
     assert check_oracle_equilibrium(scenario, records).passed is True
 
     def planted(prices, change):
-        [k] = [k for k, record in enumerate(records) if record.prices == prices]
-        record, out = records[k], list(records)
-        zre = dataclasses.replace(record.zre, all_zre=change(record.zre.all_zre))
-        out[k] = dataclasses.replace(record, zre=zre)
-        return check_oracle_equilibrium(scenario, out)
+        return check_oracle_equilibrium(scenario, _planted(records, prices, change))
 
     def drop(theta):
         return lambda all_zre: tuple(t for t in all_zre if t != theta)
@@ -823,18 +855,18 @@ def test_verify_fallback_sample_keeps_zero_price_columns_at_one(monkeypatch):
     config = config.with_prices((0.0,) + config.p[1:])
     scenario = Scenario(config, tuple((price,) for price in config.p))
     records = _battery_records(scenario)
-    compared = []
-    real = verify.oracle_verdicts
+    shown = []
+    real = verify.oracle_equilibria_among
 
-    def recording(pairs):
-        compared.extend(theta for _, theta in pairs)
-        return real(pairs)
+    def recording(markets, among):
+        shown.extend(among)
+        return real(markets, among)
 
-    monkeypatch.setattr(verify, "oracle_verdicts", recording)
+    monkeypatch.setattr(verify, "oracle_equilibria_among", recording)
     result = check_oracle_equilibrium(scenario, records)
     assert result.passed is True and result.detail.startswith("seeded sample")
-    [record] = records
-    sample = compared[len(record.zre.all_zre):]
+    [record], [profiles] = records, shown
+    sample = list(profiles)[len(record.zre.all_zre):]
     assert len(sample) == 3
     assert all(row[0] == 1 for theta in sample for row in theta.rows)
     assert {row[j] for theta in sample for row in theta.rows for j in range(1, 4)} == {0, 1}
@@ -842,44 +874,33 @@ def test_verify_fallback_sample_keeps_zero_price_columns_at_one(monkeypatch):
 
 def test_verify_sample_repeats_offset_no_disagreement(monkeypatch):
     # With a zero budget bandwidth_high takes the seeded-sample path: each
-    # compared cell sends its recorded equilibria and 3 draws, and some
-    # draws repeat a recorded equilibrium.  The check counts each recorded
-    # profile left uncompared once, by distinct profile, so a repeat
-    # offsets nothing: a recorded profile that is no equilibrium still
-    # counts 1.
+    # compared cell shows the oracle its recorded equilibria and 3 draws,
+    # each distinct profile once, though some draws repeat one another or
+    # a recorded equilibrium.  A recorded profile that is no equilibrium
+    # counts 1, as on the every-profile path: 1010 at (0.0, 0.1), drawn
+    # twice there, 0000, which breaks that cell's forced column, and 0011
+    # at (0.5, 0.5), which is not drawn.
     monkeypatch.setattr(verify, "ORACLE_PROFILE_BUDGET", 0)
     scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
     records = _battery_records(scenario)
-    rng = random.Random(verify.VERIFY_SEED)
-    draws = [[verify._seeded_profile(rng, 2, r.prices) for _ in range(3)] for r in records]
-    repeats = [
-        k for k, (record, sample) in enumerate(zip(records, draws))
-        if record.discounts is not None and set(sample) & set(record.zre.all_zre)
-    ]
-    assert len(repeats) > 1
-    compared = sum(len(r.zre.all_zre) + 3 for r in records if r.discounts is not None)
-    head = "seeded sample (oracle work "
-    result = check_oracle_equilibrium(scenario, records)
-    assert result.passed is True and result.detail.startswith(head)
-    assert result.detail.endswith(f"): {compared} verdicts compared, 0 disagreements")
-    # A planted profile at a cell without repeats, valid there, no
-    # equilibrium and not drawn: the oracle refutes it once, and nothing
-    # cancels that out.
-    [k] = [k for k, record in enumerate(records) if record.prices == (0.5, 0.5)]
-    assert k not in repeats
-    record = records[k]
-    extra = next(
-        t for code in range(16)
-        if (t := StrategyMatrix.from_bitstring(format(code, "04b"), 2, 2))
-        not in record.zre.all_zre + tuple(draws[k])
+    rng, draw = random.Random(verify.VERIFY_SEED), verify._seeded_profile
+    draws = {r.prices: [draw(rng, 2, r.prices) for _ in range(3)] for r in records}
+    cells = [r for r in records if r.discounts is not None]
+    assert sum(len(set(r.zre.all_zre + tuple(draws[r.prices]))) for r in cells) == 436
+    assert [t.bitstring() for t in draws[0.0, 0.1]] == ["1010", "1010", "1011"]
+    assert StrategyMatrix.from_bitstring("0011", 2, 2) not in draws[0.5, 0.5]
+    head = "seeded sample (oracle work 7300 over 0): "
+    assert check_oracle_equilibrium(scenario, records) == CheckResult(
+        "oracle-equilibrium", True, f"{head}436 verdicts compared, 0 disagreements"
     )
-    planted = list(records)
-    planted[k] = dataclasses.replace(
-        record, zre=dataclasses.replace(record.zre, all_zre=record.zre.all_zre + (extra,))
-    )
-    result = check_oracle_equilibrium(scenario, planted)
-    assert result.passed is False and result.detail.startswith(head)
-    assert result.detail.endswith(f"): {compared + 1} verdicts compared, 1 disagreements")
+    for prices, bits, compared in [
+        ((0.0, 0.1), "1010", 436), ((0.0, 0.1), "0000", 437), ((0.5, 0.5), "0011", 437)
+    ]:
+        theta = StrategyMatrix.from_bitstring(bits, 2, 2)
+        planted = _planted(records, prices, lambda all_zre: all_zre + (theta,))
+        assert check_oracle_equilibrium(scenario, planted) == CheckResult(
+            "oracle-equilibrium", False, f"{head}{compared} verdicts compared, 1 disagreements"
+        )
 
 
 def test_oracle_verdicts_share_work_across_the_battery(monkeypatch):
@@ -916,15 +937,12 @@ def test_oracle_verdicts_share_work_across_the_battery(monkeypatch):
     valid = sum(2 ** (2 * sum(price != 0.0 for price in c.p)) for c in markets)
     assert valid == 1681
     assert calls == {"allocate": 16, "totals": 1681}
-    # The seeded-sample route tests given pairs, and a profile that breaks a
-    # forced cell raises there, after 100 valid pairs too.
-    ones = StrategyMatrix.from_bitstring("1111", 2, 2)
-    zero_priced = next(market for market in markets if 0.0 in market.p)
-    with pytest.raises(InvalidArgument):
-        oracle.oracle_verdicts(
-            [(market, ones) for market in markets[:100]]
-            + [(zero_priced, StrategyMatrix.zeros(2, 2))]
-        )
+    # The seeded-sample route shows each market its own profiles; one that
+    # breaks a forced cell is no equilibrium there, after 100 markets too.
+    ones, zeros = StrategyMatrix.from_bitstring("1111", 2, 2), StrategyMatrix.zeros(2, 2)
+    shown = markets[:100] + [next(market for market in markets if 0.0 in market.p)]
+    found = oracle.oracle_equilibria_among(shown, [[ones]] * 100 + [[zeros, ones]])
+    assert found == [(ones,) * oracle_verify_zre(market, ones) for market in shown]
 
 
 def test_verify_hhi_draws_cover_every_shape(monkeypatch):

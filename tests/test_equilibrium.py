@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,41 +27,22 @@ from zrsim import (
 )
 from zrsim import equilibrium
 
-from conftest import GRID11, flip, random_config, tie_break_winner
+from conftest import GRID11, flip, random_config, reference_delta_star, tie_break_winner
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
 
 def _reference_discount_outcome(config, grid):
-    """The discount game solved naively from per-market public calls: every
-    discount profile enumerated and scored on its own, the unilateral
-    deviation test, then the documented largest-profile selection.  Returns
-    the selected discount profile and strategy profile, both None where no
-    discount profile is a Nash equilibrium."""
-    m = config.n_isps
-    revenue = {}
-    for delta in itertools.product(grid, repeat=m):
-        market_at = dataclasses.replace(config, delta=delta)
-        result = enumerate_zre(market_at)
-        if result.selected is not None:
-            revenue[delta] = payoffs(market_at, result.selected).isp_revenue
-    nash = [
-        delta
-        for delta, rev in revenue.items()
-        if all(
-            revenue[dev][j] <= rev[j] + 1e-9
-            for j in range(m)
-            for alt in grid
-            if (dev := delta[:j] + (alt,) + delta[j + 1 :]) in revenue
-        )
-    ]
-    if not nash:
+    """The discount game solved naively from per-market public calls:
+    conftest's reference with ``enumerate_zre`` solving each discount
+    profile on its own.  Returns the selected discount profile and strategy
+    profile, both None where no discount profile is a Nash equilibrium."""
+    star = reference_delta_star(
+        config, [grid] * config.n_isps, lambda market_at: enumerate_zre(market_at).selected
+    )
+    if star is None:
         return None, None
-    expensive = max(range(m), key=lambda j: (config.p[j], j))
-    # Totals are compared as exact decimals, as the grid writes them.
-    star = max(nash, key=lambda d: (sum(Fraction(str(v)) for v in d), d[expensive], d[::-1]))
-    selected = enumerate_zre(dataclasses.replace(config, delta=star)).selected
-    return star, selected
+    return star, enumerate_zre(dataclasses.replace(config, delta=star)).selected
 
 
 class TestForcedCells:
@@ -100,6 +80,7 @@ class TestIsZre:
         # 1-cell fails if its CP or ISP gains by canceling, a 0-cell fails
         # if both gain by establishing.
         config = bench.with_prices((0.6, 0.8))
+        tol = equilibrium.GAIN_TOL * config.total_users
         for bits in itertools.product((0, 1), repeat=4):
             theta = StrategyMatrix((bits[:2], bits[2:]))
             pv = payoffs(config, theta)
@@ -107,8 +88,8 @@ class TestIsZre:
             for i in range(2):
                 for j in range(2):
                     fv = payoffs(config, flip(theta, i, j))
-                    cp_gain = fv.cp_utility[i] > pv.cp_utility[i] + 1e-9
-                    isp_gain = fv.isp_revenue[j] > pv.isp_revenue[j] + 1e-9
+                    cp_gain = fv.cp_utility[i] > pv.cp_utility[i] + tol
+                    isp_gain = fv.isp_revenue[j] > pv.isp_revenue[j] + tol
                     if theta.rows[i][j] and (cp_gain or isp_gain):
                         expected = False
                     if not theta.rows[i][j] and cp_gain and isp_gain:
@@ -402,22 +383,10 @@ class TestDiscountGame:
         assert fwd.delta_star == tuple(reversed(rev.delta_star))
 
     def test_nash_condition_holds(self, bench):
+        # The engine's choice is the naive reference's: a Nash profile.
         config = bench.with_prices((0.2, 0.8))
-        outcome = discount_equilibrium(config)
-        base = payoffs(
-            dataclasses.replace(config, delta=outcome.delta_star), outcome.zre.selected
-        ).isp_revenue
-        for j in range(2):
-            for alt in GRID11:
-                if alt == outcome.delta_star[j]:
-                    continue
-                delta = list(outcome.delta_star)
-                delta[j] = alt
-                result = enumerate_zre(dataclasses.replace(config, delta=delta))
-                if result.selected is None:
-                    continue
-                rev = payoffs(dataclasses.replace(config, delta=delta), result.selected).isp_revenue
-                assert rev[j] <= base[j] + 1e-9
+        star, _ = _reference_discount_outcome(config, GRID11)
+        assert star is not None and discount_equilibrium(config).delta_star == star
 
     def test_empty_grid_rejected(self, bench):
         with pytest.raises(InvalidArgument):

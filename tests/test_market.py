@@ -56,6 +56,23 @@ class TestMarketConfig:
         with pytest.raises(ConfigError):
             MarketConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("n_cps", 2.0, "n_cps must be an integer >= 1, got 2.0"),
+            ("n_cps", 0, "n_cps must be an integer >= 1, got 0"),
+            ("n_isps", "2", "n_isps must be an integer >= 1, got '2'"),
+            ("n_isps", 0, "n_isps must be an integer >= 1, got 0"),
+            ("q", (1.0,), "q must have length 2, got 1"),
+            ("phi", (0.5, 0.5), "phi must have length 2**n_cps = 4, got 2"),
+        ],
+        ids=["n_cps-float", "n_cps-zero", "n_isps-str", "n_isps-zero", "q-length", "phi-length"],
+    )
+    def test_rejects_bad_shapes(self, bench, field, value, message):
+        with pytest.raises(ConfigError) as raised:
+            replace(bench, **{field: value})
+        assert str(raised.value) == message
+
     def test_share_sum_tolerance_is_tight(self, bench):
         phi = (0.1 + 1e-6, 0.4, 0.4, 0.1)
         with pytest.raises(ConfigError):
@@ -135,6 +152,20 @@ class TestStrategyMatrix:
     def test_rejects_non_binary(self):
         with pytest.raises(InvalidArgument):
             StrategyMatrix(((0, 2), (0, 0)))
+
+    @pytest.mark.parametrize(
+        "build,args,message",
+        [
+            (StrategyMatrix, ((),), "strategy matrix must have at least one CP and one ISP"),
+            (StrategyMatrix, (((0, 1), (1,)),), "strategy matrix rows must have equal length"),
+            (StrategyMatrix.from_bitstring, ("012", 1, 3), "bad bitstring '012' for a 1x3 matrix"),
+        ],
+        ids=["empty", "ragged", "bad-bitstring"],
+    )
+    def test_rejects_bad_shapes(self, build, args, message):
+        with pytest.raises(InvalidArgument) as raised:
+            build(*args)
+        assert str(raised.value) == message
 
 
 class TestExtendTheta:
@@ -217,6 +248,9 @@ class TestAllocate:
     def test_dimension_mismatch_rejected(self, bench):
         with pytest.raises(InvalidArgument):
             allocate(bench, StrategyMatrix.zeros(3, 2))
+        with pytest.raises(InvalidArgument) as raised:
+            oracle_allocate(bench, StrategyMatrix.zeros(2, 3))
+        assert str(raised.value) == "strategy matrix does not match the config dimensions"
 
     def test_conservation_and_sticky_floor_random(self):
         rng = np.random.default_rng(7)

@@ -156,75 +156,55 @@ def test_verdicts_agree_fuzz():
                 p = list(config.p)
                 p[rng.integers(m)] = 0.0
                 config = config.with_prices(p)
-            forced = [j for j in range(m) if config.p[j] == 0.0]
             accepted = []
-            for code in range(1 << (n * m)):
-                theta = StrategyMatrix.from_bitstring(format(code, f"0{n * m}b"), n, m)
-                if any(theta.rows[i][j] == 0 for i in range(n) for j in forced):
-                    continue
+            for theta in _valid_profiles(config):
                 verdict = oracle_verify_zre(config, theta)
-                assert is_zre(config, theta) == verdict, (n, m, draw, code)
+                assert is_zre(config, theta) == verdict, (n, m, draw, theta)
                 if verdict:
                     accepted.append(theta)
             assert enumerate_zre(config).all_zre == tuple(accepted), (n, m, draw)
 
 
 def test_oracle_verdicts_equal_one_at_a_time():
-    # One batch over markets of every shape from 1x1 to 3x3; every fourth
-    # draw also zero-prices an ISP and checks its profiles in both markets,
-    # which share their allocations.
+    # One call over markets of every shape from 1x1 to 3x3, each shown a
+    # few random profiles; every fourth draw also zero-prices an ISP and
+    # shows both markets, which share their allocations, the same ones.
+    # Each market keeps, in the order shown, the profiles that
+    # oracle_verify_zre accepts one at a time, and leaves out one that
+    # breaks a forced cell, which oracle_verify_zre refuses.
     rng = np.random.default_rng(311)
-    pairs = []
+    markets, among = [], []
     for draw in range(60):
         config = random_config(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-        markets = [config]
+        twins = [config]
         if draw % 4 == 0:
             p = list(config.p)
             p[rng.integers(config.n_isps)] = 0.0
-            markets.insert(0, config.with_prices(p))
-        thetas = [random_theta(rng, markets[0]) for _ in range(int(rng.integers(1, 6)))]
-        pairs += [(market, theta) for market in markets for theta in thetas]
-    assert oracle.oracle_verdicts(pairs) == [oracle_verify_zre(c, t) for c, t in pairs]
-    # The shape verify sends: every valid profile of one market as
-    # consecutive pairs, which share one table of totals.  A 2x2 market with
-    # a zero price, its twin at a positive price (sharing its allocations) and
-    # a 3x2 market.
-    zero_priced = random_config(rng, 2, 2, allow_zero_price=False)
-    zero_priced = zero_priced.with_prices((0.0, zero_priced.p[1]))
-    markets = [
-        zero_priced,
-        zero_priced.with_prices((0.5, zero_priced.p[1])),
-        random_config(rng, 3, 2, allow_zero_price=False),
-    ]
-    pairs = []
-    for market in markets:
-        n, m = market.n_cps, market.n_isps
-        for code in range(1 << (n * m)):
-            theta = StrategyMatrix.from_bitstring(format(code, f"0{n * m}b"), n, m)
-            if all(theta.rows[i][j] for i in range(n) for j in range(m) if market.p[j] == 0.0):
-                pairs.append((market, theta))
-    assert len(pairs) == 4 + 16 + 64
-    verdicts = oracle.oracle_verdicts(pairs)
-    assert verdicts == [oracle_verify_zre(c, t) for c, t in pairs]
-    assert any(verdicts)
-    # A profile that breaks a forced cell raises, inside a batch too.
+            twins.insert(0, config.with_prices(p))
+        thetas = [random_theta(rng, twins[0]) for _ in range(int(rng.integers(1, 6)))]
+        markets += twins
+        among += [thetas] * len(twins)
+    expected = [tuple(t for t in ts if oracle_verify_zre(c, t)) for c, ts in zip(markets, among)]
+    assert oracle.oracle_equilibria_among(markets, among) == expected
+    assert any(expected) and not all(expected)
+    breaker = StrategyMatrix.zeros(markets[0].n_cps, markets[0].n_isps)
     with pytest.raises(InvalidArgument):
-        oracle.oracle_verdicts(pairs[:3] + [(zero_priced, StrategyMatrix.zeros(2, 2))])
+        oracle_verify_zre(markets[0], breaker)
+    assert oracle.oracle_equilibria_among(markets[:1], [[breaker] + among[0]]) == expected[:1]
 
 
 def test_oracle_verdicts_keep_alpha_apart():
     # Markets that share phi, psi and total_users but differ in alpha have
-    # different allocations, so a batch files them apart; a market that
+    # different allocations, so a call files them apart; a market that
     # differs from another only in prices shares its allocations.  Every
-    # profile of each market, with verdicts that differ across alpha.
+    # profile of each market, with equilibria that differ across alpha.
     base = random_config(np.random.default_rng(0), 2, 2, allow_zero_price=False)
     markets = [replace(base, alpha=alpha) for alpha in (0.0, 0.5, 1.0)]
     markets.append(markets[1].with_prices((0.5, 0.5)))
     thetas = [StrategyMatrix.from_bitstring(format(code, "04b"), 2, 2) for code in range(16)]
-    pairs = [(market, theta) for market in markets for theta in thetas]
-    expected = [oracle_verify_zre(c, t) for c, t in pairs]
-    assert len({tuple(expected[k : k + 16]) for k in range(0, 48, 16)}) == 3
-    assert oracle.oracle_verdicts(pairs) == expected
+    expected = [tuple(t for t in thetas if oracle_verify_zre(c, t)) for c in markets]
+    assert len(set(expected[:3])) == 3
+    assert oracle.oracle_equilibria_among(markets, [thetas] * 4) == expected
 
 
 def test_violation_names_the_deviation(bench):
@@ -251,10 +231,9 @@ def _valid_profiles(config):
 
 def test_oracle_verdicts_are_those_of_find_zre_violation(monkeypatch):
     # Neither route builds a Violation, yet their verdicts are exactly the
-    # ones find_zre_violation gives pair by pair: oracle_equilibria on
-    # bandwidth_high's 121 battery markets as oracle-equilibrium sends them,
-    # over their 1,681 valid profiles, and both routes on seeded random
-    # markets, every other one with a zero-price ISP.
+    # ones find_zre_violation gives profile by profile, on bandwidth_high's
+    # 121 battery markets as oracle-equilibrium sends them and over their
+    # 1,681 valid profiles (seeded markets: the tests before and after).
     scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
     records = grid_sweep(scenario.config, scenario.price_grid, scenario.delta_grid)
     battery = []
@@ -264,27 +243,12 @@ def test_oracle_verdicts_are_those_of_find_zre_violation(monkeypatch):
     )
     assert verify.check_oracle_equilibrium(scenario, records).passed
     assert len(battery) == 121
-    compared = accepted = 0
-    for config, equilibria in zip(battery, oracle.oracle_equilibria(battery)):
-        valid = _valid_profiles(config)
-        assert list(equilibria) == [t for t in valid if find_zre_violation(config, t) is None]
-        compared, accepted = compared + len(valid), accepted + len(equilibria)
-    assert compared == 1681 and 0 < accepted < compared
-    rng = np.random.default_rng(331)
-    seeded = []
-    for draw in range(40):
-        config = random_config(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-        if draw % 2 == 0:
-            p = list(config.p)
-            p[rng.integers(config.n_isps)] = 0.0
-            config = config.with_prices(p)
-        seeded += [(config, random_theta(rng, config)) for _ in range(4)]
-    assert sum(0.0 in config.p for config, _ in seeded) >= 80
-    expected = [find_zre_violation(c, t) is None for c, t in seeded]
-    assert any(expected) and not all(expected)
-    assert oracle.oracle_verdicts(seeded) == expected
-    equilibria = oracle.oracle_equilibria(config for config, _ in seeded)
-    assert [t in zre for (_, t), zre in zip(seeded, equilibria)] == expected
+    found, valid = oracle.oracle_equilibria(battery), list(map(_valid_profiles, battery))
+    assert found == [
+        tuple(t for t in ts if find_zre_violation(c, t) is None) for c, ts in zip(battery, valid)
+    ]
+    assert oracle.oracle_equilibria_among(battery, valid) == found
+    assert sum(map(len, valid)) == 1681 and 0 < sum(map(len, found)) < 1681
 
 
 def test_oracle_equilibria_are_the_accepted_profiles():
@@ -293,7 +257,9 @@ def test_oracle_equilibria_are_the_accepted_profiles():
     # list is every valid profile that find_zre_violation accepts, in
     # row-major bit order, and the engine's equilibria.  A rule with its
     # "or" and "and" swapped fails the engine comparison; a flip index aimed
-    # at the wrong cell fails the find_zre_violation one.
+    # at the wrong cell fails the find_zre_violation one.  The candidate
+    # route, shown every valid profile in that order after a profile that
+    # breaks a forced cell, returns the same tuples.
     rng = np.random.default_rng(313)
     markets = []
     for draw in range(36):
@@ -314,6 +280,11 @@ def test_oracle_equilibria_are_the_accepted_profiles():
         assert equilibria == enumerate_zre(config).all_zre, config
     sizes = [len(equilibria) for equilibria in found]
     assert max(sizes) > 1
+    among = [
+        [StrategyMatrix.zeros(c.n_cps, c.n_isps)] * (0.0 in c.p) + _valid_profiles(c)
+        for c in markets
+    ]
+    assert oracle.oracle_equilibria_among(markets, among) == found
 
 
 @pytest.mark.parametrize(
@@ -341,7 +312,7 @@ def test_violation_fields_of_each_move(bench, alpha, bits, expected):
     tol = GAIN_TOL * config.total_users
     gains = {"cp": flip_u[i] > base_u[i] + tol, "isp": flip_r[j] > base_r[j] + tol}
     assert violation.gainers == tuple(side for side, gain in gains.items() if gain)
-    assert oracle.oracle_verdicts([(config, theta)]) == [False]
+    assert oracle.oracle_equilibria_among([config], [[theta]]) == [()]
 
 
 def test_forced_cells_respected(bench):

@@ -1,9 +1,11 @@
 """The package's public names, error types and README's library example."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import zrsim
+import zrsim.cli
 from zrsim import errors
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -43,3 +45,16 @@ def test_every_error_type_is_raised_in_the_package():
         if isinstance(cls, type) and cls.__module__ == errors.__name__
     }
     assert declared - raised - {"ZrsimError"} == set()
+
+
+def test_benchmark_child_calls_resolve(capsys):
+    # perfbench/child.py reads these names directly, in these shapes, so a
+    # change that drops one fails here rather than in a benchmark pass.
+    path = PACKAGE / "scenarios" / "benchmark.json"
+    config = zrsim.load_scenario(path).config.with_prices((0.3, 0.7))
+    selected = zrsim.enumerate_zre(config).selected
+    zrsim.allocate(dataclasses.replace(config, total_users=1.0 + 1e-9), selected)
+    theta = zrsim.StrategyMatrix.from_bitstring(selected.bitstring(), 2, 2)
+    assert zrsim.oracle_verify_zre(config, theta)
+    assert zrsim.cli.main(["zre", str(path), "--p", "0.3", "0.7"]) == 0
+    assert capsys.readouterr().out

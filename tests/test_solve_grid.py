@@ -13,7 +13,6 @@ flags are also checked against scores of each counterfactual row.
 import inspect
 import itertools
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from zrsim import (
 from zrsim.equilibrium import GAIN_TOL
 from zrsim.payoff import code_scores
 
-from conftest import hhi, random_config, tie_break_winner
+from conftest import hhi, random_config, reference_delta_star, tie_break_winner
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
@@ -107,28 +106,10 @@ def _reference_record(
 
 
 def _reference_discount(cell: MarketConfig, grid: tuple[float, ...]) -> SweepRecord:
-    m = cell.n_isps
     axes = [grid[-1:] if p == 0.0 else grid for p in cell.p]
-    revenue = {}
-    for delta in itertools.product(*axes):
-        zre = _reference_zre(replace(cell, delta=delta))
-        if zre.selected is not None:
-            revenue[delta] = payoffs(replace(cell, delta=delta), zre.selected).isp_revenue
-    nash = [
-        delta
-        for delta, rev in revenue.items()
-        if not any(
-            revenue[dev][j] > rev[j] + GAIN_TOL * cell.total_users
-            for j in range(m)
-            for alt in axes[j]
-            if (dev := delta[:j] + (alt,) + delta[j + 1:]) in revenue
-        )
-    ]
-    if not nash:
+    star = reference_delta_star(cell, axes, lambda at: _reference_zre(at).selected)
+    if star is None:
         return _reference_record(cell, None, None)
-    tie = max(range(m), key=lambda j: (cell.p[j], j))
-    # Totals are compared as exact decimals, as the grid writes them.
-    star = max(nash, key=lambda d: (sum(Fraction(str(v)) for v in d), d[tie], d[::-1]))
     at = replace(cell, delta=star)
     return _reference_record(at, _reference_zre(at), star)
 
@@ -293,7 +274,7 @@ def _reference_pressure(cell: MarketConfig, selected: StrategyMatrix) -> tuple[b
             ))
             utility = payoffs(cell, theta).cp_utility[i]
             (keeping if all(row[j] for j in held) else dropping).append(utility)
-        flags.append(max(dropping) > max(keeping) + GAIN_TOL)
+        flags.append(max(dropping) > max(keeping) + GAIN_TOL * cell.total_users)
     return tuple(flags)
 
 
