@@ -5,13 +5,15 @@ choice sets per user class and pair-by-pair probability sums -- rather than
 through the closed-form allocation path, so agreement between the two routes
 is evidence that the closed form was transcribed correctly.  The contract is
 naive arithmetic, pair by pair, with one normaliser per choice set: each
-class's distribution sums phi * psi over its set once.  A profile is scored
-in one pass over its (CP, ISP) pairs, each utility and each revenue a
-plain-float sum, and one deviation rule reads those scores cell by cell.
-The allocation reads neither prices nor discounts, so each distinct one is
-computed once per call, under (alpha, phi, psi, total_users), and shared
-across the markets of a batch.  One rule defines an equilibrium: a
-profile whose zero-price columns are all 1 and that no flip breaks.
+class's distribution sums phi * psi over its set once.  The allocation
+reads neither prices nor discounts, so each distinct profile's is computed
+once per call, under (alpha, phi, psi, total_users), as a pair table of
+(CP, ISP, held, effective users) shared across the markets of a batch.  A
+profile is scored in one pass over that table, with delta * p taken once
+per market, each utility and each revenue a plain-float sum, and one
+deviation rule reads those scores cell by cell.  One rule defines an
+equilibrium: a profile whose zero-price columns are all 1 and that no flip
+breaks.
 :func:`oracle_equilibria` applies it to every profile of each market,
 :func:`oracle_equilibria_among` to the profiles it is shown.  Only
 :func:`find_zre_violation` names the breaking deviation.  The markets are
@@ -33,8 +35,12 @@ from .errors import InvalidArgument
 from .market import AllocationTable, MarketConfig, StrategyMatrix
 
 Rows = tuple[tuple[int, ...], ...]
+# A profile's pairs as (CP, ISP, held, effective users), row-major.
+Pairs = tuple[tuple[int, int, bool, float], ...]
 # A profile's (CP utilities, ISP revenues) in one market.
 Scores = tuple[list[float], list[float]]
+# A market's ISPs at a zero price and its other cells as (CP, ISP).
+Cells = tuple[tuple[int, ...], list[tuple[int, int]]]
 # A breaking cell: (CP, ISP, whether the profile holds it, CP gains, ISP gains).
 Breach = tuple[int, int, bool, bool, bool]
 # A zero-price pattern's profiles and, for each, its flips as (CP, ISP,
@@ -111,51 +117,60 @@ def oracle_allocate(config: MarketConfig, theta: StrategyMatrix) -> AllocationTa
     return AllocationTable(rho=rho, x_pair=x_pair, x_effective=x_effective)
 
 
-def _payoff_totals(config: MarketConfig, rows: Rows, x_eff: list[list[float]]) -> Scores:
-    """(CP utilities, ISP revenues) of the profile ``rows`` in ``config``,
-    from its oracle effective users ``x_eff``, in one pass over its (CP,
-    ISP) pairs: each CP's utility sums its ISPs in order, each ISP's
-    revenue its CPs in order."""
-    q, p, delta, c = config.q, config.p, config.delta, config.c
-    utilities = []
+def _payoff_totals(config: MarketConfig, dp: list[float], pairs: Pairs) -> Scores:
+    """(CP utilities, ISP revenues) in ``config`` of the profile whose pair
+    table is ``pairs``, with ``dp[j] = delta[j] * p[j]``, in one pass over
+    its pairs: each CP's utility sums its ISPs in order, each ISP's revenue
+    its CPs in order."""
+    q, p, c = config.q, config.p, config.c
+    utilities = [0.0] * config.n_cps
     revenues = [0.0] * config.n_isps
-    for i, (row, x_row) in enumerate(zip(rows, x_eff)):
-        u = 0.0
-        for j, x in enumerate(x_row):
-            if row[j]:
-                u += (q[i] - delta[j] * p[j]) * x
-                revenues[j] += delta[j] * p[j] * x
-            else:
-                u += q[i] * x * c
-                revenues[j] += p[j] * x * c
-        utilities.append(u)
+    for i, j, held, x in pairs:
+        if held:
+            utilities[i] += (q[i] - dp[j]) * x
+            revenues[j] += dp[j] * x
+        else:
+            utilities[i] += q[i] * x * c
+            revenues[j] += p[j] * x * c
     return utilities, revenues
 
 
-def _x_eff(config: MarketConfig, rows: Rows, allocations: dict) -> list[list[float]]:
-    """The oracle effective users of ``rows`` in ``config``, computed once
-    per ``allocations`` under (alpha, phi, psi, total_users, rows)."""
+def _discounted_prices(config: MarketConfig) -> list[float]:
+    """``delta[j] * p[j]`` of every ISP, as :func:`_payoff_totals` reads it."""
+    return [d * p for d, p in zip(config.delta, config.p)]
+
+
+def _pairs(config: MarketConfig, rows: Rows, allocations: dict) -> Pairs:
+    """The pair table of ``rows`` in ``config``: every (CP, ISP) pair as
+    (CP, ISP, held, oracle effective users), in row-major order, allocated
+    once per ``allocations`` under (alpha, phi, psi, total_users, rows)."""
     key = (config.alpha, config.phi, config.psi, config.total_users, rows)
     if key not in allocations:
-        allocations[key] = oracle_allocate(config, StrategyMatrix(rows)).x_effective.tolist()
+        x_eff = oracle_allocate(config, StrategyMatrix(rows)).x_effective.tolist()
+        allocations[key] = tuple(
+            (i, j, row[j] == 1, x)
+            for i, (row, x_row) in enumerate(zip(rows, x_eff))
+            for j, x in enumerate(x_row)
+        )
     return allocations[key]
 
 
 class _Table(dict):
     """One market's scores by profile rows, each computed on its first
-    lookup, from the allocations of :func:`_x_eff`."""
+    lookup, from the pair tables of :func:`_pairs`."""
 
     def __init__(self, config: MarketConfig, allocations: dict) -> None:
         super().__init__()
         self.config, self.allocations = config, allocations
+        self.dp = _discounted_prices(config)
 
     def __missing__(self, rows: Rows) -> Scores:
-        x_eff = _x_eff(self.config, rows, self.allocations)
-        self[rows] = scores = _payoff_totals(self.config, rows, x_eff)
+        pairs = _pairs(self.config, rows, self.allocations)
+        self[rows] = scores = _payoff_totals(self.config, self.dp, pairs)
         return scores
 
 
-def _cells(config: MarketConfig) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+def _cells(config: MarketConfig) -> Cells:
     """The ISPs at a zero price, whose cells are forced to 1, and every
     other cell as (CP, ISP), in row-major order."""
     n, m = config.n_cps, config.n_isps
@@ -183,7 +198,7 @@ def find_zre_violation(config: MarketConfig, theta: StrategyMatrix) -> Violation
     total_users, so tie verdicts agree across the two arithmetic routes).
     Cells forced by a zero ISP price are never deviated.
     """
-    broken = _first_violation(config, theta.rows, _Table(config, {}))
+    broken = _first_violation(config, theta.rows, _Table(config, {}), _cells(config))
     if broken is None:
         return None
     i, j, held, cp_gains, isp_gains = broken
@@ -193,11 +208,14 @@ def find_zre_violation(config: MarketConfig, theta: StrategyMatrix) -> Violation
     return Violation(i, j, "cancel", gainers)
 
 
-def _first_violation(config: MarketConfig, rows: Rows, table: _Table) -> Breach | None:
+def _first_violation(
+    config: MarketConfig, rows: Rows, table: _Table, cells: Cells
+) -> Breach | None:
     """:func:`find_zre_violation`'s rule on the profile ``rows``, reading it
-    and its flips from ``table``.  The first breaking cell comes back as
+    and its flips from ``table``, over the market's ``cells`` (forced ISPs,
+    free cells) of :func:`_cells`.  The first breaking cell comes back as
     (CP, ISP, held, CP gains, ISP gains)."""
-    forced, free = _cells(config)
+    forced, free = cells
     for j in forced:
         for i in range(config.n_cps):
             if rows[i][j] != 1:
@@ -237,15 +255,16 @@ def oracle_equilibria_among(
     """Each market's equilibria among the profiles ``among`` shows it, in
     the order shown: the valid ones that no flip breaks, so one that breaks
     a forced cell is none.  Each market scores a profile or flip once, and
-    each distinct allocation is built once per call."""
+    each distinct pair table is built once per call."""
     allocations: dict = {}
     equilibria = []
     for config, thetas in zip(markets, among):
-        table, (forced, _) = _Table(config, allocations), _cells(config)
+        table = _Table(config, allocations)
+        forced, _ = cells = _cells(config)
         equilibria.append(tuple(
             theta for theta in thetas
             if all(row[j] for row in theta.rows for j in forced)
-            and _first_violation(config, theta.rows, table) is None
+            and _first_violation(config, theta.rows, table, cells) is None
         ))
     return equilibria
 
@@ -257,12 +276,14 @@ def oracle_equilibria(markets: Iterable[MarketConfig]) -> list[tuple[StrategyMat
 
     Each zero-price pattern's profiles are listed once per call, in that
     order, with each free cell's flip as a list index.  Each distinct
-    profile is allocated once per (alpha, phi, psi, total_users), and every
-    profile is scored once per market into a list, which the deviation rule
-    then reads by index."""
+    profile's pair table is built once per (alpha, phi, psi, total_users),
+    every profile is scored once per market into a list, which the
+    deviation rule then reads by index, and each equilibrium's matrix is
+    built once per call."""
     spaces: dict[tuple, Space] = {}
     allocations: dict = {}
-    x_effs: dict[tuple, list[list[list[float]]]] = {}
+    tables: dict[tuple, list[Pairs]] = {}
+    matrices: dict[Rows, StrategyMatrix] = {}
     equilibria = []
     for config in markets:
         forced, free = _cells(config)
@@ -271,14 +292,18 @@ def oracle_equilibria(markets: Iterable[MarketConfig]) -> list[tuple[StrategyMat
             spaces[pattern] = _space(*pattern, free)
         profiles, moves = spaces[pattern]
         key = (config.alpha, config.phi, config.psi, config.total_users, pattern)
-        if key not in x_effs:
-            x_effs[key] = [_x_eff(config, rows, allocations) for rows in profiles]
-        scores = list(map(_payoff_totals, itertools.repeat(config), profiles, x_effs[key]))
+        if key not in tables:
+            tables[key] = [_pairs(config, rows, allocations) for rows in profiles]
+        dp = _discounted_prices(config)
+        scores = [_payoff_totals(config, dp, pairs) for pairs in tables[key]]
         tol = GAIN_TOL * config.total_users
-        equilibria.append(tuple(
-            StrategyMatrix(rows) for rows, base, flips in zip(profiles, scores, moves)
-            if _first_breach(base, flips, scores, tol) is None
-        ))
+        found = []
+        for rows, base, flips in zip(profiles, scores, moves):
+            if _first_breach(base, flips, scores, tol) is None:
+                if rows not in matrices:
+                    matrices[rows] = StrategyMatrix(rows)
+                found.append(matrices[rows])
+        equilibria.append(tuple(found))
     return equilibria
 
 

@@ -36,9 +36,10 @@ VERIFY_SEED = 20240517
 # The most oracle work ``oracle-equilibrium`` spends on comparing every
 # profile of every cell, counted in deviation tests: each compared profile
 # makes one per cell (N x M), and allocating a profile costs about 3 per
-# (bundle, ISP) pair of its 2^N x (M + 1) lattice.  A test takes 0.5 to
-# 0.8 us on a 2-core x86 host, so the budget is 0.25 to 0.4 s; above it
-# the check compares a seeded sample.
+# (bundle, ISP) pair of its 2^N x (M + 1) lattice.  A test takes 0.45 to
+# 0.75 us on a 2-core x86 host (a 3 x 3 market on a 5 x 5 x 5 price grid,
+# work 372,585, took 0.16 to 0.27 s), so the budget is 0.23 to 0.38 s;
+# above it the check compares a seeded sample.
 ORACLE_PROFILE_BUDGET = 500_000
 
 

@@ -8,13 +8,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import pytest
 
-from zrsim import (
-    InvalidArgument, MarketConfig, StrategyMatrix, allocate, oracle_allocate, payoffs
-)
+from zrsim import InvalidArgument, MarketConfig, StrategyMatrix, allocate, payoffs
 from zrsim.analysis import _hhi
 from zrsim.equilibrium import GAIN_TOL
 from zrsim.market import _check_dims, cp_totals
-from zrsim.oracle import _payoff_totals
+from zrsim.oracle import _discounted_prices, _pairs, _payoff_totals
 
 GRID11 = tuple(k / 10 for k in range(11))
 
@@ -74,7 +72,30 @@ def hhi(config: MarketConfig, theta: StrategyMatrix) -> float:
 
 def oracle_totals(config: MarketConfig, theta: StrategyMatrix) -> tuple[list[float], list[float]]:
     """(CP utilities, ISP revenues), recomputed from the oracle allocation."""
-    return _payoff_totals(config, theta.rows, oracle_allocate(config, theta).x_effective.tolist())
+    return _payoff_totals(config, _discounted_prices(config), _pairs(config, theta.rows, {}))
+
+
+def reference_payoff_totals(
+    config: MarketConfig, rows: tuple[tuple[int, ...], ...], x_eff: list[list[float]]
+) -> tuple[list[float], list[float]]:
+    """(CP utilities, ISP revenues) of the profile ``rows`` from its oracle
+    effective users ``x_eff``, in nested loops over CPs and their ISPs:
+    each CP's utility sums its ISPs in order, each ISP's revenue its CPs in
+    order."""
+    q, p, delta, c = config.q, config.p, config.delta, config.c
+    utilities = []
+    revenues = [0.0] * config.n_isps
+    for i, (row, x_row) in enumerate(zip(rows, x_eff)):
+        u = 0.0
+        for j, x in enumerate(x_row):
+            if row[j]:
+                u += (q[i] - delta[j] * p[j]) * x
+                revenues[j] += delta[j] * p[j] * x
+            else:
+                u += q[i] * x * c
+                revenues[j] += p[j] * x * c
+        utilities.append(u)
+    return utilities, revenues
 
 
 def tie_break_winner(config: MarketConfig, profiles: Iterable[StrategyMatrix]) -> StrategyMatrix:

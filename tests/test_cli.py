@@ -830,21 +830,30 @@ def test_verify_catches_a_planted_disagreement():
     assert gained.passed is False and "1 disagreements" in gained.detail
 
 
-def test_verify_falls_back_to_the_seeded_sample_above_the_budget():
+def test_verify_falls_back_to_the_seeded_sample_above_the_budget(monkeypatch):
     # One 4x4 cell has 65,536 profiles, and allocating each one would cost
     # far more than the budget admits, so the check compares the cell's
-    # equilibria and 3 seeded profiles, and says so.
+    # equilibria and 3 seeded profiles, and says so, counting the distinct
+    # profiles it shows the oracle.
     config = random_config(np.random.default_rng(3), 4, 4, allow_zero_price=False)
     scenario = Scenario(config, tuple((price,) for price in config.p))
     records = _battery_records(scenario)
-    [record] = records
-    zre = record.zre
+    shown = []
+    real = verify.oracle_equilibria_among
+
+    def recording(markets, among):
+        shown.extend(among)
+        return real(markets, among)
+
+    monkeypatch.setattr(verify, "oracle_equilibria_among", recording)
     result = check_oracle_equilibrium(scenario, records)
+    [record], [profiles] = records, shown
+    assert set(record.zre.all_zre) < set(profiles)
     assert result.passed is True
     assert result.detail.startswith("seeded sample (oracle work ")
     assert result.detail.endswith(
         f" over {verify.ORACLE_PROFILE_BUDGET}): "
-        f"{len(zre.all_zre) + 3} verdicts compared, 0 disagreements"
+        f"{len(set(profiles))} verdicts compared, 0 disagreements"
     )
 
 
@@ -903,28 +912,49 @@ def test_verify_sample_repeats_offset_no_disagreement(monkeypatch):
         )
 
 
+def test_verify_sample_lists_each_market_cells_once(monkeypatch):
+    # On the seeded-sample path the oracle finds each market's forced and
+    # free cells once, not once per profile it tests there.
+    monkeypatch.setattr(verify, "ORACLE_PROFILE_BUDGET", 0)
+    scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
+    records = _battery_records(scenario)
+    calls = []
+    real = oracle._cells
+
+    def cells(config):
+        calls.append(config)
+        return real(config)
+
+    monkeypatch.setattr(oracle, "_cells", cells)
+    result = check_oracle_equilibrium(scenario, records)
+    assert result.passed is True and result.detail.startswith("seeded sample")
+    assert len(calls) == len(set(calls)) == 121
+
+
 def test_oracle_verdicts_share_work_across_the_battery(monkeypatch):
     # bandwidth_high's every-profile route, as check_oracle_equilibrium
     # takes it: one oracle_equilibria call over its 121 markets at one
     # alpha, phi and psi, whose 1,681 valid profiles are 16 distinct ones.
-    # The call allocates each profile once and scores it once per market.
+    # The call allocates each profile once, scores it once per market and
+    # builds each equilibrium's matrix once.
     scenario = load_scenario(SCENARIOS / "bandwidth_high.json")
     records = _battery_records(scenario)
-    sent, calls = [], {"allocate": 0, "totals": 0}
+    sent, returned, calls = [], [], {"allocate": 0, "totals": 0}
     real_equilibria = oracle.oracle_equilibria
     real_allocate, real_totals = oracle.oracle_allocate, oracle._payoff_totals
 
     def recording(markets):
         sent.append(list(markets))
-        return real_equilibria(sent[-1])
+        returned.append(real_equilibria(sent[-1]))
+        return returned[-1]
 
     def allocate(config, theta):
         calls["allocate"] += 1
         return real_allocate(config, theta)
 
-    def totals(config, rows, x_eff):
+    def totals(config, dp, pairs):
         calls["totals"] += 1
-        return real_totals(config, rows, x_eff)
+        return real_totals(config, dp, pairs)
 
     monkeypatch.setattr(verify, "oracle_equilibria", recording)
     monkeypatch.setattr(oracle, "oracle_allocate", allocate)
@@ -937,6 +967,8 @@ def test_oracle_verdicts_share_work_across_the_battery(monkeypatch):
     valid = sum(2 ** (2 * sum(price != 0.0 for price in c.p)) for c in markets)
     assert valid == 1681
     assert calls == {"allocate": 16, "totals": 1681}
+    [found] = returned
+    assert len({id(theta) for equilibria in found for theta in equilibria}) <= 16
     # The seeded-sample route shows each market its own profiles; one that
     # breaks a forced cell is no equilibrium there, after 100 markets too.
     ones, zeros = StrategyMatrix.from_bitstring("1111", 2, 2), StrategyMatrix.zeros(2, 2)

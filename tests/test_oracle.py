@@ -25,7 +25,7 @@ from zrsim.analysis import grid_sweep
 from zrsim.equilibrium import GAIN_TOL
 from zrsim.oracle import Violation
 
-from conftest import flip, oracle_totals, random_config, random_theta
+from conftest import flip, oracle_totals, random_config, random_theta, reference_payoff_totals
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
@@ -313,6 +313,27 @@ def test_violation_fields_of_each_move(bench, alpha, bits, expected):
     gains = {"cp": flip_u[i] > base_u[i] + tol, "isp": flip_r[j] > base_r[j] + tol}
     assert violation.gainers == tuple(side for side, gain in gains.items() if gain)
     assert oracle.oracle_equilibria_among([config], [[theta]]) == [()]
+
+
+def test_pair_table_scores_equal_the_nested_loops_bit_for_bit():
+    # The oracle scores a profile in one pass over its pair table, with
+    # delta * p taken once per market; every utility and revenue must be
+    # the very double the nested loops over rows and ISPs give.  Seeded
+    # markets of 1-3 CPs by 1-3 ISPs, every third with a zero price, all
+    # discounts below 1, and profiles that hold or skip zero-price cells.
+    rng = np.random.default_rng(33)
+    for k in range(60):
+        config = random_config(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        if k % 3 == 0:
+            config = config.with_prices((0.0,) + config.p[1:])
+        assert max(config.delta) < 1.0
+        dp = oracle._discounted_prices(config)
+        for _ in range(8):
+            bits = rng.integers(0, 2, size=(config.n_cps, config.n_isps))
+            rows = tuple(map(tuple, bits.tolist()))
+            x_eff = oracle_allocate(config, StrategyMatrix(rows)).x_effective.tolist()
+            scores = oracle._payoff_totals(config, dp, oracle._pairs(config, rows, {}))
+            assert scores == reference_payoff_totals(config, rows, x_eff)
 
 
 def test_forced_cells_respected(bench):
