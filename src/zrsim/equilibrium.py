@@ -20,8 +20,9 @@ of price and discount axes, each market once: each ISP's payoff terms are
 scored once per point of its own axes and broadcast, and stability, the
 tie-break and the Nash test run as arrays over the markets.  It returns
 equilibria only; :mod:`zrsim.analysis` scores the payoffs of both worlds.
-:func:`enumerate_zre` and :func:`discount_equilibrium` are its one-cell
-case; :func:`is_zre` and the dynamics score a profile and its flips, and
+:func:`enumerate_zre` and :func:`discount_equilibrium` return its row of
+one cell as it is, so NODEQ is ``delta_star is None`` on every route;
+:func:`is_zre` and the dynamics score a profile and its flips, and
 :func:`detect_pressure` its counterfactual markets.  The verify battery
 reads the engine's verdicts from the sweep's records
 (:func:`zrsim.analysis.grid_sweep`).
@@ -91,11 +92,11 @@ class ZreResult:
 @dataclass(frozen=True)
 class DiscountOutcome:
     """Selected discount profile of the ISP discount game and the
-    equilibria at it; both None where no discount profile is a Nash
-    equilibrium (NODEQ)."""
+    equilibria at it; where no discount profile is a Nash equilibrium
+    (NODEQ), None and the NO_ZRE result, as in :func:`solve_grid`'s row."""
 
     delta_star: tuple[float, ...] | None
-    zre: ZreResult | None
+    zre: ZreResult
 
 
 @dataclass(frozen=True)
@@ -121,14 +122,19 @@ def _forced(n: int, m: int, zero: tuple[bool, ...]) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(m) if zero[j]]
 
 
-def _check_forced(theta: StrategyMatrix, forced: frozenset[tuple[int, int]]) -> None:
-    for i, j in forced:
+def _free_cells(n: int, m: int, zero: tuple[bool, ...]) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(m) if not zero[j]]
+
+
+def _checked_free_cells(config: MarketConfig, theta: StrategyMatrix) -> list[tuple[int, int]]:
+    """The free cells of ``config``, row-major, once ``theta`` is checked to
+    be N x M (a smaller one cannot index the cells) and to hold every forced cell."""
+    _check_dims(config, theta)
+    zero = _zero_isps(config.p)
+    for i, j in _forced(config.n_cps, config.n_isps, zero):
         if theta.rows[i][j] != 1:
             raise InvalidArgument(f"cell ({i}, {j}) must be 1 because the ISP price is 0")
-
-
-def _free_cells(n: int, m: int, forced) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(m) if (i, j) not in forced]
+    return _free_cells(config.n_cps, config.n_isps, zero)
 
 
 def _breaks(cp_gains, isp_gains, held):
@@ -174,16 +180,13 @@ def is_zre(config: MarketConfig, theta: StrategyMatrix) -> bool:
     of a free cell breaks it (:func:`_breaks`, the rule :func:`_stable`
     applies to every profile at once).  The profile and its flips are
     scored in one :func:`code_scores` call."""
-    _check_dims(config, theta)
-    forced = forced_cells(config)
-    _check_forced(theta, forced)
-    free = _free_cells(config.n_cps, config.n_isps, forced)
+    free = _checked_free_cells(config, theta)
     bits = [cell_bit(i, j, config.n_cps, config.n_isps) for i, j in free]
     code = theta.encoding()
     u, r = code_scores(config, [code ^ bit for bit in [0] + bits])
     tol = GAIN_TOL * config.total_users
     return not any(
-        _breaks(u[k, i] > u[0, i] + tol, r[k, j] > r[0, j] + tol, code & bit)
+        _breaks(u[i, k] > u[i, 0] + tol, r[j, k] > r[j, 0] + tol, code & bit)
         for k, ((i, j), bit) in enumerate(zip(free, bits), 1)
     )
 
@@ -193,7 +196,7 @@ def _profiles(n: int, m: int, zero: tuple[bool, ...]) -> tuple[np.ndarray, list]
     zero-price ISPs ``zero``, ascending, and the free cells, CP by CP, each
     with its bit in a profile's row of that array (see :func:`_stable`)."""
     forced = _forced(n, m, zero)
-    free = _free_cells(n, m, forced)
+    free = _free_cells(n, m, zero)
     # Row t holds the free cells' bits in the order of the codes, first
     # free cell most significant, so codes ascend with t and a flip is t ^ step.
     mask = sum(cell_bit(i, j, n, m) for i, j in forced)
@@ -248,10 +251,9 @@ def detect_pressure(config: MarketConfig, selected: StrategyMatrix) -> tuple[boo
     distinct counterfactual row is scored once, and :func:`_pressure` reads
     it as in a sweep.
     """
-    _check_dims(config, selected)
-    _check_forced(selected, forced_cells(config))
+    _checked_free_cells(config, selected)
     counterfactual, codes = _counterfactuals(config.n_cps, config.n_isps, _zero_isps(config.p))
-    u = code_scores(config, codes)[0].T[..., None]
+    u = code_scores(config, codes)[0][..., None]
     chosen, tol = np.array([selected.encoding()]), GAIN_TOL * config.total_users
     return tuple(_pressure(u, codes, chosen, counterfactual, tol)[0].tolist())
 
@@ -306,11 +308,10 @@ def best_response_dynamics(
     same round position), or inconclusively once ``max_steps`` agent turns
     are exhausted.
     """
-    _check_dims(config, start)
-    forced = forced_cells(config)
-    _check_forced(start, forced)
+    free = _checked_free_cells(config, start)
     n, m = config.n_cps, config.n_isps
-    agents = [("cp", i) for i in range(n)] + [("isp", j) for j in range(m)]
+    agents = [("cp", [(i, j) for i, j in free if i == a]) for a in range(n)]
+    agents += [("isp", [(i, j) for i, j in free if j == a]) for a in range(m)]
     tol = GAIN_TOL * config.total_users
 
     def trace(outcome: DynamicsOutcome, cycle_start: int | None = None) -> BestResponseTrace:
@@ -331,13 +332,11 @@ def best_response_dynamics(
             return trace(DynamicsOutcome.FIXED_POINT)
         seen[key] = len(visited) - 1
 
-        kind, idx = agents[pos]
-        own = [(idx, j) for j in range(m)] if kind == "cp" else [(i, idx) for i in range(n)]
-        cells = [cell for cell in own if cell not in forced]
+        kind, cells = agents[pos]
         u, r = code_scores(config, [state] + [state ^ cell_bit(i, j, n, m) for i, j in cells])
         best_gain, best_cell = tol, None
         for k, (i, j) in enumerate(cells, start=1):
-            cp_gain, isp_gain = u[k, i] - u[0, i], r[k, j] - r[0, j]
+            cp_gain, isp_gain = u[i, k] - u[i, 0], r[j, k] - r[j, 0]
             own_gain, other_gain = (cp_gain, isp_gain) if kind == "cp" else (isp_gain, cp_gain)
             if own_gain > best_gain and (state & cell_bit(i, j, n, m) or other_gain > tol):
                 best_gain, best_cell = own_gain, (i, j)
@@ -438,9 +437,10 @@ def solve_grid(
     selected discount profile, or None where no discount profile is a Nash
     equilibrium (NODEQ).  This is the one place NODEQ is decided.
 
-    One profile table (see :class:`~zrsim.payoff.ProfileTable`) and one
-    tie-break rank, which read neither prices nor discounts, serve the grid.
-    The profiles read only which ISPs have price zero, and the cells of a
+    One profile table (see :class:`~zrsim.payoff.ProfileTable`), which
+    reads neither prices nor discounts, serves the grid, and each group
+    puts its own rows in the tie-break order (see :func:`_order`).  The
+    profiles read only which ISPs have price zero, and the cells of a
     zero pattern form a box of axis positions (so axes may repeat or reorder
     values), solved in sub-boxes of whole cells (see
     :func:`~zrsim.market.sub_boxes`) times the discount axes, in stages that
@@ -466,12 +466,11 @@ def solve_grid(
         for zero in itertools.product(*({v == 0.0 for v in axis} for axis in axes))
     }
     profiles = {zero: _profiles(n, m, zero) for zero in groups}
-    used = np.zeros(1 << (n * m), dtype=bool)
-    for codes, _ in profiles.values():
-        used[codes] = True
-    all_codes = np.flatnonzero(used)
+    # min(groups) is zero only on the axes without a positive price: every
+    # group forces its forced cells, so its profiles hold all of theirs.
+    all_codes = profiles[min(groups)][0]
     cells = profile_cells(all_codes, n, m)
-    rank, table = np.argsort(_order(config, all_codes, cells)), profile_table(config, cells)
+    table = profile_table(config, cells)
 
     no_zre = ZreResult((), None, (False,) * n)
     unsolved = config.delta if delta_grid is None else None
@@ -494,12 +493,12 @@ def solve_grid(
     tol = GAIN_TOL * config.total_users
     for zero, box in groups.items():
         codes, steps = profiles[zero]
-        # The group's rows in the table and in the tie-break order; a group
+        # The group's rows of the table, and their tie-break order; a group
         # of every row scores the table itself, not a copy.
         rows = np.searchsorted(all_codes, codes)
-        order = np.argsort(rank[rows])
         whole = len(rows) == len(all_codes)
         group_table = table if whole else ProfileTable(*(column[rows] for column in table))
+        order = _order(config, codes, group_table.cells)
         counterfactual, cf_codes = _counterfactuals(n, m, zero)
         group = (group_table, order, steps, np.searchsorted(codes, cf_codes))
         box_prices = [np.take(axis, positions) for axis, positions in zip(axes, box)]
@@ -561,7 +560,7 @@ def discount_equilibrium(
     largest is chosen: by total discount (rounded to 9 decimals, so equal
     decimal totals tie), then by the component of the most expensive ISP
     (later index on equal prices), then by the later ISPs' components.
-    This is the one-cell case of :func:`solve_grid`.
+    This is the one-cell case of :func:`solve_grid`, whose row it returns.
     """
     [(_, delta, zre)] = solve_grid(config, [(p,) for p in config.p], delta_grid)
-    return DiscountOutcome(delta, None if delta is None else zre)
+    return DiscountOutcome(delta, zre)

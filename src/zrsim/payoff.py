@@ -49,7 +49,7 @@ class PayoffVector:
     per_pair_isp: np.ndarray
 
 
-# U[i, k, ...] and each ISP's R[j][k, ...] (see _scores), or U[k, i] and R[k, j].
+# U[i, k, ...] and each ISP's R[j][k, ...] (see _scores).
 Scores = tuple[np.ndarray, list]
 
 
@@ -119,11 +119,11 @@ def _scores(config: MarketConfig, table: ProfileTable, p, delta) -> Scores:
 
 def code_scores(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> Scores:
     """:func:`_scores` of profile codes in the one market ``config``, as
-    ``U[k, i]`` and ``R[k, j]``; the allocation works in blocks."""
+    ``U[i, k]`` and ``R[j, k]``; the allocation works in blocks."""
     table = profile_table(config, profile_cells(codes, config.n_cps, config.n_isps))
     p, delta = (np.asarray(v)[:, None] for v in (config.p, config.delta))
     u, r = _scores(config, table, p, delta)
-    return u[..., 0].T, np.array(r)[..., 0].T
+    return u[..., 0], np.array(r)[..., 0]
 
 
 def payoffs(config: MarketConfig, theta: StrategyMatrix) -> PayoffVector:

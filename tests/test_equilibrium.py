@@ -58,6 +58,18 @@ class TestForcedCells:
         assert forced_cells(config) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
+@pytest.mark.parametrize("call", [is_zre, detect_pressure, best_response_dynamics])
+def test_one_profile_calls_check_the_shape_then_the_forced_cells(bench, call):
+    # ISP 0's price is zero, so a 2x3 zero matrix also misses its forced
+    # cells: the shape is checked first.  Either of ISP 0's cells may be
+    # named; the order they are checked in is not part of the contract.
+    config = bench.with_prices((0.0, 0.7))
+    with pytest.raises(InvalidArgument, match="2x3"):
+        call(config, StrategyMatrix.zeros(2, 3))
+    with pytest.raises(InvalidArgument, match=r"cell \([01], 0\) must be 1"):
+        call(config, StrategyMatrix.from_bitstring("0000", 2, 2))
+
+
 class TestIsZre:
     def test_no_relations_stable_at_high_prices(self, bench):
         assert is_zre(bench, StrategyMatrix.zeros(2, 2))
@@ -367,7 +379,7 @@ class TestDiscountGame:
         # shades its discount below the other's, so no profile is stable.
         outcome = discount_equilibrium(bench.with_prices((0.5, 0.5)))
         assert outcome.delta_star is None
-        assert outcome.zre is None
+        assert outcome.zre.selected is None
 
     def test_deterministic(self, bench):
         config = bench.with_prices((0.2, 0.8))
@@ -476,9 +488,8 @@ class TestDiscountGame:
         for config in configs:
             outcome = discount_equilibrium(config, grid)
             delta_star, selected = _reference_discount_outcome(config, grid)
-            assert (outcome.zre is None) is (delta_star is None)
             assert outcome.delta_star == delta_star
-            assert (outcome.zre and outcome.zre.selected) == selected
+            assert outcome.zre.selected == selected
             nodeq.add(delta_star is None)
         # Both outcomes occur: cells with and without a discount equilibrium.
         assert nodeq == {False, True}

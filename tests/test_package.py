@@ -54,6 +54,15 @@ def test_benchmark_child_calls_resolve(capsys):
     config = zrsim.load_scenario(path).config.with_prices((0.3, 0.7))
     selected = zrsim.enumerate_zre(config).selected
     zrsim.allocate(dataclasses.replace(config, total_users=1.0 + 1e-9), selected)
+    # Its per-call table: a name it cannot find reads 0 there, not an error.
+    zrsim.allocate(config, selected)
+    zrsim.payoffs(config, selected)
+    assert zrsim.is_zre(config, selected)
+    assert len(zrsim.detect_pressure(config, selected)) == 2
+    assert zrsim.compare_worlds(config).zre.selected == selected
+    # The cell has no discount equilibrium (NODEQ) on the default grid.
+    outcome = zrsim.discount_equilibrium(config)
+    assert outcome.delta_star is None and outcome.zre.selected is None
     theta = zrsim.StrategyMatrix.from_bitstring(selected.bitstring(), 2, 2)
     assert zrsim.oracle_verify_zre(config, theta)
     assert zrsim.cli.main(["zre", str(path), "--p", "0.3", "0.7"]) == 0

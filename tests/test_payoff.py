@@ -154,8 +154,8 @@ def test_score_table_rows_equal_payoffs(block_elements, monkeypatch):
         for k in codes:
             theta = StrategyMatrix.from_bitstring(format(k, f"0{n * m}b"), n, m)
             pv = payoffs(config, theta)
-            assert np.array_equal(u[k], pv.cp_utility)
-            assert np.array_equal(r[k], pv.isp_revenue)
+            assert np.array_equal(u[:, k], pv.cp_utility)
+            assert np.array_equal(r[:, k], pv.isp_revenue)
             assert np.array_equal(users[k], allocate(config, theta).x_effective)
         one_profile = config.lattice_size * (m + 1)
         assert max(block_sizes) <= max(one_profile, market.BLOCK_ELEMENTS)
@@ -179,7 +179,7 @@ def test_one_utility_summation_at_eight_isps(n_cps, seed):
     without = payoffs(config, StrategyMatrix.zeros(n_cps, 8)).cp_utility
     selected = payoffs(config, record.zre.selected).cp_utility
     u, _ = code_scores(config, [0, record.zre.selected.encoding()])
-    assert _same_bits(u[0], without) and _same_bits(u[1], selected)
+    assert _same_bits(u[:, 0], without) and _same_bits(u[:, 1], selected)
     assert _same_bits(record.delta_utility, selected - without)
 
 

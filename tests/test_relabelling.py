@@ -3,10 +3,12 @@
 The model names no provider, so renaming the ISPs (with their prices,
 discounts, baseline shares and price axes) or the CPs (with their values
 and the bundle masks of phi) must map every cell's equilibrium set onto
-the renamed cell.  Only sets are compared: the engine's "last ISP"
-tie-break reads the labels by design, and the cells where that decides
-the outcome are pinned below.  Scaling ``total_users`` scales every
-payoff and the gain margin alike, so it must change no verdict.
+the renamed cell.  At fixed delta only sets are compared: the engine's
+"last ISP" tie-break reads the labels by design.  In the discount game each
+cell's delta* and selected profile are compared too, except at the cells
+where that tie-break decides the outcome, pinned below.  Scaling
+``total_users`` scales every payoff and the gain margin alike, so it must
+change no verdict.
 """
 
 import itertools
@@ -124,3 +126,36 @@ def test_tie_break_selects_the_same_profile_in_mirror_cells():
     for cell in ((0.5, 0.6), (0.6, 0.5)):
         assert {theta.bitstring() for theta in solved[cell].all_zre} == {"0001", "0010"}
         assert solved[cell].selected.bitstring() == "0001"
+
+
+def _discount_outcomes(config, price_grid, delta_grid) -> dict:
+    return {
+        prices: (delta, zre.selected and zre.selected.rows)
+        for prices, delta, zre in solve_grid(config, price_grid, delta_grid)
+    }
+
+
+def test_discount_game_outcomes_map_under_relabelling():
+    # discount_game.json under every ISP and CP permutation: each cell's
+    # delta*, NODEQ verdict (delta* None) and selected profile map onto the
+    # renamed cell, except where the "last ISP" tie-break decides, at the
+    # cells pinned above and their mirrors, and so only when the ISPs swap.
+    scenario = load_scenario(SCENARIOS / "discount_game.json")
+    config, grid, deltas = scenario.config, scenario.price_grid, scenario.delta_grid
+    original = _discount_outcomes(config, grid, deltas)
+    by_label = {(0.3, 0.5), (0.3, 0.6), (0.5, 0.3), (0.6, 0.3)}
+    for isps in itertools.permutations(range(config.n_isps)):
+        for cps in itertools.permutations(range(config.n_cps)):
+            renamed = _discount_outcomes(
+                _relabelled(config, isps, cps), [grid[j] for j in isps], deltas
+            )
+            assert len(renamed) == len(original) == 121
+            unmapped = set()
+            for prices, (delta, rows) in original.items():
+                mapped = (
+                    delta and tuple(delta[j] for j in isps),
+                    rows and tuple(tuple(rows[i][j] for j in isps) for i in cps),
+                )
+                if renamed[tuple(prices[j] for j in isps)] != mapped:
+                    unmapped.add(prices)
+            assert unmapped == (set() if isps == (0, 1) else by_label), (isps, cps)

@@ -48,7 +48,7 @@ def _reference_zre(cell: MarketConfig) -> ZreResult:
     n, m = cell.n_cps, cell.n_isps
     codes, steps = equilibrium._profiles(n, m, equilibrium._zero_isps(cell.p))
     u, r = code_scores(cell, codes)
-    found = codes[equilibrium._stable(u.T, r.T, steps, GAIN_TOL * cell.total_users)]
+    found = codes[equilibrium._stable(u, r, steps, GAIN_TOL * cell.total_users)]
     if not len(found):
         return ZreResult((), None, (False,) * n)
     all_zre = tuple(StrategyMatrix.from_bitstring(format(c, f"0{n * m}b"), n, m) for c in found)
@@ -170,7 +170,7 @@ def test_driver_equals_per_cell_reference(block_elements, references, monkeypatc
             assert enumerate_zre(cell) == zre
             outcome = discount_equilibrium(cell, grid)
             assert outcome.delta_star == discount.discounts
-            assert (outcome.zre and outcome.zre.selected) == discount.zre.selected
+            assert outcome.zre == discount.zre
             outcomes.add((zre.selected is None, outcome.delta_star is None))
     # Cells without an equilibrium and without a discount equilibrium occur.
     assert {no_zre for no_zre, _ in outcomes} == {False, True}
@@ -196,7 +196,6 @@ def test_repeated_and_unsorted_axes_solve_each_cell(block_elements, monkeypatch)
         (bench, ([0.6, 0.0, 0.6, 1.0], [1.0, 0.8, 0.0, 0.8]), (0.2, 0.6, 1.0)),
         (random_config(rng, 2, 3), ([0.5, 0.0, 0.5], [1.0, 0.0], [0.3, 0.7, 0.3]), (0.5, 1.0)),
     ]
-    no_zre = ZreResult((), None, (False,) * 2)
     nodeq = 0
     for config, axes, grid in cases:
         cells = list(itertools.product(*axes))
@@ -208,7 +207,7 @@ def test_repeated_and_unsorted_axes_solve_each_cell(block_elements, monkeypatch)
             assert record == grid_sweep(config, [(p,) for p in prices])[0]
             outcome = discount_equilibrium(cell, grid)
             assert discount.discounts == outcome.delta_star
-            assert discount.zre == (outcome.zre or no_zre)
+            assert discount.zre == outcome.zre
             assert discount == grid_sweep(config, [(p,) for p in prices], grid)[0]
             nodeq += outcome.delta_star is None
     assert nodeq > 0
