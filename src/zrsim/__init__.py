@@ -24,7 +24,6 @@ from .equilibrium import (
     detect_pressure,
     discount_equilibrium,
     enumerate_zre,
-    forced_cells,
     is_zre,
 )
 from .errors import (
@@ -78,7 +77,6 @@ __all__ = [
     "elastic_choice_set",
     "enumerate_zre",
     "find_zre_violation",
-    "forced_cells",
     "grid_sweep",
     "hhi_variance_identity",
     "is_zre",

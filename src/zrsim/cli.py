@@ -189,12 +189,7 @@ def _cmd_zre(scenario_path: str, prices: list[float]) -> int:
     scenario = load_scenario(scenario_path)
     if len(prices) != scenario.config.n_isps:
         raise ScenarioError(f"--p needs {scenario.config.n_isps} prices, got {len(prices)}")
-    try:
-        [(_, delta, result)] = solve_grid(
-            scenario.config, [(p,) for p in prices], scenario.delta_grid
-        )
-    except ConfigError as exc:
-        raise ScenarioError(str(exc)) from exc
+    [(_, delta, result)] = solve_grid(scenario.config, [(p,) for p in prices], scenario.delta_grid)
     print(f"prices: {' '.join(fmt_num(p) for p in prices)}")
     if scenario.delta_grid is not None:
         print(f"discounts: {' '.join(_discount_fields(delta))}")
@@ -314,7 +309,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         run, args = _parse(sys.argv[1:] if argv is None else list(argv))
         return run(*args)
-    except ScenarioError as exc:
+    except (ScenarioError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except CapacityError as exc:

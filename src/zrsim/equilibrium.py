@@ -52,11 +52,11 @@ DEFAULT_DELTA_GRID = tuple(k / 10 for k in range(11))
 # before anything is built.  At fixed delta it admits exactly the markets
 # of at most 20 cells (2**20 <= 2,000,000 < 2**21): 4x5 and 2x10, not 3x7.
 # On the 11-point grid, one cell of a seeded random market (2 cores, Python
-# 3.11, numpy 2.4, fresh processes; 35 MB of each peak RSS is the imports):
-# 3x3, 681,472 evaluations, 0.08-0.10 s and 38 MB peak RSS; 7x2, the most
-# evaluations under the guard (1,982,464), 0.6-0.7 s and 46 MB; not 2x4.
+# 3.11, numpy 2.4, fresh processes; 45 MB of each peak RSS is the imports):
+# 3x3, 681,472 evaluations, 0.04 s and 48 MB peak RSS; 7x2, the most
+# evaluations under the guard (1,982,464), 0.7-0.8 s and 56 MB; not 2x4.
 # The count leaves out the 2**N-bundle allocation of every profile: a 13x1
-# cell, 90,112 evaluations, takes 8.3-8.4 s and 42 MB, nearly all of it
+# cell, 90,112 evaluations, takes 6.5-7.2 s and 50 MB, nearly all of it
 # allocating, and a 5x4 enumeration takes 6.4 s and adds 478 MB.
 EVALUATION_GUARD = 2_000_000
 # A deviation "gains" only when it beats the current payoff by more than
@@ -108,33 +108,29 @@ class BestResponseTrace:
     cycle_start: int | None = None
 
 
-def forced_cells(config: MarketConfig) -> frozenset[tuple[int, int]]:
-    """Cells clamped to 1 because the ISP's price is zero."""
-    return frozenset(_forced(config.n_cps, config.n_isps, _zero_isps(config.p)))
-
-
 def _zero_isps(p: Sequence[float]) -> tuple[bool, ...]:
     """Which ISPs have price zero, all that the forced cells read of ``p``."""
     return tuple(v == 0.0 for v in p)
 
 
-def _forced(n: int, m: int, zero: tuple[bool, ...]) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(m) if zero[j]]
-
-
-def _free_cells(n: int, m: int, zero: tuple[bool, ...]) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(m) if not zero[j]]
+def _split_cells(n: int, m: int, zero: tuple[bool, ...]) -> tuple[list, list]:
+    """The cells of an N x M profile, row-major, split into those forced to
+    1 by the zero-price ISPs ``zero`` and the free ones."""
+    forced, free = [], []
+    for i, j in itertools.product(range(n), range(m)):
+        (forced if zero[j] else free).append((i, j))
+    return forced, free
 
 
 def _checked_free_cells(config: MarketConfig, theta: StrategyMatrix) -> list[tuple[int, int]]:
     """The free cells of ``config``, row-major, once ``theta`` is checked to
     be N x M (a smaller one cannot index the cells) and to hold every forced cell."""
     _check_dims(config, theta)
-    zero = _zero_isps(config.p)
-    for i, j in _forced(config.n_cps, config.n_isps, zero):
+    forced, free = _split_cells(config.n_cps, config.n_isps, _zero_isps(config.p))
+    for i, j in forced:
         if theta.rows[i][j] != 1:
             raise InvalidArgument(f"cell ({i}, {j}) must be 1 because the ISP price is 0")
-    return _free_cells(config.n_cps, config.n_isps, zero)
+    return free
 
 
 def _breaks(cp_gains, isp_gains, held):
@@ -195,8 +191,7 @@ def _profiles(n: int, m: int, zero: tuple[bool, ...]) -> tuple[np.ndarray, list]
     """Codes of all N x M profiles respecting the forced cells of the
     zero-price ISPs ``zero``, ascending, and the free cells, CP by CP, each
     with its bit in a profile's row of that array (see :func:`_stable`)."""
-    forced = _forced(n, m, zero)
-    free = _free_cells(n, m, zero)
+    forced, free = _split_cells(n, m, zero)
     # Row t holds the free cells' bits in the order of the codes, first
     # free cell most significant, so codes ascend with t and a flip is t ^ step.
     mask = sum(cell_bit(i, j, n, m) for i, j in forced)

@@ -96,9 +96,9 @@ class MarketConfig:
         self._validate()
 
     def _validate(self) -> None:
-        if not isinstance(self.n_cps, int) or self.n_cps < 1:
+        if not isinstance(self.n_cps, int) or isinstance(self.n_cps, bool) or self.n_cps < 1:
             raise ConfigError(f"n_cps must be an integer >= 1, got {self.n_cps!r}")
-        if not isinstance(self.n_isps, int) or self.n_isps < 1:
+        if not isinstance(self.n_isps, int) or isinstance(self.n_isps, bool) or self.n_isps < 1:
             raise ConfigError(f"n_isps must be an integer >= 1, got {self.n_isps!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")

@@ -35,18 +35,11 @@ from .market import (
 
 @dataclass(frozen=True)
 class PayoffVector:
-    """Per-provider payoffs and their per-pair decomposition.
-
-    ``per_pair_cp[i, j]`` and ``per_pair_isp[i, j]`` are the contributions
-    of pair (CP i, ISP j); ``cp_utility`` sums rows and ``isp_revenue`` sums
-    columns (up to rounding: revenues come from the column sums of
-    :class:`ProfileTable`).
-    """
+    """Each CP's utility and each ISP's revenue under one profile, as
+    :func:`_scores` states them."""
 
     cp_utility: np.ndarray
     isp_revenue: np.ndarray
-    per_pair_cp: np.ndarray
-    per_pair_isp: np.ndarray
 
 
 # U[i, k, ...] and each ISP's R[j][k, ...] (see _scores).
@@ -98,13 +91,12 @@ def _scores(config: MarketConfig, table: ProfileTable, p, delta) -> Scores:
     linear, ``delta_j * p_j * zs + p_j * w``, and keeps that ISP's shape.
     U adds, ISP by ISP, each pair's payoff (``(q_i - delta_j p_j) X`` when
     zero-rated, ``q_i X c`` otherwise) to a zero, ``0.0 + t_0 + t_1 + ...``,
-    broadcasting as the terms come in.  Below 8 ISPs that is the order in
-    which numpy's ``sum`` adds a short axis, so U is the per-pair sum of
-    :attr:`PayoffVector.per_pair_cp` bit for bit (from 8 terms numpy sums
-    pairwise).  The same U serves the engine, :func:`payoffs` and the
-    sweep's ``delta_u`` digits: a linear U rounds differently, and turns
-    exact zero deltas into float noise (5.6e-17 in bandwidth_high's cell
-    (0.5, 0.6))."""
+    broadcasting as the terms come in: the order of a loop over the pairs
+    (from 8 terms numpy's ``sum`` adds pairwise, so summing a per-pair
+    table would round differently).  The same U serves the engine,
+    :func:`payoffs` and the sweep's ``delta_u`` digits: a linear U rounds
+    differently, and turns exact zero deltas into float noise (5.6e-17 in
+    bandwidth_high's cell (0.5, 0.6))."""
     q = np.asarray(config.q)[:, None]
     u, r = 0.0, []
     for j, (p_j, delta_j) in enumerate(zip(p, delta)):
@@ -117,23 +109,23 @@ def _scores(config: MarketConfig, table: ProfileTable, p, delta) -> Scores:
     return u, r
 
 
-def code_scores(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> Scores:
-    """:func:`_scores` of profile codes in the one market ``config``, as
-    ``U[i, k]`` and ``R[j, k]``; the allocation works in blocks."""
-    table = profile_table(config, profile_cells(codes, config.n_cps, config.n_isps))
+def _market_scores(config: MarketConfig, cells: np.ndarray) -> Scores:
+    """:func:`_scores` of the profiles ``cells`` in the one market
+    ``config``, as ``U[i, k]`` and ``R[j, k]``; the allocation works in blocks."""
     p, delta = (np.asarray(v)[:, None] for v in (config.p, config.delta))
-    u, r = _scores(config, table, p, delta)
+    u, r = _scores(config, profile_table(config, cells), p, delta)
     return u[..., 0], np.array(r)[..., 0]
 
 
+def code_scores(config: MarketConfig, codes: Sequence[int] | np.ndarray) -> Scores:
+    """:func:`_market_scores` of profile codes."""
+    return _market_scores(config, profile_cells(codes, config.n_cps, config.n_isps))
+
+
 def payoffs(config: MarketConfig, theta: StrategyMatrix) -> PayoffVector:
-    """Evaluate all provider payoffs under ``theta``."""
+    """Evaluate all provider payoffs under ``theta``.  The profile's cells
+    come from ``theta`` itself, not from its code, so any N x M market is
+    scored (:func:`code_scores`' int64 codes stop at 63 cells)."""
     _check_dims(config, theta)
-    table = profile_table(config, theta.as_array()[None] == 1)
-    p, delta = np.asarray(config.p), np.asarray(config.delta)
-    u, r = _scores(config, table, p[:, None], delta[:, None])
-    cells, users = table.cells[0], table.users[0]
-    q = np.asarray(config.q)[:, None]
-    cp = np.where(cells, (q - delta * p) * users, q * users * config.c)
-    isp = np.where(cells, delta * p * users, p * users * config.c)
-    return PayoffVector(u[:, 0, 0], np.array(r)[:, 0, 0], cp, isp)
+    u, r = _market_scores(config, theta.as_array()[None] == 1)
+    return PayoffVector(u[:, 0], r[:, 0])

@@ -18,7 +18,6 @@ from zrsim import (
     detect_pressure,
     discount_equilibrium,
     enumerate_zre,
-    forced_cells,
     is_zre,
     load_scenario,
     market,
@@ -43,19 +42,6 @@ def _reference_discount_outcome(config, grid):
     if star is None:
         return None, None
     return star, enumerate_zre(dataclasses.replace(config, delta=star)).selected
-
-
-class TestForcedCells:
-    def test_zero_price_forces_column(self, bench):
-        config = bench.with_prices((0.0, 0.5))
-        assert forced_cells(config) == {(0, 0), (1, 0)}
-
-    def test_positive_prices_force_nothing(self, bench):
-        assert forced_cells(bench.with_prices((0.3, 0.7))) == frozenset()
-
-    def test_all_zero_prices_force_everything(self, bench):
-        config = bench.with_prices((0.0, 0.0))
-        assert forced_cells(config) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 @pytest.mark.parametrize("call", [is_zre, detect_pressure, best_response_dynamics])

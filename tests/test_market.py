@@ -63,10 +63,16 @@ class TestMarketConfig:
             ("n_cps", 0, "n_cps must be an integer >= 1, got 0"),
             ("n_isps", "2", "n_isps must be an integer >= 1, got '2'"),
             ("n_isps", 0, "n_isps must be an integer >= 1, got 0"),
+            # A bool is an int to isinstance, but not a count.
+            ("n_cps", True, "n_cps must be an integer >= 1, got True"),
+            ("n_isps", True, "n_isps must be an integer >= 1, got True"),
             ("q", (1.0,), "q must have length 2, got 1"),
             ("phi", (0.5, 0.5), "phi must have length 2**n_cps = 4, got 2"),
         ],
-        ids=["n_cps-float", "n_cps-zero", "n_isps-str", "n_isps-zero", "q-length", "phi-length"],
+        ids=[
+            "n_cps-float", "n_cps-zero", "n_isps-str", "n_isps-zero", "n_cps-bool", "n_isps-bool",
+            "q-length", "phi-length",
+        ],
     )
     def test_rejects_bad_shapes(self, bench, field, value, message):
         with pytest.raises(ConfigError) as raised:

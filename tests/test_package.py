@@ -2,13 +2,15 @@
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import zrsim
 import zrsim.cli
 from zrsim import errors
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 PACKAGE = Path(zrsim.__file__).resolve().parent
 
 
@@ -22,6 +24,27 @@ def test_public_names_are_sorted_unique_and_resolve():
     namespace = {}
     exec("from zrsim import *", namespace)
     assert set(names) <= namespace.keys()
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # A public name that only the tests call has no use.  Each must be read
+    # on a package line other than __init__.py and its own def or class
+    # line, in README.md, or in the benchmark harness.
+    lines = [
+        line
+        for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+    outside = [README] + sorted((ROOT / "perfbench").glob("*.py"))
+    text = "\n".join(path.read_text(encoding="utf-8") for path in outside)
+    unread = []
+    for name in zrsim.__all__:
+        word, own = re.compile(rf"\b{name}\b"), re.compile(rf"\s*(def|class) {name}\b")
+        if not word.search(text) and not any(
+            word.search(line) and not own.match(line) for line in lines
+        ):
+            unread.append(name)
+    assert unread == []
 
 
 def test_readme_library_example_runs(capsys):

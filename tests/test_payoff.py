@@ -12,7 +12,7 @@ from zrsim.equilibrium import DEFAULT_DELTA_GRID
 from zrsim.market import profile_cells
 from zrsim.payoff import _scores, code_scores, profile_table
 
-from conftest import random_config, random_theta
+from conftest import random_config, random_theta, reference_payoff_totals
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenarios"
 
@@ -26,23 +26,27 @@ def test_no_zero_rating_utilities(bench):
 
 
 def test_zero_margin_relation_pays_nothing(bench):
-    config = bench.with_prices((0.4, 1.0))  # q_1 equals delta_1 * p_1
+    # q_1 equals delta_1 * p_1, so the first CP's relation adds an exact
+    # zero and its utility is its unrelated pair's term alone.
+    config = bench.with_prices((0.4, 1.0))
     theta = StrategyMatrix(((1, 0), (0, 0)))
-    pv = payoffs(config, theta)
-    assert pv.per_pair_cp[0, 0] == 0.0
+    x = allocate(config, theta).x_effective
+    assert payoffs(config, theta).cp_utility[0] == config.q[0] * x[0, 1] * config.c
 
 
 def test_single_relation_pair_payoff(bench):
     config = bench.with_prices((0.4, 1.0))
     theta = StrategyMatrix(((0, 0), (1, 0)))
-    pv = payoffs(config, theta)
-    assert pv.per_pair_cp[1, 0] == pytest.approx(0.36, abs=1e-12)
+    x = allocate(config, theta).x_effective
+    # The second CP's zero-rated pair pays 0.36, its unrelated one q_2 * x * c.
+    expected = 0.36 + config.q[1] * x[1, 1] * config.c
+    assert payoffs(config, theta).cp_utility[1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_totals_are_row_and_column_sums(bench):
-    # Revenues come from the price-free column sums, not from the per-pair
-    # table, so they agree with its column sums up to rounding; every
-    # fourth random draw has a zero price.
+    # The totals equal the pair payoffs summed in nested loops, utilities by
+    # rows and revenues by columns, up to rounding: revenues come from the
+    # price-free column sums.  Every fourth random draw has a zero price.
     cases = [(bench, StrategyMatrix(((0, 1), (1, 1))))]
     rng = np.random.default_rng(17)
     for n in range(1, 4):
@@ -56,8 +60,10 @@ def test_totals_are_row_and_column_sums(bench):
                 cases.append((config, random_theta(rng, config)))
     for config, theta in cases:
         pv = payoffs(config, theta)
-        np.testing.assert_allclose(pv.cp_utility, pv.per_pair_cp.sum(axis=1), atol=1e-15)
-        np.testing.assert_allclose(pv.isp_revenue, pv.per_pair_isp.sum(axis=0), atol=1e-15)
+        x = allocate(config, theta).x_effective
+        utilities, revenues = reference_payoff_totals(config, theta.rows, x.tolist())
+        np.testing.assert_allclose(pv.cp_utility, utilities, atol=1e-15)
+        np.testing.assert_allclose(pv.isp_revenue, revenues, atol=1e-15)
 
 
 def test_payoffs_scale_linearly_in_prices():
@@ -78,22 +84,19 @@ def test_payoffs_scale_linearly_in_prices():
 
 
 def test_usage_coefficient_only_touches_unrelated_pairs():
+    # The allocation does not read c, so raising c from 0.3 to 0.9 moves each
+    # total by 0.6 times its unrelated pairs' q * x (CPs) or p * x (ISPs).
     rng = np.random.default_rng(9)
     for _ in range(20):
         config = random_config(rng, allow_zero_price=False)
         theta = random_theta(rng, config)
-        low = dataclasses.replace(config, c=0.3)
-        high = dataclasses.replace(config, c=0.9)
-        pv_low = payoffs(low, theta)
-        pv_high = payoffs(high, theta)
-        mask = theta.as_array().astype(bool)
-        np.testing.assert_allclose(
-            pv_low.per_pair_cp[mask], pv_high.per_pair_cp[mask], atol=1e-15
-        )
-        off = ~mask
-        if off.any():
-            assert (pv_high.per_pair_cp[off] >= pv_low.per_pair_cp[off] - 1e-15).all()
-            assert (pv_high.per_pair_isp[off] >= pv_low.per_pair_isp[off] - 1e-15).all()
+        pv_low = payoffs(dataclasses.replace(config, c=0.3), theta)
+        pv_high = payoffs(dataclasses.replace(config, c=0.9), theta)
+        off_x = np.where(theta.as_array() == 1, 0.0, allocate(config, theta).x_effective)
+        cp_moves = 0.6 * np.asarray(config.q) * off_x.sum(axis=1)
+        isp_moves = 0.6 * np.asarray(config.p) * off_x.sum(axis=0)
+        np.testing.assert_allclose(pv_high.cp_utility - pv_low.cp_utility, cp_moves, atol=1e-15)
+        np.testing.assert_allclose(pv_high.isp_revenue - pv_low.isp_revenue, isp_moves, atol=1e-15)
 
 
 def test_nonnegative_margins_give_nonnegative_utilities():
@@ -109,7 +112,7 @@ def test_nonnegative_margins_give_nonnegative_utilities():
         )
         if not margins_ok:
             continue
-        assert payoffs(config, theta).per_pair_cp.min() >= 0.0
+        assert payoffs(config, theta).cp_utility.min() >= 0.0
 
 
 def test_dummy_isp_users_generate_no_payoff(bench):
@@ -236,3 +239,15 @@ def test_market_batch_keeps_the_arithmetic():
             assert _same_bits(u[(...,) + at], one_u)
             for r_j, o in zip(r, one_r):
                 assert _same_bits(np.broadcast_to(r_j, u.shape[1:])[(slice(None),) + at], o)
+
+
+def test_payoffs_score_a_market_past_the_code_limit():
+    # payoffs reads the profile's cells, not its int64 code, so it scores a
+    # market of 64 cells, which the profile-code routes refuse.
+    config = random_config(np.random.default_rng(1), 8, 8, allow_zero_price=False)
+    theta = random_theta(np.random.default_rng(2), config)
+    pv = payoffs(config, theta)
+    x = allocate(config, theta).x_effective
+    utilities, revenues = reference_payoff_totals(config, theta.rows, x.tolist())
+    np.testing.assert_allclose(pv.cp_utility, utilities, atol=1e-15)
+    np.testing.assert_allclose(pv.isp_revenue, revenues, atol=1e-15)
