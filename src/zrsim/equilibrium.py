@@ -52,7 +52,9 @@ DEFAULT_DELTA_GRID = tuple(k / 10 for k in range(11))
 # before anything is built.  At fixed delta it admits exactly the markets
 # of at most 20 cells (2**20 <= 2,000,000 < 2**21): 4x5 and 2x10, not 3x7.
 # On the 11-point grid, one cell of a seeded random market (2 cores, Python
-# 3.11, numpy 2.4, fresh processes; 45 MB of each peak RSS is the imports):
+# 3.11, numpy 2.4, fresh processes; 45 MB of each peak RSS is the imports).
+# It stays an upper bound for a sweep: a zero-price cell scored inside an
+# earlier ISP's block (see solve_grid) scores at most 2**(N*M) rows.
 # 3x3, 681,472 evaluations, 0.04 s and 48 MB peak RSS; 7x2, the most
 # evaluations under the guard (1,982,464), 0.7-0.8 s and 56 MB; not 2x4.
 # The count leaves out the 2**N-bundle allocation of every profile: a 13x1
@@ -133,19 +135,26 @@ def _checked_free_cells(config: MarketConfig, theta: StrategyMatrix) -> list[tup
     return free
 
 
-def _breaks(cp_gains, isp_gains, held):
-    """Whether a single-cell flip that CP i gains from (``cp_gains``) and
-    ISP j gains from (``isp_gains``) breaks a profile: a relation it holds
-    breaks when either side gains by canceling it, a missing one when both
-    gain by establishing it."""
-    return cp_gains | isp_gains if held else cp_gains & isp_gains
+def _breaks(cp_gains, isp_gains, held, zero=False):
+    """Whether a single-cell flip breaks a row that holds (``held`` 1) or
+    lacks (0) the flipped relation: when CP i's gain (0 or 1) reaches a
+    level.  Where ISP j's price is positive the level is 2 - held - ISP j's
+    gain, so a held relation breaks when either side gains by canceling it
+    and a missing one when both gain by establishing it.  Where it is zero
+    (``zero``) the level is 2 held: a row lacking the forced relation is
+    never an equilibrium, and a forced relation is never cancelled (ISP j's
+    revenue, and so its gain, is 0 there)."""
+    return cp_gains >= np.where(zero, 2 * held, 2 - held - isp_gains)
 
 
-def _stable(u: np.ndarray, r: Sequence[np.ndarray], steps: list, tol: float) -> np.ndarray:
+def _stable(
+    u: np.ndarray, r: Sequence[np.ndarray], steps: list, p: Sequence, tol: float
+) -> np.ndarray:
     """Whether each profile of :func:`_profiles` survives every single-cell
     deviation, per market, from its utilities ``u[i, k, ...]`` and the
     revenues ``r[j][k, ...]`` of each ISP, which may span only that ISP's
-    own axes of the market shape (see :func:`~zrsim.payoff._scores`).
+    own axes of the market shape (see :func:`~zrsim.payoff._scores`), at
+    the prices ``p[j]`` that span ISP j's price axis.
 
     In that order the flip of the free cell with step s maps row t to
     t ^ s, so the profile axis reshaped to ``(K / 2s, 2, s)`` holds the rows
@@ -154,9 +163,13 @@ def _stable(u: np.ndarray, r: Sequence[np.ndarray], steps: list, tol: float) -> 
     gains when it beats the scores with ``tol``, GAIN_TOL times
     total_users, added: the steps run CP by CP, so one buffer holds one
     CP's raised utilities at a time; an ISP's gains are compared on its
-    own points."""
+    own points.  Each flip is one comparison of the CP's gains, as uint8,
+    with the levels of :func:`_breaks`, where a zero price of ISP j (a cell
+    forced in some markets only) sets its own."""
     r_bar, u_bar, cp = [r_j + tol for r_j in r], np.empty(u.shape[1:]), None
     unstable = np.zeros(u.shape[1:], dtype=bool)
+    held = np.array([0, 1], np.uint8).reshape((2, 1) + (1,) * (u.ndim - 2))
+    zero = [np.asarray(p_j) == 0.0 for p_j in p]
     for (i, j), step in steps:
         if i != cp:
             cp = i
@@ -165,9 +178,8 @@ def _stable(u: np.ndarray, r: Sequence[np.ndarray], steps: list, tol: float) -> 
             a.reshape((-1, 2, step) + a.shape[1:])
             for a in (u[i], r[j], u_bar, r_bar[j], unstable)
         )
-        cp_gains, isp_gains = cu[:, ::-1] > cu_bar, cr[:, ::-1] > cr_bar
-        for half in (0, 1):
-            out[:, half] |= _breaks(cp_gains[:, half], isp_gains[:, half], half)
+        cp_gains = np.greater(cu[:, ::-1], cu_bar).view(np.uint8)
+        out |= _breaks(cp_gains, cr[:, ::-1] > cr_bar, held, zero[j])
     return ~unstable
 
 
@@ -182,7 +194,7 @@ def is_zre(config: MarketConfig, theta: StrategyMatrix) -> bool:
     u, r = code_scores(config, [code ^ bit for bit in [0] + bits])
     tol = GAIN_TOL * config.total_users
     return not any(
-        _breaks(u[i, k] > u[i, 0] + tol, r[j, k] > r[j, 0] + tol, code & bit)
+        _breaks(u[i, k] > u[i, 0] + tol, r[j, k] > r[j, 0] + tol, int(code & bit > 0))
         for k, ((i, j), bit) in enumerate(zip(free, bits), 1)
     )
 
@@ -226,9 +238,21 @@ def _order(config: MarketConfig, codes, cells: np.ndarray) -> np.ndarray:
     of the highest-value CP, then the most of the last ISP, then the lowest
     binary encoding.  The key reads only q and the code, so the winner
     among any subset is its last."""
-    codes = np.asarray(codes, dtype=np.int64)
-    hv, last = cells[:, _last_argmax(config.q)].sum(axis=1), cells[:, :, -1].sum(axis=1)
-    return np.lexsort((-codes, last, hv, cells.sum(axis=(1, 2))))
+    n, m = cells.shape[1:]
+    # One integer product takes the three counts in mixed radix: a relation
+    # weighs (N + 1)(M + 1), N + 1 more in the highest-value CP's row and 1
+    # more in the last ISP's column, which hold at most M and N relations.
+    weight = np.full((n, m), (n + 1) * (m + 1))
+    weight[_last_argmax(config.q)] += n + 1
+    weight[:, -1] += 1
+    counts = cells.reshape(len(cells), -1) @ weight.ravel()
+    return np.lexsort((-np.asarray(codes, dtype=np.int64), counts))
+
+
+def _cp_rows(n: int, m: int) -> np.ndarray:
+    """Codes ``[b, i]`` of row ``b`` of CP ``i`` alone, each of the 2**M rows
+    (a CP's cells are m consecutive bits of a code, see cell_bit)."""
+    return np.arange(1 << m)[:, None] << (m * np.arange(n)[::-1])
 
 
 def detect_pressure(config: MarketConfig, selected: StrategyMatrix) -> tuple[bool, ...]:
@@ -246,43 +270,36 @@ def detect_pressure(config: MarketConfig, selected: StrategyMatrix) -> tuple[boo
     distinct counterfactual row is scored once, and :func:`_pressure` reads
     it as in a sweep.
     """
-    _checked_free_cells(config, selected)
-    counterfactual, codes = _counterfactuals(config.n_cps, config.n_isps, _zero_isps(config.p))
+    free = _checked_free_cells(config, selected)
+    n, m = config.n_cps, config.n_isps
+    forced = np.array([(1 << n * m) - 1 - sum(cell_bit(i, j, n, m) for i, j in free)])
+    rows = _cp_rows(n, m)
+    # Not np.unique: it imports numpy.ma, which a sweep otherwise never loads.
+    codes = np.array(sorted(set((forced | rows).ravel().tolist())))
     u = code_scores(config, codes)[0][..., None]
     chosen, tol = np.array([selected.encoding()]), GAIN_TOL * config.total_users
-    return tuple(_pressure(u, codes, chosen, counterfactual, tol)[0].tolist())
+    return tuple(_pressure(u, codes, chosen, forced, rows, tol)[0].tolist())
 
 
-def _counterfactuals(n: int, m: int, zero: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Codes ``[b, i]`` of every row ``b`` CP ``i`` can choose alone in its
-    counterfactual market (see :func:`detect_pressure`): the forced cells of
-    ``zero`` plus a row of CP ``i`` over the other ISPs, and those codes
-    distinct and ascending.  Row 0 holds only the forced cells and the last
-    row every free cell of CP ``i``.  These are profiles of :func:`_profiles`."""
-    # A CP's cells are m consecutive bits of a code (see cell_bit).
-    forced = sum(1 << (m - 1 - j) for j in range(m) if zero[j])
-    rows = np.flatnonzero(np.arange(1 << m) & forced == 0)[:, None]
-    codes = forced * sum(1 << (m * i) for i in range(n)) + (rows << (m * np.arange(n)[::-1]))
-    # Not np.unique: it imports numpy.ma, which a sweep otherwise never loads.
-    return codes, np.array(sorted(set(codes.ravel().tolist())))
-
-
-def _pressure(u, codes, chosen, counterfactual, tol: float) -> np.ndarray:
+def _pressure(u, codes, chosen, forced, rows, tol: float) -> np.ndarray:
     """Pressure flags ``[l, i]`` of the selected profiles ``chosen[l]`` (see
-    :func:`detect_pressure`), from the utilities ``u[i, k, l]`` of the
-    profiles ``codes``, ascending, which include every row of
-    ``counterfactual`` (see :func:`_counterfactuals`), with the gain margin
-    ``tol``, GAIN_TOL times total_users.  A CP holding no free relation
-    keeps them all in every row and is never flagged; CPs' free cells are
-    distinct bits, so a CP has a competitor exactly when the sum of all
-    CPs' held bits exceeds its own."""
-    free = counterfactual[-1] ^ counterfactual[0]
-    held = free[:, None] & chosen
-    keep = (counterfactual[..., None] & held) == held
+    :func:`detect_pressure`) of markets whose zero prices force the cells
+    of the code ``forced[l]``, from the utilities ``u[i, k, l]`` of the
+    profiles ``codes``, ascending, with the gain margin ``tol``, GAIN_TOL
+    times total_users.  CP i's counterfactual codes are ``forced[l] |
+    rows[b, i]`` over every row of :func:`_cp_rows`, all among ``codes``; a
+    row that repeats a forced bit is a duplicate and leaves both maxima
+    unchanged.  A CP holding no free relation keeps them all in every row
+    and is never flagged; CPs' free cells are distinct bits, so a CP has a
+    competitor exactly when the sum of all CPs' held bits exceeds its own."""
+    counterfactual = forced | rows[..., None]
+    held = rows[-1][:, None] & ~forced & chosen
+    keep = (counterfactual & held) == held
     # [b, i, l], markets innermost as in the scores (see _scores).
-    rows = u[np.arange(len(free)), np.searchsorted(codes, counterfactual)]
-    dropping = np.where(keep, -np.inf, rows).max(axis=0)
-    keeping = np.where(keep, rows, -np.inf).max(axis=0)
+    at = np.searchsorted(codes, counterfactual)
+    values = u[np.arange(len(u))[:, None], at, np.arange(len(forced))]
+    dropping = np.where(keep, -np.inf, values).max(axis=0)
+    keeping = np.where(keep, values, -np.inf).max(axis=0)
     return ((held.sum(axis=0) != held) & (dropping > keeping + tol)).T
 
 
@@ -382,8 +399,9 @@ def _box(config, table, order, steps, cf_rows, prices, deltas, tol: float) -> tu
     ndim = 2 * len(prices)
     along = [np.reshape(v, [-1 if b == a else 1 for b in range(ndim)])
              for a, v in enumerate([*prices, *deltas])]
-    u, r = _scores(config, table, along[:ndim // 2], along[ndim // 2:])
-    stable = _stable(u, r, steps, tol)
+    p = along[:ndim // 2]
+    u, r = _scores(config, table, p, along[ndim // 2:])
+    stable = _stable(u, r, steps, p, tol)
     # The first stable row from the end of ``order``; where none is, its
     # last row, whose revenues are then -inf.
     backward = order[::-1]
@@ -433,11 +451,16 @@ def solve_grid(
     equilibrium (NODEQ).  This is the one place NODEQ is decided.
 
     One profile table (see :class:`~zrsim.payoff.ProfileTable`), which
-    reads neither prices nor discounts, serves the grid, and each group
+    reads neither prices nor discounts, serves the grid, and each block
     puts its own rows in the tie-break order (see :func:`_order`).  The
-    profiles read only which ISPs have price zero, and the cells of a
-    zero pattern form a box of axis positions (so axes may repeat or reorder
-    values), solved in sub-boxes of whole cells (see
+    profiles read only which ISPs have price zero.  At fixed delta the
+    cells form at most 1 + z boxes of axis positions for z ISPs with a
+    zero (so axes may repeat or reorder values): the all-positive box and,
+    per such ISP j, {p_j = 0} x the positive positions before j x every
+    position after j, whose profiles hold ISP j's column and where a later
+    ISP's zero is a level of the stability test (see :func:`_breaks`); on
+    a discount grid of several points each zero pattern is a box.  A box
+    is solved in sub-boxes of whole cells (see
     :func:`~zrsim.market.sub_boxes`) times the discount axes, in stages that
     pass arrays: :func:`_axes` checks and guards, :func:`_box` scores each
     market once (a cell too large for one block in parts of its discount
@@ -445,8 +468,8 @@ def solve_grid(
     flagged at its selected market only.  Cells with one outcome share one
     :class:`ZreResult`, those without an equilibrium or a discount
     equilibrium the NO_ZRE one, and each distinct matrix in them is built
-    once, from its row of the table's cells.  A group reads its cells'
-    rows and tie ISPs through one gather of the cell index.  No payoff of
+    once, from its row of the table's cells.  A block reads its cells'
+    rows, tie ISPs and forced cells through one gather of the cell index.  No payoff of
     either world is returned.
 
     Raises InvalidArgument without one nonempty axis per ISP, ConfigError
@@ -456,14 +479,29 @@ def solve_grid(
     """
     n, m = config.n_cps, config.n_isps
     axes, delta_axes = _axes(config, p_grid, delta_grid)
-    groups = {
-        zero: [[k for k, v in enumerate(axis) if (v == 0.0) == z] for axis, z in zip(axes, zero)]
-        for zero in itertools.product(*({v == 0.0 for v in axis} for axis in axes))
-    }
-    profiles = {zero: _profiles(n, m, zero) for zero in groups}
-    # min(groups) is zero only on the axes without a positive price: every
-    # group forces its forced cells, so its profiles hold all of theirs.
-    all_codes = profiles[min(groups)][0]
+    # Boxes of axis positions keyed on the ISPs whose cells their profiles
+    # force: the all-positive box, then per ISP j with a zero {p_j = 0} x
+    # the positive positions before j x every position after j.  A later
+    # ISP's zero is then a level of the stability test (see _breaks), unless
+    # its discount axis has more than one point: its zero slab stays a block
+    # of its own, so that it plays only its largest discount.
+    blocks = {(): ()}
+    for axis, d_axis in zip(axes, delta_axes):
+        split = [[k for k, v in enumerate(axis) if (v == 0.0) == z] for z in (False, True)]
+        blocks = {
+            zero + (z,): box + (positions,)
+            for zero, box in blocks.items()
+            for z, positions in (
+                [(False, list(range(len(axis))))] if any(zero) and len(d_axis) == 1
+                else enumerate(split)
+            )
+            if positions
+        }
+    # The table holds the cells that every block forces, so that each
+    # block's profiles are among its rows.
+    common = tuple(map(all, zip(*blocks)))
+    profiles = {zero: _profiles(n, m, zero) for zero in {common, *blocks}}
+    all_codes = profiles[common][0]
     cells = profile_cells(all_codes, n, m)
     table = profile_table(config, cells)
 
@@ -471,9 +509,14 @@ def solve_grid(
     unsolved = config.delta if delta_grid is None else None
     solved = [(row, unsolved, no_zre) for row in itertools.product(*axes)]
     # Each cell's row in ``solved`` and, by that row, its most expensive
-    # ISP, which orders its Nash profiles.
+    # ISP, which orders its Nash profiles, and the code of the cells its
+    # zero-price ISPs force.
     index = np.arange(len(solved)).reshape(tuple(map(len, axes)))
-    tie = _last_argmax([row for row, _, _ in solved])
+    prices = np.array([row for row, _, _ in solved])
+    tie = _last_argmax(prices)
+    columns = [sum(cell_bit(i, j, n, m) for i in range(n)) for j in range(m)]
+    forced = (prices == 0.0) @ np.array(columns)
+    cp_rows = _cp_rows(n, m)
     # prefer[t, ...] places each discount profile in the order of Nash
     # profiles when ISP t is the most expensive (see discount_equilibrium).
     # Totals are rounded so that equal decimal totals tie whatever the order
@@ -486,42 +529,44 @@ def solve_grid(
     prefer = prefer.reshape((m,) + tuple(map(len, delta_axes)))
     matrix = functools.cache(lambda row: StrategyMatrix(cells[row].tolist()))
     tol = GAIN_TOL * config.total_users
-    for zero, box in groups.items():
+    for zero, box in blocks.items():
         codes, steps = profiles[zero]
-        # The group's rows of the table, and their tie-break order; a group
+        # The block's rows of the table, and their tie-break order; a block
         # of every row scores the table itself, not a copy.
         rows = np.searchsorted(all_codes, codes)
         whole = len(rows) == len(all_codes)
-        group_table = table if whole else ProfileTable(*(column[rows] for column in table))
-        order = _order(config, codes, group_table.cells)
-        counterfactual, cf_codes = _counterfactuals(n, m, zero)
-        group = (group_table, order, steps, np.searchsorted(codes, cf_codes))
-        box_prices = [np.take(axis, positions) for axis, positions in zip(axes, box)]
+        block_table = table if whole else ProfileTable(*(column[rows] for column in table))
+        order = _order(config, codes, block_table.cells)
         box_index = index[np.ix_(*box)]
-        box_tie = tie[box_index]
+        box_tie, box_forced = tie[box_index], forced[box_index]
+        # Every counterfactual code of the block's cells (see _pressure).
+        patterns = np.array(sorted(set(box_forced.ravel().tolist())))
+        cf_codes = np.array(sorted(set((patterns | cp_rows[..., None]).ravel().tolist())))
+        block = (block_table, order, steps, np.searchsorted(codes, cf_codes))
+        box_prices = [np.take(axis, positions) for axis, positions in zip(axes, box)]
         # A zero-price ISP's delta multiplies p = 0, so every value gives the
         # same market; only the largest, which the selection prefers, is
         # solved.  Its axis then has no deviation to gain from.
         cut = tuple(slice(-1, None) if free else slice(None) for free in zero)
         d_axes = [axis[c] for axis, c in zip(delta_axes, cut)]
         deltas = list(itertools.product(*d_axes))
-        group_prefer = prefer[(slice(None), *cut)].reshape(m, -1)
+        block_prefer = prefer[(slice(None), *cut)].reshape(m, -1)
         # A market holds K x N utilities; revenues span their ISP's axes only.
         d_shape, entries = tuple(map(len, d_axes)), len(codes) * n
         # Sub-boxes hold whole cells, so that the Nash test of a cell sees all
         # of its discount profiles; a cell too large for a block is scored in
         # parts of its discount box, each written to the sub-box's arrays.
         for sub in sub_boxes(box_index.shape, len(deltas) * entries):
-            prices, cell_ks = [v[s] for v, s in zip(box_prices, sub)], box_index[sub]
+            sub_prices, cell_ks = [v[s] for v, s in zip(box_prices, sub)], box_index[sub]
             shape = cell_ks.shape + d_shape
             stable, selected = np.empty((len(codes),) + shape, bool), np.empty(shape, np.int64)
             revenue, u_cf = np.empty(shape + (m,)), np.empty((n, len(cf_codes)) + shape)
             for part in sub_boxes(d_shape, cell_ks.size * entries):
                 put = (..., *part)
                 stable[put], selected[put], revenue[put + (slice(None),)], u_cf[put] = _box(
-                    config, *group, prices, [a[s] for a, s in zip(d_axes, part)], tol
+                    config, *block, sub_prices, [a[s] for a, s in zip(d_axes, part)], tol
                 )
-            found, star = _nash(revenue, group_prefer[box_tie[sub].ravel()], tol)
+            found, star = _nash(revenue, block_prefer[box_tie[sub].ravel()], tol)
             if not len(found):
                 continue
             at = found * len(deltas) + star
@@ -529,7 +574,7 @@ def solve_grid(
             held = stable.reshape(len(codes), -1)[:, at].T
             pressure = _pressure(
                 u_cf.reshape(n, len(cf_codes), -1)[:, :, at], cf_codes, codes[chosen],
-                counterfactual, tol,
+                box_forced[sub].ravel()[found], cp_rows, tol,
             )
             # One result per distinct outcome, shared by the cells that have it.
             results, outcomes = {}, np.hstack([held, pressure])

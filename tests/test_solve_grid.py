@@ -48,7 +48,7 @@ def _reference_zre(cell: MarketConfig) -> ZreResult:
     n, m = cell.n_cps, cell.n_isps
     codes, steps = equilibrium._profiles(n, m, equilibrium._zero_isps(cell.p))
     u, r = code_scores(cell, codes)
-    found = codes[equilibrium._stable(u, r, steps, GAIN_TOL * cell.total_users)]
+    found = codes[equilibrium._stable(u, r, steps, cell.p, GAIN_TOL * cell.total_users)]
     if not len(found):
         return ZreResult((), None, (False,) * n)
     all_zre = tuple(StrategyMatrix.from_bitstring(format(c, f"0{n * m}b"), n, m) for c in found)
@@ -130,6 +130,16 @@ def _cases():
             config = random_config(rng, n, m)
             axes = tuple((0.0, float(rng.uniform(0.05, 1.0))) for _ in range(m))
             cases.append((config, axes, (0.5, 1.0)))
+    # 0.0 at the front, in the middle and twice, so that a later ISP's zero
+    # falls inside an earlier ISP's block; then an axis holding only 0.0, so
+    # that no block is all-positive and the blocks force different cells.
+    for n in (3, 2):
+        config = random_config(rng, n, 3)
+        a, b, c, d = (float(v) for v in rng.uniform(0.05, 1.0, size=4))
+        cases.append((config, ((0.0, a), (b, 0.0, c), (0.0, d, 0.0)), (0.5, 1.0)))
+    config = random_config(rng, 3, 3)
+    a, b = (float(v) for v in rng.uniform(0.05, 1.0, size=2))
+    cases.append((config, ((a, 0.0), (b, 0.0), (0.0,)), (0.5, 1.0)))
     return cases
 
 
