@@ -16,7 +16,8 @@ every CP: those cells are clamped to 1 and excluded from deviation checks.
 Profiles are integer codes (see :mod:`zrsim.market`) scored in batches.
 :func:`solve_grid` solves every cell of a scenario's price axes, a point
 of the axes and not a market, from one table of effective users, in boxes
-of price and discount axes, each market once: each ISP's payoff terms are
+of price and discount axes, each market once (bar a later zero-price ISP's
+discounts, which give one market): each ISP's payoff terms are
 scored once per point of its own axes and broadcast, and stability, the
 tie-break and the Nash test run as arrays over the markets.  It returns
 equilibria only; :mod:`zrsim.analysis` scores the payoffs of both worlds.
@@ -52,13 +53,13 @@ DEFAULT_DELTA_GRID = tuple(k / 10 for k in range(11))
 # before anything is built.  At fixed delta it admits exactly the markets
 # of at most 20 cells (2**20 <= 2,000,000 < 2**21): 4x5 and 2x10, not 3x7.
 # On the 11-point grid, one cell of a seeded random market (2 cores, Python
-# 3.11, numpy 2.4, fresh processes; 45 MB of each peak RSS is the imports).
-# It stays an upper bound for a sweep: a zero-price cell scored inside an
-# earlier ISP's block (see solve_grid) scores at most 2**(N*M) rows.
-# 3x3, 681,472 evaluations, 0.04 s and 48 MB peak RSS; 7x2, the most
-# evaluations under the guard (1,982,464), 0.7-0.8 s and 56 MB; not 2x4.
+# 3.11, numpy 2.4, fresh processes; 45 MB of each peak RSS is the imports):
+# 3x3, 681,472 evaluations, 0.05-0.07 s and 48 MB peak RSS; 7x2, the most
+# evaluations under the guard (1,982,464), 1.0-1.3 s and 55 MB; not 2x4.
+# It bounds every cell of a sweep: in the block of its first zero-price ISP
+# (see solve_grid) a cell scores 2**(N*(M-1)) profiles at d**(M-1) deltas.
 # The count leaves out the 2**N-bundle allocation of every profile: a 13x1
-# cell, 90,112 evaluations, takes 6.5-7.2 s and 50 MB, nearly all of it
+# cell, 90,112 evaluations, takes 7.7-9.3 s and 50 MB, nearly all of it
 # allocating, and a 5x4 enumeration takes 6.4 s and adds 478 MB.
 EVALUATION_GUARD = 2_000_000
 # A deviation "gains" only when it beats the current payoff by more than
@@ -110,11 +111,6 @@ class BestResponseTrace:
     cycle_start: int | None = None
 
 
-def _zero_isps(p: Sequence[float]) -> tuple[bool, ...]:
-    """Which ISPs have price zero, all that the forced cells read of ``p``."""
-    return tuple(v == 0.0 for v in p)
-
-
 def _split_cells(n: int, m: int, zero: tuple[bool, ...]) -> tuple[list, list]:
     """The cells of an N x M profile, row-major, split into those forced to
     1 by the zero-price ISPs ``zero`` and the free ones."""
@@ -128,7 +124,7 @@ def _checked_free_cells(config: MarketConfig, theta: StrategyMatrix) -> list[tup
     """The free cells of ``config``, row-major, once ``theta`` is checked to
     be N x M (a smaller one cannot index the cells) and to hold every forced cell."""
     _check_dims(config, theta)
-    forced, free = _split_cells(config.n_cps, config.n_isps, _zero_isps(config.p))
+    forced, free = _split_cells(config.n_cps, config.n_isps, tuple(p == 0.0 for p in config.p))
     for i, j in forced:
         if theta.rows[i][j] != 1:
             raise InvalidArgument(f"cell ({i}, {j}) must be 1 because the ISP price is 0")
@@ -450,27 +446,26 @@ def solve_grid(
     selected discount profile, or None where no discount profile is a Nash
     equilibrium (NODEQ).  This is the one place NODEQ is decided.
 
-    One profile table (see :class:`~zrsim.payoff.ProfileTable`), which
-    reads neither prices nor discounts, serves the grid, and each block
-    puts its own rows in the tie-break order (see :func:`_order`).  The
-    profiles read only which ISPs have price zero.  At fixed delta the
-    cells form at most 1 + z boxes of axis positions for z ISPs with a
-    zero (so axes may repeat or reorder values): the all-positive box and,
-    per such ISP j, {p_j = 0} x the positive positions before j x every
-    position after j, whose profiles hold ISP j's column and where a later
-    ISP's zero is a level of the stability test (see :func:`_breaks`); on
-    a discount grid of several points each zero pattern is a box.  A box
-    is solved in sub-boxes of whole cells (see
-    :func:`~zrsim.market.sub_boxes`) times the discount axes, in stages that
-    pass arrays: :func:`_axes` checks and guards, :func:`_box` scores each
-    market once (a cell too large for one block in parts of its discount
-    box), :func:`_nash` picks each cell's discount profile, and pressure is
-    flagged at its selected market only.  Cells with one outcome share one
-    :class:`ZreResult`, those without an equilibrium or a discount
-    equilibrium the NO_ZRE one, and each distinct matrix in them is built
-    once, from its row of the table's cells.  A block reads its cells'
-    rows, tie ISPs and forced cells through one gather of the cell index.  No payoff of
-    either world is returned.
+    One profile table of every profile, row k holding code k (see
+    :class:`~zrsim.payoff.ProfileTable`), which reads neither prices nor
+    discounts, serves the grid, and each block puts its own rows in the
+    tie-break order (see :func:`_order`).  The cells form at most 1 + z
+    boxes of axis positions for z ISPs with a zero (so axes may repeat or
+    reorder values), one per first zero-price ISP: the all-positive box
+    and, per such ISP j, {p_j = 0} x the positive positions before j x
+    every position after j, whose profiles hold ISP j's column, where ISP j
+    plays only its largest discount and a later ISP's zero is a level of
+    the stability test (see :func:`_breaks`).  A box is solved in sub-boxes
+    of whole cells (see :func:`~zrsim.market.sub_boxes`) times the discount
+    axes, in stages that pass arrays: :func:`_axes` checks and guards,
+    :func:`_box` scores each market (a cell too large for one block in
+    parts of its discount box), :func:`_nash` picks each cell's discount
+    profile, and pressure is flagged at its selected market only.  Cells
+    with one outcome share one :class:`ZreResult`, those without an
+    equilibrium or a discount equilibrium the NO_ZRE one, and each distinct
+    matrix in them is built once, from its row of the table's cells.  A
+    block reads its cells' rows, tie ISPs and forced cells through one
+    gather of the cell index.  No payoff of either world is returned.
 
     Raises InvalidArgument without one nonempty axis per ISP, ConfigError
     when a discount or a price lies outside [0, 1], then CapacityError when
@@ -479,32 +474,10 @@ def solve_grid(
     """
     n, m = config.n_cps, config.n_isps
     axes, delta_axes = _axes(config, p_grid, delta_grid)
-    # Boxes of axis positions keyed on the ISPs whose cells their profiles
-    # force: the all-positive box, then per ISP j with a zero {p_j = 0} x
-    # the positive positions before j x every position after j.  A later
-    # ISP's zero is then a level of the stability test (see _breaks), unless
-    # its discount axis has more than one point: its zero slab stays a block
-    # of its own, so that it plays only its largest discount.
-    blocks = {(): ()}
-    for axis, d_axis in zip(axes, delta_axes):
-        split = [[k for k, v in enumerate(axis) if (v == 0.0) == z] for z in (False, True)]
-        blocks = {
-            zero + (z,): box + (positions,)
-            for zero, box in blocks.items()
-            for z, positions in (
-                [(False, list(range(len(axis))))] if any(zero) and len(d_axis) == 1
-                else enumerate(split)
-            )
-            if positions
-        }
-    # The table holds the cells that every block forces, so that each
-    # block's profiles are among its rows.
-    common = tuple(map(all, zip(*blocks)))
-    profiles = {zero: _profiles(n, m, zero) for zero in {common, *blocks}}
-    all_codes = profiles[common][0]
-    cells = profile_cells(all_codes, n, m)
+    # The table holds every profile, row k holding code k, so that a block's
+    # codes index it directly.
+    cells = profile_cells(np.arange(1 << (n * m)), n, m)
     table = profile_table(config, cells)
-
     no_zre = ZreResult((), None, (False,) * n)
     unsolved = config.delta if delta_grid is None else None
     solved = [(row, unsolved, no_zre) for row in itertools.product(*axes)]
@@ -527,15 +500,20 @@ def solve_grid(
     for t, row in enumerate(prefer):
         row[np.lexsort((*d.T, d[:, t], total))] = np.arange(len(d))
     prefer = prefer.reshape((m,) + tuple(map(len, delta_axes)))
-    matrix = functools.cache(lambda row: StrategyMatrix(cells[row].tolist()))
+    matrix = functools.cache(lambda code: StrategyMatrix(cells[code].tolist()))
     tol = GAIN_TOL * config.total_users
-    for zero, box in blocks.items():
-        codes, steps = profiles[zero]
-        # The block's rows of the table, and their tie-break order; a block
-        # of every row scores the table itself, not a copy.
-        rows = np.searchsorted(all_codes, codes)
-        whole = len(rows) == len(all_codes)
-        block_table = table if whole else ProfileTable(*(column[rows] for column in table))
+    for j in range(m + 1):
+        # Block j holds the cells whose first zero-price ISP is j: {p_j = 0}
+        # x the positive positions before j x every position after j (j = M
+        # is the all-positive box).  Its profiles hold ISP j's column, and a
+        # later ISP's zero is a level of the stability test (see _breaks).
+        box = [[k for k, v in enumerate(axis) if (v == 0.0) == (a == j) or a > j]
+               for a, axis in enumerate(axes)]
+        if not all(box):
+            continue
+        codes, steps = _profiles(n, m, tuple(a == j for a in range(m)))
+        # The all-positive block scores the table itself, not a copy.
+        block_table = table if j == m else ProfileTable(*(column[codes] for column in table))
         order = _order(config, codes, block_table.cells)
         box_index = index[np.ix_(*box)]
         box_tie, box_forced = tie[box_index], forced[box_index]
@@ -544,10 +522,10 @@ def solve_grid(
         cf_codes = np.array(sorted(set((patterns | cp_rows[..., None]).ravel().tolist())))
         block = (block_table, order, steps, np.searchsorted(codes, cf_codes))
         box_prices = [np.take(axis, positions) for axis, positions in zip(axes, box)]
-        # A zero-price ISP's delta multiplies p = 0, so every value gives the
+        # Below M, ISP j's delta multiplies p_j = 0, so every value gives the
         # same market; only the largest, which the selection prefers, is
         # solved.  Its axis then has no deviation to gain from.
-        cut = tuple(slice(-1, None) if free else slice(None) for free in zero)
+        cut = tuple(slice(-1, None) if a == j else slice(None) for a in range(m))
         d_axes = [axis[c] for axis, c in zip(delta_axes, cut)]
         deltas = list(itertools.product(*d_axes))
         block_prefer = prefer[(slice(None), *cut)].reshape(m, -1)
@@ -581,7 +559,7 @@ def solve_grid(
             for f, k in enumerate(cell_ks.ravel()[found].tolist()):
                 if (key := outcomes[f].tobytes()) not in results:
                     results[key] = ZreResult(
-                        tuple(map(matrix, rows[held[f]].tolist())), matrix(int(rows[chosen[f]])),
+                        tuple(map(matrix, codes[held[f]].tolist())), matrix(int(codes[chosen[f]])),
                         tuple(pressure[f].tolist()),
                     )
                 solved[k] = (solved[k][0], deltas[star[f]], results[key])

@@ -422,9 +422,12 @@ class TestDiscountGame:
         # equilibrium (3 on this grid).
         high = load_scenario(SCENARIOS / "bandwidth_high.json").config
         rng = np.random.default_rng(31)
+        # The benchmark at (0.0, 0.0) has a later zero-price ISP, whose
+        # whole axis is scored in the block of the first.
         cases = [
             (bench.with_prices((0.3, 0.7)), GRID11[::2]),
             (bench.with_prices((1.0, 0.0)), GRID11[::3]),
+            (bench.with_prices((0.0, 0.0)), (0.0, 0.2, 0.6, 1.0)),
             (high.with_prices((0.5, 0.5)), GRID11[::2]),
         ]
         cases += [(random_config(rng, 2, 2), (0.0, 0.25, 0.5, 0.75, 1.0)) for _ in range(3)]
@@ -434,7 +437,9 @@ class TestDiscountGame:
             boxes.clear()
             discount_equilibrium(config, grid)
             n, m = config.n_cps, config.n_isps
-            codes, _ = equilibrium._profiles(n, m, equilibrium._zero_isps(config.p))
+            # The block's profiles hold the column of the first zero-price ISP only.
+            first = config.p.index(0.0) if 0.0 in config.p else None
+            codes, _ = equilibrium._profiles(n, m, tuple(j == first for j in range(m)))
             entries = len(codes) * n
             rows = {}
             for profiles, (stable, _, revenue, _) in list(boxes):
@@ -444,8 +449,8 @@ class TestDiscountGame:
                 ):
                     assert delta not in rows or np.array_equal(rows[delta][1], row)
                     rows[delta] = (mask, row)
-            # A zero-price ISP plays only the largest discount.
-            axes = [grid[-1:] if p == 0.0 else grid for p in config.p]
+            # The first zero-price ISP plays only the largest discount.
+            axes = [grid[-1:] if j == first else grid for j in range(m)]
             assert sorted(rows) == list(itertools.product(*axes))
             for delta, (mask, row) in rows.items():
                 market_at = dataclasses.replace(config, delta=delta)

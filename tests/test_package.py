@@ -1,9 +1,13 @@
-"""The package's public names, error types and README's library example."""
+"""The package's public names, error types, README's library example and
+the install metadata in pyproject.toml."""
 
 import ast
 import dataclasses
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 import zrsim
 import zrsim.cli
@@ -90,3 +94,18 @@ def test_benchmark_child_calls_resolve(capsys):
     assert zrsim.oracle_verify_zre(config, theta)
     assert zrsim.cli.main(["zre", str(path), "--p", "0.3", "0.7"]) == 0
     assert capsys.readouterr().out
+
+
+def test_pyproject_script_and_package_data_resolve():
+    # The tests import zrsim from src, so a stale console script or
+    # package-data glob would break only an installed copy: the script must
+    # name the callable cli.main and the glob must ship every scenario.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    script = project["project"]["scripts"]["zrsim"]
+    assert script == "zrsim.cli:main"
+    module, attr = script.split(":")
+    assert callable(getattr(importlib.import_module(module), attr, None))
+    [pattern] = project["tool"]["setuptools"]["package-data"]["zrsim"]
+    shipped = set((PACKAGE / "scenarios").iterdir())
+    assert shipped and set(PACKAGE.glob(pattern)) == shipped

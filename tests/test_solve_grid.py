@@ -46,7 +46,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "zrsim" / "scenario
 
 def _reference_zre(cell: MarketConfig) -> ZreResult:
     n, m = cell.n_cps, cell.n_isps
-    codes, steps = equilibrium._profiles(n, m, equilibrium._zero_isps(cell.p))
+    codes, steps = equilibrium._profiles(n, m, tuple(p == 0.0 for p in cell.p))
     u, r = code_scores(cell, codes)
     found = codes[equilibrium._stable(u, r, steps, cell.p, GAIN_TOL * cell.total_users)]
     if not len(found):
@@ -245,7 +245,7 @@ def test_every_market_is_scored_once(block_elements, monkeypatch):
     rng = np.random.default_rng(61)
     cases = [
         (bench, ((0.0, 0.3, 0.7), (0.2, 1.0)), (0.0, 0.5, 1.0), 42),
-        (random_config(rng, 2, 3), ((0.0, 0.5), (1.0,), (0.0, 0.4)), (0.5, 1.0), 18),
+        (random_config(rng, 2, 3), ((0.0, 0.5), (1.0,), (0.0, 0.4)), (0.5, 1.0), 20),
     ]
     for config, axes, grid, markets in cases:
         for delta_grid in (None, grid):
@@ -253,9 +253,11 @@ def test_every_market_is_scored_once(block_elements, monkeypatch):
             equilibrium.solve_grid(config, axes, delta_grid)
             expected = []
             for prices in itertools.product(*axes):
-                # A zero-price ISP plays only its largest discount.
+                # A cell's first zero-price ISP plays only its largest
+                # discount; a later one plays its whole axis.
+                first = prices.index(0.0) if 0.0 in prices else None
                 deltas = [(d,) for d in config.delta] if delta_grid is None else [
-                    grid[-1:] if p == 0.0 else grid for p in prices
+                    grid[-1:] if j == first else grid for j in range(len(prices))
                 ]
                 expected.extend(itertools.product(*[(p,) for p in prices], *deltas))
             assert sorted(scored) == sorted(expected)
