@@ -17,7 +17,9 @@ Profiles are integer codes (see :mod:`zrsim.market`) scored in batches.
 :func:`solve_grid` solves every cell of a scenario's price axes, a point
 of the axes and not a market, from one table of effective users, in boxes
 of price and discount axes, each market once (bar a later zero-price ISP's
-discounts, which give one market): each ISP's payoff terms are
+discounts, which give one market): a grid at one discount profile that
+fits one block at every profile is one box, any other grid one box per
+first zero-price ISP and one all-positive box.  Each ISP's payoff terms are
 scored once per point of its own axes and broadcast, and stability, the
 tie-break and the Nash test run as arrays over the markets.  It returns
 equilibria only; :mod:`zrsim.analysis` scores the payoffs of both worlds.
@@ -57,7 +59,8 @@ DEFAULT_DELTA_GRID = tuple(k / 10 for k in range(11))
 # 3x3, 681,472 evaluations, 0.05-0.07 s and 48 MB peak RSS; 7x2, the most
 # evaluations under the guard (1,982,464), 1.0-1.3 s and 55 MB; not 2x4.
 # It bounds every cell of a sweep: in the block of its first zero-price ISP
-# (see solve_grid) a cell scores 2**(N*(M-1)) profiles at d**(M-1) deltas.
+# (see solve_grid) a cell scores 2**(N*(M-1)) profiles at d**(M-1) deltas,
+# and in a grid solved as one box, which needs d = 1, 2**(N*M) at one.
 # The count leaves out the 2**N-bundle allocation of every profile: a 13x1
 # cell, 90,112 evaluations, takes 7.7-9.3 s and 50 MB, nearly all of it
 # allocating, and a 5x4 enumeration takes 6.4 s and adds 478 MB.
@@ -446,18 +449,23 @@ def solve_grid(
     selected discount profile, or None where no discount profile is a Nash
     equilibrium (NODEQ).  This is the one place NODEQ is decided.
 
-    One profile table of every profile, row k holding code k (see
-    :class:`~zrsim.payoff.ProfileTable`), which reads neither prices nor
-    discounts, serves the grid, and each block puts its own rows in the
-    tie-break order (see :func:`_order`).  The cells form at most 1 + z
-    boxes of axis positions for z ISPs with a zero (so axes may repeat or
-    reorder values), one per first zero-price ISP: the all-positive box
-    and, per such ISP j, {p_j = 0} x the positive positions before j x
-    every position after j, whose profiles hold ISP j's column, where ISP j
-    plays only its largest discount and a later ISP's zero is a level of
-    the stability test (see :func:`_breaks`).  A box is solved in sub-boxes
-    of whole cells (see :func:`~zrsim.market.sub_boxes`) times the discount
-    axes, in stages that pass arrays: :func:`_axes` checks and guards,
+    One profile table (see :class:`~zrsim.payoff.ProfileTable`), which
+    reads neither prices nor discounts, serves the grid, and each block
+    puts its own rows in the tie-break order (see :func:`_order`).  Where
+    every discount axis has one point and the whole grid at all 2**(N*M)
+    profiles fits one block (see :func:`~zrsim.market.sub_boxes`), the
+    cells form one box of every profile, in which every zero price is a
+    level of the stability test (see :func:`_breaks`).  Else they form at
+    most 1 + z boxes of axis positions for z ISPs with a zero, one per
+    first zero-price ISP: the all-positive box and, per such ISP j,
+    {p_j = 0} x the positive positions before j x every position after j,
+    whose profiles hold ISP j's column, where ISP j plays only its largest
+    discount (so each market is scored once) and a later ISP's zero is a
+    level of the stability test.  Either way axes may repeat or reorder
+    values.  The table holds every profile when the all-positive box or
+    the one box is solved, else only the profiles of the boxes solved.  A
+    box is solved in sub-boxes of whole cells times the discount axes, in
+    stages that pass arrays: :func:`_axes` checks and guards,
     :func:`_box` scores each market (a cell too large for one block in
     parts of its discount box), :func:`_nash` picks each cell's discount
     profile, and pressure is flagged at its selected market only.  Cells
@@ -474,10 +482,6 @@ def solve_grid(
     """
     n, m = config.n_cps, config.n_isps
     axes, delta_axes = _axes(config, p_grid, delta_grid)
-    # The table holds every profile, row k holding code k, so that a block's
-    # codes index it directly.
-    cells = profile_cells(np.arange(1 << (n * m)), n, m)
-    table = profile_table(config, cells)
     no_zre = ZreResult((), None, (False,) * n)
     unsolved = config.delta if delta_grid is None else None
     solved = [(row, unsolved, no_zre) for row in itertools.product(*axes)]
@@ -500,20 +504,29 @@ def solve_grid(
     for t, row in enumerate(prefer):
         row[np.lexsort((*d.T, d[:, t], total))] = np.arange(len(d))
     prefer = prefer.reshape((m,) + tuple(map(len, delta_axes)))
-    matrix = functools.cache(lambda code: StrategyMatrix(cells[code].tolist()))
-    tol = GAIN_TOL * config.total_users
-    for j in range(m + 1):
-        # Block j holds the cells whose first zero-price ISP is j: {p_j = 0}
-        # x the positive positions before j x every position after j (j = M
-        # is the all-positive box).  Its profiles hold ISP j's column, and a
-        # later ISP's zero is a level of the stability test (see _breaks).
-        box = [[k for k, v in enumerate(axis) if (v == 0.0) == (a == j) or a > j]
+    # Block j holds the cells whose first zero-price ISP is j, and block M
+    # the all-positive ones, or every cell in a grid solved as one box.
+    one_box = len(d) == 1 and len(list(sub_boxes((*index.shape, 1 << (n * m)), n))) == 1
+    blocks = []
+    for j in range(m if one_box else 0, m + 1):
+        box = [[k for k, v in enumerate(axis) if one_box or (v == 0.0) == (a == j) or a > j]
                for a, axis in enumerate(axes)]
-        if not all(box):
-            continue
-        codes, steps = _profiles(n, m, tuple(a == j for a in range(m)))
-        # The all-positive block scores the table itself, not a copy.
-        block_table = table if j == m else ProfileTable(*(column[codes] for column in table))
+        if all(box):
+            blocks.append((j, box, *_profiles(n, m, tuple(a == j for a in range(m)))))
+    # The table holds the blocks' profiles, ascending, so that a one-cell
+    # call at a zero price allocates no profile it never reads.
+    present = np.zeros(1 << (n * m), dtype=bool)
+    for _, _, codes, _ in blocks:
+        present[codes] = True
+    table_codes = np.flatnonzero(present)
+    table = profile_table(config, profile_cells(table_codes, n, m))
+    matrix = functools.cache(lambda row: StrategyMatrix(table.cells[row].tolist()))
+    tol = GAIN_TOL * config.total_users
+    for j, box, codes, steps in blocks:
+        rows = np.searchsorted(table_codes, codes)
+        # A block of the whole table scores it, not a copy.
+        whole = len(rows) == len(table_codes)
+        block_table = table if whole else ProfileTable(*(column[rows] for column in table))
         order = _order(config, codes, block_table.cells)
         box_index = index[np.ix_(*box)]
         box_tie, box_forced = tie[box_index], forced[box_index]
@@ -559,7 +572,7 @@ def solve_grid(
             for f, k in enumerate(cell_ks.ravel()[found].tolist()):
                 if (key := outcomes[f].tobytes()) not in results:
                     results[key] = ZreResult(
-                        tuple(map(matrix, codes[held[f]].tolist())), matrix(int(codes[chosen[f]])),
+                        tuple(map(matrix, rows[held[f]].tolist())), matrix(int(rows[chosen[f]])),
                         tuple(pressure[f].tolist()),
                     )
                 solved[k] = (solved[k][0], deltas[star[f]], results[key])

@@ -5,13 +5,14 @@ The reference solves each cell on its own from ``_profiles``,
 ``tie_break_winner``, flags with ``detect_pressure`` and records both
 worlds with ``payoffs`` and the one-profile ``hhi`` of conftest: none of it
 runs through :func:`zrsim.equilibrium.solve_grid`.  Price axes hold 0.0, so
-every set of zero-price ISPs (every group of the driver) occurs.
+every set of zero-price ISPs occurs, and with it every block of the driver.
 ``detect_pressure`` reads its scores as the driver does, so the driver's
 flags are also checked against scores of each counterfactual row.
 """
 
 import inspect
 import itertools
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -194,10 +195,11 @@ def test_driver_equals_per_cell_reference(block_elements, references, monkeypatc
 
 @pytest.mark.parametrize("block_elements", [1, 1000])
 def test_repeated_and_unsorted_axes_solve_each_cell(block_elements, monkeypatch):
-    # A zero-price group is a box of axis positions, so an axis may repeat
-    # values, list them out of order and hold a zero: every record, in both
-    # modes, is what its cell gives solved alone.  1 scores every market on
-    # its own; 1000 cuts the groups into sub-boxes of several cells.
+    # A block is a box of axis positions, so an axis may repeat values,
+    # list them out of order and hold a zero: every record, in both modes,
+    # is what its cell gives solved alone.  1 scores every market on its
+    # own; 1000 cuts the discount game's blocks into sub-boxes of several
+    # cells.
     monkeypatch.setattr(market, "BLOCK_ELEMENTS", block_elements)
     rng = np.random.default_rng(59)
     bench = load_scenario(SCENARIOS / "benchmark.json").config
@@ -262,6 +264,76 @@ def test_every_market_is_scored_once(block_elements, monkeypatch):
                 expected.extend(itertools.product(*[(p,) for p in prices], *deltas))
             assert sorted(scored) == sorted(expected)
         assert len(expected) == markets
+
+
+def _one_box_cases():
+    # Fixed-delta markets of 1-3 x 1-3 with 0.0 first, last or in the
+    # middle of every price axis, and a one-value discount grid.
+    rng = np.random.default_rng(67)
+    cases = []
+    for n, m in itertools.product((1, 2, 3), repeat=2):
+        axes = []
+        for _ in range(m):
+            axis = [0.0, *(float(v) for v in rng.uniform(0.05, 1.0, size=2))]
+            rng.shuffle(axis)
+            axes.append(tuple(axis))
+        cases.append((random_config(rng, n, m), tuple(axes), None))
+    cases.append((random_config(rng, 2, 2), ((0.0, 0.4), (0.7, 0.0)), (0.6,)))
+    return cases
+
+
+@pytest.mark.parametrize("config, axes, grid", _one_box_cases())
+def test_one_box_equals_blocks_of_first_zero_isps(config, axes, grid, monkeypatch):
+    # At one discount profile a grid that fits one block at every profile
+    # is one box of every profile over every cell, where each zero price,
+    # the first ISP's included, is a level of the stability test.  One
+    # entry less than that grid needs forces the 1 + z blocks, one per
+    # first zero-price ISP and the all-positive one, each in one sub-box;
+    # both give the same rows.
+    boxes = []
+    box = equilibrium._box
+
+    def counted(config, table, order, steps, cf_rows, prices, deltas, tol):
+        boxes.append((len(table.cells), tuple(map(len, prices))))
+        return box(config, table, order, steps, cf_rows, prices, deltas, tol)
+
+    monkeypatch.setattr(equilibrium, "_box", counted)
+    n, m = config.n_cps, config.n_isps
+    shape = tuple(map(len, axes))
+    one_box = equilibrium.solve_grid(config, axes, grid)
+    assert boxes == [(1 << (n * m), shape)]
+    # No equilibrium lacks a relation that a zero price forces.
+    for prices, _, zre in one_box:
+        for theta in zre.all_zre:
+            assert all(theta.rows[i][j] for i in range(n) for j in range(m) if prices[j] == 0.0)
+    boxes.clear()
+    monkeypatch.setattr(market, "BLOCK_ELEMENTS", len(one_box) * (n << (n * m)) - 1)
+    assert equilibrium.solve_grid(config, axes, grid) == one_box
+    assert len(boxes) == 1 + m
+    assert sum(math.prod(cells) for _, cells in boxes) == len(one_box)
+
+
+def test_zero_price_cell_allocates_only_its_block(monkeypatch):
+    # A cell whose first ISP prices at zero is solved in that ISP's block,
+    # so its table holds the 2**12 profiles of a 4 x 4 market holding ISP
+    # 0's column, not all 2**16; a grid that also holds a positive price
+    # solves block M and allocates all of them.
+    sizes = []
+    table = equilibrium.profile_table
+
+    def counted(config, cells):
+        sizes.append(len(cells))
+        return table(config, cells)
+
+    monkeypatch.setattr(equilibrium, "profile_table", counted)
+    config = random_config(np.random.default_rng(71), 4, 4, allow_zero_price=False)
+    cell = config.with_prices((0.0, *config.p[1:]))
+    zre = enumerate_zre(cell)
+    discount_equilibrium(cell, (0.5, 1.0))
+    assert sizes == [1 << 12] * 2
+    rows = equilibrium.solve_grid(cell, [(0.0, 0.5), *[(p,) for p in cell.p[1:]]])
+    assert sizes[2:] == [1 << 16]
+    assert rows[0][2] == zre
 
 
 def _reference_pressure(cell: MarketConfig, selected: StrategyMatrix) -> tuple[bool, ...]:
@@ -334,7 +406,7 @@ def test_guard_raises_before_any_allocation(monkeypatch):
 def test_grid_prices_rejected_before_any_allocation(bad, j, monkeypatch):
     # Every price row is checked as a market checks its prices, before
     # anything is allocated; the bad value sits in the second row, behind
-    # a valid one of the same zero-price group.
+    # a valid one of the same block.
     def refuse(*args):
         raise AssertionError("allocation started before the price check")
 
@@ -351,9 +423,9 @@ def test_grid_prices_rejected_before_any_allocation(bad, j, monkeypatch):
 
 
 def test_sweep_builds_no_market(monkeypatch):
-    # The driver groups price rows by their zero pattern and reads nothing
-    # else of them, so no MarketConfig is built; benchmark.json's grid holds
-    # all four zero-price patterns.
+    # The driver places price rows in blocks by their zero prices and reads
+    # nothing else of them, so no MarketConfig is built; benchmark.json's
+    # grid holds all four zero-price patterns.
     scenario = load_scenario(SCENARIOS / "benchmark.json")
     built = []
     post_init = MarketConfig.__post_init__
